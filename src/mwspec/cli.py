@@ -6,14 +6,16 @@ Subcommands:
   golden  reproduce the embedded 4-vertex example bit-exact
   bench   closed-form distance inverse vs dense inversion (CSV)
 
-Exit codes: 0 success, 1 mathematical check failure, 2 usage error,
-3 I/O error.
+Exit codes: 0 success, 1 mathematical check failure, 2 usage error (bad
+arguments, a malformed instance, a negative or non-finite beta, or a
+--corrupt-d entry outside D), 3 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -21,7 +23,6 @@ import time
 
 import numpy as np
 
-from . import kernels
 from .errors import MwspecError
 from .golden import run_golden
 from .linalg import Tolerance
@@ -115,10 +116,21 @@ def cmd_verify(args) -> int:
         if corrupt is None:
             print("error: --corrupt-d expects 'i,j,factor'", file=sys.stderr)
             return EXIT_USAGE
+        i, j, factor = corrupt
+        ns = inst.n * inst.s
+        if not (1 <= i <= ns and 1 <= j <= ns and math.isfinite(factor)):
+            print(f"error: --corrupt-d needs 1 <= i, j <= {ns} and a finite "
+                  f"factor, got {args.corrupt_d!r}", file=sys.stderr)
+            return EXIT_USAGE
     mode = args.mode
     if mode is None:
         mode = "both" if inst.tree.is_exact and inst.graph.is_exact else "float"
     betas = args.beta if args.beta else [0.0, 0.5, 1.0, 10.0]
+    bad = [b for b in betas if not (math.isfinite(b) and b >= 0)]
+    if bad:
+        print(f"error: --beta must be finite and >= 0, got {bad[0]}",
+              file=sys.stderr)
+        return EXIT_USAGE
     report = verify_instance(inst, betas, tol, kernel_mode=mode, corrupt=corrupt)
     if args.out:
         try:
@@ -188,35 +200,7 @@ def cmd_bench(args) -> int:
             return EXIT_IO
     else:
         sys.stdout.write(table)
-    if args.kernel_compare:
-        _kernel_compare(sizes, args.seed)
     return EXIT_OK
-
-
-def _kernel_compare(sizes, seed):
-    """Distance-fill kernel: numba fast path vs pure-numpy fallback."""
-    from .model import random_tree
-    from .operators import _edge_arrays
-
-    print("\nkernel comparison (distance fill):")
-    print("n,s,t_numba,t_numpy,speedup,max_abs_diff")
-    for n, s in sizes:
-        tree = random_tree(n, s, seed)
-        uv, weights = _edge_arrays(tree)
-        indptr, nbr, eid = kernels.build_csr(n, uv)
-        if kernels.NUMBA_ENABLED:
-            kernels._distance_fill_numba(indptr, nbr, eid, weights, n, s)  # warm up
-            t0 = time.perf_counter()
-            a = kernels._distance_fill_numba(indptr, nbr, eid, weights, n, s)
-            t_numba = time.perf_counter() - t0
-        else:
-            a, t_numba = None, float("nan")
-        t0 = time.perf_counter()
-        b = kernels._distance_fill_numpy(indptr, nbr, eid, weights, n, s)
-        t_numpy = time.perf_counter() - t0
-        diff = float(np.abs(a - b).max()) if a is not None else float("nan")
-        print(f"{n},{s},{t_numba:.6f},{t_numpy:.6f},"
-              f"{t_numpy / max(t_numba, 1e-12):.3f},{diff:.3e}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -245,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--beta", type=float, action="append", default=None)
     p_verify.add_argument("--mode", choices=["float", "exact", "both"],
                           default=None)
-    p_verify.add_argument("--jobs", type=int, default=1)
     p_verify.add_argument("--rel-residual", type=float, default=1e-8)
     p_verify.add_argument("--eig-zero", type=float, default=1e-9)
     p_verify.add_argument("--nonzero-floor", type=float, default=1e-10)
@@ -263,9 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--sizes", default="50x2,100x2,200x3,150x4")
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--out")
-    p_bench.add_argument("--kernel-compare", action="store_true",
-                         help="also time the numba kernel against the "
-                              "pure-numpy fallback")
     p_bench.set_defaults(func=cmd_bench)
     return parser
 

@@ -93,6 +93,25 @@ def rational_invert(a: RatMatrix) -> RatMatrix:
     return [row[n:] for row in aug]
 
 
+def rat_is_pd(a: RatMatrix) -> bool:
+    """Exact positive definiteness of a symmetric matrix.
+
+    A symmetric matrix is positive definite exactly when Gaussian elimination
+    without row exchanges meets only positive pivots.
+    """
+    a = [list(row) for row in a]
+    n = len(a)
+    for col in range(n):
+        piv = a[col][col]
+        if piv <= 0:
+            return False
+        for r in range(col + 1, n):
+            f = a[r][col] / piv
+            if f != 0:
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return True
+
+
 def rat_to_float(a: RatMatrix) -> np.ndarray:
     return np.array([[float(x) for x in row] for row in a], dtype=float)
 

@@ -23,7 +23,8 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .exact import RatMatrix, format_rational, parse_rational
+from .exact import RatMatrix, format_rational, parse_rational, rat_is_pd
+from .kernels import adjacency, walk
 from .linalg import DEFAULT_TOL, Tolerance
 
 
@@ -127,50 +128,8 @@ class ValidationResult:
 
 
 def _connected(n: int, edges) -> bool:
-    adj = [[] for _ in range(n)]
-    for u, v, _ in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = [False] * n
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                stack.append(v)
-    return count == n
-
-
-def _exact_pd(exact: RatMatrix) -> bool:
-    """Sylvester criterion: all leading principal minors positive (exact)."""
-    for k in range(1, len(exact) + 1):
-        if _rat_det([row[:k] for row in exact[:k]]) <= 0:
-            return False
-    return True
-
-
-def _rat_det(a: list[list[Fraction]]) -> Fraction:
-    n = len(a)
-    a = [list(row) for row in a]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
+    adj = adjacency(n, [(u, v) for u, v, _ in edges])
+    return sum(1 for _ in walk(adj, 0)) == n - 1
 
 
 def validate(
@@ -202,7 +161,7 @@ def validate(
         if wt.exact is not None:
             if wt.exact != [list(r) for r in zip(*wt.exact)]:
                 v.append(f"edge {key}: weight not symmetric")
-            elif not _exact_pd(wt.exact):
+            elif not rat_is_pd(wt.exact):
                 v.append(f"edge {key}: weight not positive definite")
         else:
             m = wt.matrix

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import exact as ex
 from .errors import DimensionMismatchError, InvalidSizeError, SingularMatrixError
-from .kernels import build_csr, distance_fill
+from .kernels import adjacency, distance_fill, walk
 from .linalg import DEFAULT_TOL, Tolerance, pinv_psd
 from .model import MatrixWeightedGraph, MatrixWeightedTree
 
@@ -62,10 +62,8 @@ class NullspaceBasis:
     b: np.ndarray          # (ns, ns - s)
 
 
-def _edge_arrays(g: MatrixWeightedGraph):
-    uv = np.array([(u, v) for u, v, _ in g.edges], dtype=np.int64).reshape(-1, 2)
-    weights = np.stack([w.matrix for _, _, w in g.edges])
-    return uv, weights
+def _tree_adjacency(t: MatrixWeightedTree):
+    return adjacency(t.n, [(u, v) for u, v, _ in t.edges])
 
 
 def build_laplacian(g: MatrixWeightedGraph) -> BlockMatrix:
@@ -86,9 +84,7 @@ def build_laplacian(g: MatrixWeightedGraph) -> BlockMatrix:
 def build_distance_matrix(t: MatrixWeightedTree) -> BlockMatrix:
     """Tree distance matrix: block (i, j) sums the weights on the i-j path."""
     n, s = t.n, t.s
-    uv, weights = _edge_arrays(t)
-    indptr, nbr, eid = build_csr(n, uv)
-    arr = distance_fill(indptr, nbr, eid, weights, n, s)
+    arr = distance_fill(_tree_adjacency(t), [w.matrix for _, _, w in t.edges], s)
     # the kernel accumulates each path once per endpoint, in opposite edge
     # orders; mirror the upper triangle so D is bit-exactly symmetric
     lower = np.tril_indices(n * s, -1)
@@ -127,14 +123,10 @@ def distance_from_laplacian_pinv(
     """D via the pseudoinverse identity D_ij = Ldag_ii + Ldag_jj - 2 Ldag_ij."""
     n, s = t.n, t.s
     ldag = pinv_psd(build_laplacian(t).array, tol)
-    out = np.zeros((n * s, n * s))
-    for i in range(n):
-        lii = ldag[i * s:(i + 1) * s, i * s:(i + 1) * s]
-        for j in range(n):
-            ljj = ldag[j * s:(j + 1) * s, j * s:(j + 1) * s]
-            lij = ldag[i * s:(i + 1) * s, j * s:(j + 1) * s]
-            out[i * s:(i + 1) * s, j * s:(j + 1) * s] = lii + ljj - 2.0 * lij
-    return BlockMatrix(n, s, out)
+    blocks = ldag.reshape(n, s, n, s)
+    diag = blocks[np.arange(n), :, np.arange(n), :]    # (n, s, s): Ldag_ii
+    out = diag[:, :, None, :] + diag.transpose(1, 0, 2)[None] - 2.0 * blocks
+    return BlockMatrix(n, s, out.reshape(n * s, n * s))
 
 
 def build_J(n: int, s: int) -> BlockMatrix:
@@ -196,26 +188,15 @@ def build_laplacian_exact(g: MatrixWeightedGraph) -> ex.RatMatrix:
 def build_distance_matrix_exact(t: MatrixWeightedTree) -> ex.RatMatrix:
     _require_exact(t)
     n, s = t.n, t.s
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for k, (u, v, _) in enumerate(t.edges):
-        adj[u].append((v, k))
-        adj[v].append((u, k))
+    adj = _tree_adjacency(t)
     weights = [w.exact for _, _, w in t.edges]
     a = ex.rat_zeros(n * s, n * s)
     for r in range(n):
-        seen = [False] * n
-        seen[r] = True
-        stack = [r]
-        while stack:
-            u = stack.pop()
-            for v, k in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    w = weights[k]
-                    for p in range(s):
-                        for q in range(s):
-                            a[r * s + p][v * s + q] = a[r * s + p][u * s + q] + w[p][q]
-                    stack.append(v)
+        for u, v, k in walk(adj, r):
+            w = weights[k]
+            for p in range(s):
+                for q in range(s):
+                    a[r * s + p][v * s + q] = a[r * s + p][u * s + q] + w[p][q]
     return a
 
 

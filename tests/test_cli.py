@@ -72,6 +72,21 @@ def test_verify_corrupted_exits_one(tmp_path, capsys):
     assert "FAILED" in stdout
 
 
+@pytest.mark.parametrize("args", [
+    ["--beta", "-1"],
+    ["--beta", "nan"],
+    ["--beta", "1", "--corrupt-d", "99,99,2"],
+    ["--beta", "1", "--corrupt-d", "1,1,nan"],
+], ids=["negative-beta", "nan-beta", "corrupt-out-of-range", "corrupt-nan-factor"])
+def test_verify_bad_argument_exits_two(tmp_path, capsys, args):
+    inst_path = tmp_path / "golden.json"
+    inst_path.write_text(serialize_instance(golden_instance()))
+    code, stdout, err = run(["verify", "--in", str(inst_path), *args], capsys)
+    assert code == 2
+    assert err.startswith("error:")
+    assert "FAILED" not in stdout
+
+
 def test_verify_missing_file_exits_three(capsys):
     code, _, err = run(["verify", "--in", "/nonexistent/file.json"], capsys)
     assert code == 3

@@ -2,38 +2,19 @@ import numpy as np
 
 from mwspec import kernels
 from mwspec.model import random_tree
-from mwspec.operators import _edge_arrays, build_distance_matrix
+from mwspec.operators import build_distance_matrix
 
 
-def _setup(n, s, seed):
-    tree = random_tree(n, s, seed)
-    uv, weights = _edge_arrays(tree)
-    indptr, nbr, eid = kernels.build_csr(n, uv)
-    return indptr, nbr, eid, weights
-
-
-def test_csr_roundtrip():
-    uv = np.array([[0, 1], [1, 2], [1, 3]])
-    indptr, nbr, eid = kernels.build_csr(4, uv)
-    assert indptr.tolist() == [0, 1, 4, 5, 6]
-    assert sorted(nbr[indptr[1]:indptr[2]].tolist()) == [0, 2, 3]
-
-
-def test_numpy_fallback_matches_active_path():
-    for n, s, seed in ((2, 1, 0), (7, 3, 1), (15, 2, 2)):
-        indptr, nbr, eid, weights = _setup(n, s, seed)
-        active = kernels.distance_fill(indptr, nbr, eid, weights, n, s)
-        fallback = kernels._distance_fill_numpy(indptr, nbr, eid, weights, n, s)
-        assert np.array_equal(active, fallback)
-
-
-def test_numba_matches_numpy_when_available():
-    if not kernels.NUMBA_ENABLED:
-        return
-    indptr, nbr, eid, weights = _setup(12, 4, 5)
-    a = kernels._distance_fill_numba(indptr, nbr, eid, weights, 12, 4)
-    b = kernels._distance_fill_numpy(indptr, nbr, eid, weights, 12, 4)
-    assert np.array_equal(a, b)
+def test_walk_reaches_every_vertex_once_in_dfs_order():
+    # 0-1, 1-2, 1-3, 3-4, 0-5
+    adj = kernels.adjacency(6, [(0, 1), (1, 2), (1, 3), (3, 4), (0, 5)])
+    assert adj[1] == [(0, 0), (2, 1), (3, 2)]
+    steps = list(kernels.walk(adj, 0))
+    # a popped vertex yields all its unseen neighbors, the last one is popped next
+    assert steps == [(0, 1, 0), (0, 5, 4), (1, 2, 1), (1, 3, 2), (3, 4, 3)]
+    assert sorted(v for _, v, _ in steps) == [1, 2, 3, 4, 5]
+    assert [(u, v) for u, v, _ in kernels.walk(adj, 4)] == [
+        (4, 3), (3, 1), (1, 0), (1, 2), (0, 5)]
 
 
 def test_distance_is_symmetric_with_zero_diagonal():

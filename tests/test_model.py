@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from mwspec.errors import (
     SchemaError,
     ValidationError,
 )
-from mwspec.golden import golden_instance
+from mwspec.golden import W1, golden_instance
 from mwspec.model import (
     MatrixWeightedGraph,
     PDWeight,
@@ -38,6 +39,19 @@ def test_validate_flags_indefinite_weight():
     result = validate(g)
     assert not result.ok
     assert any("positive definite" in v for v in result.violations)
+
+
+@pytest.mark.parametrize("rows, ok", [
+    ([[-1, 0], [0, -1]], False),   # det > 0, but the first leading minor is not
+    ([[1, 1], [1, 1]], False),     # singular
+    (W1, True),
+], ids=["negative-definite", "singular", "golden-W1"])
+def test_validate_exact_positive_definiteness(rows, ok):
+    exact = [[Fraction(x) for x in row] for row in rows]
+    w = PDWeight(np.array(rows, dtype=float), exact)
+    result = validate(MatrixWeightedGraph(2, 2, [(0, 1, w)]))
+    assert result.ok is ok
+    assert ok or any("not positive definite" in v for v in result.violations)
 
 
 def test_validate_flags_disconnected():

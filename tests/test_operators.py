@@ -4,6 +4,7 @@ import pytest
 from mwspec import exact as ex
 from mwspec.errors import InvalidSizeError
 from mwspec.golden import EXPECTED_D, expected_l, golden_instance
+from mwspec.linalg import pinv_psd
 from mwspec.model import MatrixWeightedTree, PDWeight, random_instance, random_tree
 from mwspec.operators import (
     build_distance_matrix,
@@ -84,9 +85,14 @@ def test_distance_golden_blocks(golden):
     assert np.array_equal(d.array, np.array(EXPECTED_D, dtype=float))
 
 
-def test_distance_exact_matches_float(golden):
-    exact = ex.rat_to_float(build_distance_matrix_exact(golden.tree))
-    assert np.array_equal(exact, build_distance_matrix(golden.tree).array)
+@pytest.mark.parametrize("tree", [
+    golden_instance().tree,
+    *(random_tree(n, s, seed, rational=True)
+      for n, s, seed in ((2, 1, 0), (5, 2, 3), (9, 3, 8))),
+], ids=["golden", "random-2x1", "random-5x2", "random-9x3"])
+def test_distance_exact_matches_float(tree):
+    exact = ex.rat_to_float(build_distance_matrix_exact(tree))
+    assert np.array_equal(exact, build_distance_matrix(tree).array)
 
 
 # --- structural vectors ------------------------------------------------------
@@ -155,11 +161,23 @@ def test_pinv_route_matches_golden(golden):
     assert np.abs(d - np.array(EXPECTED_D, dtype=float)).max() <= 1e-8 * 13
 
 
-def test_pinv_route_matches_path_sums_random():
-    t = random_tree(6, 3, seed=17)
+@pytest.mark.parametrize("n, s, seed", [(6, 3, 17), (2, 1, 0), (9, 2, 4), (14, 4, 8)])
+def test_pinv_route_matches_path_sums_random(n, s, seed):
+    t = random_tree(n, s, seed=seed)
     a = distance_from_laplacian_pinv(t).array
     b = build_distance_matrix(t).array
     assert np.abs(a - b).max() <= 1e-8 * max(1.0, np.abs(b).max())
+
+    # reference: the per-block loop, with the same arithmetic as the broadcast
+    ldag = pinv_psd(build_laplacian(t).array)
+    loop = np.zeros_like(a)
+    for i in range(n):
+        lii = ldag[i * s:(i + 1) * s, i * s:(i + 1) * s]
+        for j in range(n):
+            ljj = ldag[j * s:(j + 1) * s, j * s:(j + 1) * s]
+            lij = ldag[i * s:(i + 1) * s, j * s:(j + 1) * s]
+            loop[i * s:(i + 1) * s, j * s:(j + 1) * s] = lii + ljj - 2.0 * lij
+    assert np.array_equal(a, loop)
 
 
 # --- J, U, E, null space -----------------------------------------------------
