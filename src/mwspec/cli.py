@@ -4,7 +4,6 @@ Subcommands:
   gen     write a random validated instance file
   verify  run all checks on an instance file, write a JSON report
   golden  reproduce the embedded 4-vertex example bit-exact
-  bench   closed-form distance inverse vs dense inversion (CSV)
 
 Exit codes: 0 success, 1 mathematical check failure, 2 usage error (bad
 arguments, a malformed instance, a negative or non-finite beta, or a
@@ -19,11 +18,8 @@ import math
 import os
 import sys
 import tempfile
-import time
 
-import numpy as np
-
-from .errors import MwspecError
+from .errors import BadIndexError, MwspecError
 from .golden import run_golden
 from .linalg import Tolerance
 from .model import (
@@ -33,7 +29,6 @@ from .model import (
     random_instance,
     serialize_instance,
 )
-from .operators import build_distance_matrix, distance_inverse_closed_form
 from .verifier import verify_instance
 
 EXIT_OK = 0
@@ -116,12 +111,6 @@ def cmd_verify(args) -> int:
         if corrupt is None:
             print("error: --corrupt-d expects 'i,j,factor'", file=sys.stderr)
             return EXIT_USAGE
-        i, j, factor = corrupt
-        ns = inst.n * inst.s
-        if not (1 <= i <= ns and 1 <= j <= ns and math.isfinite(factor)):
-            print(f"error: --corrupt-d needs 1 <= i, j <= {ns} and a finite "
-                  f"factor, got {args.corrupt_d!r}", file=sys.stderr)
-            return EXIT_USAGE
     mode = args.mode
     if mode is None:
         mode = "both" if inst.tree.is_exact and inst.graph.is_exact else "float"
@@ -131,7 +120,11 @@ def cmd_verify(args) -> int:
         print(f"error: --beta must be finite and >= 0, got {bad[0]}",
               file=sys.stderr)
         return EXIT_USAGE
-    report = verify_instance(inst, betas, tol, kernel_mode=mode, corrupt=corrupt)
+    try:
+        report = verify_instance(inst, betas, tol, kernel_mode=mode, corrupt=corrupt)
+    except BadIndexError as exc:     # a --corrupt-d entry outside D
+        print(f"error: --corrupt-d: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if args.out:
         try:
             _atomic_write(args.out, json.dumps(report.to_json(), indent=2))
@@ -157,50 +150,6 @@ def cmd_golden(args) -> int:
     for line in result.mismatches:
         print(f"golden mismatch: {line}")
     return EXIT_CHECK_FAILED
-
-
-def _parse_sizes(spec: str) -> list[tuple[int, int]]:
-    sizes = []
-    for item in spec.split(","):
-        n_str, _, s_str = item.strip().partition("x")
-        sizes.append((int(n_str), int(s_str)))
-    return sizes
-
-
-def cmd_bench(args) -> int:
-    from .model import random_tree
-
-    try:
-        sizes = _parse_sizes(args.sizes)
-        if any(n < 2 or s < 1 for n, s in sizes):
-            raise ValueError("sizes must have n >= 2 and s >= 1")
-    except ValueError as exc:
-        print(f"error: bad --sizes: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    rows = ["n,s,t_closed_form,t_dense,speedup,max_rel_err"]
-    for n, s in sizes:
-        tree = random_tree(n, s, args.seed)
-        d = build_distance_matrix(tree).array
-        t0 = time.perf_counter()
-        x_cf = distance_inverse_closed_form(tree).array
-        t_cf = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        x_dense = np.linalg.inv(d)
-        t_dense = time.perf_counter() - t0
-        rel = float(np.abs(x_cf - x_dense).max() / np.abs(x_cf).max())
-        status = "" if rel <= 1e-8 else ",INVALID"
-        rows.append(f"{n},{s},{t_cf:.6f},{t_dense:.6f},"
-                    f"{t_dense / max(t_cf, 1e-12):.3f},{rel:.3e}{status}")
-    table = "\n".join(rows) + "\n"
-    if args.out:
-        try:
-            _atomic_write(args.out, table)
-        except OSError as exc:
-            print(f"I/O error: {exc}", file=sys.stderr)
-            return EXIT_IO
-    else:
-        sys.stdout.write(table)
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -240,13 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_golden.add_argument("--mode", choices=["float", "exact", "both"],
                           default="both")
     p_golden.set_defaults(func=cmd_golden)
-
-    p_bench = sub.add_parser(
-        "bench", help="closed-form distance inverse vs dense inversion")
-    p_bench.add_argument("--sizes", default="50x2,100x2,200x3,150x4")
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--out")
-    p_bench.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -74,26 +74,32 @@ def sym_eigen(a: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     return w, v
 
 
-def inertia_of(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Inertia:
-    """Counts of (negative, zero, positive) eigenvalues.
+def inertia_of_spectrum(w: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Inertia:
+    """Counts of (negative, zero, positive) values in the spectrum w.
 
-    Eigenvalues with |lambda| <= eig_zero * max(1, spectral_radius) count
-    as zero.
+    Values with |lambda| <= eig_zero * max(1, spectral_radius) count as zero.
+    This is the one zero/sign rule for inertia, rank and nullity.
     """
-    w, _ = sym_eigen(a, tol)
     thresh = tol.eig_zero * max(1.0, float(np.abs(w).max(initial=0.0)))
     n_minus = int(np.sum(w < -thresh))
     n_plus = int(np.sum(w > thresh))
     return Inertia(n_minus, len(w) - n_minus - n_plus, n_plus)
 
 
+def inertia_of(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Inertia:
+    """Counts of (negative, zero, positive) eigenvalues of a symmetric matrix."""
+    w, _ = sym_eigen(a, tol)
+    return inertia_of_spectrum(w, tol)
+
+
 def pinv_psd(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose inverse of a symmetric positive semidefinite matrix."""
     w, v = sym_eigen(a, tol)
-    thresh = tol.eig_zero * max(1.0, float(np.abs(w).max(initial=0.0)))
-    if w[0] < -thresh:
+    inert = inertia_of_spectrum(w, tol)
+    if inert.n_minus:
         raise NotPSDError(f"negative eigenvalue {w[0]:.3e} beyond tolerance")
-    inv_w = np.where(w > thresh, 1.0, 0.0) / np.where(w > thresh, w, 1.0)
+    inv_w = np.zeros_like(w)     # ascending: the zeros first, then positives
+    inv_w[inert.n_zero:] = 1.0 / w[inert.n_zero:]
     return (v * inv_w) @ v.T
 
 
@@ -117,9 +123,7 @@ def rank_of(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
         raise ValueError("matrix contains non-finite entries")
     if a.size == 0:
         return 0
-    sv = np.linalg.svd(a, compute_uv=False)
-    thresh = tol.eig_zero * max(1.0, float(sv[0]))
-    return int(np.sum(sv > thresh))
+    return inertia_of_spectrum(np.linalg.svd(a, compute_uv=False), tol).n_plus
 
 
 def nullity_of(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:

@@ -165,7 +165,9 @@ def validate(
                 v.append(f"edge {key}: weight not positive definite")
         else:
             m = wt.matrix
-            if not np.array_equal(m, m.T):
+            if not np.all(np.isfinite(m)):
+                v.append(f"edge {key}: weight has a non-finite entry")
+            elif not np.array_equal(m, m.T):
                 v.append(f"edge {key}: weight not symmetric")
             else:
                 lam_min = float(np.linalg.eigvalsh(m)[0])
@@ -352,10 +354,14 @@ def _edges_from_json(obj, n: int, s: int, kind: str, where: str):
     return edges
 
 
+def _reject_constant(name: str):
+    raise InstanceSyntaxError(f"bad JSON: non-finite number {name}")
+
+
 def parse_instance(text: str) -> Instance:
     """Parse the JSON instance format; raises on syntax, schema, or validation."""
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise InstanceSyntaxError(f"bad JSON: {exc}") from exc
     if not isinstance(obj, dict):

@@ -9,20 +9,22 @@ Check ids are a stable external contract:
 
 from __future__ import annotations
 
+import functools
+import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from . import exact as ex
-from .errors import ConfigError, MwspecError
+from .errors import BadIndexError, ConfigError, MwspecError
 from .exact import rational_invert
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     inertia_of,
+    inertia_of_spectrum,
     is_pd_quadratic_form,
     nullity_of,
     rank_of,
@@ -41,6 +43,7 @@ from .operators import (
     nullspace_basis_J,
 )
 from .perturbation import (
+    PerturbedPencil,
     bordered,
     gx_matrix,
     haynsworth_check,
@@ -127,7 +130,11 @@ def _rel(x: np.ndarray, ref: float) -> float:
 
 @dataclass
 class InstanceMatrices:
-    """Everything downstream checks need, built once per instance."""
+    """Everything downstream checks need, built once per instance.
+
+    Objects that several checks read (the pencil and the deleted-block
+    spectra of each beta) are built on first use and kept in `_memo`.
+    """
 
     d: BlockMatrix          # path-sum distance matrix
     d_inv: BlockMatrix      # closed-form inverse
@@ -135,6 +142,28 @@ class InstanceMatrices:
     u: np.ndarray
     b: np.ndarray           # null-space basis of J
     j: np.ndarray
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def memo(self, key, make):
+        """make(), computed once per key; a raised error is not kept."""
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
+
+    def pencil(self, beta: float, tol: Tolerance) -> PerturbedPencil:
+        return self.memo(("pencil", beta, tol),
+                         lambda: perturbed_pencil(self.d_inv, self.l, beta, tol))
+
+    def deleted_spectra(self, beta: float | None, tol: Tolerance) -> list[np.ndarray]:
+        """Ascending eigenvalues of P(alpha') for alpha' = all blocks but i,
+        i = 1..n, where P = P(beta), or D^{-1} when beta is None."""
+        def make():
+            a = self.d_inv if beta is None else self.pencil(beta, tol).p
+            blocks = range(1, a.n + 1)
+            return [np.linalg.eigvalsh(principal_block_submatrix(
+                        a, [k for k in blocks if k != i]).array) for i in blocks]
+
+        return self.memo(("deleted", beta, tol), make)
 
 
 def build_matrices(inst: Instance, corrupt: tuple[int, int, float] | None = None,
@@ -142,6 +171,10 @@ def build_matrices(inst: Instance, corrupt: tuple[int, int, float] | None = None
     d = build_distance_matrix(inst.tree)
     if corrupt is not None:
         i, j, factor = corrupt
+        ns = inst.n * inst.s
+        if not (1 <= i <= ns and 1 <= j <= ns and math.isfinite(factor)):
+            raise BadIndexError(f"corrupt entry needs 1 <= i, j <= {ns} and a "
+                                f"finite factor, got ({i}, {j}, {factor})")
         arr = d.array.copy()
         arr[i - 1, j - 1] *= factor
         d = BlockMatrix(d.n, d.s, arr)
@@ -230,31 +263,31 @@ def verify_theorem(
     checks = []
 
     try:
-        pencil = perturbed_pencil(m.d_inv, m.l, beta, tol)
+        pencil = m.pencil(beta, tol)
     except MwspecError as exc:
         return [CheckResult("THM.i", False, beta,
                             evidence={"error": f"{type(exc).__name__}: {exc}"})]
     p, f = pencil.p, pencil.f
     p_scale = max(1.0, float(np.abs(p.array).max()))
     f_scale = max(1.0, float(np.abs(f.array).max()))
+    p_eigs = np.linalg.eigvalsh(p.array)    # P is symmetric by construction
+    g = bordered(f)
+    # THM.iv's inertia is the left-hand side of the Haynsworth check
+    haynsworth = functools.cache(lambda: haynsworth_check(g, n * s, tol))
 
     def thm_i():
-        eigs = np.linalg.eigvalsh(p.array)
-        min_abs = float(np.abs(eigs).min())
+        min_abs = float(np.abs(p_eigs).min())
         return min_abs > tol.eig_zero * p_scale, {"min_abs_eig": min_abs}
 
     def thm_ii():
-        inert = inertia_of(p.array, tol)
+        inert = inertia_of_spectrum(p_eigs, tol)
         return inert == (n * s - s, 0, s), {"inertia": list(inert)}
 
     def thm_iii():
         # strictly negative definite for beta > 0; at beta = 0 the submatrix
         # is D^{-1}[[Delta]], which has nullity exactly s (D_ii = 0), so only
         # negative semidefiniteness can hold there
-        worst = -np.inf
-        for i in range(1, n + 1):
-            sub = principal_block_submatrix(p, [k for k in range(1, n + 1) if k != i])
-            worst = max(worst, float(np.linalg.eigvalsh(sub.array)[-1]))
+        worst = max(float(w[-1]) for w in m.deleted_spectra(beta, tol))
         if beta > 0:
             ok = worst < -tol.eig_zero * p_scale
         else:
@@ -262,12 +295,11 @@ def verify_theorem(
         return ok, {"max_eig_over_i": worst}
 
     def thm_iv():
-        inert = inertia_of(bordered(f), tol)
+        inert = haynsworth()[0]
         return inert == (n * s, 0, s), {"inertia": list(inert)}
 
     def thm_iv_haynsworth():
-        g = bordered(f)
-        lhs, rhs, ok = haynsworth_check(g, n * s, tol)
+        lhs, rhs, ok = haynsworth()
         gf = schur_complement(g, n * s)
         target = -m.u.T @ m.d_inv.array @ m.u
         res = _rel(gf - target, max(1.0, float(np.abs(target).max())))
@@ -332,24 +364,20 @@ def verify_fiedler_markham(
     complementary principal submatrix, for every i; plus the distance-inverse
     instance where the complementary nullity is forced to s."""
     m = mats if mats is not None else build_matrices(inst)
-    n, s = inst.n, inst.s
+    s = inst.s
 
     def body():
-        pencil = perturbed_pencil(m.d_inv, m.l, beta, tol)
+        f = m.pencil(beta, tol).f
         mismatches = []
-        for i in range(1, n + 1):
-            rest = [k for k in range(1, n + 1) if k != i]
-            q = principal_block_submatrix(pencil.p, rest).array
-            null_q = nullity_of(q, tol)
-            null_f_ii = nullity_of(pencil.f.block(i, i), tol)
+        for i, w in enumerate(m.deleted_spectra(beta, tol), start=1):
+            # singular values of a symmetric matrix are its |eigenvalues|
+            null_q = inertia_of_spectrum(w, tol).n_zero
+            null_f_ii = nullity_of(f.block(i, i), tol)
             if null_q != null_f_ii:
                 mismatches.append({"i": i, "nullity_sub": null_q,
                                    "nullity_block": null_f_ii})
-        dinv_nullities = []
-        for i in range(1, n + 1):
-            rest = [k for k in range(1, n + 1) if k != i]
-            sub = principal_block_submatrix(m.d_inv, rest).array
-            dinv_nullities.append(nullity_of(sub, tol))
+        dinv_nullities = [inertia_of_spectrum(w, tol).n_zero
+                          for w in m.deleted_spectra(None, tol)]
         ok = not mismatches and all(x == s for x in dinv_nullities)
         return ok, {"mismatches": mismatches, "dinv_nullities": dinv_nullities}
 
@@ -366,12 +394,13 @@ def verify_exact_consistency(
     m = mats if mats is not None else build_matrices(inst)
 
     def body():
-        pencil = perturbed_pencil(m.d_inv, m.l, beta, tol)
-        d_inv_x = distance_inverse_closed_form_exact(inst.tree)
-        l_x = build_laplacian_exact(inst.graph)
+        f = m.pencil(beta, tol).f
+        d_inv_x, l_x = m.memo("exact", lambda: (
+            distance_inverse_closed_form_exact(inst.tree),
+            build_laplacian_exact(inst.graph)))
         p_x = ex.rat_sub(d_inv_x, ex.rat_scale(Fraction(beta), l_x))
         f_x = ex.rat_to_float(rational_invert(p_x))
-        rel = float(np.abs(pencil.f.array - f_x).max()) / float(np.abs(f_x).max())
+        rel = float(np.abs(f.array - f_x).max()) / float(np.abs(f_x).max())
         return rel <= 1e-12, {"rel_error": rel}
 
     return _guard("EXACT-CONSISTENCY", beta, body)
@@ -437,7 +466,6 @@ class CampaignConfig:
     seed: int = 2024
     profile: WeightProfile = field(default_factory=WeightProfile)
     tol: Tolerance = field(default_factory=Tolerance)
-    jobs: int = 1
 
     def __post_init__(self):
         if self.count < 1:
@@ -451,7 +479,7 @@ class CampaignConfig:
 def run_campaign(config: CampaignConfig) -> list[VerificationReport]:
     """Generate `count` seeded instances and verify each at every beta."""
     master = np.random.default_rng(config.seed)
-    jobs = []
+    reports = []
     for _ in range(config.count):
         n = int(master.integers(config.n_range[0], config.n_range[1] + 1))
         s = int(master.integers(config.s_range[0], config.s_range[1] + 1))
@@ -461,17 +489,9 @@ def run_campaign(config: CampaignConfig) -> list[VerificationReport]:
         betas = list(config.beta_grid)
         if config.random_beta:
             betas.append(float(10.0 ** master.uniform(-2.0, 2.0)))
-        jobs.append((n, s, extra, inst_seed, betas))
-
-    def run_one(job):
-        n, s, extra, inst_seed, betas = job
         inst = random_instance(n, s, inst_seed, extra, config.profile)
-        return verify_instance(inst, betas, config.tol, seed=inst_seed)
-
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            return list(pool.map(run_one, jobs))
-    return [run_one(job) for job in jobs]
+        reports.append(verify_instance(inst, betas, config.tol, seed=inst_seed))
+    return reports
 
 
 def campaign_summary(reports: list[VerificationReport]) -> dict:

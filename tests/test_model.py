@@ -54,6 +54,13 @@ def test_validate_exact_positive_definiteness(rows, ok):
     assert ok or any("not positive definite" in v for v in result.violations)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_validate_flags_non_finite_weight(bad):
+    w = PDWeight(np.array([[1.0, bad], [bad, 1.0]]))
+    result = validate(MatrixWeightedGraph(2, 2, [(0, 1, w)]))
+    assert result.violations == ["edge (0, 1): weight has a non-finite entry"]
+
+
 def test_validate_flags_disconnected():
     w = lambda: PDWeight(np.eye(1))
     g = MatrixWeightedGraph(4, 1, [(0, 1, w()), (2, 3, w())])

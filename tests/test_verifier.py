@@ -3,14 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from mwspec.errors import ConfigError
+from mwspec.errors import BadIndexError, ConfigError
 from mwspec.golden import golden_instance
+from mwspec.linalg import DEFAULT_TOL, inertia_of, inertia_of_spectrum, nullity_of
 from mwspec.model import (
     MatrixWeightedTree,
     PDWeight,
     WeightProfile,
     random_instance,
 )
+from mwspec.perturbation import bordered, perturbed_pencil, principal_block_submatrix
 from mwspec.verifier import (
     CampaignConfig,
     build_matrices,
@@ -50,6 +52,14 @@ def test_corrupted_distance_fails_p1():
     checks = verify_preliminaries(inst, mats=mats)
     p1 = by_id(checks, "P1")[0]
     assert not p1.passed
+
+
+@pytest.mark.parametrize("corrupt", [(0, 1, 2.0), (1, 9, 2.0), (9, 1, 2.0),
+                                     (1, 1, np.inf), (1, 1, np.nan)])
+def test_build_matrices_rejects_bad_corruption(corrupt):
+    # the golden instance has ns = 8
+    with pytest.raises(BadIndexError):
+        build_matrices(golden_instance(), corrupt=corrupt)
 
 
 def test_theorem_golden_beta_one():
@@ -111,13 +121,6 @@ def test_campaign_deterministic():
     assert [strip(r) for r in a] == [strip(r) for r in b]
 
 
-def test_campaign_parallel_matches_serial():
-    serial = run_campaign(CampaignConfig(count=4, seed=2, jobs=1))
-    parallel = run_campaign(CampaignConfig(count=4, seed=2, jobs=4))
-    strip = lambda r: {k: v for k, v in r.to_json().items() if k != "wall_time"}
-    assert [strip(r) for r in serial] == [strip(r) for r in parallel]
-
-
 def test_campaign_config_rejects_bad_ranges():
     with pytest.raises(ConfigError):
         CampaignConfig(count=0)
@@ -136,3 +139,49 @@ def test_ill_conditioned_weights_downgrade_to_warnings():
     summary = campaign_summary(reports)
     # extreme conditioning may break float checks, but never as hard failures
     assert summary["failed"] == 0
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(7)
+    for k in range(12):
+        n, s = int(rng.integers(2, 13)), 1 + k % 3
+        yield pytest.param(n, s, 100 + k, id=f"n{n}-s{s}-seed{100 + k}")
+
+
+@pytest.mark.parametrize("n, s, seed", _oracle_cases())
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 10.0])
+def test_shared_spectra_match_direct_route(n, s, seed, beta):
+    """The once-per-beta pencil and deleted-block spectra give the same
+    evidence as building and decomposing every submatrix per check."""
+    inst = random_instance(n, s, seed, extra_edges=min(n, (n - 1) * (n - 2) // 2))
+    mats = build_matrices(inst)
+    checks = verify_theorem(inst, beta, mats=mats)
+    fm = verify_fiedler_markham(inst, beta, mats=mats)
+
+    pencil = perturbed_pencil(mats.d_inv, mats.l, beta)
+    rest = lambda i: [k for k in range(1, n + 1) if k != i]
+    sub_p = [principal_block_submatrix(pencil.p, rest(i)).array for i in range(1, n + 1)]
+    sub_d = [principal_block_submatrix(mats.d_inv, rest(i)).array for i in range(1, n + 1)]
+
+    # THM.iii: one eigvalsh per deleted vertex, as before
+    direct = max(float(np.linalg.eigvalsh(q)[-1]) for q in sub_p)
+    assert by_id(checks, "THM.iii")[0].evidence["max_eig_over_i"] == direct
+
+    # the shared spectra, vertex by vertex
+    spectra = mats.deleted_spectra(beta, DEFAULT_TOL)
+    assert all(np.array_equal(w, np.linalg.eigvalsh(q)) for w, q in zip(spectra, sub_p))
+    assert len(spectra) == n
+
+    # FM-nullity: zero counts of the shared spectra against the SVD route
+    assert [inertia_of_spectrum(w).n_zero for w in spectra] == [nullity_of(q) for q in sub_p]
+    mismatches = [{"i": i, "nullity_sub": nullity_of(q),
+                   "nullity_block": nullity_of(pencil.f.block(i, i))}
+                  for i, q in enumerate(sub_p, start=1)
+                  if nullity_of(q) != nullity_of(pencil.f.block(i, i))]
+    assert fm.evidence["mismatches"] == mismatches
+    assert fm.evidence["dinv_nullities"] == [nullity_of(q) for q in sub_d]
+
+    # THM.iv: the Haynsworth left-hand side is the bordered inertia
+    assert by_id(checks, "THM.iv")[0].evidence["inertia"] == list(
+        inertia_of(bordered(pencil.f)))
+    assert by_id(checks, "THM.ii")[0].evidence["inertia"] == list(inertia_of(pencil.p.array))
