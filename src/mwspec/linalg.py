@@ -47,7 +47,7 @@ class Inertia(NamedTuple):
 
 def _as_square(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise NonSquareError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains non-finite entries")
@@ -55,20 +55,22 @@ def _as_square(a: np.ndarray) -> np.ndarray:
 
 
 def sym_eigen(a: np.ndarray, tol: Tolerance = DEFAULT_TOL):
-    """Eigendecomposition of a symmetric matrix.
+    """Eigendecomposition of a symmetric matrix, or of each matrix of a stack
+    (..., m, m), each held to the asymmetry bound at its own scale.
 
     Returns (eigenvalues ascending, orthonormal eigenvector columns).
     """
     a = _as_square(a)
-    scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-    asym = float(np.abs(a - a.T).max(initial=0.0))
-    if asym > tol.rel_residual * scale:
-        raise NotSymmetricError(
-            f"asymmetry {asym:.3e} exceeds {tol.rel_residual:.1e} * {scale:.3e}"
-        )
-    sym = (a + a.T) / 2.0
+    at = a.swapaxes(-1, -2)
+    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
+    asym = np.abs(a - at).max(axis=(-2, -1), initial=0.0)
+    bad = np.flatnonzero(asym > tol.rel_residual * scale)
+    if bad.size:
+        k = bad[0]     # the first offending matrix of a stack
+        raise NotSymmetricError(f"asymmetry {asym.flat[k]:.3e} exceeds "
+                                f"{tol.rel_residual:.1e} * {scale.flat[k]:.3e}")
     try:
-        w, v = np.linalg.eigh(sym)
+        w, v = np.linalg.eigh((a + at) / 2.0)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergenceError(str(exc)) from exc
     return w, v
@@ -103,17 +105,18 @@ def pinv_psd(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return (v * inv_w) @ v.T
 
 
-def is_pd_quadratic_form(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_pd_quadratic_form(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool | np.ndarray:
     """True iff x'Ax > 0 for every nonzero x.
 
     Equivalent to positive definiteness of the symmetric part (A + A')/2;
-    A itself need not be symmetric.
+    A itself need not be symmetric. A stack (..., m, m) gives a bool array
+    of the leading shape, one verdict per matrix.
     """
     a = _as_square(a)
-    sym = (a + a.T) / 2.0
-    w = np.linalg.eigvalsh(sym)
-    scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-    return bool(w[0] > tol.eig_zero * scale)
+    w = np.linalg.eigvalsh((a + a.swapaxes(-1, -2)) / 2.0)
+    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
+    ok = w[..., 0] > tol.eig_zero * scale
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 def rank_of(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:

@@ -274,12 +274,19 @@ def random_connected_graph(
             f"extra_edges must be in [0, {max_extra}], got {extra_edges}"
         )
     rng = np.random.default_rng(seed)
-    tree = set(_tree_edges(n, rng))
-    complement = [
-        (u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in tree
-    ]
-    picks = rng.choice(len(complement), size=extra_edges, replace=False)
-    topo = sorted(tree) + sorted(complement[int(k)] for k in picks)
+    tree = sorted(_tree_edges(n, rng))
+    # pairs u < v in lexicographic order; row u starts at rank starts[u]
+    us = np.arange(n)
+    starts = us * (2 * n - us - 1) // 2
+    t = np.array(tree)
+    tree_ranks = starts[t[:, 0]] + t[:, 1] - t[:, 0] - 1
+    # pick the k-th non-tree pair without listing them: it has rank k plus
+    # the number of tree pairs ranked before it
+    picks = np.sort(rng.choice(max_extra, size=extra_edges, replace=False))
+    ranks = picks + np.searchsorted(tree_ranks - us[:-1], picks, side="right")
+    rows = np.searchsorted(starts, ranks, side="right") - 1
+    cols = ranks - starts[rows] + rows + 1
+    topo = tree + list(zip(rows.tolist(), cols.tolist()))
     make = (
         (lambda: _random_rational_pd_weight(s, rng))
         if rational

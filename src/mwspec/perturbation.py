@@ -127,28 +127,33 @@ def schur_complement(m: np.ndarray, pivot) -> np.ndarray:
 
 def haynsworth_check(
     m: np.ndarray, pivot, tol: Tolerance = DEFAULT_TOL
-) -> tuple[Inertia, Inertia, bool]:
-    """Inertia additivity: In(M) vs In(M11) + In(M/M11), componentwise."""
+) -> tuple[Inertia, Inertia, bool, np.ndarray]:
+    """Inertia additivity: In(M) vs In(M11) + In(M/M11), componentwise.
+
+    Returns (In(M), In(M11) + In(M/M11), whether they agree, M/M11).
+    """
     m = np.asarray(m, dtype=float)
     piv, _ = _split_indices(m.shape[0], pivot)
     lhs = inertia_of(m, tol)
     in_pivot = inertia_of(m[np.ix_(piv, piv)], tol)
-    in_schur = inertia_of(schur_complement(m, pivot), tol)
+    schur = schur_complement(m, pivot)
+    in_schur = inertia_of(schur, tol)
     rhs = Inertia(*(a + b for a, b in zip(in_pivot, in_schur)))
-    return lhs, rhs, lhs == rhs
+    return lhs, rhs, lhs == rhs, schur
 
 
 def gx_matrix(a: BlockMatrix, x: np.ndarray) -> np.ndarray:
-    """n x n compression [x' A_ij x] of a block matrix by a nonzero s-vector."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape != (a.s,):
+    """n x n compression [x' A_ij x] of a block matrix by a nonzero s-vector;
+    a stack of vectors (..., s) gives the stack of compressions (..., n, n)."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0 or x.shape[-1] != a.s:
         raise DimensionMismatchError(f"x must have length s={a.s}, got {x.shape}")
-    if not np.any(x != 0):
+    if not np.all(np.any(x != 0, axis=-1)):
         raise ZeroVectorError("x must be nonzero")
     n, s = a.n, a.s
     # one pass: (I_n (x) x)' A (I_n (x) x)
     xa = a.array.reshape(n, s, n, s)
-    return np.einsum("p,ipjq,q->ij", x, xa, x)
+    return np.einsum("...p,ipjq,...q->...ij", x, xa, x)
 
 
 def f_alpha_block(

@@ -26,8 +26,8 @@ from .linalg import (
     inertia_of,
     inertia_of_spectrum,
     is_pd_quadratic_form,
-    nullity_of,
     rank_of,
+    sym_eigen,
 )
 from .model import Instance, WeightProfile, instance_hash, random_instance
 from .operators import (
@@ -49,7 +49,6 @@ from .perturbation import (
     haynsworth_check,
     perturbed_pencil,
     principal_block_submatrix,
-    schur_complement,
 )
 
 ILL_CONDITIONED_WEIGHT = 1e6
@@ -154,11 +153,11 @@ class InstanceMatrices:
         return self.memo(("pencil", beta, tol),
                          lambda: perturbed_pencil(self.d_inv, self.l, beta, tol))
 
-    def deleted_spectra(self, beta: float | None, tol: Tolerance) -> list[np.ndarray]:
+    def deleted_spectra(self, beta: float, tol: Tolerance) -> list[np.ndarray]:
         """Ascending eigenvalues of P(alpha') for alpha' = all blocks but i,
-        i = 1..n, where P = P(beta), or D^{-1} when beta is None."""
+        i = 1..n, where P = P(beta); P(0) is D^{-1} itself, bit for bit."""
         def make():
-            a = self.d_inv if beta is None else self.pencil(beta, tol).p
+            a = self.pencil(beta, tol).p if beta else self.d_inv
             blocks = range(1, a.n + 1)
             return [np.linalg.eigvalsh(principal_block_submatrix(
                         a, [k for k in blocks if k != i]).array) for i in blocks]
@@ -241,14 +240,11 @@ def verify_preliminaries(
     return checks
 
 
-def _gx_vectors(s: int, seed: int) -> list[np.ndarray]:
+def _gx_vectors(s: int, seed: int) -> np.ndarray:
+    """(s + 10, s): the s unit vectors, then 10 random unit vectors."""
     rng = np.random.default_rng(seed)
-    xs = [np.eye(s)[:, k] for k in range(s)]
-    for _ in range(10):
-        x = rng.standard_normal(s)
-        x /= np.linalg.norm(x)
-        xs.append(x)
-    return xs
+    xs = [x / np.linalg.norm(x) for x in rng.standard_normal((10, s))]
+    return np.vstack([np.eye(s), xs])
 
 
 def verify_theorem(
@@ -299,8 +295,7 @@ def verify_theorem(
         return inert == (n * s, 0, s), {"inertia": list(inert)}
 
     def thm_iv_haynsworth():
-        lhs, rhs, ok = haynsworth()
-        gf = schur_complement(g, n * s)
+        lhs, rhs, ok, gf = haynsworth()
         target = -m.u.T @ m.d_inv.array @ m.u
         res = _rel(gf - target, max(1.0, float(np.abs(target).max())))
         return ok and res <= tol.rel_residual, {
@@ -327,26 +322,20 @@ def verify_theorem(
         return checks
 
     def thm_vi():
-        bad = []
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if not is_pd_quadratic_form(f.block(i, j), tol):
-                    bad.append([i, j])
+        # the (n, n, s, s) stack of blocks F_ij, row-major in (i, j)
+        pd = is_pd_quadratic_form(f.array.reshape(n, s, n, s).swapaxes(1, 2), tol)
+        bad = (np.argwhere(~pd) + 1).tolist()
         return not bad, {"non_pd_blocks": bad}
 
     def thm_vi_gx():
         floor = tol.nonzero_floor * f_scale
-        ok = True
-        worst_offdiag = np.inf
-        for x in _gx_vectors(s, gx_seed):
-            gx = gx_matrix(f, x)
-            inert = inertia_of(gx, tol)
-            off = np.abs(gx[~np.eye(n, dtype=bool)])
-            worst_offdiag = min(worst_offdiag, float(off.min(initial=np.inf)))
-            if inert != (n - 1, 0, 1) or np.any(np.diag(gx) <= 0):
-                ok = False
-            if off.size and off.min() <= floor:
-                ok = False
+        gx = gx_matrix(f, _gx_vectors(s, gx_seed))
+        w, _ = sym_eigen(gx, tol)
+        off = np.abs(gx[:, ~np.eye(n, dtype=bool)])
+        worst_offdiag = float(off.min(initial=np.inf))
+        ok = (all(inertia_of_spectrum(wk, tol) == (n - 1, 0, 1) for wk in w)
+              and not np.any(np.diagonal(gx, axis1=1, axis2=2) <= 0)
+              and worst_offdiag > floor)
         return ok, {"min_offdiag": worst_offdiag, "floor": floor}
 
     checks.append(_guard("THM.vi", beta, thm_vi))
@@ -364,20 +353,22 @@ def verify_fiedler_markham(
     complementary principal submatrix, for every i; plus the distance-inverse
     instance where the complementary nullity is forced to s."""
     m = mats if mats is not None else build_matrices(inst)
-    s = inst.s
+    n, s = inst.n, inst.s
 
     def body():
         f = m.pencil(beta, tol).f
-        mismatches = []
-        for i, w in enumerate(m.deleted_spectra(beta, tol), start=1):
-            # singular values of a symmetric matrix are its |eigenvalues|
-            null_q = inertia_of_spectrum(w, tol).n_zero
-            null_f_ii = nullity_of(f.block(i, i), tol)
-            if null_q != null_f_ii:
-                mismatches.append({"i": i, "nullity_sub": null_q,
-                                   "nullity_block": null_f_ii})
+        # the (n, s, s) diagonal blocks F_ii; singular values of a symmetric
+        # matrix are its |eigenvalues|
+        diag = f.array.reshape(n, s, n, s)[np.arange(n), :, np.arange(n), :]
+        null_blocks = [inertia_of_spectrum(w, tol).n_zero
+                       for w in np.linalg.eigvalsh(diag)]
+        null_subs = [inertia_of_spectrum(w, tol).n_zero
+                     for w in m.deleted_spectra(beta, tol)]
+        mismatches = [{"i": i, "nullity_sub": q, "nullity_block": b}
+                      for i, (q, b) in enumerate(zip(null_subs, null_blocks), start=1)
+                      if q != b]
         dinv_nullities = [inertia_of_spectrum(w, tol).n_zero
-                          for w in m.deleted_spectra(None, tol)]
+                          for w in m.deleted_spectra(0.0, tol)]
         ok = not mismatches and all(x == s for x in dinv_nullities)
         return ok, {"mismatches": mismatches, "dinv_nullities": dinv_nullities}
 
@@ -445,12 +436,9 @@ def _weight_spectrum_ill_conditioned(inst: Instance) -> bool:
     regime the relative eigenvalue-classification thresholds lose meaning
     (e.g. D^{-1} - beta*L collapses to ~1e-8 scale when all weights are ~1e8).
     """
-    lo, hi = np.inf, 0.0
-    for g in (inst.tree, inst.graph):
-        for _, _, w in g.edges:
-            eigs = np.linalg.eigvalsh(w.matrix)
-            lo = min(lo, float(eigs[0]))
-            hi = max(hi, float(eigs[-1]))
+    eigs = np.linalg.eigvalsh(np.array(
+        [w.matrix for g in (inst.tree, inst.graph) for _, _, w in g.edges]))
+    lo, hi = float(eigs[:, 0].min()), float(eigs[:, -1].max())
     return (hi / max(lo, 1e-300) > ILL_CONDITIONED_WEIGHT
             or hi > ILL_CONDITIONED_WEIGHT
             or lo < 1.0 / ILL_CONDITIONED_WEIGHT)

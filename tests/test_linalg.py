@@ -118,6 +118,46 @@ def test_quadratic_form_golden_offdiagonal_block():
     assert is_pd_quadratic_form(block)
 
 
+def test_quadratic_form_stack_matches_one_matrix_at_a_time():
+    rng = np.random.default_rng(31)
+    skew = rng.standard_normal((3, 3))
+    members = [
+        np.diag([2.0, 3.0, 0.5]),                     # PD
+        skew - skew.T,                                # skew: x'Ax = 0
+        np.diag([1.0, -1.0, 2.0]),                    # indefinite
+        rng.standard_normal((3, 3)) + 4.0 * np.eye(3),  # nonsymmetric, PD form
+        np.zeros((3, 3)),
+        np.diag([1.0, 1.0, 1e-12]),                   # PD below the threshold
+    ]
+    stack = np.array(members).reshape(2, 3, 3, 3)
+    ok = is_pd_quadratic_form(stack)
+    assert ok.shape == (2, 3) and ok.dtype == bool
+    loop = [[is_pd_quadratic_form(a) for a in row] for row in stack]
+    assert ok.tolist() == loop == [[True, False, False], [True, False, False]]
+    # 1-based (i, j) of the failing members, row-major, as THM.vi reports them
+    assert (np.argwhere(~ok) + 1).tolist() == [
+        [i + 1, j + 1] for i in range(2) for j in range(3) if not loop[i][j]]
+
+
+def test_sym_eigen_stack_matches_one_matrix_at_a_time():
+    rng = np.random.default_rng(32)
+    a = rng.standard_normal((4, 5, 5))
+    a = a + a.swapaxes(1, 2)
+    w, v = sym_eigen(a)
+    for k in range(4):
+        wk, vk = sym_eigen(a[k])
+        assert np.array_equal(w[k], wk) and np.array_equal(v[k], vk)
+
+
+def test_sym_eigen_stack_rejects_one_asymmetric_member():
+    a = np.stack([np.eye(3), 1e3 * np.eye(3), np.eye(3)])
+    # within rel_residual of the largest member's scale, not of its own
+    a[2, 0, 1] = 1e-7
+    with pytest.raises(NotSymmetricError):
+        sym_eigen(a)
+    sym_eigen(a[:2])
+
+
 def test_rank_zero_matrix():
     assert rank_of(np.zeros((3, 3))) == 0
 

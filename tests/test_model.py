@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from mwspec import model
 from mwspec.errors import (
     InstanceSyntaxError,
     InvalidProfileError,
@@ -17,6 +19,7 @@ from mwspec.model import (
     PDWeight,
     WeightProfile,
     _prufer_decode,
+    _tree_edges,
     parse_instance,
     random_connected_graph,
     random_instance,
@@ -176,6 +179,47 @@ def test_random_graph_complete_topology():
 def test_random_graph_validates():
     g = random_connected_graph(6, 3, seed=3, extra_edges=4)
     assert validate(g).ok
+
+
+def _complement_list_topology(n, seed, extra):
+    # the sampler as first written: list every non-tree pair, then choose
+    rng = np.random.default_rng(seed)
+    tree = set(_tree_edges(n, rng))
+    complement = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in tree]
+    picks = rng.choice(len(complement), size=extra, replace=False)
+    return sorted(tree) + sorted(complement[int(k)] for k in picks)
+
+
+def _sampler_cases():
+    for n in (2, 3, 4, 5, 7, 12, 23, 40):
+        max_extra = (n - 1) * (n - 2) // 2
+        for extra in sorted({0, 1, max_extra // 2, max_extra - 1, max_extra}):
+            if 0 <= extra <= max_extra:
+                yield n, extra
+
+
+@pytest.mark.parametrize("n, extra", _sampler_cases())
+def test_random_graph_matches_complement_list(n, extra):
+    for seed in range(4):
+        g = random_connected_graph(n, 2, seed, extra)
+        topo = [(u, v) for u, v, _ in g.edges]
+        assert topo == _complement_list_topology(n, seed, extra)
+        assert all(type(x) is int for e in topo for x in e)
+
+
+def test_random_graph_large_n_memory(monkeypatch):
+    # the complement list would hold ~2e8 pairs (several GB) at this size;
+    # one shared weight keeps 20002 weight draws out of the traced time
+    one = PDWeight(np.eye(1))
+    monkeypatch.setattr(model, "random_pd_weight", lambda s, rng, profile: one)
+    tracemalloc.start()
+    try:
+        g = random_connected_graph(20000, 1, seed=5, extra_edges=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(g.edges) == 20002
+    assert peak < 64 * 2**20
 
 
 def test_random_graph_rejects_too_many_extra():

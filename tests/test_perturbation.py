@@ -156,7 +156,7 @@ def test_schur_singular_pivot_raises():
 
 
 def test_haynsworth_trivial():
-    lhs, rhs, ok = haynsworth_check(np.diag([1.0, -1.0]), [0])
+    lhs, rhs, ok, _ = haynsworth_check(np.diag([1.0, -1.0]), [0])
     assert ok
     assert lhs == (1, 0, 1)
 
@@ -164,7 +164,7 @@ def test_haynsworth_trivial():
 def test_haynsworth_golden(golden_mats):
     _, d_inv, l = golden_mats
     f = perturbed_pencil(d_inv, l, 1.0).f
-    lhs, rhs, ok = haynsworth_check(bordered(f), 8)
+    lhs, rhs, ok, _ = haynsworth_check(bordered(f), 8)
     assert ok
     assert lhs == (8, 0, 2)
 
@@ -174,7 +174,7 @@ def test_haynsworth_random_symmetric():
     for _ in range(10):
         m = rng.standard_normal((12, 12))
         m = (m + m.T) / 2.0 + np.eye(12)  # keep the pivot comfortably nonsingular
-        _, _, ok = haynsworth_check(m, 5)
+        _, _, ok, _ = haynsworth_check(m, 5)
         assert ok
 
 
@@ -213,6 +213,24 @@ def test_gx_rejects_zero_vector(golden_mats):
     f = perturbed_pencil(d_inv, l, 1.0).f
     with pytest.raises(ZeroVectorError):
         gx_matrix(f, np.zeros(2))
+
+
+def test_gx_stack_matches_one_vector_at_a_time():
+    inst = random_instance(7, 3, seed=21, extra_edges=5)
+    f = perturbed_pencil(distance_inverse_closed_form(inst.tree),
+                         build_laplacian(inst.graph), 0.5).f
+    xs = np.random.default_rng(9).standard_normal((6, 3))
+    stacked = gx_matrix(f, xs)
+    assert stacked.shape == (6, 7, 7)
+    for x, gx in zip(xs, stacked):
+        assert np.array_equal(gx, gx_matrix(f, x))
+
+
+def test_gx_stack_rejects_one_zero_row(golden_mats):
+    _, d_inv, l = golden_mats
+    f = perturbed_pencil(d_inv, l, 1.0).f
+    with pytest.raises(ZeroVectorError):
+        gx_matrix(f, np.array([[1.0, 0.0], [0.0, 0.0], [0.5, 0.5]]))
 
 
 # --- f(alpha) ----------------------------------------------------------------

@@ -5,16 +5,30 @@ import pytest
 
 from mwspec.errors import BadIndexError, ConfigError
 from mwspec.golden import golden_instance
-from mwspec.linalg import DEFAULT_TOL, inertia_of, inertia_of_spectrum, nullity_of
+from mwspec.linalg import (
+    DEFAULT_TOL,
+    inertia_of,
+    inertia_of_spectrum,
+    is_pd_quadratic_form,
+    nullity_of,
+)
 from mwspec.model import (
     MatrixWeightedTree,
     PDWeight,
     WeightProfile,
     random_instance,
 )
-from mwspec.perturbation import bordered, perturbed_pencil, principal_block_submatrix
+from mwspec.operators import BlockMatrix
+from mwspec.perturbation import (
+    PerturbedPencil,
+    bordered,
+    gx_matrix,
+    perturbed_pencil,
+    principal_block_submatrix,
+)
 from mwspec.verifier import (
     CampaignConfig,
+    _gx_vectors,
     build_matrices,
     campaign_summary,
     run_campaign,
@@ -75,6 +89,21 @@ def test_theorem_beta_zero_skips_vi():
         assert by_id(checks, cid)[0].passed
     assert by_id(checks, "THM.vi")[0].skipped
     assert by_id(checks, "THM.vi.gx")[0].skipped
+
+
+def test_theorem_lists_non_pd_blocks_row_major():
+    # THM.vi never fails on a valid instance, so negate three blocks of F
+    inst = golden_instance()
+    mats = build_matrices(inst)
+    pencil = perturbed_pencil(mats.d_inv, mats.l, 1.0)
+    f, s = pencil.f.array.copy(), inst.s
+    for i, j in ((1, 3), (2, 1), (4, 2)):
+        f[(i - 1) * s:i * s, (j - 1) * s:j * s] *= -1.0
+    tampered = PerturbedPencil(1.0, pencil.p, BlockMatrix(inst.n, s, f))
+    mats.memo(("pencil", 1.0, DEFAULT_TOL), lambda: tampered)
+    thm_vi = by_id(verify_theorem(inst, 1.0, mats=mats), "THM.vi")[0]
+    assert not thm_vi.passed
+    assert thm_vi.evidence["non_pd_blocks"] == [[1, 3], [2, 1], [4, 2]]
 
 
 def test_fiedler_markham_golden():
@@ -151,8 +180,9 @@ def _oracle_cases():
 @pytest.mark.parametrize("n, s, seed", _oracle_cases())
 @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 10.0])
 def test_shared_spectra_match_direct_route(n, s, seed, beta):
-    """The once-per-beta pencil and deleted-block spectra give the same
-    evidence as building and decomposing every submatrix per check."""
+    """The once-per-beta pencil, the deleted-block spectra and the stacked
+    block checks give the same evidence as building and decomposing every
+    submatrix, block and G_x per check."""
     inst = random_instance(n, s, seed, extra_edges=min(n, (n - 1) * (n - 2) // 2))
     mats = build_matrices(inst)
     checks = verify_theorem(inst, beta, mats=mats)
@@ -185,3 +215,27 @@ def test_shared_spectra_match_direct_route(n, s, seed, beta):
     assert by_id(checks, "THM.iv")[0].evidence["inertia"] == list(
         inertia_of(bordered(pencil.f)))
     assert by_id(checks, "THM.ii")[0].evidence["inertia"] == list(inertia_of(pencil.p.array))
+
+    # P(0) is the closed-form D^{-1} bit for bit, so its spectra are shared
+    if beta == 0:
+        assert np.array_equal(mats.pencil(0.0, DEFAULT_TOL).p.array, mats.d_inv.array)
+        return
+
+    # THM.vi: one quadratic-form test per block
+    f = pencil.f
+    bad = [[i, j] for i in range(1, n + 1) for j in range(1, n + 1)
+           if not is_pd_quadratic_form(f.block(i, j))]
+    assert by_id(checks, "THM.vi")[0].evidence["non_pd_blocks"] == bad
+
+    # THM.vi.gx: one G_x and one inertia per vector
+    floor = DEFAULT_TOL.nonzero_floor * max(1.0, float(np.abs(f.array).max()))
+    ok, worst = True, np.inf
+    for x in _gx_vectors(s, 0):
+        gx = gx_matrix(f, x)
+        off = np.abs(gx[~np.eye(n, dtype=bool)])
+        worst = min(worst, float(off.min(initial=np.inf)))
+        ok = ok and (inertia_of(gx) == (n - 1, 0, 1) and np.all(np.diag(gx) > 0)
+                     and not (off.size and off.min() <= floor))
+    gx_check = by_id(checks, "THM.vi.gx")[0]
+    assert gx_check.evidence["min_offdiag"] == worst
+    assert gx_check.passed == ok
