@@ -6,8 +6,9 @@ Subcommands:
   golden  reproduce the embedded 4-vertex example bit-exact
 
 Exit codes: 0 success, 1 mathematical check failure, 2 usage error (bad
-arguments, a malformed instance, a negative or non-finite beta, or a
---corrupt-d entry outside D), 3 I/O error.
+arguments, a malformed instance, a negative or non-finite beta, a
+--corrupt-d entry outside D, or an exact --mode on a float instance), 3 I/O
+error.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import os
 import sys
 import tempfile
 
-from .errors import BadIndexError, MwspecError
+from .errors import BadIndexError, ConfigError, MwspecError
 from .golden import run_golden
 from .linalg import Tolerance
 from .model import (
@@ -65,16 +66,20 @@ def cmd_gen(args) -> int:
     if args.s < 1:
         print("error: s must be >= 1", file=sys.stderr)
         return EXIT_USAGE
+    if args.seed < 0:
+        print("error: seed must be >= 0", file=sys.stderr)
+        return EXIT_USAGE
     try:
         profile = WeightProfile(args.weight_lo, args.weight_hi)
         inst = random_instance(
             args.n, args.s, args.seed, args.extra_edges, profile,
             rational=(args.scalar_kind == "rational"),
         )
+        text = serialize_instance(inst)
+        parse_instance(text)    # write nothing that verify would reject
     except MwspecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    text = serialize_instance(inst)
     try:
         _atomic_write(args.out, text)
     except OSError as exc:
@@ -106,7 +111,7 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     corrupt = None
-    if args.corrupt_d:
+    if args.corrupt_d is not None:
         corrupt = _parse_corrupt(args.corrupt_d)
         if corrupt is None:
             print("error: --corrupt-d expects 'i,j,factor'", file=sys.stderr)
@@ -124,6 +129,9 @@ def cmd_verify(args) -> int:
         report = verify_instance(inst, betas, tol, kernel_mode=mode, corrupt=corrupt)
     except BadIndexError as exc:     # a --corrupt-d entry outside D
         print(f"error: --corrupt-d: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ConfigError as exc:       # an exact mode on a float instance
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.out:
         try:

@@ -17,6 +17,10 @@ class NoConvergenceError(MwspecError):
     pass
 
 
+class NonFiniteError(MwspecError, ValueError):
+    """A matrix with NaN or infinite entries reached a numerical routine."""
+
+
 class NotPSDError(MwspecError):
     pass
 

@@ -1,8 +1,10 @@
-"""Exact rational matrix arithmetic on nested lists of Fraction.
+"""Exact rational matrices: numpy object arrays of Fraction.
 
 Used for the bit-exact golden path: entries of the worked 4-vertex example
 have denominators up to 612184 and intermediate elimination values grow well
 beyond 64 bits, so everything here runs on arbitrary-precision Fractions.
+numpy's `+`, `-`, `*`, `@` and `.T` work on these arrays entry by entry;
+only the eliminations below are written out.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from .errors import InstanceSyntaxError, SingularMatrixError
 
-RatMatrix = list[list[Fraction]]
+RatMatrix = np.ndarray      # dtype=object, entries Fraction
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
 
@@ -33,88 +35,54 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(f: Fraction) -> str:
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    return str(f)       # "p/q", or "p" when the denominator is 1
 
 
-def rat_zeros(rows: int, cols: int) -> RatMatrix:
-    return [[Fraction(0)] * cols for _ in range(rows)]
+def rat_matrix(rows) -> RatMatrix:
+    """Object array of Fractions from rows of Python ints, floats or Fractions."""
+    return np.array([[Fraction(x) for x in row] for row in rows], dtype=object)
 
 
-def rat_identity(n: int) -> RatMatrix:
-    out = rat_zeros(n, n)
-    for i in range(n):
-        out[i][i] = Fraction(1)
-    return out
-
-
-def rat_add(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def rat_sub(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def rat_scale(c: Fraction, a: RatMatrix) -> RatMatrix:
-    return [[c * x for x in row] for row in a]
-
-
-def rat_transpose(a: RatMatrix) -> RatMatrix:
-    return [list(col) for col in zip(*a)]
-
-
-def rat_matmul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    bt = rat_transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def rational_invert(a: RatMatrix) -> RatMatrix:
+def rational_invert(a) -> RatMatrix:
     """Exact inverse by Gauss-Jordan elimination with nonzero pivoting."""
+    a = np.asarray(a, dtype=object)
     n = len(a)
-    if any(len(row) != n for row in a):
+    if a.shape != (n, n):
         raise SingularMatrixError("matrix is not square")
     # augmented [A | I], mutated in place
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(a)]
+    aug = np.concatenate([a, np.eye(n, dtype=int).astype(object)], axis=1)
     for col in range(n):
-        pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot_row is None:
+        nonzero = np.flatnonzero(aug[col:, col] != 0)
+        if not len(nonzero):
             raise SingularMatrixError(f"no nonzero pivot in column {col}")
+        pivot_row = col + nonzero[0]
         if pivot_row != col:
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        piv = aug[col][col]
-        aug[col] = [x / piv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+            aug[[col, pivot_row]] = aug[[pivot_row, col]]
+        # columns before `col` are already zero in the pivot row
+        aug[col, col:] /= aug[col, col]
+        rows = np.flatnonzero(aug[:, col] != 0)
+        rows = rows[rows != col]
+        aug[rows, col:] -= np.multiply.outer(aug[rows, col], aug[col, col:])
+    return aug[:, n:]
 
 
-def rat_is_pd(a: RatMatrix) -> bool:
+def rat_is_pd(a) -> bool:
     """Exact positive definiteness of a symmetric matrix.
 
     A symmetric matrix is positive definite exactly when Gaussian elimination
     without row exchanges meets only positive pivots.
     """
-    a = [list(row) for row in a]
-    n = len(a)
-    for col in range(n):
-        piv = a[col][col]
+    a = np.array(a, dtype=object)
+    for col in range(len(a)):
+        piv = a[col, col]
         if piv <= 0:
             return False
-        for r in range(col + 1, n):
-            f = a[r][col] / piv
-            if f != 0:
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+        f = a[col + 1:, col] / piv
+        rows = np.flatnonzero(f != 0)
+        a[col + 1 + rows, col:] -= np.multiply.outer(f[rows], a[col, col:])
     return True
 
 
-def rat_to_float(a: RatMatrix) -> np.ndarray:
-    return np.array([[float(x) for x in row] for row in a], dtype=float)
-
-
-def rat_equal(a: RatMatrix, b: RatMatrix) -> bool:
-    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
+def rat_to_float(a) -> np.ndarray:
+    # float(Fraction) divides numerator by denominator, correctly rounded
+    return np.asarray(a, dtype=object).astype(float)

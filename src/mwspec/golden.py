@@ -9,12 +9,11 @@ runs bit-exact on rationals; the expected matrices below are frozen.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import exact as ex
-from .exact import parse_rational, rational_invert
+from .exact import parse_rational, rat_matrix, rational_invert
 from .linalg import DEFAULT_TOL, Inertia, Tolerance, inertia_of
 from .model import Instance, MatrixWeightedGraph, MatrixWeightedTree, PDWeight
 from .operators import (
@@ -29,8 +28,7 @@ from .perturbation import perturbed_pencil
 
 
 def _int_weight(rows) -> PDWeight:
-    exact = [[Fraction(x) for x in row] for row in rows]
-    return PDWeight(np.array(rows, dtype=float), exact)
+    return PDWeight(np.array(rows, dtype=float), rows)
 
 
 W1 = [[8, 6], [6, 5]]
@@ -100,7 +98,7 @@ _F_ROWS = [
 
 
 def _parse_rows(rows) -> ex.RatMatrix:
-    return [[parse_rational(tok) for tok in row.split()] for row in rows]
+    return rat_matrix([[parse_rational(tok) for tok in row.split()] for row in rows])
 
 
 def expected_l() -> ex.RatMatrix:
@@ -112,7 +110,7 @@ def expected_f() -> ex.RatMatrix:
 
 
 def expected_d_exact() -> ex.RatMatrix:
-    return [[Fraction(x) for x in row] for row in EXPECTED_D]
+    return rat_matrix(EXPECTED_D)
 
 
 EXPECTED_INERTIA = Inertia(6, 0, 2)
@@ -126,14 +124,13 @@ class GoldenResult:
 
 def _compare_exact(name: str, got: ex.RatMatrix, want: ex.RatMatrix,
                    mismatches: list[str]):
-    for i, (rg, rw) in enumerate(zip(got, want)):
-        for j, (g, w) in enumerate(zip(rg, rw)):
-            if g != w:
-                mismatches.append(
-                    f"{name}[{i + 1},{j + 1}]: expected {ex.format_rational(w)}, "
-                    f"got {ex.format_rational(g)}"
-                )
-                return
+    bad = np.argwhere(got != want)
+    if len(bad):
+        i, j = bad[0]
+        mismatches.append(
+            f"{name}[{i + 1},{j + 1}]: expected {ex.format_rational(want[i, j])}, "
+            f"got {ex.format_rational(got[i, j])}"
+        )
 
 
 def run_golden(mode: str = "both", tol: Tolerance = DEFAULT_TOL) -> GoldenResult:
@@ -153,7 +150,7 @@ def run_golden(mode: str = "both", tol: Tolerance = DEFAULT_TOL) -> GoldenResult
         l = build_laplacian_exact(inst.graph)
         _compare_exact("L", l, expected_l(), mismatches)
         d_inv = distance_inverse_closed_form_exact(inst.tree)
-        f = rational_invert(ex.rat_sub(d_inv, l))
+        f = rational_invert(d_inv - l)
         _compare_exact("F", f, expected_f(), mismatches)
 
     if mode in ("float", "both"):

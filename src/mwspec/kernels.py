@@ -1,7 +1,7 @@
-"""Tree traversal and the float distance fill.
+"""Tree traversal and the distance fill.
 
-`walk` is the one traversal in the package: the float fill below, the exact
-Fraction fill in `operators` and the connectivity check in `model` all use
+`walk` is the one traversal in the package: the distance fill below (float
+and exact Fraction weights alike) and the connectivity check in `model` use
 it. The distance fill is the only O(n^2 s^2) loop in the package;
 everything downstream is LAPACK-bound.
 """
@@ -49,10 +49,11 @@ def distance_fill(adj: list[list[tuple[int, int]]], weights: list[np.ndarray],
                   s: int) -> np.ndarray:
     """ns x ns tree distance matrix from per-root traversals.
 
-    Block (r, v) accumulates edge weights along the unique r-v path.
+    Block (r, v) accumulates edge weights along the unique r-v path. The
+    output has the weights' dtype: float, or object for Fractions.
     """
     n = len(adj)
-    out = np.zeros((n * s, n * s))
+    out = np.zeros((n * s, n * s), dtype=weights[0].dtype)
     for r in range(n):
         row = out[r * s:(r + 1) * s]
         for u, v, k in walk(adj, r):

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     NoConvergenceError,
+    NonFiniteError,
     NonSquareError,
     NotPSDError,
     NotSymmetricError,
@@ -50,7 +51,7 @@ def _as_square(a: np.ndarray) -> np.ndarray:
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise NonSquareError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError("matrix contains non-finite entries")
+        raise NonFiniteError("matrix contains non-finite entries")
     return a
 
 
@@ -123,7 +124,7 @@ def rank_of(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
     """Numerical rank via singular values above a relative threshold."""
     a = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(a)):
-        raise ValueError("matrix contains non-finite entries")
+        raise NonFiniteError("matrix contains non-finite entries")
     if a.size == 0:
         return 0
     return inertia_of_spectrum(np.linalg.svd(a, compute_uv=False), tol).n_plus

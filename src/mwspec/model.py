@@ -11,8 +11,8 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .exact import RatMatrix, format_rational, parse_rational, rat_is_pd
+from .exact import format_rational, parse_rational, rat_is_pd, rat_matrix, rat_to_float
 from .kernels import adjacency, walk
 from .linalg import DEFAULT_TOL, Tolerance
 
@@ -36,9 +36,9 @@ class WeightProfile:
     lam_hi: float = 10.0
 
     def __post_init__(self):
-        if self.lam_lo <= 0 or self.lam_lo > self.lam_hi:
+        if not 0 < self.lam_lo <= self.lam_hi < math.inf:   # False for NaN
             raise InvalidProfileError(
-                f"need 0 < lam_lo <= lam_hi, got [{self.lam_lo}, {self.lam_hi}]"
+                f"need 0 < lam_lo <= lam_hi < inf, got [{self.lam_lo}, {self.lam_hi}]"
             )
 
 
@@ -48,13 +48,13 @@ DEFAULT_PROFILE = WeightProfile()
 class PDWeight:
     """Symmetric positive definite edge weight of order s.
 
-    Carries a float matrix always, and an exact Fraction payload when the
-    instance is rational.
+    Carries a float matrix always, and an exact Fraction payload (a
+    read-only `rat_matrix`) when the instance is rational.
     """
 
     __slots__ = ("matrix", "exact")
 
-    def __init__(self, matrix: np.ndarray, exact: RatMatrix | None = None):
+    def __init__(self, matrix: np.ndarray, exact=None):
         m = np.asarray(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"weight must be square, got shape {m.shape}")
@@ -62,7 +62,8 @@ class PDWeight:
         self.matrix = m
         self.exact = None
         if exact is not None:
-            self.exact = [[Fraction(x) for x in row] for row in exact]
+            self.exact = rat_matrix(exact)
+            self.exact.setflags(write=False)
 
     @property
     def order(self) -> int:
@@ -74,7 +75,7 @@ class PDWeight:
         if (self.exact is None) != (other.exact is None):
             return False
         if self.exact is not None:
-            return self.exact == other.exact
+            return bool(np.array_equal(self.exact, other.exact))
         return np.array_equal(self.matrix, other.matrix)
 
     def __repr__(self):
@@ -128,6 +129,8 @@ class ValidationResult:
 
 
 def _connected(n: int, edges) -> bool:
+    if len(edges) < n - 1:      # before allocating n adjacency lists
+        return False
     adj = adjacency(n, [(u, v) for u, v, _ in edges])
     return sum(1 for _ in walk(adj, 0)) == n - 1
 
@@ -158,25 +161,25 @@ def validate(
         if wt.order != g.s:
             v.append(f"edge {key}: weight order {wt.order} != s = {g.s}")
             continue
-        if wt.exact is not None:
-            if wt.exact != [list(r) for r in zip(*wt.exact)]:
-                v.append(f"edge {key}: weight not symmetric")
-            elif not rat_is_pd(wt.exact):
-                v.append(f"edge {key}: weight not positive definite")
+        # the float payload is checked for rational weights too: the float
+        # kernel runs on it in every mode
+        m = wt.matrix
+        if wt.exact is not None and not np.array_equal(wt.exact, wt.exact.T):
+            v.append(f"edge {key}: weight not symmetric")
+        elif wt.exact is not None and not rat_is_pd(wt.exact):
+            v.append(f"edge {key}: weight not positive definite")
+        elif not np.all(np.isfinite(m)):
+            v.append(f"edge {key}: weight has a non-finite entry")
+        elif not np.array_equal(m, m.T):
+            v.append(f"edge {key}: weight not symmetric")
         else:
-            m = wt.matrix
-            if not np.all(np.isfinite(m)):
-                v.append(f"edge {key}: weight has a non-finite entry")
-            elif not np.array_equal(m, m.T):
-                v.append(f"edge {key}: weight not symmetric")
-            else:
-                lam_min = float(np.linalg.eigvalsh(m)[0])
-                scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-                if lam_min <= tol.eig_zero * scale:
-                    v.append(
-                        f"edge {key}: weight not positive definite "
-                        f"(min eigenvalue {lam_min:.3e})"
-                    )
+            lam_min = float(np.linalg.eigvalsh(m)[0])
+            scale = max(1.0, float(np.abs(m).max(initial=0.0)))
+            if lam_min <= tol.eig_zero * scale:
+                v.append(
+                    f"edge {key}: weight not positive definite "
+                    f"(min eigenvalue {lam_min:.3e})"
+                )
     if not v:
         if require_tree and len(g.edges) != g.n - 1:
             v.append(f"tree must have n-1 = {g.n - 1} edges, got {len(g.edges)}")
@@ -207,8 +210,7 @@ def _random_rational_pd_weight(s: int, rng: np.random.Generator) -> PDWeight:
     # M M' + I with small integer M is symmetric PD and exactly representable
     m = rng.integers(-3, 4, size=(s, s))
     w = m @ m.T + np.eye(s, dtype=np.int64) * int(rng.integers(1, 4))
-    exact = [[Fraction(int(w[i, j])) for j in range(s)] for i in range(s)]
-    return PDWeight(w.astype(float), exact)
+    return PDWeight(w.astype(float), w.tolist())
 
 
 def _prufer_decode(seq: list[int], n: int) -> list[tuple[int, int]]:
@@ -325,22 +327,19 @@ def _weight_from_json(obj, s: int, kind: str) -> PDWeight:
     if not (isinstance(obj, list) and len(obj) == s
             and all(isinstance(r, list) and len(r) == s for r in obj)):
         raise SchemaError(f"weight must be an {s}x{s} array")
+    exact = None
     if kind == "rational":
-        exact = []
-        for row in obj:
-            out_row = []
-            for x in row:
-                if not isinstance(x, str):
-                    raise SchemaError("rational entries must be strings like 'p/q'")
-                out_row.append(parse_rational(x))
-            exact.append(out_row)
-        matrix = np.array([[float(x) for x in row] for row in exact])
-        return PDWeight(matrix, exact)
-    for row in obj:
-        for x in row:
-            if not isinstance(x, (int, float)) or isinstance(x, bool):
-                raise SchemaError("float entries must be JSON numbers")
-    return PDWeight(np.array(obj, dtype=float))
+        if not all(isinstance(x, str) for row in obj for x in row):
+            raise SchemaError("rational entries must be strings like 'p/q'")
+        exact = rat_matrix([[parse_rational(x) for x in row] for row in obj])
+    elif not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                 for row in obj for x in row):
+        raise SchemaError("float entries must be JSON numbers")
+    try:
+        matrix = np.array(obj, dtype=float) if exact is None else rat_to_float(exact)
+    except OverflowError as exc:    # an integer or p/q beyond the float range
+        raise SchemaError(f"weight entry out of float range: {exc}") from exc
+    return PDWeight(matrix, exact)
 
 
 def _edges_from_json(obj, n: int, s: int, kind: str, where: str):

@@ -11,13 +11,12 @@ identity), which is what makes the cross-checks in the verifier meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import exact as ex
 from .errors import DimensionMismatchError, InvalidSizeError, SingularMatrixError
-from .kernels import adjacency, distance_fill, walk
+from .kernels import adjacency, distance_fill
 from .linalg import DEFAULT_TOL, Tolerance, pinv_psd
 from .model import MatrixWeightedGraph, MatrixWeightedTree
 
@@ -62,59 +61,67 @@ class NullspaceBasis:
     b: np.ndarray          # (ns, ns - s)
 
 
-def _tree_adjacency(t: MatrixWeightedTree):
-    return adjacency(t.n, [(u, v) for u, v, _ in t.edges])
+def _laplacian(g: MatrixWeightedGraph, weights, inv) -> np.ndarray:
+    n, s = g.n, g.s
+    a = np.zeros((n * s, n * s), dtype=weights[0].dtype)
+    for (u, v, _), w in zip(g.edges, weights):
+        vinv = inv(w)
+        vinv = (vinv + vinv.T) / 2
+        a[u * s:(u + 1) * s, v * s:(v + 1) * s] = -vinv
+        a[v * s:(v + 1) * s, u * s:(u + 1) * s] = -vinv
+        a[u * s:(u + 1) * s, u * s:(u + 1) * s] += vinv
+        a[v * s:(v + 1) * s, v * s:(v + 1) * s] += vinv
+    return a
 
 
 def build_laplacian(g: MatrixWeightedGraph) -> BlockMatrix:
     """Block Laplacian: off-diagonal blocks -W_uv^{-1} on edges, diagonal
     blocks summing the inverted incident weights."""
-    n, s = g.n, g.s
-    a = np.zeros((n * s, n * s))
-    for u, v, w in g.edges:
-        vinv = np.linalg.inv(w.matrix)
-        vinv = (vinv + vinv.T) / 2.0
-        a[u * s:(u + 1) * s, v * s:(v + 1) * s] = -vinv
-        a[v * s:(v + 1) * s, u * s:(u + 1) * s] = -vinv
-        a[u * s:(u + 1) * s, u * s:(u + 1) * s] += vinv
-        a[v * s:(v + 1) * s, v * s:(v + 1) * s] += vinv
-    return BlockMatrix(n, s, a)
+    return BlockMatrix(g.n, g.s, _laplacian(g, [w.matrix for _, _, w in g.edges],
+                                            np.linalg.inv))
+
+
+def _distance(t: MatrixWeightedTree, weights) -> np.ndarray:
+    arr = distance_fill(adjacency(t.n, [(u, v) for u, v, _ in t.edges]), weights, t.s)
+    # the kernel accumulates each path once per endpoint, in opposite edge
+    # orders; mirror the upper triangle so D is bit-exactly symmetric
+    lower = np.tril_indices(len(arr), -1)
+    arr[lower] = arr.T[lower]
+    return arr
 
 
 def build_distance_matrix(t: MatrixWeightedTree) -> BlockMatrix:
     """Tree distance matrix: block (i, j) sums the weights on the i-j path."""
-    n, s = t.n, t.s
-    arr = distance_fill(_tree_adjacency(t), [w.matrix for _, _, w in t.edges], s)
-    # the kernel accumulates each path once per endpoint, in opposite edge
-    # orders; mirror the upper triangle so D is bit-exactly symmetric
-    lower = np.tril_indices(n * s, -1)
-    arr[lower] = arr.T[lower]
-    return BlockMatrix(n, s, arr)
+    return BlockMatrix(t.n, t.s, _distance(t, [w.matrix for _, _, w in t.edges]))
+
+
+def _tau(t: MatrixWeightedTree) -> np.ndarray:
+    ends = [x for u, v, _ in t.edges for x in (u, v)]
+    return 2 - np.bincount(ends, minlength=t.n)
 
 
 def structural_vectors(t: MatrixWeightedTree) -> StructuralVectors:
-    n, s = t.n, t.s
-    degree = np.zeros(n, dtype=np.int64)
-    r_sum = np.zeros((s, s))
-    for u, v, w in t.edges:
-        degree[u] += 1
-        degree[v] += 1
-        r_sum += w.matrix
-    tau = 2 - degree
-    delta = np.kron(tau.reshape(-1, 1).astype(float), np.eye(s))
-    return StructuralVectors(tau, delta, r_sum)
+    tau = _tau(t)
+    delta = np.kron(tau.reshape(-1, 1), np.eye(t.s))
+    return StructuralVectors(tau, delta, sum(w.matrix for _, _, w in t.edges))
+
+
+def _closed_form(t: MatrixWeightedTree, weights, inv) -> np.ndarray:
+    # no float constant: one would turn Fractions into floats. Delta is an
+    # integer matrix and halving is exact in binary floating point, so the
+    # float D^{-1} has the bits of -(1/2) L(T) + (1/2) Delta R^{-1} Delta'
+    delta = np.kron(_tau(t).reshape(-1, 1), np.eye(t.s, dtype=int))
+    a = (delta @ inv(sum(weights)) @ delta.T - _laplacian(t, weights, inv)) / 2
+    return (a + a.T) / 2
 
 
 def distance_inverse_closed_form(t: MatrixWeightedTree) -> BlockMatrix:
-    """D^{-1} = -(1/2) L(T) + (1/2) Delta R^{-1} Delta'."""
-    sv = structural_vectors(t)
-    l_tree = build_laplacian(t).array
+    """D^{-1} = (Delta R^{-1} Delta' - L(T)) / 2."""
     try:
-        r_inv = np.linalg.inv(sv.r_sum)
+        a = _closed_form(t, [w.matrix for _, _, w in t.edges], np.linalg.inv)
     except np.linalg.LinAlgError as exc:  # unreachable for valid PD weights
-        raise SingularMatrixError(f"R is singular: {exc}") from exc
-    a = -0.5 * l_tree + 0.5 * (sv.delta @ r_inv @ sv.delta.T)
-    return BlockMatrix(t.n, t.s, (a + a.T) / 2.0)
+        raise SingularMatrixError(f"singular weight sum or weight: {exc}") from exc
+    return BlockMatrix(t.n, t.s, a)
 
 
 def distance_from_laplacian_pinv(
@@ -172,54 +179,14 @@ def _require_exact(g: MatrixWeightedGraph):
 
 def build_laplacian_exact(g: MatrixWeightedGraph) -> ex.RatMatrix:
     _require_exact(g)
-    n, s = g.n, g.s
-    a = ex.rat_zeros(n * s, n * s)
-    for u, v, w in g.edges:
-        vinv = ex.rational_invert(w.exact)
-        for p in range(s):
-            for q in range(s):
-                a[u * s + p][v * s + q] = -vinv[p][q]
-                a[v * s + p][u * s + q] = -vinv[p][q]
-                a[u * s + p][u * s + q] += vinv[p][q]
-                a[v * s + p][v * s + q] += vinv[p][q]
-    return a
+    return _laplacian(g, [w.exact for _, _, w in g.edges], ex.rational_invert)
 
 
 def build_distance_matrix_exact(t: MatrixWeightedTree) -> ex.RatMatrix:
     _require_exact(t)
-    n, s = t.n, t.s
-    adj = _tree_adjacency(t)
-    weights = [w.exact for _, _, w in t.edges]
-    a = ex.rat_zeros(n * s, n * s)
-    for r in range(n):
-        for u, v, k in walk(adj, r):
-            w = weights[k]
-            for p in range(s):
-                for q in range(s):
-                    a[r * s + p][v * s + q] = a[r * s + p][u * s + q] + w[p][q]
-    return a
+    return _distance(t, [w.exact for _, _, w in t.edges])
 
 
 def distance_inverse_closed_form_exact(t: MatrixWeightedTree) -> ex.RatMatrix:
     _require_exact(t)
-    n, s = t.n, t.s
-    degree = [0] * n
-    r_sum = ex.rat_zeros(s, s)
-    for u, v, w in t.edges:
-        degree[u] += 1
-        degree[v] += 1
-        r_sum = ex.rat_add(r_sum, w.exact)
-    tau = [Fraction(2 - d) for d in degree]
-    r_inv = ex.rational_invert(r_sum)
-    l_tree = build_laplacian_exact(t)
-    half = Fraction(1, 2)
-    a = ex.rat_scale(-half, l_tree)
-    # (1/2) * Delta R^{-1} Delta' has (i, j) block (tau_i tau_j / 2) R^{-1}
-    for i in range(n):
-        for j in range(n):
-            c = half * tau[i] * tau[j]
-            if c != 0:
-                for p in range(s):
-                    for q in range(s):
-                        a[i * s + p][j * s + q] += c * r_inv[p][q]
-    return a
+    return _closed_form(t, [w.exact for _, _, w in t.edges], ex.rational_invert)

@@ -17,9 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import exact as ex
 from .errors import BadIndexError, ConfigError, MwspecError
-from .exact import rational_invert
+from .exact import rat_to_float, rational_invert
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -389,8 +388,7 @@ def verify_exact_consistency(
         d_inv_x, l_x = m.memo("exact", lambda: (
             distance_inverse_closed_form_exact(inst.tree),
             build_laplacian_exact(inst.graph)))
-        p_x = ex.rat_sub(d_inv_x, ex.rat_scale(Fraction(beta), l_x))
-        f_x = ex.rat_to_float(rational_invert(p_x))
+        f_x = rat_to_float(rational_invert(d_inv_x - Fraction(beta) * l_x))
         rel = float(np.abs(f.array - f_x).max()) / float(np.abs(f_x).max())
         return rel <= 1e-12, {"rel_error": rel}
 
@@ -405,6 +403,11 @@ def verify_instance(
     kernel_mode: str = "float",
     corrupt: tuple[int, int, float] | None = None,
 ) -> VerificationReport:
+    if kernel_mode not in ("float", "exact", "both"):
+        raise ConfigError(f"kernel_mode must be float|exact|both, got {kernel_mode!r}")
+    exact = kernel_mode != "float"
+    if exact and not (inst.tree.is_exact and inst.graph.is_exact):
+        raise ConfigError(f"mode {kernel_mode!r} needs a rational instance")
     start = time.perf_counter()
     mats = build_matrices(inst, corrupt)
     h = instance_hash(inst)
@@ -413,7 +416,7 @@ def verify_instance(
     for beta in betas:
         checks.extend(verify_theorem(inst, beta, tol, mats, gx_seed))
         checks.append(verify_fiedler_markham(inst, beta, tol, mats))
-        if kernel_mode in ("exact", "both") and inst.tree.is_exact and inst.graph.is_exact:
+        if exact:
             checks.append(verify_exact_consistency(inst, beta, tol, mats))
     ill = _weight_spectrum_ill_conditioned(inst)
     if ill:

@@ -33,6 +33,19 @@ def test_gen_rejects_small_n(tmp_path, capsys):
     assert "n must be" in err
 
 
+@pytest.mark.parametrize("args", [
+    ["--weight-lo", "nan"],
+    ["--weight-hi", "inf"],
+    ["--seed", "-1"],
+], ids=["nan-weight-lo", "inf-weight-hi", "negative-seed"])
+def test_gen_bad_argument_exits_two(tmp_path, capsys, args):
+    out = tmp_path / "x.json"
+    code, _, err = run(["gen", "--n", "4", *args, "--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith("error:")
+    assert not out.exists()
+
+
 def test_verify_golden_instance(tmp_path, capsys):
     inst_path = tmp_path / "golden.json"
     inst_path.write_text(serialize_instance(golden_instance()))
@@ -85,6 +98,19 @@ def test_verify_bad_argument_exits_two(tmp_path, capsys, args):
     assert code == 2
     assert err.startswith("error:")
     assert "FAILED" not in stdout
+
+
+@pytest.mark.parametrize("mode", ["exact", "both"])
+def test_verify_exact_mode_on_float_instance_exits_two(tmp_path, capsys, mode):
+    inst_path = tmp_path / "float.json"
+    run(["gen", "--n", "4", "--s", "2", "--seed", "3", "--out", str(inst_path)],
+        capsys)
+    report_path = tmp_path / "r.json"
+    code, stdout, err = run(["verify", "--in", str(inst_path), "--mode", mode,
+                             "--out", str(report_path)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "rational" in err
+    assert not report_path.exists() and "passed" not in stdout
 
 
 def test_verify_missing_file_exits_three(capsys):

@@ -72,6 +72,18 @@ def test_validate_flags_disconnected():
     assert any("connected" in v for v in result.violations)
 
 
+def test_validate_huge_n_with_few_edges_allocates_nothing():
+    # n comes from the instance file; too few edges must be rejected before
+    # n adjacency lists are built
+    g = MatrixWeightedGraph(10**6, 1, [(0, 1, PDWeight(np.eye(1)))])
+    tracemalloc.start()
+    result = validate(g)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert any("connected" in v for v in result.violations)
+    assert peak < 2**20
+
+
 def test_validate_flags_duplicate_edge():
     w = lambda: PDWeight(np.eye(1))
     g = MatrixWeightedGraph(3, 1, [(0, 1, w()), (0, 1, w()), (1, 2, w())])
@@ -163,6 +175,13 @@ def test_profile_rejects_bad_range():
         WeightProfile(2.0, 1.0)
 
 
+@pytest.mark.parametrize("lo, hi", [(float("nan"), 1.0), (0.1, float("nan")),
+                                    (0.1, float("inf")), (float("inf"), float("inf"))])
+def test_profile_rejects_non_finite_bound(lo, hi):
+    with pytest.raises(InvalidProfileError):
+        WeightProfile(lo, hi)
+
+
 def test_random_graph_no_extra_is_tree():
     g = random_connected_graph(6, 2, seed=3, extra_edges=0)
     assert len(g.edges) == 5
@@ -238,7 +257,7 @@ def test_round_trip_rational():
     assert '"scalar_kind": "rational"' in text
     again = parse_instance(text)
     assert again == inst
-    assert again.tree.edges[0][2].exact == inst.tree.edges[0][2].exact
+    assert np.array_equal(again.tree.edges[0][2].exact, inst.tree.edges[0][2].exact)
 
 
 def test_parse_empty_is_syntax_error():

@@ -1,3 +1,5 @@
+import numbers
+
 import numpy as np
 import pytest
 
@@ -52,7 +54,7 @@ def test_laplacian_golden_block11(golden):
 
 
 def test_laplacian_golden_matches_paper_exactly(golden):
-    assert ex.rat_equal(build_laplacian_exact(golden.graph), expected_l())
+    assert np.array_equal(build_laplacian_exact(golden.graph), expected_l())
 
 
 def test_laplacian_symmetric_and_annihilates_U():
@@ -142,10 +144,32 @@ def test_closed_form_inverts_golden_distance(golden):
     assert np.abs(x @ d - np.eye(8)).max() <= 1e-10
 
 
-def test_closed_form_exact_golden(golden):
-    d_inv = distance_inverse_closed_form_exact(golden.tree)
-    d = build_distance_matrix_exact(golden.tree)
-    assert ex.rat_matmul(d_inv, d) == ex.rat_identity(8)
+RATIONAL_INSTANCES = [
+    golden_instance(),
+    *(random_instance(n, s, seed, extra_edges=n - 2, rational=True)
+      for n, s, seed in ((3, 1, 2), (5, 2, 3), (7, 3, 8))),
+]
+RATIONAL_IDS = ["golden", "random-3x1", "random-5x2", "random-7x3"]
+
+
+@pytest.mark.parametrize("inst", RATIONAL_INSTANCES, ids=RATIONAL_IDS)
+def test_closed_form_exact_golden(inst):
+    d_inv = distance_inverse_closed_form_exact(inst.tree)
+    d = build_distance_matrix_exact(inst.tree)
+    assert np.array_equal(d_inv @ d, np.eye(inst.n * inst.s, dtype=int))
+
+
+@pytest.mark.parametrize("inst", RATIONAL_INSTANCES, ids=RATIONAL_IDS)
+def test_exact_kernel_never_leaves_the_rationals(inst):
+    # one float constant in a body shared with the float kernel would turn
+    # these Fractions into floats and still compare equal to them
+    d_inv = distance_inverse_closed_form_exact(inst.tree)
+    l = build_laplacian_exact(inst.graph)
+    for a in (build_distance_matrix_exact(inst.tree), l, d_inv,
+              ex.rational_invert(d_inv - l)):
+        assert a.dtype == object and a.shape == (inst.n * inst.s,) * 2
+        assert all(isinstance(x, numbers.Rational) and not isinstance(x, float)
+                   for x in a.flat)
 
 
 # --- pseudoinverse route -----------------------------------------------------

@@ -135,6 +135,19 @@ def test_exact_consistency_on_rational_instance():
     assert checks[0].evidence["rel_error"] <= 1e-12
 
 
+@pytest.mark.parametrize("mode", ["exact", "both"])
+def test_exact_mode_needs_rational_instance(mode):
+    inst = random_instance(4, 2, seed=6, extra_edges=1)
+    with pytest.raises(ConfigError, match="rational"):
+        verify_instance(inst, [1.0], kernel_mode=mode)
+
+
+def test_unknown_kernel_mode_raises():
+    inst = random_instance(4, 2, seed=6, extra_edges=1, rational=True)
+    with pytest.raises(ConfigError, match="kernel_mode"):
+        verify_instance(inst, [1.0], kernel_mode="rational")
+
+
 def test_negative_control_flips_a_check():
     inst = golden_instance()
     report = verify_instance(inst, [1.0], corrupt=(2, 5, 1.1))
