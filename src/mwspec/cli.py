@@ -127,10 +127,8 @@ def cmd_verify(args) -> int:
         return EXIT_USAGE
     try:
         report = verify_instance(inst, betas, tol, kernel_mode=mode, corrupt=corrupt)
-    except BadIndexError as exc:     # a --corrupt-d entry outside D
-        print(f"error: --corrupt-d: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ConfigError as exc:       # an exact mode on a float instance
+    except (BadIndexError, ConfigError) as exc:
+        # a --corrupt-d entry outside D, or an exact mode on a float instance
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.out:

@@ -161,8 +161,6 @@ def validate(
         if wt.order != g.s:
             v.append(f"edge {key}: weight order {wt.order} != s = {g.s}")
             continue
-        # the float payload is checked for rational weights too: the float
-        # kernel runs on it in every mode
         m = wt.matrix
         if wt.exact is not None and not np.array_equal(wt.exact, wt.exact.T):
             v.append(f"edge {key}: weight not symmetric")
@@ -175,11 +173,14 @@ def validate(
         else:
             lam_min = float(np.linalg.eigvalsh(m)[0])
             scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-            if lam_min <= tol.eig_zero * scale:
-                v.append(
-                    f"edge {key}: weight not positive definite "
-                    f"(min eigenvalue {lam_min:.3e})"
-                )
+            # the float kernel runs on the rounding of an exact weight, which
+            # need only stay PD: a conditioning threshold would turn away
+            # exact instances that only the exact kernel can check
+            rounded = wt.exact is not None
+            if lam_min <= (0.0 if rounded else tol.eig_zero * scale):
+                what = "float rounding of weight" if rounded else "weight"
+                v.append(f"edge {key}: {what} not positive definite "
+                         f"(min eigenvalue {lam_min:.3e})")
     if not v:
         if require_tree and len(g.edges) != g.n - 1:
             v.append(f"tree must have n-1 = {g.n - 1} edges, got {len(g.edges)}")

@@ -50,7 +50,7 @@ class StructuralVectors:
     """tau, Delta = tau (x) I_s, and R = sum of all tree edge weights."""
 
     tau: np.ndarray        # (n,) integers, tau_i = 2 - degree(i)
-    delta: np.ndarray      # (ns, s)
+    delta: np.ndarray      # (ns, s) integers
     r_sum: np.ndarray      # (s, s) symmetric PD
 
 
@@ -95,14 +95,10 @@ def build_distance_matrix(t: MatrixWeightedTree) -> BlockMatrix:
     return BlockMatrix(t.n, t.s, _distance(t, [w.matrix for _, _, w in t.edges]))
 
 
-def _tau(t: MatrixWeightedTree) -> np.ndarray:
-    ends = [x for u, v, _ in t.edges for x in (u, v)]
-    return 2 - np.bincount(ends, minlength=t.n)
-
-
 def structural_vectors(t: MatrixWeightedTree) -> StructuralVectors:
-    tau = _tau(t)
-    delta = np.kron(tau.reshape(-1, 1), np.eye(t.s))
+    ends = [x for u, v, _ in t.edges for x in (u, v)]
+    tau = 2 - np.bincount(ends, minlength=t.n)
+    delta = np.kron(tau.reshape(-1, 1), np.eye(t.s, dtype=int))
     return StructuralVectors(tau, delta, sum(w.matrix for _, _, w in t.edges))
 
 
@@ -110,7 +106,7 @@ def _closed_form(t: MatrixWeightedTree, weights, inv) -> np.ndarray:
     # no float constant: one would turn Fractions into floats. Delta is an
     # integer matrix and halving is exact in binary floating point, so the
     # float D^{-1} has the bits of -(1/2) L(T) + (1/2) Delta R^{-1} Delta'
-    delta = np.kron(_tau(t).reshape(-1, 1), np.eye(t.s, dtype=int))
+    delta = structural_vectors(t).delta
     a = (delta @ inv(sum(weights)) @ delta.T - _laplacian(t, weights, inv)) / 2
     return (a + a.T) / 2
 
@@ -153,18 +149,13 @@ def build_E(i: int, n: int, s: int) -> np.ndarray:
     """E_i = e_i (x) I_s for 1-based i, shape (ns, s)."""
     if not 1 <= i <= n:
         raise InvalidSizeError(f"i must be in [1, {n}], got {i}")
-    e = np.zeros((n, 1))
-    e[i - 1, 0] = 1.0
-    return np.kron(e, np.eye(s))
+    return np.kron(np.eye(n)[:, [i - 1]], np.eye(s))
 
 
 def nullspace_basis_J(n: int, s: int) -> NullspaceBasis:
     if n < 2 or s < 1:
         raise InvalidSizeError(f"need n >= 2 and s >= 1, got n={n}, s={s}")
-    cols = np.zeros((n, n - 1))
-    for i in range(n - 1):
-        cols[i, i] = 1.0
-        cols[n - 1, i] = -1.0
+    cols = np.vstack([np.eye(n - 1), -np.ones((1, n - 1))])
     return NullspaceBasis(np.kron(cols, np.eye(s)))
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BadIndexError, ConfigError, MwspecError
+from .errors import BadIndexError, ConfigError, MwspecError, NonFiniteError
 from .exact import rat_to_float, rational_invert
 from .linalg import (
     DEFAULT_TOL,
@@ -112,13 +112,24 @@ class VerificationReport:
         }
 
 
+# a check body that overflows or makes a NaN raises FloatingPointError
+_strict = functools.partial(np.errstate, over="raise", invalid="raise", divide="raise")
+
+
+def _failure(check_id: str, beta, exc: Exception) -> CheckResult:
+    evidence = {"error": f"{type(exc).__name__}: {exc}"}
+    if isinstance(exc, (NonFiniteError, FloatingPointError)):
+        evidence["non_finite"] = True     # no verdict: never a warning
+    return CheckResult(check_id, False, beta, evidence=evidence)
+
+
 def _guard(check_id: str, beta, fn) -> CheckResult:
     """Run a check body; any package error becomes a failing result."""
     try:
-        passed, evidence = fn()
-    except MwspecError as exc:
-        return CheckResult(check_id, False, beta,
-                           evidence={"error": f"{type(exc).__name__}: {exc}"})
+        with _strict():
+            passed, evidence = fn()
+    except (MwspecError, FloatingPointError) as exc:
+        return _failure(check_id, beta, exc)
     return CheckResult(check_id, bool(passed), beta, evidence=evidence)
 
 
@@ -258,15 +269,15 @@ def verify_theorem(
     checks = []
 
     try:
-        pencil = m.pencil(beta, tol)
-    except MwspecError as exc:
-        return [CheckResult("THM.i", False, beta,
-                            evidence={"error": f"{type(exc).__name__}: {exc}"})]
-    p, f = pencil.p, pencil.f
-    p_scale = max(1.0, float(np.abs(p.array).max()))
-    f_scale = max(1.0, float(np.abs(f.array).max()))
-    p_eigs = np.linalg.eigvalsh(p.array)    # P is symmetric by construction
-    g = bordered(f)
+        with _strict():
+            pencil = m.pencil(beta, tol)
+            p, f = pencil.p, pencil.f
+            p_scale = max(1.0, float(np.abs(p.array).max()))
+            f_scale = max(1.0, float(np.abs(f.array).max()))
+            p_eigs = np.linalg.eigvalsh(p.array)    # P is symmetric by construction
+            g = bordered(f)
+    except (MwspecError, FloatingPointError) as exc:
+        return [_failure("THM.i", beta, exc)]
     # THM.iv's inertia is the left-hand side of the Haynsworth check
     haynsworth = functools.cache(lambda: haynsworth_check(g, n * s, tol))
 
@@ -421,7 +432,7 @@ def verify_instance(
     ill = _weight_spectrum_ill_conditioned(inst)
     if ill:
         for c in checks:
-            if not c.passed and not c.skipped:
+            if not (c.passed or c.skipped or c.evidence.get("non_finite")):
                 c.warning = True
                 c.evidence["ill_conditioned"] = True
     return VerificationReport(

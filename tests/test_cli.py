@@ -113,6 +113,38 @@ def test_verify_exact_mode_on_float_instance_exits_two(tmp_path, capsys, mode):
     assert not report_path.exists() and "passed" not in stdout
 
 
+def _one_edge_instance(kind, w):
+    edges = {"edges": [{"u": 1, "v": 2, "w": w}]}
+    return json.dumps({"n": 2, "s": len(w), "scalar_kind": kind,
+                       "tree": edges, "graph": edges})
+
+
+@pytest.mark.parametrize("betas", [[], ["0"], ["10"]], ids=["default", "0", "10"])
+def test_verify_overflowing_instance_does_not_pass(tmp_path, capsys, betas):
+    # a finite PD weight whose float operators overflow: no verdict is
+    # computed, so no failure may be downgraded to an ill-conditioning warning
+    inst_path = tmp_path / "big.json"
+    inst_path.write_text(_one_edge_instance("float", [[1e308]]))
+    argv = ["verify", "--in", str(inst_path)]
+    for b in betas:
+        argv += ["--beta", b]
+    code, stdout, _ = run(argv, capsys)
+    assert code == 1
+    assert "passed" not in stdout and stdout.startswith("FAILED")
+
+
+def test_verify_ill_conditioned_rational_instance(tmp_path, capsys):
+    inst_path = tmp_path / "ill.json"
+    inst_path.write_text(_one_edge_instance(
+        "rational", [["1", "0"], ["0", "1/10000000000"]]))
+    report_path = tmp_path / "r.json"
+    code, stdout, _ = run(["verify", "--in", str(inst_path), "--mode", "both",
+                           "--out", str(report_path)], capsys)
+    assert code == 0 and stdout.startswith("passed")
+    checks = json.loads(report_path.read_text())["checks"]
+    assert any(c["id"] == "EXACT-CONSISTENCY" for c in checks)
+
+
 def test_verify_missing_file_exits_three(capsys):
     code, _, err = run(["verify", "--in", "/nonexistent/file.json"], capsys)
     assert code == 3

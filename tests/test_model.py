@@ -48,7 +48,10 @@ def test_validate_flags_indefinite_weight():
     ([[-1, 0], [0, -1]], False),   # det > 0, but the first leading minor is not
     ([[1, 1], [1, 1]], False),     # singular
     (W1, True),
-], ids=["negative-definite", "singular", "golden-W1"])
+    ([[1, 0], [0, Fraction(1, 10**10)]], True),    # ill-conditioned, still checked
+    ([[1, 0], [0, Fraction(1, 10**400)]], False),  # PD, but its float rounding is not
+], ids=["negative-definite", "singular", "golden-W1", "ill-conditioned",
+        "rounds-to-singular"])
 def test_validate_exact_positive_definiteness(rows, ok):
     exact = [[Fraction(x) for x in row] for row in rows]
     w = PDWeight(np.array(rows, dtype=float), exact)

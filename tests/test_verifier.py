@@ -28,6 +28,7 @@ from mwspec.perturbation import (
 )
 from mwspec.verifier import (
     CampaignConfig,
+    _guard,
     _gx_vectors,
     build_matrices,
     campaign_summary,
@@ -170,6 +171,17 @@ def test_campaign_config_rejects_bad_ranges():
         CampaignConfig(n_range=(1, 5))
     with pytest.raises(ConfigError):
         CampaignConfig(s_range=(3, 2))
+
+
+def test_overflow_in_a_check_body_is_a_non_finite_failure():
+    def body():
+        big = np.array([1e308])
+        return bool(np.all(big * 10 > 0)), {}
+
+    check = _guard("X", None, body)
+    assert not check.passed
+    assert check.evidence["non_finite"]
+    assert check.evidence["error"].startswith("FloatingPointError")
 
 
 def test_ill_conditioned_weights_downgrade_to_warnings():
