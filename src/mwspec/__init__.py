@@ -21,12 +21,10 @@ from .model import (
 from .operators import (
     BlockMatrix,
     build_distance_matrix,
-    build_J,
     build_laplacian,
     build_U,
     distance_from_laplacian_pinv,
     distance_inverse_closed_form,
-    nullspace_basis_J,
     structural_vectors,
 )
 from .perturbation import (

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -30,7 +29,7 @@ from .model import (
     random_instance,
     serialize_instance,
 )
-from .verifier import verify_instance
+from .verifier import DEFAULT_BETAS, verify_instance
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -119,16 +118,11 @@ def cmd_verify(args) -> int:
     mode = args.mode
     if mode is None:
         mode = "both" if inst.tree.is_exact and inst.graph.is_exact else "float"
-    betas = args.beta if args.beta else [0.0, 0.5, 1.0, 10.0]
-    bad = [b for b in betas if not (math.isfinite(b) and b >= 0)]
-    if bad:
-        print(f"error: --beta must be finite and >= 0, got {bad[0]}",
-              file=sys.stderr)
-        return EXIT_USAGE
+    betas = args.beta if args.beta else list(DEFAULT_BETAS)
     try:
         report = verify_instance(inst, betas, tol, kernel_mode=mode, corrupt=corrupt)
     except (BadIndexError, ConfigError) as exc:
-        # a --corrupt-d entry outside D, or an exact mode on a float instance
+        # a bad beta or --corrupt-d entry, or an exact mode on a float instance
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.out:
@@ -186,7 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
                           default=None)
     p_verify.add_argument("--rel-residual", type=float, default=1e-8)
     p_verify.add_argument("--eig-zero", type=float, default=1e-9)
-    p_verify.add_argument("--nonzero-floor", type=float, default=1e-10)
+    p_verify.add_argument("--nonzero-floor", type=float, default=1e-10,
+                          help="floor for the P4, COL-SPACE and THM.vi.gx checks")
     p_verify.add_argument("--corrupt-d", default=None, metavar="i,j,factor",
                           help="negative-control knob: scale one entry of D")
     p_verify.set_defaults(func=cmd_verify)

@@ -1,7 +1,10 @@
 """Constructors for the fundamental block matrices of a matrix-weighted
 instance: the graph Laplacian, the tree distance matrix, the structural
-vectors behind the closed-form distance inverse, and the all-identity block
-matrix J with its null-space basis.
+vectors behind the closed-form distance inverse, and U = e (x) I_s.
+
+J = e e' (x) I_s and the basis of its null space are never built: the
+verifier reads their products as block differences and block sums on the
+(n, s, n, s) view of a matrix.
 
 The tree distance matrix and the closed-form inverse of it are two
 independent routes to the same object (the third being the pseudoinverse
@@ -47,18 +50,10 @@ class BlockMatrix:
 
 @dataclass(frozen=True)
 class StructuralVectors:
-    """tau, Delta = tau (x) I_s, and R = sum of all tree edge weights."""
+    """tau and Delta = tau (x) I_s."""
 
     tau: np.ndarray        # (n,) integers, tau_i = 2 - degree(i)
     delta: np.ndarray      # (ns, s) integers
-    r_sum: np.ndarray      # (s, s) symmetric PD
-
-
-@dataclass(frozen=True)
-class NullspaceBasis:
-    """Columns (e_i - e_n) (x) I_s, i = 1..n-1; an exact basis of ker J."""
-
-    b: np.ndarray          # (ns, ns - s)
 
 
 def _laplacian(g: MatrixWeightedGraph, weights, inv) -> np.ndarray:
@@ -99,7 +94,7 @@ def structural_vectors(t: MatrixWeightedTree) -> StructuralVectors:
     ends = [x for u, v, _ in t.edges for x in (u, v)]
     tau = 2 - np.bincount(ends, minlength=t.n)
     delta = np.kron(tau.reshape(-1, 1), np.eye(t.s, dtype=int))
-    return StructuralVectors(tau, delta, sum(w.matrix for _, _, w in t.edges))
+    return StructuralVectors(tau, delta)
 
 
 def _closed_form(t: MatrixWeightedTree, weights, inv) -> np.ndarray:
@@ -132,31 +127,11 @@ def distance_from_laplacian_pinv(
     return BlockMatrix(n, s, out.reshape(n * s, n * s))
 
 
-def build_J(n: int, s: int) -> BlockMatrix:
-    if n < 2 or s < 1:
-        raise InvalidSizeError(f"need n >= 2 and s >= 1, got n={n}, s={s}")
-    return BlockMatrix(n, s, np.kron(np.ones((n, n)), np.eye(s)))
-
-
 def build_U(n: int, s: int) -> np.ndarray:
     """U = e (x) I_s, shape (ns, s)."""
     if n < 2 or s < 1:
         raise InvalidSizeError(f"need n >= 2 and s >= 1, got n={n}, s={s}")
     return np.kron(np.ones((n, 1)), np.eye(s))
-
-
-def build_E(i: int, n: int, s: int) -> np.ndarray:
-    """E_i = e_i (x) I_s for 1-based i, shape (ns, s)."""
-    if not 1 <= i <= n:
-        raise InvalidSizeError(f"i must be in [1, {n}], got {i}")
-    return np.kron(np.eye(n)[:, [i - 1]], np.eye(s))
-
-
-def nullspace_basis_J(n: int, s: int) -> NullspaceBasis:
-    if n < 2 or s < 1:
-        raise InvalidSizeError(f"need n >= 2 and s >= 1, got n={n}, s={s}")
-    cols = np.vstack([np.eye(n - 1), -np.ones((1, n - 1))])
-    return NullspaceBasis(np.kron(cols, np.eye(s)))
 
 
 # ---------------------------------------------------------------------------

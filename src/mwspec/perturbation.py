@@ -21,7 +21,7 @@ from .errors import (
     ZeroVectorError,
 )
 from .linalg import DEFAULT_TOL, Inertia, Tolerance, inertia_of
-from .operators import BlockMatrix, build_E, build_U
+from .operators import BlockMatrix, build_U
 
 
 @dataclass(frozen=True)
@@ -164,12 +164,9 @@ def f_alpha_block(
     alpha: float,
     tol: Tolerance = DEFAULT_TOL,
 ) -> np.ndarray:
-    """The (i, j) block of (D^{-1} - alpha L)^{-1}, extracted via E matrices."""
+    """The (i, j) block of (D^{-1} - alpha L)^{-1}, i.e. E_i' F E_j."""
     if i == j:
         raise BadIndexError("f(alpha) is defined for off-diagonal blocks, i != j")
     if alpha <= 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
-    pencil = perturbed_pencil(d_inv, l, alpha, tol)
-    ei = build_E(i, d_inv.n, d_inv.s)
-    ej = build_E(j, d_inv.n, d_inv.s)
-    return ei.T @ pencil.f.array @ ej
+    return perturbed_pencil(d_inv, l, alpha, tol).f.block(i, j).copy()

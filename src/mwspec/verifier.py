@@ -32,14 +32,12 @@ from .model import Instance, WeightProfile, instance_hash, random_instance
 from .operators import (
     BlockMatrix,
     build_distance_matrix,
-    build_J,
     build_laplacian,
     build_laplacian_exact,
     build_U,
     distance_from_laplacian_pinv,
     distance_inverse_closed_form,
     distance_inverse_closed_form_exact,
-    nullspace_basis_J,
 )
 from .perturbation import (
     PerturbedPencil,
@@ -51,6 +49,7 @@ from .perturbation import (
 )
 
 ILL_CONDITIONED_WEIGHT = 1e6
+DEFAULT_BETAS = (0.0, 0.5, 1.0, 10.0)
 
 
 @dataclass
@@ -137,6 +136,14 @@ def _rel(x: np.ndarray, ref: float) -> float:
     return float(np.abs(x).max(initial=0.0)) / max(1.0, ref)
 
 
+def _null_compress(x: np.ndarray, n: int, s: int) -> np.ndarray:
+    """B'XB, B = [(e_i - e_n) (x) I_s] (i < n) a basis of ker J, as blocks
+    (X_ij - X_nj) - (X_in - X_nn): in that order, the bits of (B'X)B."""
+    xb = x.reshape(n, s, n, s)
+    btx = xb[:-1] - xb[-1:]
+    return (btx[:, :, :-1] - btx[:, :, -1:]).reshape((n - 1) * s, (n - 1) * s)
+
+
 @dataclass
 class InstanceMatrices:
     """Everything downstream checks need, built once per instance.
@@ -148,9 +155,7 @@ class InstanceMatrices:
     d: BlockMatrix          # path-sum distance matrix
     d_inv: BlockMatrix      # closed-form inverse
     l: BlockMatrix          # graph Laplacian
-    u: np.ndarray
-    b: np.ndarray           # null-space basis of J
-    j: np.ndarray
+    u: np.ndarray           # e (x) I_s
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def memo(self, key, make):
@@ -192,8 +197,6 @@ def build_matrices(inst: Instance, corrupt: tuple[int, int, float] | None = None
         d_inv=distance_inverse_closed_form(inst.tree),
         l=build_laplacian(inst.graph),
         u=build_U(inst.n, inst.s),
-        b=nullspace_basis_J(inst.n, inst.s).b,
-        j=build_J(inst.n, inst.s).array,
     )
 
 
@@ -219,7 +222,7 @@ def verify_preliminaries(
 
     def p3():
         inert = inertia_of(d, tol)
-        btdb = m.b.T @ d @ m.b
+        btdb = _null_compress(d, n, s)
         max_eig = float(np.linalg.eigvalsh((btdb + btdb.T) / 2.0)[-1])
         ok = (inert == (n * s - s, 0, s)
               and max_eig < -tol.eig_zero * d_scale)
@@ -231,13 +234,14 @@ def verify_preliminaries(
         lu = _rel(l @ m.u, l_scale)
         rank = rank_of(l, tol)
         ok = (min_eig >= -tol.eig_zero * l_scale
-              and lu <= 1e-10
+              and lu <= tol.nonzero_floor
               and rank == n * s - s)
         return ok, {"min_eig": min_eig, "lu_residual": lu, "rank": rank}
 
     def col_space():
-        res = _rel(m.j @ l, max(1.0, float(np.abs(l).max(initial=0.0))))
-        return res <= 1e-10, {"jl_residual": res}
+        # every block row of JL = U U'L is U'L
+        res = _rel(m.u.T @ l, max(1.0, float(np.abs(l).max(initial=0.0))))
+        return res <= tol.nonzero_floor, {"jl_residual": res}
 
     def cor28():
         udu = m.u.T @ d_inv @ m.u
@@ -313,7 +317,7 @@ def verify_theorem(
         }
 
     def thm_v():
-        bfb = m.b.T @ f.array @ m.b
+        bfb = _null_compress(f.array, n, s)
         max_eig = float(np.linalg.eigvalsh((bfb + bfb.T) / 2.0)[-1])
         return max_eig <= tol.eig_zero * f_scale, {"max_eig": max_eig}
 
@@ -419,8 +423,13 @@ def verify_instance(
     exact = kernel_mode != "float"
     if exact and not (inst.tree.is_exact and inst.graph.is_exact):
         raise ConfigError(f"mode {kernel_mode!r} needs a rational instance")
+    bad = [b for b in betas if not (math.isfinite(b) and b >= 0)]
+    if bad:
+        raise ConfigError(f"beta must be finite and >= 0, got {bad[0]}")
     start = time.perf_counter()
-    mats = build_matrices(inst, corrupt)
+    # an overflowing instance fails in the guarded checks, not while assembled
+    with np.errstate(over="ignore", invalid="ignore"):
+        mats = build_matrices(inst, corrupt)
     h = instance_hash(inst)
     gx_seed = int(h[:8], 16)
     checks = verify_preliminaries(inst, tol, mats)
@@ -463,11 +472,8 @@ class CampaignConfig:
     count: int = 500
     n_range: tuple[int, int] = (2, 12)
     s_range: tuple[int, int] = (1, 4)
-    beta_grid: tuple[float, ...] = (0.0, 0.5, 1.0, 10.0)
-    random_beta: bool = True
     seed: int = 2024
     profile: WeightProfile = field(default_factory=WeightProfile)
-    tol: Tolerance = field(default_factory=Tolerance)
 
     def __post_init__(self):
         if self.count < 1:
@@ -479,7 +485,7 @@ class CampaignConfig:
 
 
 def run_campaign(config: CampaignConfig) -> list[VerificationReport]:
-    """Generate `count` seeded instances and verify each at every beta."""
+    """Verify `count` seeded instances at DEFAULT_BETAS and one random beta."""
     master = np.random.default_rng(config.seed)
     reports = []
     for _ in range(config.count):
@@ -488,11 +494,9 @@ def run_campaign(config: CampaignConfig) -> list[VerificationReport]:
         max_extra = n * (n - 1) // 2 - (n - 1)
         extra = int(master.integers(0, max_extra + 1))
         inst_seed = int(master.integers(0, 2**63))
-        betas = list(config.beta_grid)
-        if config.random_beta:
-            betas.append(float(10.0 ** master.uniform(-2.0, 2.0)))
+        betas = [*DEFAULT_BETAS, float(10.0 ** master.uniform(-2.0, 2.0))]
         inst = random_instance(n, s, inst_seed, extra, config.profile)
-        reports.append(verify_instance(inst, betas, config.tol, seed=inst_seed))
+        reports.append(verify_instance(inst, betas, seed=inst_seed))
     return reports
 
 

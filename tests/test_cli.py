@@ -119,12 +119,25 @@ def _one_edge_instance(kind, w):
                        "tree": edges, "graph": edges})
 
 
-@pytest.mark.parametrize("betas", [[], ["0"], ["10"]], ids=["default", "0", "10"])
-def test_verify_overflowing_instance_does_not_pass(tmp_path, capsys, betas):
+def _three_vertex_path(w):
+    edges = {"edges": [{"u": 1, "v": 2, "w": w}, {"u": 2, "v": 3, "w": w}]}
+    return json.dumps({"n": 3, "s": len(w), "scalar_kind": "float",
+                       "tree": edges, "graph": edges})
+
+
+@pytest.mark.parametrize("text, betas", [
+    (_one_edge_instance("float", [[1e308]]), []),
+    (_one_edge_instance("float", [[1e308]]), ["0"]),
+    (_one_edge_instance("float", [[1e308]]), ["10"]),
+    # D's path sums overflow while it is assembled, outside the checks
+    (_three_vertex_path([[1e308]]), []),
+], ids=["default", "0", "10", "three-vertex"])
+def test_verify_overflowing_instance_does_not_pass(tmp_path, capsys, text, betas):
     # a finite PD weight whose float operators overflow: no verdict is
-    # computed, so no failure may be downgraded to an ill-conditioning warning
+    # computed, so no failure may be downgraded to an ill-conditioning warning;
+    # assembly leaks no numpy RuntimeWarning (pytest makes one an error)
     inst_path = tmp_path / "big.json"
-    inst_path.write_text(_one_edge_instance("float", [[1e308]]))
+    inst_path.write_text(text)
     argv = ["verify", "--in", str(inst_path)]
     for b in betas:
         argv += ["--beta", b]

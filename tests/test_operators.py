@@ -11,15 +11,12 @@ from mwspec.model import MatrixWeightedTree, PDWeight, random_instance, random_t
 from mwspec.operators import (
     build_distance_matrix,
     build_distance_matrix_exact,
-    build_E,
-    build_J,
     build_laplacian,
     build_laplacian_exact,
     build_U,
     distance_from_laplacian_pinv,
     distance_inverse_closed_form,
     distance_inverse_closed_form_exact,
-    nullspace_basis_J,
     structural_vectors,
 )
 
@@ -103,7 +100,6 @@ def test_distance_exact_matches_float(tree):
 def test_structural_vectors_golden(golden):
     sv = structural_vectors(golden.tree)
     assert sv.tau.tolist() == [1, -1, 1, 1]
-    assert np.allclose(sv.r_sum, [[14, 7], [7, 15]])
 
 
 def test_structural_vectors_star():
@@ -204,18 +200,7 @@ def test_pinv_route_matches_path_sums_random(n, s, seed):
     assert np.array_equal(a, loop)
 
 
-# --- J, U, E, null space -----------------------------------------------------
-
-
-def test_J_small():
-    j = build_J(2, 1)
-    assert np.array_equal(j.array, [[1, 1], [1, 1]])
-
-
-def test_JU_is_nU():
-    j = build_J(5, 3).array
-    u = build_U(5, 3)
-    assert np.array_equal(j @ u, 5 * u)
+# --- U -----------------------------------------------------------------------
 
 
 def test_UtU():
@@ -223,27 +208,11 @@ def test_UtU():
     assert np.array_equal(u.T @ u, 7 * np.eye(2))
 
 
-def test_E_extracts_block(golden):
-    d = build_distance_matrix(golden.tree)
-    e1, e3 = build_E(1, 4, 2), build_E(3, 4, 2)
-    assert np.array_equal(e1.T @ d.array @ e3, d.block(1, 3))
-
-
-def test_nullspace_basis():
-    b = nullspace_basis_J(4, 2).b
-    j = build_J(4, 2).array
-    assert b.shape == (8, 6)
-    assert np.array_equal(j @ b, np.zeros((8, 6)))
-    assert np.linalg.matrix_rank(b) == 6
-
-
 def test_size_validation():
     with pytest.raises(InvalidSizeError):
-        build_J(1, 1)
+        build_U(1, 1)
     with pytest.raises(InvalidSizeError):
         build_U(2, 0)
-    with pytest.raises(InvalidSizeError):
-        build_E(5, 4, 2)
 
 
 # --- permutation equivariance ------------------------------------------------

@@ -266,5 +266,7 @@ def test_f_alpha_rejects_diagonal_and_nonpositive(golden_mats):
     _, d_inv, l = golden_mats
     with pytest.raises(BadIndexError):
         f_alpha_block(d_inv, l, 2, 2, 1.0)
+    with pytest.raises(IndexError):
+        f_alpha_block(d_inv, l, 1, 5, 1.0)    # the golden instance has n = 4
     with pytest.raises(ValueError):
         f_alpha_block(d_inv, l, 1, 2, 0.0)

@@ -1,4 +1,6 @@
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +32,8 @@ from mwspec.verifier import (
     CampaignConfig,
     _guard,
     _gx_vectors,
+    _null_compress,
+    _rel,
     build_matrices,
     campaign_summary,
     run_campaign,
@@ -143,6 +147,12 @@ def test_exact_mode_needs_rational_instance(mode):
         verify_instance(inst, [1.0], kernel_mode=mode)
 
 
+@pytest.mark.parametrize("beta", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
+def test_verify_instance_rejects_bad_beta(beta):
+    with pytest.raises(ConfigError, match="beta"):
+        verify_instance(golden_instance(), [1.0, beta])
+
+
 def test_unknown_kernel_mode_raises():
     inst = random_instance(4, 2, seed=6, extra_edges=1, rational=True)
     with pytest.raises(ConfigError, match="kernel_mode"):
@@ -154,6 +164,41 @@ def test_negative_control_flips_a_check():
     report = verify_instance(inst, [1.0], corrupt=(2, 5, 1.1))
     assert not report.ok
     assert report.summary["failed"] >= 1
+
+
+@pytest.mark.parametrize("n, s", [(2, 1), (3, 2), (7, 3), (12, 4)])
+def test_null_space_compressions_match_dense_kronecker_products(n, s):
+    """B'XB from block differences has the bits of the dense product with
+    B = [(e_i - e_n) (x) I_s]; COL-SPACE reads J L as U'L."""
+    j = np.kron(np.ones((n, n)), np.eye(s))
+    b = np.kron(np.vstack([np.eye(n - 1), -np.ones((1, n - 1))]), np.eye(s))
+    assert np.array_equal(j @ b, np.zeros_like(b))
+    assert np.linalg.matrix_rank(b) == n * s - s
+
+    inst = random_instance(n, s, seed=n * s, extra_edges=(n - 1) * (n - 2) // 4)
+    mats = build_matrices(inst)
+    for x in (mats.d.array, *(perturbed_pencil(mats.d_inv, mats.l, beta).f.array
+                              for beta in (0.5, 1.0))):
+        assert np.array_equal(_null_compress(x, n, s), b.T @ x @ b)
+
+    l = mats.l.array
+    col_space = by_id(verify_preliminaries(inst, mats=mats), "COL-SPACE")[0]
+    dense = _rel(j @ l, max(1.0, float(np.abs(l).max())))
+    assert abs(col_space.evidence["jl_residual"] - dense) <= 1e-15
+
+
+def test_build_matrices_keeps_few_dense_copies():
+    # D, D^{-1}, L and their transient copies; no dense J or null-space basis
+    inst = random_instance(150, 4, seed=3, extra_edges=150)
+    ns = inst.n * inst.s
+    tracemalloc.start()
+    try:
+        mats = build_matrices(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert set(vars(mats)) == {"d", "d_inv", "l", "u", "_memo"}
+    assert peak <= 4 * ns * ns * 8
 
 
 def test_campaign_deterministic():
