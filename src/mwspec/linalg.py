@@ -55,12 +55,9 @@ def _as_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def sym_eigen(a: np.ndarray, tol: Tolerance = DEFAULT_TOL):
-    """Eigendecomposition of a symmetric matrix, or of each matrix of a stack
-    (..., m, m), each held to the asymmetry bound at its own scale.
-
-    Returns (eigenvalues ascending, orthonormal eigenvector columns).
-    """
+def _sym_decompose(decompose, a: np.ndarray, tol: Tolerance):
+    """decompose((A + A')/2) for a symmetric matrix A, or for each matrix of a
+    stack (..., m, m), each held to the asymmetry bound at its own scale."""
     a = _as_square(a)
     at = a.swapaxes(-1, -2)
     scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
@@ -71,10 +68,15 @@ def sym_eigen(a: np.ndarray, tol: Tolerance = DEFAULT_TOL):
         raise NotSymmetricError(f"asymmetry {asym.flat[k]:.3e} exceeds "
                                 f"{tol.rel_residual:.1e} * {scale.flat[k]:.3e}")
     try:
-        w, v = np.linalg.eigh((a + at) / 2.0)
+        return decompose((a + at) / 2.0)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergenceError(str(exc)) from exc
-    return w, v
+
+
+def sym_eigvals(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix, or of each matrix of a
+    stack (..., m, m), each held to the asymmetry bound at its own scale."""
+    return _sym_decompose(np.linalg.eigvalsh, a, tol)
 
 
 def inertia_of_spectrum(w: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Inertia:
@@ -91,13 +93,12 @@ def inertia_of_spectrum(w: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Inertia:
 
 def inertia_of(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Inertia:
     """Counts of (negative, zero, positive) eigenvalues of a symmetric matrix."""
-    w, _ = sym_eigen(a, tol)
-    return inertia_of_spectrum(w, tol)
+    return inertia_of_spectrum(sym_eigvals(a, tol), tol)
 
 
 def pinv_psd(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose inverse of a symmetric positive semidefinite matrix."""
-    w, v = sym_eigen(a, tol)
+    w, v = _sym_decompose(np.linalg.eigh, a, tol)
     inert = inertia_of_spectrum(w, tol)
     if inert.n_minus:
         raise NotPSDError(f"negative eigenvalue {w[0]:.3e} beyond tolerance")

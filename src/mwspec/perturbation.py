@@ -75,7 +75,7 @@ def principal_block_submatrix(a: BlockMatrix, idx: Sequence[int]) -> BlockMatrix
     if any(not (1 <= i <= a.n) for i in idx):
         raise BadIndexError(f"block indices {idx} out of range for n={a.n}")
     s = a.s
-    rows = np.concatenate([np.arange((i - 1) * s, i * s) for i in idx])
+    rows = ((np.asarray(idx) - 1)[:, None] * s + np.arange(s)).ravel()
     return BlockMatrix(len(idx), s, a.array[np.ix_(rows, rows)])
 
 
@@ -87,31 +87,12 @@ def bordered(f: BlockMatrix) -> np.ndarray:
     return np.vstack([top, bottom])
 
 
-def _split_indices(dim: int, pivot) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(pivot, (int, np.integer)):
-        if not 0 < pivot < dim:
-            raise BadIndexError(f"leading split {pivot} out of range for dim {dim}")
-        piv = np.arange(pivot)
-    else:
-        piv = np.asarray(sorted(set(int(i) for i in pivot)), dtype=np.int64)
-        if len(piv) == 0 or len(piv) >= dim or piv[0] < 0 or piv[-1] >= dim:
-            raise BadIndexError(f"pivot rows {piv} invalid for dim {dim}")
-    rest = np.setdiff1d(np.arange(dim), piv)
-    return piv, rest
-
-
-def schur_complement(m: np.ndarray, pivot) -> np.ndarray:
-    """M/M11 = M22 - M21 M11^{-1} M12.
-
-    pivot is either a leading-dimension split (int) or a sequence of 0-based
-    row/column indices forming the pivot submatrix.
-    """
+def schur_complement(m: np.ndarray, k: int) -> np.ndarray:
+    """M/M11 = M22 - M21 M11^{-1} M12 for the leading split M11 = M[:k, :k]."""
     m = np.asarray(m, dtype=float)
-    piv, rest = _split_indices(m.shape[0], pivot)
-    m11 = m[np.ix_(piv, piv)]
-    m12 = m[np.ix_(piv, rest)]
-    m21 = m[np.ix_(rest, piv)]
-    m22 = m[np.ix_(rest, rest)]
+    if not 0 < k < m.shape[0]:
+        raise BadIndexError(f"leading split {k} out of range for dim {m.shape[0]}")
+    m11, m12, m21, m22 = m[:k, :k], m[:k, k:], m[k:, :k], m[k:, k:]
     try:
         x = np.linalg.solve(m11, m12)
     except np.linalg.LinAlgError as exc:
@@ -126,17 +107,17 @@ def schur_complement(m: np.ndarray, pivot) -> np.ndarray:
 
 
 def haynsworth_check(
-    m: np.ndarray, pivot, tol: Tolerance = DEFAULT_TOL
+    m: np.ndarray, k: int, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[Inertia, Inertia, bool, np.ndarray]:
-    """Inertia additivity: In(M) vs In(M11) + In(M/M11), componentwise.
+    """Inertia additivity: In(M) vs In(M11) + In(M/M11), componentwise, for
+    the leading split M11 = M[:k, :k].
 
     Returns (In(M), In(M11) + In(M/M11), whether they agree, M/M11).
     """
     m = np.asarray(m, dtype=float)
-    piv, _ = _split_indices(m.shape[0], pivot)
+    schur = schur_complement(m, k)
     lhs = inertia_of(m, tol)
-    in_pivot = inertia_of(m[np.ix_(piv, piv)], tol)
-    schur = schur_complement(m, pivot)
+    in_pivot = inertia_of(m[:k, :k], tol)
     in_schur = inertia_of(schur, tol)
     rhs = Inertia(*(a + b for a, b in zip(in_pivot, in_schur)))
     return lhs, rhs, lhs == rhs, schur

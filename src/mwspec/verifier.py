@@ -26,7 +26,7 @@ from .linalg import (
     inertia_of_spectrum,
     is_pd_quadratic_form,
     rank_of,
-    sym_eigen,
+    sym_eigvals,
 )
 from .model import Instance, WeightProfile, instance_hash, random_instance
 from .operators import (
@@ -115,20 +115,16 @@ class VerificationReport:
 _strict = functools.partial(np.errstate, over="raise", invalid="raise", divide="raise")
 
 
-def _failure(check_id: str, beta, exc: Exception) -> CheckResult:
-    evidence = {"error": f"{type(exc).__name__}: {exc}"}
-    if isinstance(exc, (NonFiniteError, FloatingPointError)):
-        evidence["non_finite"] = True     # no verdict: never a warning
-    return CheckResult(check_id, False, beta, evidence=evidence)
-
-
 def _guard(check_id: str, beta, fn) -> CheckResult:
     """Run a check body; any package error becomes a failing result."""
     try:
         with _strict():
             passed, evidence = fn()
     except (MwspecError, FloatingPointError) as exc:
-        return _failure(check_id, beta, exc)
+        evidence = {"error": f"{type(exc).__name__}: {exc}"}
+        if isinstance(exc, (NonFiniteError, FloatingPointError)):
+            evidence["non_finite"] = True     # no verdict: never a warning
+        return CheckResult(check_id, False, beta, evidence=evidence)
     return CheckResult(check_id, bool(passed), beta, evidence=evidence)
 
 
@@ -270,38 +266,32 @@ def verify_theorem(
 ) -> list[CheckResult]:
     m = mats if mats is not None else build_matrices(inst)
     n, s = inst.n, inst.s
-    checks = []
-
-    try:
-        with _strict():
-            pencil = m.pencil(beta, tol)
-            p, f = pencil.p, pencil.f
-            p_scale = max(1.0, float(np.abs(p.array).max()))
-            f_scale = max(1.0, float(np.abs(f.array).max()))
-            p_eigs = np.linalg.eigvalsh(p.array)    # P is symmetric by construction
-            g = bordered(f)
-    except (MwspecError, FloatingPointError) as exc:
-        return [_failure("THM.i", beta, exc)]
+    # every body builds what it reads on first use, inside its own guard, so
+    # a pencil that cannot be built fails each check of this beta
+    pencil = lambda: m.pencil(beta, tol)
+    p_scale = lambda: max(1.0, float(np.abs(pencil().p.array).max()))
+    f_scale = lambda: max(1.0, float(np.abs(pencil().f.array).max()))
+    # P is symmetric by construction
+    p_eigs = functools.cache(lambda: np.linalg.eigvalsh(pencil().p.array))
     # THM.iv's inertia is the left-hand side of the Haynsworth check
-    haynsworth = functools.cache(lambda: haynsworth_check(g, n * s, tol))
+    haynsworth = functools.cache(
+        lambda: haynsworth_check(bordered(pencil().f), n * s, tol))
 
     def thm_i():
-        min_abs = float(np.abs(p_eigs).min())
-        return min_abs > tol.eig_zero * p_scale, {"min_abs_eig": min_abs}
+        min_abs = float(np.abs(p_eigs()).min())
+        return min_abs > tol.eig_zero * p_scale(), {"min_abs_eig": min_abs}
 
     def thm_ii():
-        inert = inertia_of_spectrum(p_eigs, tol)
+        inert = inertia_of_spectrum(p_eigs(), tol)
         return inert == (n * s - s, 0, s), {"inertia": list(inert)}
 
     def thm_iii():
         # strictly negative definite for beta > 0; at beta = 0 the submatrix
         # is D^{-1}[[Delta]], which has nullity exactly s (D_ii = 0), so only
         # negative semidefiniteness can hold there
+        bound = tol.eig_zero * p_scale()
         worst = max(float(w[-1]) for w in m.deleted_spectra(beta, tol))
-        if beta > 0:
-            ok = worst < -tol.eig_zero * p_scale
-        else:
-            ok = worst <= tol.eig_zero * p_scale
+        ok = worst < -bound if beta > 0 else worst <= bound
         return ok, {"max_eig_over_i": worst}
 
     def thm_iv():
@@ -317,34 +307,31 @@ def verify_theorem(
         }
 
     def thm_v():
-        bfb = _null_compress(f.array, n, s)
+        bfb = _null_compress(pencil().f.array, n, s)
         max_eig = float(np.linalg.eigvalsh((bfb + bfb.T) / 2.0)[-1])
-        return max_eig <= tol.eig_zero * f_scale, {"max_eig": max_eig}
+        return max_eig <= tol.eig_zero * f_scale(), {"max_eig": max_eig}
 
-    checks.append(_guard("THM.i", beta, thm_i))
-    checks.append(_guard("THM.ii", beta, thm_ii))
-    checks.append(_guard("THM.iii", beta, thm_iii))
-    checks.append(_guard("THM.iv", beta, thm_iv))
-    checks.append(_guard("THM.iv.haynsworth", beta, thm_iv_haynsworth))
-    checks.append(_guard("THM.v", beta, thm_v))
+    checks = [_guard(cid, beta, fn) for cid, fn in (
+        ("THM.i", thm_i), ("THM.ii", thm_ii), ("THM.iii", thm_iii), ("THM.iv", thm_iv),
+        ("THM.iv.haynsworth", thm_iv_haynsworth), ("THM.v", thm_v))]
 
     if beta == 0:
         # D has zero diagonal blocks, so block positive definiteness is
         # asserted only for beta > 0
-        checks.append(CheckResult("THM.vi", True, beta, skipped=True))
-        checks.append(CheckResult("THM.vi.gx", True, beta, skipped=True))
-        return checks
+        return checks + [CheckResult(cid, True, beta, skipped=True)
+                         for cid in ("THM.vi", "THM.vi.gx")]
 
     def thm_vi():
         # the (n, n, s, s) stack of blocks F_ij, row-major in (i, j)
+        f = pencil().f
         pd = is_pd_quadratic_form(f.array.reshape(n, s, n, s).swapaxes(1, 2), tol)
         bad = (np.argwhere(~pd) + 1).tolist()
         return not bad, {"non_pd_blocks": bad}
 
     def thm_vi_gx():
-        floor = tol.nonzero_floor * f_scale
-        gx = gx_matrix(f, _gx_vectors(s, gx_seed))
-        w, _ = sym_eigen(gx, tol)
+        floor = tol.nonzero_floor * f_scale()
+        gx = gx_matrix(pencil().f, _gx_vectors(s, gx_seed))
+        w = sym_eigvals(gx, tol)
         off = np.abs(gx[:, ~np.eye(n, dtype=bool)])
         worst_offdiag = float(off.min(initial=np.inf))
         ok = (all(inertia_of_spectrum(wk, tol) == (n - 1, 0, 1) for wk in w)
@@ -352,9 +339,7 @@ def verify_theorem(
               and worst_offdiag > floor)
         return ok, {"min_offdiag": worst_offdiag, "floor": floor}
 
-    checks.append(_guard("THM.vi", beta, thm_vi))
-    checks.append(_guard("THM.vi.gx", beta, thm_vi_gx))
-    return checks
+    return checks + [_guard("THM.vi", beta, thm_vi), _guard("THM.vi.gx", beta, thm_vi_gx)]
 
 
 def verify_fiedler_markham(

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -191,6 +193,17 @@ def test_golden_exits_zero(capsys):
         code, stdout, _ = run(["golden", "--mode", mode], capsys)
         assert code == 0
         assert "ok" in stdout
+
+
+def test_readme_instance_example_verifies(tmp_path, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Instance files", 1)[1]
+    example = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    inst_path = tmp_path / "readme.json"
+    inst_path.write_text(example)
+    code, stdout, _ = run(["verify", "--in", str(inst_path)], capsys)
+    assert code == 0
+    assert stdout.startswith("passed: all")
 
 
 def test_usage_error_on_unknown_subcommand(capsys):

@@ -10,29 +10,27 @@ from mwspec.linalg import (
     is_pd_quadratic_form,
     pinv_psd,
     rank_of,
-    sym_eigen,
+    sym_eigvals,
 )
 
 
 def test_sym_eigen_identity():
-    w, v = sym_eigen(np.eye(3))
-    assert np.allclose(w, [1, 1, 1])
-    assert np.allclose(v @ v.T, np.eye(3))
+    assert np.allclose(sym_eigvals(np.eye(3)), [1, 1, 1])
 
 
 def test_sym_eigen_swap():
-    w, _ = sym_eigen(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    w = sym_eigvals(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert np.allclose(w, [-1.0, 1.0])
 
 
 def test_sym_eigen_rejects_non_square():
     with pytest.raises(NonSquareError):
-        sym_eigen(np.zeros((2, 3)))
+        sym_eigvals(np.zeros((2, 3)))
 
 
 def test_sym_eigen_rejects_asymmetric():
     with pytest.raises(NotSymmetricError):
-        sym_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        sym_eigvals(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_inertia_zero_matrix():
@@ -143,10 +141,9 @@ def test_sym_eigen_stack_matches_one_matrix_at_a_time():
     rng = np.random.default_rng(32)
     a = rng.standard_normal((4, 5, 5))
     a = a + a.swapaxes(1, 2)
-    w, v = sym_eigen(a)
+    w = sym_eigvals(a)
     for k in range(4):
-        wk, vk = sym_eigen(a[k])
-        assert np.array_equal(w[k], wk) and np.array_equal(v[k], vk)
+        assert np.array_equal(w[k], sym_eigvals(a[k]))
 
 
 def test_sym_eigen_stack_rejects_one_asymmetric_member():
@@ -154,8 +151,8 @@ def test_sym_eigen_stack_rejects_one_asymmetric_member():
     # within rel_residual of the largest member's scale, not of its own
     a[2, 0, 1] = 1e-7
     with pytest.raises(NotSymmetricError):
-        sym_eigen(a)
-    sym_eigen(a[:2])
+        sym_eigvals(a)
+    sym_eigvals(a[:2])
 
 
 def test_rank_zero_matrix():

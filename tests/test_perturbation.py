@@ -155,8 +155,17 @@ def test_schur_singular_pivot_raises():
         schur_complement(m, 1)
 
 
+@pytest.mark.parametrize("k", [0, 3])
+def test_leading_split_must_leave_both_blocks_nonempty(k):
+    m = np.eye(3)
+    with pytest.raises(BadIndexError):
+        schur_complement(m, k)
+    with pytest.raises(BadIndexError):
+        haynsworth_check(m, k)
+
+
 def test_haynsworth_trivial():
-    lhs, rhs, ok, _ = haynsworth_check(np.diag([1.0, -1.0]), [0])
+    lhs, rhs, ok, _ = haynsworth_check(np.diag([1.0, -1.0]), 1)
     assert ok
     assert lhs == (1, 0, 1)
 

@@ -1,6 +1,8 @@
 import json
 import math
 import tracemalloc
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from mwspec.linalg import (
     nullity_of,
 )
 from mwspec.model import (
+    Instance,
+    MatrixWeightedGraph,
     MatrixWeightedTree,
     PDWeight,
     WeightProfile,
@@ -227,6 +231,50 @@ def test_overflow_in_a_check_body_is_a_non_finite_failure():
     assert not check.passed
     assert check.evidence["non_finite"]
     assert check.evidence["error"].startswith("FloatingPointError")
+
+
+THM_IDS = ("THM.i", "THM.ii", "THM.iii", "THM.iv", "THM.iv.haynsworth", "THM.v",
+           "THM.vi", "THM.vi.gx")
+
+
+def _path3(tree_weight, graph_weight):
+    """Path 1-2-3 with s = 1; tree edges weigh tree_weight(), graph edges graph_weight()."""
+    tree = MatrixWeightedTree(3, 1, [(0, 1, tree_weight()), (1, 2, tree_weight())])
+    graph = MatrixWeightedGraph(3, 1, [(0, 1, graph_weight()), (1, 2, graph_weight())])
+    return Instance(tree, graph)
+
+
+_TINY = Fraction(1, 10**308)
+
+
+@pytest.mark.parametrize("inst, mode", [
+    (_path3(lambda: PDWeight(np.array([[1e308]])),
+            lambda: PDWeight(np.array([[1.0]]))), "float"),
+    (_path3(lambda: PDWeight(np.array([[float(_TINY)]]), [[_TINY]]),
+            lambda: PDWeight(np.array([[1.0]]), [[1]])), "both"),
+], ids=["float-1e308", "rational-1e-308"])
+def test_unbuildable_pencil_fails_every_theorem_row(inst, mode):
+    """The report keeps one row per check id per beta even when the pencil
+    cannot be built: each theorem check fails on its own, with the error."""
+    report = verify_instance(inst, [0.0, 1.0], kernel_mode=mode)
+    per_beta = [*THM_IDS, "FM-nullity"] + (["EXACT-CONSISTENCY"] if mode == "both" else [])
+    expected = Counter([(cid, None, False) for cid in
+                        ("P1", "P2", "P3", "P4", "COL-SPACE", "COR2.8")]
+                       + [(cid, beta, beta == 0 and cid in ("THM.vi", "THM.vi.gx"))
+                          for beta in (0.0, 1.0) for cid in per_beta])
+    assert Counter((c.check_id, c.beta, c.skipped) for c in report.checks) == expected
+    thm = [c for c in report.checks if c.check_id in THM_IDS and not c.skipped]
+    assert len(thm) == 14
+    assert all(not c.passed and "error" in c.evidence for c in thm)
+
+
+def test_verify_instance_reads_eigenvectors_only_for_the_pseudoinverse(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    report = verify_instance(random_instance(5, 2, seed=4, extra_edges=2), [0.0, 1.0])
+    assert report.ok
+    assert len(calls) == 1     # pinv_psd, inside P1
 
 
 def test_ill_conditioned_weights_downgrade_to_warnings():
