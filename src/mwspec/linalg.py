@@ -57,19 +57,22 @@ def _as_square(a: np.ndarray) -> np.ndarray:
 
 def _sym_decompose(decompose, a: np.ndarray, tol: Tolerance):
     """decompose((A + A')/2) for a symmetric matrix A, or for each matrix of a
-    stack (..., m, m), each held to the asymmetry bound at its own scale."""
+    stack (..., m, m), each held to the asymmetry bound at its own scale. A
+    bitwise symmetric A is its own average and is passed on as it is."""
     a = _as_square(a)
     at = a.swapaxes(-1, -2)
-    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
-    asym = np.abs(a - at).max(axis=(-2, -1), initial=0.0)
-    bad = np.flatnonzero(asym > tol.rel_residual * scale)
-    if bad.size:
-        k = bad[0]     # the first offending matrix of a stack
-        raise NotSymmetricError(f"asymmetry {asym.flat[k]:.3e} exceeds "
-                                f"{tol.rel_residual:.1e} * {scale.flat[k]:.3e}")
+    if not np.array_equal(a, at):
+        scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
+        asym = np.abs(a - at).max(axis=(-2, -1), initial=0.0)
+        bad = np.flatnonzero(asym > tol.rel_residual * scale)
+        if bad.size:
+            k = bad[0]     # the first offending matrix of a stack
+            raise NotSymmetricError(f"asymmetry {asym.flat[k]:.3e} exceeds "
+                                    f"{tol.rel_residual:.1e} * {scale.flat[k]:.3e}")
+        a = (a + at) / 2.0
     try:
-        return decompose((a + at) / 2.0)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        return decompose(a)
+    except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(str(exc)) from exc
 
 
@@ -80,15 +83,18 @@ def sym_eigvals(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 
 def inertia_of_spectrum(w: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Inertia:
-    """Counts of (negative, zero, positive) values in the spectrum w.
+    """Counts of (negative, zero, positive) values in the spectrum w; a stack
+    (k, m) of spectra gives an Inertia of (k,) arrays, one count per row.
 
     Values with |lambda| <= eig_zero * max(1, spectral_radius) count as zero.
     This is the one zero/sign rule for inertia, rank and nullity.
     """
-    thresh = tol.eig_zero * max(1.0, float(np.abs(w).max(initial=0.0)))
-    n_minus = int(np.sum(w < -thresh))
-    n_plus = int(np.sum(w > thresh))
-    return Inertia(n_minus, len(w) - n_minus - n_plus, n_plus)
+    w = np.asarray(w)
+    thresh = tol.eig_zero * np.maximum(1.0, np.abs(w).max(axis=-1, initial=0.0))
+    n_minus = np.sum(w < -thresh[..., None], axis=-1)
+    n_plus = np.sum(w > thresh[..., None], axis=-1)
+    counts = (n_minus, w.shape[-1] - n_minus - n_plus, n_plus)
+    return Inertia(*(map(int, counts) if w.ndim == 1 else counts))
 
 
 def inertia_of(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Inertia:
@@ -115,7 +121,7 @@ def is_pd_quadratic_form(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool | 
     of the leading shape, one verdict per matrix.
     """
     a = _as_square(a)
-    w = np.linalg.eigvalsh((a + a.swapaxes(-1, -2)) / 2.0)
+    w = sym_eigvals((a + a.swapaxes(-1, -2)) / 2.0, tol)
     scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
     ok = w[..., 0] > tol.eig_zero * scale
     return bool(ok) if ok.ndim == 0 else ok
@@ -130,7 +136,3 @@ def rank_of(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
         return 0
     return inertia_of_spectrum(np.linalg.svd(a, compute_uv=False), tol).n_plus
 
-
-def nullity_of(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
-    a = np.asarray(a, dtype=float)
-    return min(a.shape) - rank_of(a, tol)

@@ -113,6 +113,8 @@ class VerificationReport:
 
 # a check body that overflows or makes a NaN raises FloatingPointError
 _strict = functools.partial(np.errstate, over="raise", invalid="raise", divide="raise")
+# what a check body may raise: a failing row, never a traceback
+_FAILURES = (MwspecError, FloatingPointError)
 
 
 def _guard(check_id: str, beta, fn) -> CheckResult:
@@ -120,7 +122,7 @@ def _guard(check_id: str, beta, fn) -> CheckResult:
     try:
         with _strict():
             passed, evidence = fn()
-    except (MwspecError, FloatingPointError) as exc:
+    except _FAILURES as exc:
         evidence = {"error": f"{type(exc).__name__}: {exc}"}
         if isinstance(exc, (NonFiniteError, FloatingPointError)):
             evidence["non_finite"] = True     # no verdict: never a warning
@@ -144,8 +146,9 @@ def _null_compress(x: np.ndarray, n: int, s: int) -> np.ndarray:
 class InstanceMatrices:
     """Everything downstream checks need, built once per instance.
 
-    Objects that several checks read (the pencil and the deleted-block
-    spectra of each beta) are built on first use and kept in `_memo`.
+    Objects that several checks read (the pencil, its spectra and the
+    Haynsworth split of each beta) are built on first use and kept in
+    `_memo`, together with the error that building one raised.
     """
 
     d: BlockMatrix          # path-sum distance matrix
@@ -155,23 +158,29 @@ class InstanceMatrices:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def memo(self, key, make):
-        """make(), computed once per key; a raised error is not kept."""
+        """make(), computed once per key; a raised error is kept and re-raised."""
         if key not in self._memo:
-            self._memo[key] = make()
+            try:
+                self._memo[key] = make()
+            except _FAILURES as exc:
+                self._memo[key] = exc
+        if isinstance(self._memo[key], Exception):
+            raise self._memo[key]
         return self._memo[key]
 
     def pencil(self, beta: float, tol: Tolerance) -> PerturbedPencil:
         return self.memo(("pencil", beta, tol),
                          lambda: perturbed_pencil(self.d_inv, self.l, beta, tol))
 
-    def deleted_spectra(self, beta: float, tol: Tolerance) -> list[np.ndarray]:
-        """Ascending eigenvalues of P(alpha') for alpha' = all blocks but i,
-        i = 1..n, where P = P(beta); P(0) is D^{-1} itself, bit for bit."""
+    def deleted_spectra(self, beta: float, tol: Tolerance) -> np.ndarray:
+        """(n, (n-1)s): row i - 1 holds the ascending eigenvalues of P(alpha')
+        for alpha' = all blocks but i, where P = P(beta); P(0) is D^{-1}
+        itself, bit for bit."""
         def make():
             a = self.pencil(beta, tol).p if beta else self.d_inv
             blocks = range(1, a.n + 1)
-            return [np.linalg.eigvalsh(principal_block_submatrix(
-                        a, [k for k in blocks if k != i]).array) for i in blocks]
+            return np.array([sym_eigvals(principal_block_submatrix(
+                a, [k for k in blocks if k != i]).array, tol) for i in blocks])
 
         return self.memo(("deleted", beta, tol), make)
 
@@ -219,13 +228,13 @@ def verify_preliminaries(
     def p3():
         inert = inertia_of(d, tol)
         btdb = _null_compress(d, n, s)
-        max_eig = float(np.linalg.eigvalsh((btdb + btdb.T) / 2.0)[-1])
+        max_eig = float(sym_eigvals(btdb, tol)[-1])
         ok = (inert == (n * s - s, 0, s)
               and max_eig < -tol.eig_zero * d_scale)
         return ok, {"inertia": list(inert), "btdb_max_eig": max_eig}
 
     def p4():
-        min_eig = float(np.linalg.eigvalsh((l + l.T) / 2.0)[0])
+        min_eig = float(sym_eigvals(l, tol)[0])
         l_scale = max(1.0, float(np.abs(l).max(initial=0.0)))
         lu = _rel(l @ m.u, l_scale)
         rank = rank_of(l, tol)
@@ -241,7 +250,7 @@ def verify_preliminaries(
 
     def cor28():
         udu = m.u.T @ d_inv @ m.u
-        min_eig = float(np.linalg.eigvalsh((udu + udu.T) / 2.0)[0])
+        min_eig = float(sym_eigvals(udu, tol)[0])
         return min_eig > tol.eig_zero, {"min_eig": min_eig}
 
     for cid, fn in (("P1", p1), ("P2", p2), ("P3", p3), ("P4", p4),
@@ -271,11 +280,11 @@ def verify_theorem(
     pencil = lambda: m.pencil(beta, tol)
     p_scale = lambda: max(1.0, float(np.abs(pencil().p.array).max()))
     f_scale = lambda: max(1.0, float(np.abs(pencil().f.array).max()))
-    # P is symmetric by construction
-    p_eigs = functools.cache(lambda: np.linalg.eigvalsh(pencil().p.array))
+    p_eigs = lambda: m.memo(("p_eigs", beta, tol),
+                            lambda: sym_eigvals(pencil().p.array, tol))
     # THM.iv's inertia is the left-hand side of the Haynsworth check
-    haynsworth = functools.cache(
-        lambda: haynsworth_check(bordered(pencil().f), n * s, tol))
+    haynsworth = lambda: m.memo(("haynsworth", beta, tol),
+                                lambda: haynsworth_check(bordered(pencil().f), n * s, tol))
 
     def thm_i():
         min_abs = float(np.abs(p_eigs()).min())
@@ -290,7 +299,7 @@ def verify_theorem(
         # is D^{-1}[[Delta]], which has nullity exactly s (D_ii = 0), so only
         # negative semidefiniteness can hold there
         bound = tol.eig_zero * p_scale()
-        worst = max(float(w[-1]) for w in m.deleted_spectra(beta, tol))
+        worst = float(m.deleted_spectra(beta, tol)[:, -1].max())
         ok = worst < -bound if beta > 0 else worst <= bound
         return ok, {"max_eig_over_i": worst}
 
@@ -308,7 +317,7 @@ def verify_theorem(
 
     def thm_v():
         bfb = _null_compress(pencil().f.array, n, s)
-        max_eig = float(np.linalg.eigvalsh((bfb + bfb.T) / 2.0)[-1])
+        max_eig = float(sym_eigvals(bfb, tol)[-1])
         return max_eig <= tol.eig_zero * f_scale(), {"max_eig": max_eig}
 
     checks = [_guard(cid, beta, fn) for cid, fn in (
@@ -331,10 +340,10 @@ def verify_theorem(
     def thm_vi_gx():
         floor = tol.nonzero_floor * f_scale()
         gx = gx_matrix(pencil().f, _gx_vectors(s, gx_seed))
-        w = sym_eigvals(gx, tol)
+        inert = inertia_of_spectrum(sym_eigvals(gx, tol), tol)
         off = np.abs(gx[:, ~np.eye(n, dtype=bool)])
         worst_offdiag = float(off.min(initial=np.inf))
-        ok = (all(inertia_of_spectrum(wk, tol) == (n - 1, 0, 1) for wk in w)
+        ok = (np.all(np.transpose(inert) == (n - 1, 0, 1))
               and not np.any(np.diagonal(gx, axis1=1, axis2=2) <= 0)
               and worst_offdiag > floor)
         return ok, {"min_offdiag": worst_offdiag, "floor": floor}
@@ -359,15 +368,12 @@ def verify_fiedler_markham(
         # the (n, s, s) diagonal blocks F_ii; singular values of a symmetric
         # matrix are its |eigenvalues|
         diag = f.array.reshape(n, s, n, s)[np.arange(n), :, np.arange(n), :]
-        null_blocks = [inertia_of_spectrum(w, tol).n_zero
-                       for w in np.linalg.eigvalsh(diag)]
-        null_subs = [inertia_of_spectrum(w, tol).n_zero
-                     for w in m.deleted_spectra(beta, tol)]
+        null_blocks = inertia_of_spectrum(sym_eigvals(diag, tol), tol).n_zero.tolist()
+        null_subs = inertia_of_spectrum(m.deleted_spectra(beta, tol), tol).n_zero.tolist()
         mismatches = [{"i": i, "nullity_sub": q, "nullity_block": b}
                       for i, (q, b) in enumerate(zip(null_subs, null_blocks), start=1)
                       if q != b]
-        dinv_nullities = [inertia_of_spectrum(w, tol).n_zero
-                          for w in m.deleted_spectra(0.0, tol)]
+        dinv_nullities = inertia_of_spectrum(m.deleted_spectra(0.0, tol), tol).n_zero.tolist()
         ok = not mismatches and all(x == s for x in dinv_nullities)
         return ok, {"mismatches": mismatches, "dinv_nullities": dinv_nullities}
 

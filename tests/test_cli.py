@@ -121,9 +121,9 @@ def _one_edge_instance(kind, w):
                        "tree": edges, "graph": edges})
 
 
-def _three_vertex_path(w):
+def _three_vertex_path(w, kind="float"):
     edges = {"edges": [{"u": 1, "v": 2, "w": w}, {"u": 2, "v": 3, "w": w}]}
-    return json.dumps({"n": 3, "s": len(w), "scalar_kind": "float",
+    return json.dumps({"n": 3, "s": len(w), "scalar_kind": kind,
                        "tree": edges, "graph": edges})
 
 
@@ -133,7 +133,9 @@ def _three_vertex_path(w):
     (_one_edge_instance("float", [[1e308]]), ["10"]),
     # D's path sums overflow while it is assembled, outside the checks
     (_three_vertex_path([[1e308]]), []),
-], ids=["default", "0", "10", "three-vertex"])
+    # L's inverted weights overflow to inf; no LAPACK error may escape
+    (_three_vertex_path([["1/1" + "0" * 308]], "rational"), []),
+], ids=["default", "0", "10", "three-vertex", "rational-1e-308"])
 def test_verify_overflowing_instance_does_not_pass(tmp_path, capsys, text, betas):
     # a finite PD weight whose float operators overflow: no verdict is
     # computed, so no failure may be downgraded to an ill-conditioning warning;

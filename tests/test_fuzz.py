@@ -24,12 +24,15 @@ from mwspec.model import parse_instance, random_instance, serialize_instance
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
+# a rational path whose inverted weights overflow (L is all inf): no LAPACK
+# error on it may escape as a traceback
+TINY_PATH = {"edges": [{"u": u, "v": u + 1, "w": [["1/1" + "0" * 308]]} for u in (1, 2)]}
 BASES = [json.loads(serialize_instance(inst)) for inst in (
     random_instance(3, 2, seed=5, extra_edges=1),
     random_instance(3, 1, seed=4, extra_edges=1),
     random_instance(3, 1, seed=2, extra_edges=1, rational=True),
     golden_instance(),
-)]
+)] + [{"n": 3, "s": 1, "scalar_kind": "rational", "tree": TINY_PATH, "graph": TINY_PATH}]
 
 NUMBERS = st.one_of(
     st.integers(-3, 12),

@@ -1,12 +1,21 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mwspec.errors import NonSquareError, NotPSDError, NotSymmetricError
+from mwspec.errors import (
+    NoConvergenceError,
+    NonFiniteError,
+    NonSquareError,
+    NotPSDError,
+    NotSymmetricError,
+)
 from mwspec.linalg import (
     Tolerance,
     inertia_of,
+    inertia_of_spectrum,
     is_pd_quadratic_form,
     pinv_psd,
     rank_of,
@@ -34,7 +43,10 @@ def test_sym_eigen_rejects_asymmetric():
 
 
 def test_inertia_zero_matrix():
-    assert inertia_of(np.zeros((4, 4))) == (0, 4, 0)
+    inert = inertia_of(np.zeros((4, 4)))
+    assert inert == (0, 4, 0)
+    # a single spectrum gives Python ints, as the JSON report needs
+    assert json.dumps(list(inert)) == "[0, 4, 0]"
 
 
 def test_inertia_counts_sum_to_dimension():
@@ -141,9 +153,39 @@ def test_sym_eigen_stack_matches_one_matrix_at_a_time():
     rng = np.random.default_rng(32)
     a = rng.standard_normal((4, 5, 5))
     a = a + a.swapaxes(1, 2)
+    a[1] = np.diag([-2.0, 0.0, 1e-12, 1.0, 3.0])
     w = sym_eigvals(a)
+    assert np.array_equal(w, np.linalg.eigvalsh(a))
     for k in range(4):
         assert np.array_equal(w[k], sym_eigvals(a[k]))
+    # one sign count per row of the stack, as row by row
+    inert = inertia_of_spectrum(w)
+    assert [x.shape for x in inert] == [(4,)] * 3
+    assert np.transpose(inert).tolist() == [list(inertia_of_spectrum(wk)) for wk in w]
+    assert list(inertia_of_spectrum(w[1])) == [1, 2, 2]
+
+
+def test_sym_eigen_passes_a_symmetric_matrix_on_as_it_is(monkeypatch):
+    rng = np.random.default_rng(33)
+    a = rng.standard_normal((6, 6))
+    a = a + a.T
+    # bitwise symmetric: eigvalsh's own bits, even where A + A' would overflow
+    for sym in (a, np.array([[1e308, 1e308], [1e308, -1e308]])):
+        with np.errstate(over="raise"):
+            assert np.array_equal(sym_eigvals(sym), np.linalg.eigvalsh(sym))
+    # round-off asymmetry within the bound is averaged away
+    b = a.copy()
+    b[0, 1] += 1e-12
+    assert np.array_equal(sym_eigvals(b), np.linalg.eigvalsh((b + b.T) / 2.0))
+    with pytest.raises(NonFiniteError):
+        sym_eigvals(np.array([[1.0, np.inf], [np.inf, 1.0]]))
+
+    def no_convergence(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    with pytest.raises(NoConvergenceError, match="did not converge"):
+        sym_eigvals(a)
 
 
 def test_sym_eigen_stack_rejects_one_asymmetric_member():

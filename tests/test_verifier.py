@@ -14,7 +14,7 @@ from mwspec.linalg import (
     inertia_of,
     inertia_of_spectrum,
     is_pd_quadratic_form,
-    nullity_of,
+    rank_of,
 )
 from mwspec.model import (
     Instance,
@@ -32,6 +32,7 @@ from mwspec.perturbation import (
     perturbed_pencil,
     principal_block_submatrix,
 )
+from mwspec import verifier
 from mwspec.verifier import (
     CampaignConfig,
     _guard,
@@ -253,10 +254,15 @@ _TINY = Fraction(1, 10**308)
     (_path3(lambda: PDWeight(np.array([[float(_TINY)]]), [[_TINY]]),
             lambda: PDWeight(np.array([[1.0]]), [[1]])), "both"),
 ], ids=["float-1e308", "rational-1e-308"])
-def test_unbuildable_pencil_fails_every_theorem_row(inst, mode):
+def test_unbuildable_pencil_fails_every_theorem_row(inst, mode, monkeypatch):
     """The report keeps one row per check id per beta even when the pencil
-    cannot be built: each theorem check fails on its own, with the error."""
+    cannot be built: each theorem check fails on its own, with the error,
+    and the pencil is attempted once per beta, as for a valid instance."""
+    calls = []
+    monkeypatch.setattr(verifier, "perturbed_pencil",
+                        lambda *a: calls.append(a[2]) or perturbed_pencil(*a))
     report = verify_instance(inst, [0.0, 1.0], kernel_mode=mode)
+    assert calls == [0.0, 1.0]
     per_beta = [*THM_IDS, "FM-nullity"] + (["EXACT-CONSISTENCY"] if mode == "both" else [])
     expected = Counter([(cid, None, False) for cid in
                         ("P1", "P2", "P3", "P4", "COL-SPACE", "COR2.8")]
@@ -317,10 +323,11 @@ def test_shared_spectra_match_direct_route(n, s, seed, beta):
 
     # the shared spectra, vertex by vertex
     spectra = mats.deleted_spectra(beta, DEFAULT_TOL)
+    assert spectra.shape == (n, (n - 1) * s)
     assert all(np.array_equal(w, np.linalg.eigvalsh(q)) for w, q in zip(spectra, sub_p))
-    assert len(spectra) == n
 
     # FM-nullity: zero counts of the shared spectra against the SVD route
+    nullity_of = lambda q: min(q.shape) - rank_of(q)
     assert [inertia_of_spectrum(w).n_zero for w in spectra] == [nullity_of(q) for q in sub_p]
     mismatches = [{"i": i, "nullity_sub": nullity_of(q),
                    "nullity_block": nullity_of(pencil.f.block(i, i))}
