@@ -30,7 +30,6 @@ from .operators import (
 from .perturbation import (
     PerturbedPencil,
     bordered,
-    f_alpha_block,
     gx_matrix,
     haynsworth_check,
     perturbed_pencil,

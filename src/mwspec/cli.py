@@ -7,8 +7,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 mathematical check failure, 2 usage error (bad
 arguments, a malformed instance, a negative or non-finite beta, a
---corrupt-d entry outside D, or an exact --mode on a float instance), 3 I/O
-error.
+--corrupt-d entry outside D, or --mode both on a float instance), 3 I/O
+error. `main` is the one place that maps an error to its exit code.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import os
 import sys
 import tempfile
 
-from .errors import BadIndexError, ConfigError, MwspecError
+from .errors import ConfigError, MwspecError
 from .golden import run_golden
 from .linalg import Tolerance
 from .model import (
@@ -50,40 +50,16 @@ def _atomic_write(path: str, text: str):
         raise
 
 
-def _tolerance_from(args) -> Tolerance:
-    return Tolerance(
-        rel_residual=args.rel_residual,
-        eig_zero=args.eig_zero,
-        nonzero_floor=args.nonzero_floor,
-    )
-
-
 def cmd_gen(args) -> int:
-    if args.n < 2:
-        print("error: n must be >= 2", file=sys.stderr)
-        return EXIT_USAGE
-    if args.s < 1:
-        print("error: s must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    if args.seed < 0:
-        print("error: seed must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        profile = WeightProfile(args.weight_lo, args.weight_hi)
-        inst = random_instance(
-            args.n, args.s, args.seed, args.extra_edges, profile,
-            rational=(args.scalar_kind == "rational"),
-        )
-        text = serialize_instance(inst)
-        parse_instance(text)    # write nothing that verify would reject
-    except MwspecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        _atomic_write(args.out, text)
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    for name, low in (("n", 2), ("s", 1), ("seed", 0)):
+        if getattr(args, name) < low:
+            raise ConfigError(f"{name} must be >= {low}")
+    inst = random_instance(args.n, args.s, args.seed, args.extra_edges,
+                           WeightProfile(args.weight_lo, args.weight_hi),
+                           rational=(args.scalar_kind == "rational"))
+    text = serialize_instance(inst)
+    parse_instance(text)    # write nothing that verify would reject
+    _atomic_write(args.out, text)
     print(instance_hash(inst))
     return EXIT_OK
 
@@ -93,44 +69,23 @@ def _parse_corrupt(spec: str):
         i, j, factor = spec.split(",")
         return int(i), int(j), float(factor)
     except ValueError:
-        return None
+        raise ConfigError("--corrupt-d expects 'i,j,factor'") from None
 
 
 def cmd_verify(args) -> int:
-    try:
-        with open(args.input) as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        inst = parse_instance(text)
-        tol = _tolerance_from(args)
-    except (MwspecError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    corrupt = None
-    if args.corrupt_d is not None:
-        corrupt = _parse_corrupt(args.corrupt_d)
-        if corrupt is None:
-            print("error: --corrupt-d expects 'i,j,factor'", file=sys.stderr)
-            return EXIT_USAGE
+    with open(args.input) as fh:
+        text = fh.read()
+    inst = parse_instance(text)
+    tol = Tolerance(rel_residual=args.rel_residual, eig_zero=args.eig_zero,
+                    nonzero_floor=args.nonzero_floor)
+    corrupt = None if args.corrupt_d is None else _parse_corrupt(args.corrupt_d)
     mode = args.mode
     if mode is None:
         mode = "both" if inst.tree.is_exact and inst.graph.is_exact else "float"
     betas = args.beta if args.beta else list(DEFAULT_BETAS)
-    try:
-        report = verify_instance(inst, betas, tol, kernel_mode=mode, corrupt=corrupt)
-    except (BadIndexError, ConfigError) as exc:
-        # a bad beta or --corrupt-d entry, or an exact mode on a float instance
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    report = verify_instance(inst, betas, tol, kernel_mode=mode, corrupt=corrupt)
     if args.out:
-        try:
-            _atomic_write(args.out, json.dumps(report.to_json(), indent=2))
-        except OSError as exc:
-            print(f"I/O error: {exc}", file=sys.stderr)
-            return EXIT_IO
+        _atomic_write(args.out, json.dumps(report.to_json(), indent=2))
     summary = report.summary
     if report.ok:
         print(f"passed: all ({summary['passed']} checks, "
@@ -176,8 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--in", dest="input", required=True)
     p_verify.add_argument("--out")
     p_verify.add_argument("--beta", type=float, action="append", default=None)
-    p_verify.add_argument("--mode", choices=["float", "exact", "both"],
-                          default=None)
+    p_verify.add_argument("--mode", choices=["float", "both"], default=None)
     p_verify.add_argument("--rel-residual", type=float, default=1e-8)
     p_verify.add_argument("--eig-zero", type=float, default=1e-9)
     p_verify.add_argument("--nonzero-floor", type=float, default=1e-10,
@@ -195,7 +149,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MwspecError as exc:    # a bad argument or a malformed instance
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -53,8 +53,8 @@ class InvalidProfileError(MwspecError):
     pass
 
 
-class ConfigError(MwspecError):
-    pass
+class ConfigError(MwspecError, ValueError):
+    """A bad argument: a size, seed, tolerance, beta or verify mode."""
 
 
 class InstanceSyntaxError(MwspecError):

@@ -26,8 +26,11 @@ def parse_rational(text: str) -> Fraction:
     m = _RATIONAL_RE.match(text.strip())
     if m is None:
         raise InstanceSyntaxError(f"bad rational literal: {text!r}")
-    p = int(m.group(1))
-    q = int(m.group(2)) if m.group(2) else 1
+    try:
+        p = int(m.group(1))
+        q = int(m.group(2)) if m.group(2) else 1
+    except ValueError as exc:   # past Python's integer digit limit
+        raise InstanceSyntaxError(str(exc)) from exc
     f = Fraction(p, q)
     if f.numerator != p or f.denominator != q:
         raise InstanceSyntaxError(f"rational not in lowest terms: {text!r}")

@@ -14,6 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    ConfigError,
     NoConvergenceError,
     NonFiniteError,
     NonSquareError,
@@ -34,7 +35,7 @@ class Tolerance:
         for name in ("rel_residual", "eig_zero", "nonzero_floor"):
             v = getattr(self, name)
             if not (0.0 < v < 1.0):
-                raise ValueError(f"{name} must be in (0, 1), got {v}")
+                raise ConfigError(f"{name} must be in (0, 1), got {v}")
 
 
 DEFAULT_TOL = Tolerance()
@@ -58,7 +59,8 @@ def _as_square(a: np.ndarray) -> np.ndarray:
 def _sym_decompose(decompose, a: np.ndarray, tol: Tolerance):
     """decompose((A + A')/2) for a symmetric matrix A, or for each matrix of a
     stack (..., m, m), each held to the asymmetry bound at its own scale. A
-    bitwise symmetric A is its own average and is passed on as it is."""
+    bitwise symmetric A is its own average and is passed on as it is. An
+    eigenvalue that comes back non-finite raises NonFiniteError."""
     a = _as_square(a)
     at = a.swapaxes(-1, -2)
     if not np.array_equal(a, at):
@@ -71,9 +73,13 @@ def _sym_decompose(decompose, a: np.ndarray, tol: Tolerance):
                                     f"{tol.rel_residual:.1e} * {scale.flat[k]:.3e}")
         a = (a + at) / 2.0
     try:
-        return decompose(a)
+        out = decompose(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(str(exc)) from exc
+    # eigh returns (w, v); LAPACK can give an inf near the float range
+    if not np.all(np.isfinite(out[0] if isinstance(out, tuple) else out)):
+        raise NonFiniteError("eigenvalue solver returned a non-finite eigenvalue")
+    return out
 
 
 def sym_eigvals(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

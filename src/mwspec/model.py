@@ -82,7 +82,7 @@ class PDWeight:
         return f"PDWeight(order={self.order}, exact={self.exact is not None})"
 
 
-@dataclass(eq=False)
+@dataclass
 class MatrixWeightedGraph:
     n: int
     s: int
@@ -92,18 +92,13 @@ class MatrixWeightedGraph:
     def is_exact(self) -> bool:
         return all(w.exact is not None for _, _, w in self.edges)
 
-    def __eq__(self, other):
-        if not isinstance(other, MatrixWeightedGraph):
-            return NotImplemented
-        return (self.n, self.s, self.edges) == (other.n, other.s, other.edges)
 
-
-@dataclass(eq=False)
+@dataclass
 class MatrixWeightedTree(MatrixWeightedGraph):
     pass
 
 
-@dataclass(eq=False)
+@dataclass
 class Instance:
     tree: MatrixWeightedTree
     graph: MatrixWeightedGraph
@@ -115,11 +110,6 @@ class Instance:
     @property
     def s(self) -> int:
         return self.tree.s
-
-    def __eq__(self, other):
-        if not isinstance(other, Instance):
-            return NotImplemented
-        return (self.tree, self.graph) == (other.tree, other.graph)
 
 
 @dataclass
@@ -233,6 +223,14 @@ def _prufer_decode(seq: list[int], n: int) -> list[tuple[int, int]]:
     return edges
 
 
+def _weight_maker(s: int, rng: np.random.Generator, profile: WeightProfile,
+                  rational: bool):
+    """A no-argument maker of PD weights that draws from rng."""
+    if rational:
+        return lambda: _random_rational_pd_weight(s, rng)
+    return lambda: random_pd_weight(s, rng, profile)
+
+
 def _tree_edges(n: int, rng: np.random.Generator) -> list[tuple[int, int]]:
     if n == 2:
         return [(0, 1)]
@@ -252,11 +250,7 @@ def random_tree(
         raise InvalidSizeError(f"need n >= 2 and s >= 1, got n={n}, s={s}")
     rng = np.random.default_rng(seed)
     edges = _tree_edges(n, rng)
-    make = (
-        (lambda: _random_rational_pd_weight(s, rng))
-        if rational
-        else (lambda: random_pd_weight(s, rng, profile))
-    )
+    make = _weight_maker(s, rng, profile, rational)
     return MatrixWeightedTree(n, s, [(u, v, make()) for u, v in edges])
 
 
@@ -290,11 +284,7 @@ def random_connected_graph(
     rows = np.searchsorted(starts, ranks, side="right") - 1
     cols = ranks - starts[rows] + rows + 1
     topo = tree + list(zip(rows.tolist(), cols.tolist()))
-    make = (
-        (lambda: _random_rational_pd_weight(s, rng))
-        if rational
-        else (lambda: random_pd_weight(s, rng, profile))
-    )
+    make = _weight_maker(s, rng, profile, rational)
     return MatrixWeightedGraph(n, s, [(u, v, make()) for u, v in topo])
 
 
@@ -371,6 +361,8 @@ def parse_instance(text: str) -> Instance:
         obj = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise InstanceSyntaxError(f"bad JSON: {exc}") from exc
+    except ValueError as exc:   # an integer literal past Python's digit limit
+        raise InstanceSyntaxError(str(exc)) from exc
     if not isinstance(obj, dict):
         raise SchemaError("top level must be a JSON object")
     if set(obj) != _TOP_KEYS:

@@ -1,6 +1,6 @@
 """The perturbed pencil P(beta) = D^{-1} - beta L, its inverse F(beta), the
 bordered matrix [[F, U], [U', 0]], Schur complements with the Haynsworth
-inertia check, the scalar compression G_x, and the block function f(alpha).
+inertia check, and the scalar compression G_x.
 
 These are the objects the verifier exercises; each is usable on its own so
 the individual proof steps can be tested independently.
@@ -40,7 +40,8 @@ def perturbed_pencil(
     """P = D^{-1} - beta L and F = P^{-1}, with an inversion residual check.
 
     Nonsingularity is guaranteed for exact data and beta >= 0, so a Singular
-    failure here signals conditioning trouble in the inputs.
+    failure here signals conditioning trouble in the inputs. P is not
+    averaged: D^{-1} and L, and so P, are bitwise symmetric by construction.
     """
     if (d_inv.n, d_inv.s) != (l.n, l.s):
         raise DimensionMismatchError(
@@ -49,7 +50,6 @@ def perturbed_pencil(
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
     p = d_inv.array - beta * l.array
-    p = (p + p.T) / 2.0
     dim = p.shape[0]
     try:
         f = np.linalg.solve(p, np.eye(dim))
@@ -136,18 +136,3 @@ def gx_matrix(a: BlockMatrix, x: np.ndarray) -> np.ndarray:
     xa = a.array.reshape(n, s, n, s)
     return np.einsum("...p,ipjq,...q->...ij", x, xa, x)
 
-
-def f_alpha_block(
-    d_inv: BlockMatrix,
-    l: BlockMatrix,
-    i: int,
-    j: int,
-    alpha: float,
-    tol: Tolerance = DEFAULT_TOL,
-) -> np.ndarray:
-    """The (i, j) block of (D^{-1} - alpha L)^{-1}, i.e. E_i' F E_j."""
-    if i == j:
-        raise BadIndexError("f(alpha) is defined for off-diagonal blocks, i != j")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
-    return perturbed_pencil(d_inv, l, alpha, tol).f.block(i, j).copy()

@@ -214,6 +214,7 @@ def verify_preliminaries(
     n, s = inst.n, inst.s
     d, d_inv, l = m.d.array, m.d_inv.array, m.l.array
     d_scale = max(1.0, float(np.abs(d).max(initial=0.0)))
+    l_scale = max(1.0, float(np.abs(l).max(initial=0.0)))
     checks = []
 
     def p1():
@@ -235,7 +236,6 @@ def verify_preliminaries(
 
     def p4():
         min_eig = float(sym_eigvals(l, tol)[0])
-        l_scale = max(1.0, float(np.abs(l).max(initial=0.0)))
         lu = _rel(l @ m.u, l_scale)
         rank = rank_of(l, tol)
         ok = (min_eig >= -tol.eig_zero * l_scale
@@ -245,7 +245,7 @@ def verify_preliminaries(
 
     def col_space():
         # every block row of JL = U U'L is U'L
-        res = _rel(m.u.T @ l, max(1.0, float(np.abs(l).max(initial=0.0))))
+        res = _rel(m.u.T @ l, l_scale)
         return res <= tol.nonzero_floor, {"jl_residual": res}
 
     def cor28():
@@ -409,9 +409,9 @@ def verify_instance(
     kernel_mode: str = "float",
     corrupt: tuple[int, int, float] | None = None,
 ) -> VerificationReport:
-    if kernel_mode not in ("float", "exact", "both"):
-        raise ConfigError(f"kernel_mode must be float|exact|both, got {kernel_mode!r}")
-    exact = kernel_mode != "float"
+    if kernel_mode not in ("float", "both"):
+        raise ConfigError(f"kernel_mode must be float|both, got {kernel_mode!r}")
+    exact = kernel_mode == "both"
     if exact and not (inst.tree.is_exact and inst.graph.is_exact):
         raise ConfigError(f"mode {kernel_mode!r} needs a rational instance")
     bad = [b for b in betas if not (math.isfinite(b) and b >= 0)]

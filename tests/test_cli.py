@@ -102,7 +102,7 @@ def test_verify_bad_argument_exits_two(tmp_path, capsys, args):
     assert "FAILED" not in stdout
 
 
-@pytest.mark.parametrize("mode", ["exact", "both"])
+@pytest.mark.parametrize("mode", ["both"])
 def test_verify_exact_mode_on_float_instance_exits_two(tmp_path, capsys, mode):
     inst_path = tmp_path / "float.json"
     run(["gen", "--n", "4", "--s", "2", "--seed", "3", "--out", str(inst_path)],
@@ -165,6 +165,22 @@ def test_verify_ill_conditioned_rational_instance(tmp_path, capsys):
 def test_verify_missing_file_exits_three(capsys):
     code, _, err = run(["verify", "--in", "/nonexistent/file.json"], capsys)
     assert code == 3
+    assert err.startswith("I/O error:")
+
+
+@pytest.mark.parametrize("subcommand", ["verify", "gen"])
+def test_unwritable_out_exits_three(tmp_path, capsys, subcommand):
+    inst_path = tmp_path / "golden.json"
+    inst_path.write_text(serialize_instance(golden_instance()))
+    out = tmp_path / "missing-dir" / "out.json"
+    argv = (["verify", "--in", str(inst_path), "--beta", "1"]
+            if subcommand == "verify" else ["gen", "--n", "3"])
+    code, stdout, err = run(argv + ["--out", str(out)], capsys)
+    assert code == 3
+    assert err.startswith("I/O error:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["golden.json"]
+    if subcommand == "gen":
+        assert stdout == ""     # no hash of an instance that was not written
 
 
 def test_verify_bad_instance_exits_two(tmp_path, capsys):
@@ -172,6 +188,20 @@ def test_verify_bad_instance_exits_two(tmp_path, capsys):
     bad.write_text("{not json")
     code, _, _ = run(["verify", "--in", str(bad)], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("kind, entry", [
+    ("float", "1" * 5000),
+    ("rational", '"' + "1" * 5000 + '"'),
+], ids=["json-integer", "rational-literal"])
+def test_verify_integer_past_digit_limit_exits_two(tmp_path, capsys, kind, entry):
+    # int() refuses more than 4300 digits with a plain ValueError
+    inst_path = tmp_path / "big.json"
+    inst_path.write_text(_one_edge_instance(kind, [["W"]]).replace('"W"', entry))
+    code, stdout, err = run(["verify", "--in", str(inst_path)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "digits" in err
+    assert "Traceback" not in err and stdout == ""
 
 
 @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN", "1e999"])

@@ -190,7 +190,7 @@ def test_gen_arguments_never_escape(tmp_path, data, broken):
 @FUZZ
 @given(which=st.integers(0, len(BASES) - 1),
        betas=st.lists(st.sampled_from([0.0, 0.5, 1.0, 10.0]), max_size=3),
-       mode=st.sampled_from([None, "float", "exact", "both"]),
+       mode=st.sampled_from([None, "float", "both"]),
        corrupt=st.sampled_from([None, "1,3,1.1", "2,2,0.5"]),
        broken=st.sampled_from([None, "beta", "mode", "corrupt", "tol"]),
        data=st.data())
@@ -198,12 +198,12 @@ def test_verify_arguments_never_escape(tmp_path, which, betas, mode, corrupt,
                                        broken, data):
     """Valid arguments with at most one broken; exit 2 exactly when broken."""
     base = BASES[which]
-    if base["scalar_kind"] == "float" and mode in ("exact", "both"):
+    if base["scalar_kind"] == "float" and mode == "both":
         broken = broken or "exact mode on a float instance"
     if broken == "beta":
         betas = betas + [data.draw(st.sampled_from(BAD_FLOATS))]
     elif broken == "mode":
-        mode = data.draw(st.sampled_from(["rational", "", "FLOAT"]))
+        mode = data.draw(st.sampled_from(["rational", "", "FLOAT", "exact"]))
     elif broken == "corrupt":
         corrupt = data.draw(st.sampled_from(
             ["0,1,2", "99,1,2", "1,1,nan", "1,1,inf", "1,2", "a,b,c", ""]))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mwspec.errors import (
+    ConfigError,
     NoConvergenceError,
     NonFiniteError,
     NonSquareError,
@@ -177,8 +178,12 @@ def test_sym_eigen_passes_a_symmetric_matrix_on_as_it_is(monkeypatch):
     b = a.copy()
     b[0, 1] += 1e-12
     assert np.array_equal(sym_eigvals(b), np.linalg.eigvalsh((b + b.T) / 2.0))
-    with pytest.raises(NonFiniteError):
-        sym_eigvals(np.array([[1.0, np.inf], [np.inf, 1.0]]))
+    # a non-finite entry, and a finite matrix near the float range whose
+    # spectrum LAPACK returns with an inf
+    for bad in (np.array([[1.0, np.inf], [np.inf, 1.0]]),
+                np.full((3, 3), np.finfo(float).max)):
+        with pytest.raises(NonFiniteError):
+            sym_eigvals(bad)
 
     def no_convergence(_):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -207,7 +212,8 @@ def test_rank_of_J():
 
 
 def test_tolerance_rejects_bad_values():
-    with pytest.raises(ValueError):
+    # a ConfigError, which is also a ValueError
+    with pytest.raises(ConfigError):
         Tolerance(rel_residual=0.0)
     with pytest.raises(ValueError):
         Tolerance(eig_zero=1.5)

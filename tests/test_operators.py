@@ -9,6 +9,7 @@ from mwspec.golden import EXPECTED_D, expected_l, golden_instance
 from mwspec.linalg import pinv_psd
 from mwspec.model import MatrixWeightedTree, PDWeight, random_instance, random_tree
 from mwspec.operators import (
+    BlockMatrix,
     build_distance_matrix,
     build_distance_matrix_exact,
     build_laplacian,
@@ -19,6 +20,7 @@ from mwspec.operators import (
     distance_inverse_closed_form_exact,
     structural_vectors,
 )
+from mwspec.perturbation import perturbed_pencil
 
 
 @pytest.fixture(scope="module")
@@ -55,11 +57,21 @@ def test_laplacian_golden_matches_paper_exactly(golden):
 
 
 def test_laplacian_symmetric_and_annihilates_U():
-    inst = random_instance(8, 3, seed=21, extra_edges=5)
-    l = build_laplacian(inst.graph)
-    assert np.array_equal(l.array, l.array.T)
-    scale = np.abs(l.array).max()
-    assert np.abs(l.array @ build_U(8, 3)).max() <= 1e-10 * scale
+    # L and the closed-form D^{-1} are bitwise symmetric, so the pencil
+    # D^{-1} - beta L is too, with no averaging
+    for n, s, seed, rational in ((8, 3, 21, False), (2, 1, 4, False),
+                                 (6, 2, 9, False), (5, 2, 3, True)):
+        inst = random_instance(n, s, seed=seed, extra_edges=n - 3 if n > 3 else 0,
+                               rational=rational)
+        l = build_laplacian(inst.graph)
+        assert np.array_equal(l.array, l.array.T)
+        scale = np.abs(l.array).max()
+        assert np.abs(l.array @ build_U(n, s)).max() <= 1e-10 * scale
+        d_inv = distance_inverse_closed_form(inst.tree)
+        assert np.array_equal(d_inv.array, d_inv.array.T)
+        for beta in (0.5, 10.0):
+            p = perturbed_pencil(d_inv, l, beta).p.array
+            assert np.array_equal(p, p.T)
 
 
 # --- distance matrix ---------------------------------------------------------
@@ -213,6 +225,8 @@ def test_size_validation():
         build_U(1, 1)
     with pytest.raises(InvalidSizeError):
         build_U(2, 0)
+    with pytest.raises(IndexError):
+        BlockMatrix(4, 2, np.zeros((8, 8))).block(1, 5)
 
 
 # --- permutation equivariance ------------------------------------------------

@@ -17,7 +17,6 @@ from mwspec.operators import (
 )
 from mwspec.perturbation import (
     bordered,
-    f_alpha_block,
     gx_matrix,
     haynsworth_check,
     perturbed_pencil,
@@ -247,7 +246,7 @@ def test_gx_stack_rejects_one_zero_row(golden_mats):
 
 def test_f_alpha_golden_block(golden_mats):
     _, d_inv, l = golden_mats
-    got = f_alpha_block(d_inv, l, 1, 2, 1.0)
+    got = perturbed_pencil(d_inv, l, 1.0).f.block(1, 2)
     want = np.array([
         [3525525 / 612184, 2430433 / 612184],
         [2255293 / 612184, 935945 / 153046],
@@ -258,7 +257,7 @@ def test_f_alpha_golden_block(golden_mats):
 def test_f_alpha_trace_limit(golden_mats):
     inst, d_inv, l = golden_mats
     d = build_distance_matrix(inst.tree)
-    got = np.trace(f_alpha_block(d_inv, l, 1, 2, 1e-6))
+    got = np.trace(perturbed_pencil(d_inv, l, 1e-6).f.block(1, 2))
     want = np.trace(d.block(1, 2))
     assert abs(got - want) <= 1e-3 * max(1.0, abs(want))
 
@@ -268,14 +267,4 @@ def test_f_alpha_trace_positive_on_grid():
     d_inv = distance_inverse_closed_form(inst.tree)
     l = build_laplacian(inst.graph)
     for alpha in (0.01, 0.1, 1.0, 10.0, 100.0):
-        assert np.trace(f_alpha_block(d_inv, l, 2, 5, alpha)) > 0
-
-
-def test_f_alpha_rejects_diagonal_and_nonpositive(golden_mats):
-    _, d_inv, l = golden_mats
-    with pytest.raises(BadIndexError):
-        f_alpha_block(d_inv, l, 2, 2, 1.0)
-    with pytest.raises(IndexError):
-        f_alpha_block(d_inv, l, 1, 5, 1.0)    # the golden instance has n = 4
-    with pytest.raises(ValueError):
-        f_alpha_block(d_inv, l, 1, 2, 0.0)
+        assert np.trace(perturbed_pencil(d_inv, l, alpha).f.block(2, 5)) > 0

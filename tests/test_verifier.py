@@ -145,7 +145,7 @@ def test_exact_consistency_on_rational_instance():
     assert checks[0].evidence["rel_error"] <= 1e-12
 
 
-@pytest.mark.parametrize("mode", ["exact", "both"])
+@pytest.mark.parametrize("mode", ["both"])
 def test_exact_mode_needs_rational_instance(mode):
     inst = random_instance(4, 2, seed=6, extra_edges=1)
     with pytest.raises(ConfigError, match="rational"):
@@ -160,8 +160,9 @@ def test_verify_instance_rejects_bad_beta(beta):
 
 def test_unknown_kernel_mode_raises():
     inst = random_instance(4, 2, seed=6, extra_edges=1, rational=True)
-    with pytest.raises(ConfigError, match="kernel_mode"):
-        verify_instance(inst, [1.0], kernel_mode="rational")
+    for mode in ("rational", "exact"):    # "both" is the exact mode
+        with pytest.raises(ConfigError, match="kernel_mode"):
+            verify_instance(inst, [1.0], kernel_mode=mode)
 
 
 def test_negative_control_flips_a_check():
