@@ -1,12 +1,15 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+Every error is a `MwspecError`, of one of three kinds:
+  - a bad argument: `ConfigError`;
+  - a bad instance: `InstanceSyntaxError`, `SchemaError`, `ValidationError`;
+  - a numerical failure: the other classes, whose names a report's evidence
+    carries.
+"""
 
 
 class MwspecError(Exception):
     """Base class for all package errors."""
-
-
-class NonSquareError(MwspecError):
-    pass
 
 
 class NotSymmetricError(MwspecError):
@@ -33,28 +36,10 @@ class SingularPivotError(MwspecError):
     pass
 
 
-class DimensionMismatchError(MwspecError):
-    pass
-
-
-class BadIndexError(MwspecError):
-    pass
-
-
-class ZeroVectorError(MwspecError):
-    pass
-
-
-class InvalidSizeError(MwspecError):
-    pass
-
-
-class InvalidProfileError(MwspecError):
-    pass
-
-
 class ConfigError(MwspecError, ValueError):
-    """A bad argument: a size, seed, tolerance, beta or verify mode."""
+    """A bad argument: a size, seed, weight profile, tolerance, beta, verify
+    or golden mode, block index or index set, vector, matrix shape, a float
+    weight handed to an exact constructor, or a corrupt entry outside D."""
 
 
 class InstanceSyntaxError(MwspecError):

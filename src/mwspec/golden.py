@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exact as ex
+from .errors import ConfigError
 from .exact import parse_rational, rat_matrix, rational_invert
 from .linalg import DEFAULT_TOL, Inertia, Tolerance, inertia_of
 from .model import Instance, MatrixWeightedGraph, MatrixWeightedTree, PDWeight
@@ -140,7 +141,7 @@ def run_golden(mode: str = "both", tol: Tolerance = DEFAULT_TOL) -> GoldenResult
     pipeline to the frozen rationals at 1e-9 relative; 'both' runs both.
     """
     if mode not in ("float", "exact", "both"):
-        raise ValueError(f"mode must be float|exact|both, got {mode!r}")
+        raise ConfigError(f"mode must be float|exact|both, got {mode!r}")
     inst = golden_instance()
     mismatches: list[str] = []
 

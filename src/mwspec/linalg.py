@@ -17,7 +17,6 @@ from .errors import (
     ConfigError,
     NoConvergenceError,
     NonFiniteError,
-    NonSquareError,
     NotPSDError,
     NotSymmetricError,
 )
@@ -50,7 +49,7 @@ class Inertia(NamedTuple):
 def _as_square(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise NonSquareError(f"expected a square matrix, got shape {a.shape}")
+        raise ConfigError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise NonFiniteError("matrix contains non-finite entries")
     return a

@@ -16,13 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    InstanceSyntaxError,
-    InvalidProfileError,
-    InvalidSizeError,
-    SchemaError,
-    ValidationError,
-)
+from .errors import ConfigError, InstanceSyntaxError, SchemaError, ValidationError
 from .exact import format_rational, parse_rational, rat_is_pd, rat_matrix, rat_to_float
 from .kernels import adjacency, walk
 from .linalg import DEFAULT_TOL, Tolerance
@@ -37,7 +31,7 @@ class WeightProfile:
 
     def __post_init__(self):
         if not 0 < self.lam_lo <= self.lam_hi < math.inf:   # False for NaN
-            raise InvalidProfileError(
+            raise ConfigError(
                 f"need 0 < lam_lo <= lam_hi < inf, got [{self.lam_lo}, {self.lam_hi}]"
             )
 
@@ -57,7 +51,7 @@ class PDWeight:
     def __init__(self, matrix: np.ndarray, exact=None):
         m = np.asarray(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"weight must be square, got shape {m.shape}")
+            raise ConfigError(f"weight must be square, got shape {m.shape}")
         m.setflags(write=False)
         self.matrix = m
         self.exact = None
@@ -188,7 +182,7 @@ def random_pd_weight(
 ) -> PDWeight:
     """Q diag(lam) Q' with random orthogonal Q, lam uniform in the profile range."""
     if s < 1:
-        raise InvalidSizeError(f"s must be >= 1, got {s}")
+        raise ConfigError(f"s must be >= 1, got {s}")
     lam = rng.uniform(profile.lam_lo, profile.lam_hi, size=s)
     q, r = np.linalg.qr(rng.standard_normal((s, s)))
     q = q * np.sign(np.diag(r))
@@ -231,6 +225,12 @@ def _weight_maker(s: int, rng: np.random.Generator, profile: WeightProfile,
     return lambda: random_pd_weight(s, rng, profile)
 
 
+def _require_sizes(n: int, s: int, seed: int):
+    for name, value, low in (("n", n, 2), ("s", s, 1), ("seed", seed, 0)):
+        if value < low:
+            raise ConfigError(f"{name} must be >= {low}, got {value}")
+
+
 def _tree_edges(n: int, rng: np.random.Generator) -> list[tuple[int, int]]:
     if n == 2:
         return [(0, 1)]
@@ -246,8 +246,7 @@ def random_tree(
     rational: bool = False,
 ) -> MatrixWeightedTree:
     """Uniform random labeled tree (random Prufer sequence) with PD weights."""
-    if n < 2 or s < 1:
-        raise InvalidSizeError(f"need n >= 2 and s >= 1, got n={n}, s={s}")
+    _require_sizes(n, s, seed)
     rng = np.random.default_rng(seed)
     edges = _tree_edges(n, rng)
     make = _weight_maker(s, rng, profile, rational)
@@ -263,11 +262,10 @@ def random_connected_graph(
     rational: bool = False,
 ) -> MatrixWeightedGraph:
     """Random spanning tree plus extra distinct non-tree edges."""
-    if n < 2 or s < 1:
-        raise InvalidSizeError(f"need n >= 2 and s >= 1, got n={n}, s={s}")
+    _require_sizes(n, s, seed)
     max_extra = n * (n - 1) // 2 - (n - 1)
     if not (0 <= extra_edges <= max_extra):
-        raise InvalidSizeError(
+        raise ConfigError(
             f"extra_edges must be in [0, {max_extra}], got {extra_edges}"
         )
     rng = np.random.default_rng(seed)
@@ -355,14 +353,19 @@ def _reject_constant(name: str):
     raise InstanceSyntaxError(f"bad JSON: non-finite number {name}")
 
 
-def parse_instance(text: str) -> Instance:
-    """Parse the JSON instance format; raises on syntax, schema, or validation."""
+def parse_instance(text: str | bytes) -> Instance:
+    """Parse the JSON instance format, given as text or as UTF-8 bytes;
+    raises on syntax, schema, or validation."""
     try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
         obj = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise InstanceSyntaxError(f"bad JSON: {exc}") from exc
-    except ValueError as exc:   # an integer literal past Python's digit limit
+    except ValueError as exc:   # not UTF-8, or an integer past Python's digit limit
         raise InstanceSyntaxError(str(exc)) from exc
+    except RecursionError:
+        raise InstanceSyntaxError("bad JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise SchemaError("top level must be a JSON object")
     if set(obj) != _TOP_KEYS:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exact as ex
-from .errors import DimensionMismatchError, InvalidSizeError, SingularMatrixError
+from .errors import ConfigError, SingularMatrixError
 from .kernels import adjacency, distance_fill
 from .linalg import DEFAULT_TOL, Tolerance, pinv_psd
 from .model import MatrixWeightedGraph, MatrixWeightedTree
@@ -32,9 +32,7 @@ class BlockMatrix:
     def __init__(self, n: int, s: int, array: np.ndarray):
         array = np.asarray(array, dtype=float)
         if array.shape != (n * s, n * s):
-            raise DimensionMismatchError(
-                f"expected shape {(n * s, n * s)}, got {array.shape}"
-            )
+            raise ConfigError(f"expected shape {(n * s, n * s)}, got {array.shape}")
         array.setflags(write=False)
         self.n = n
         self.s = s
@@ -130,7 +128,7 @@ def distance_from_laplacian_pinv(
 def build_U(n: int, s: int) -> np.ndarray:
     """U = e (x) I_s, shape (ns, s)."""
     if n < 2 or s < 1:
-        raise InvalidSizeError(f"need n >= 2 and s >= 1, got n={n}, s={s}")
+        raise ConfigError(f"need n >= 2 and s >= 1, got n={n}, s={s}")
     return np.kron(np.ones((n, 1)), np.eye(s))
 
 
@@ -140,7 +138,7 @@ def build_U(n: int, s: int) -> np.ndarray:
 
 def _require_exact(g: MatrixWeightedGraph):
     if not g.is_exact:
-        raise ValueError("exact constructor requires rational weight payloads")
+        raise ConfigError("exact constructor requires rational weight payloads")
 
 
 def build_laplacian_exact(g: MatrixWeightedGraph) -> ex.RatMatrix:

@@ -8,18 +8,13 @@ the individual proof steps can be tested independently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    BadIndexError,
-    DimensionMismatchError,
-    SingularMatrixError,
-    SingularPivotError,
-    ZeroVectorError,
-)
+from .errors import ConfigError, NonFiniteError, SingularMatrixError, SingularPivotError
 from .linalg import DEFAULT_TOL, Inertia, Tolerance, inertia_of
 from .operators import BlockMatrix, build_U
 
@@ -31,6 +26,12 @@ class PerturbedPencil:
     f: BlockMatrix    # (D^{-1} - beta L)^{-1}
 
 
+def require_beta(beta: float):
+    """The one rule for beta: finite and >= 0 (the theorem's range)."""
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ConfigError(f"beta must be finite and >= 0, got {beta}")
+
+
 def perturbed_pencil(
     d_inv: BlockMatrix,
     l: BlockMatrix,
@@ -40,15 +41,13 @@ def perturbed_pencil(
     """P = D^{-1} - beta L and F = P^{-1}, with an inversion residual check.
 
     Nonsingularity is guaranteed for exact data and beta >= 0, so a Singular
-    failure here signals conditioning trouble in the inputs. P is not
-    averaged: D^{-1} and L, and so P, are bitwise symmetric by construction.
+    failure here signals conditioning trouble in the inputs; a P or F that
+    overflowed raises NonFiniteError. P is not averaged: D^{-1} and L, and so
+    P, are bitwise symmetric by construction.
     """
     if (d_inv.n, d_inv.s) != (l.n, l.s):
-        raise DimensionMismatchError(
-            f"block shapes differ: ({d_inv.n},{d_inv.s}) vs ({l.n},{l.s})"
-        )
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
+        raise ConfigError(f"block shapes differ: ({d_inv.n},{d_inv.s}) vs ({l.n},{l.s})")
+    require_beta(beta)
     p = d_inv.array - beta * l.array
     dim = p.shape[0]
     try:
@@ -57,7 +56,10 @@ def perturbed_pencil(
         raise SingularMatrixError(f"pencil numerically singular: {exc}") from exc
     f = (f + f.T) / 2.0
     residual = float(np.abs(p @ f - np.eye(dim)).max())
-    if residual > tol.rel_residual * max(1.0, float(np.abs(p).max())):
+    bound = tol.rel_residual * max(1.0, float(np.abs(p).max()))
+    if not (math.isfinite(residual) and math.isfinite(bound)):
+        raise NonFiniteError("pencil or its inverse has non-finite entries")
+    if residual > bound:
         raise SingularMatrixError(
             f"inversion residual {residual:.3e} exceeds tolerance"
         )
@@ -69,11 +71,11 @@ def principal_block_submatrix(a: BlockMatrix, idx: Sequence[int]) -> BlockMatrix
     """Keep the blocks in idx x idx (1-based block indices, order preserved)."""
     idx = list(idx)
     if not idx:
-        raise BadIndexError("index set must be nonempty")
+        raise ConfigError("index set must be nonempty")
     if len(set(idx)) != len(idx):
-        raise BadIndexError(f"duplicate block indices in {idx}")
+        raise ConfigError(f"duplicate block indices in {idx}")
     if any(not (1 <= i <= a.n) for i in idx):
-        raise BadIndexError(f"block indices {idx} out of range for n={a.n}")
+        raise ConfigError(f"block indices {idx} out of range for n={a.n}")
     s = a.s
     rows = ((np.asarray(idx) - 1)[:, None] * s + np.arange(s)).ravel()
     return BlockMatrix(len(idx), s, a.array[np.ix_(rows, rows)])
@@ -91,7 +93,7 @@ def schur_complement(m: np.ndarray, k: int) -> np.ndarray:
     """M/M11 = M22 - M21 M11^{-1} M12 for the leading split M11 = M[:k, :k]."""
     m = np.asarray(m, dtype=float)
     if not 0 < k < m.shape[0]:
-        raise BadIndexError(f"leading split {k} out of range for dim {m.shape[0]}")
+        raise ConfigError(f"leading split {k} out of range for dim {m.shape[0]}")
     m11, m12, m21, m22 = m[:k, :k], m[:k, k:], m[k:, :k], m[k:, k:]
     try:
         x = np.linalg.solve(m11, m12)
@@ -128,9 +130,9 @@ def gx_matrix(a: BlockMatrix, x: np.ndarray) -> np.ndarray:
     a stack of vectors (..., s) gives the stack of compressions (..., n, n)."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 or x.shape[-1] != a.s:
-        raise DimensionMismatchError(f"x must have length s={a.s}, got {x.shape}")
+        raise ConfigError(f"x must have length s={a.s}, got {x.shape}")
     if not np.all(np.any(x != 0, axis=-1)):
-        raise ZeroVectorError("x must be nonzero")
+        raise ConfigError("x must be nonzero")
     n, s = a.n, a.s
     # one pass: (I_n (x) x)' A (I_n (x) x)
     xa = a.array.reshape(n, s, n, s)

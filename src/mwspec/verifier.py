@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BadIndexError, ConfigError, MwspecError, NonFiniteError
+from .errors import ConfigError, MwspecError, NonFiniteError
 from .exact import rat_to_float, rational_invert
 from .linalg import (
     DEFAULT_TOL,
@@ -46,6 +46,7 @@ from .perturbation import (
     haynsworth_check,
     perturbed_pencil,
     principal_block_submatrix,
+    require_beta,
 )
 
 ILL_CONDITIONED_WEIGHT = 1e6
@@ -192,7 +193,7 @@ def build_matrices(inst: Instance, corrupt: tuple[int, int, float] | None = None
         i, j, factor = corrupt
         ns = inst.n * inst.s
         if not (1 <= i <= ns and 1 <= j <= ns and math.isfinite(factor)):
-            raise BadIndexError(f"corrupt entry needs 1 <= i, j <= {ns} and a "
+            raise ConfigError(f"corrupt entry needs 1 <= i, j <= {ns} and a "
                                 f"finite factor, got ({i}, {j}, {factor})")
         arr = d.array.copy()
         arr[i - 1, j - 1] *= factor
@@ -414,9 +415,8 @@ def verify_instance(
     exact = kernel_mode == "both"
     if exact and not (inst.tree.is_exact and inst.graph.is_exact):
         raise ConfigError(f"mode {kernel_mode!r} needs a rational instance")
-    bad = [b for b in betas if not (math.isfinite(b) and b >= 0)]
-    if bad:
-        raise ConfigError(f"beta must be finite and >= 0, got {bad[0]}")
+    for beta in betas:
+        require_beta(beta)
     start = time.perf_counter()
     # an overflowing instance fails in the guarded checks, not while assembled
     with np.errstate(over="ignore", invalid="ignore"):

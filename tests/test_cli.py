@@ -185,9 +185,14 @@ def test_unwritable_out_exits_three(tmp_path, capsys, subcommand):
 
 def test_verify_bad_instance_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code, _, _ = run(["verify", "--in", str(bad)], capsys)
-    assert code == 2
+    # not JSON, not UTF-8, and nested past Python's recursion limit
+    for text in (b"{not json", bytes.fromhex("fffe00626164"),
+                 b"[" * 100000 + b"]" * 100000):
+        bad.write_bytes(text)
+        code, stdout, err = run(["verify", "--in", str(bad)], capsys)
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err and stdout == ""
 
 
 @pytest.mark.parametrize("kind, entry", [

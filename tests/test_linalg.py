@@ -9,7 +9,6 @@ from mwspec.errors import (
     ConfigError,
     NoConvergenceError,
     NonFiniteError,
-    NonSquareError,
     NotPSDError,
     NotSymmetricError,
 )
@@ -34,7 +33,7 @@ def test_sym_eigen_swap():
 
 
 def test_sym_eigen_rejects_non_square():
-    with pytest.raises(NonSquareError):
+    with pytest.raises(ConfigError):
         sym_eigvals(np.zeros((2, 3)))
 
 

@@ -7,9 +7,8 @@ import pytest
 
 from mwspec import model
 from mwspec.errors import (
+    ConfigError,
     InstanceSyntaxError,
-    InvalidProfileError,
-    InvalidSizeError,
     SchemaError,
     ValidationError,
 )
@@ -119,7 +118,7 @@ def test_random_tree_structure():
 
 
 def test_random_tree_rejects_bad_size():
-    with pytest.raises(InvalidSizeError):
+    with pytest.raises(ConfigError):
         random_tree(1, 1, seed=0)
 
 
@@ -172,16 +171,16 @@ def test_random_pd_weight_deterministic():
 
 
 def test_profile_rejects_bad_range():
-    with pytest.raises(InvalidProfileError):
+    with pytest.raises(ConfigError):
         WeightProfile(0.0, 1.0)
-    with pytest.raises(InvalidProfileError):
+    with pytest.raises(ConfigError):
         WeightProfile(2.0, 1.0)
 
 
 @pytest.mark.parametrize("lo, hi", [(float("nan"), 1.0), (0.1, float("nan")),
                                     (0.1, float("inf")), (float("inf"), float("inf"))])
 def test_profile_rejects_non_finite_bound(lo, hi):
-    with pytest.raises(InvalidProfileError):
+    with pytest.raises(ConfigError):
         WeightProfile(lo, hi)
 
 
@@ -245,7 +244,7 @@ def test_random_graph_large_n_memory(monkeypatch):
 
 
 def test_random_graph_rejects_too_many_extra():
-    with pytest.raises(InvalidSizeError):
+    with pytest.raises(ConfigError):
         random_connected_graph(4, 1, seed=0, extra_edges=4)
 
 

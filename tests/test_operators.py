@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mwspec import exact as ex
-from mwspec.errors import InvalidSizeError
+from mwspec.errors import ConfigError
 from mwspec.golden import EXPECTED_D, expected_l, golden_instance
 from mwspec.linalg import pinv_psd
 from mwspec.model import MatrixWeightedTree, PDWeight, random_instance, random_tree
@@ -221,9 +221,9 @@ def test_UtU():
 
 
 def test_size_validation():
-    with pytest.raises(InvalidSizeError):
+    with pytest.raises(ConfigError):
         build_U(1, 1)
-    with pytest.raises(InvalidSizeError):
+    with pytest.raises(ConfigError):
         build_U(2, 0)
     with pytest.raises(IndexError):
         BlockMatrix(4, 2, np.zeros((8, 8))).block(1, 5)

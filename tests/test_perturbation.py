@@ -1,11 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from mwspec.errors import (
-    BadIndexError,
-    SingularPivotError,
-    ZeroVectorError,
-)
+from mwspec.errors import ConfigError, NonFiniteError, SingularPivotError
 from mwspec.golden import golden_instance
 from mwspec.linalg import inertia_of
 from mwspec.model import MatrixWeightedTree, PDWeight, random_instance
@@ -70,6 +68,16 @@ def test_pencil_rejects_negative_beta(golden_mats):
         perturbed_pencil(d_inv, l, -1.0)
 
 
+@pytest.mark.parametrize("beta, error", [
+    (1e308, NonFiniteError), (math.inf, ConfigError), (math.nan, ConfigError),
+])
+def test_pencil_is_never_non_finite(golden_mats, beta, error):
+    # at 1e308, beta L overflows: P and F are inf/NaN and the residual is NaN
+    _, d_inv, l = golden_mats
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error):
+        perturbed_pencil(d_inv, l, beta)
+
+
 # --- principal block submatrix -----------------------------------------------
 
 
@@ -95,11 +103,11 @@ def test_submatrix_single_diagonal_block_of_D(golden_mats):
 
 def test_submatrix_rejects_bad_indices(golden_mats):
     _, d_inv, _ = golden_mats
-    with pytest.raises(BadIndexError):
+    with pytest.raises(ConfigError):
         principal_block_submatrix(d_inv, [])
-    with pytest.raises(BadIndexError):
+    with pytest.raises(ConfigError):
         principal_block_submatrix(d_inv, [1, 1])
-    with pytest.raises(BadIndexError):
+    with pytest.raises(ConfigError):
         principal_block_submatrix(d_inv, [5])
 
 
@@ -157,9 +165,9 @@ def test_schur_singular_pivot_raises():
 @pytest.mark.parametrize("k", [0, 3])
 def test_leading_split_must_leave_both_blocks_nonempty(k):
     m = np.eye(3)
-    with pytest.raises(BadIndexError):
+    with pytest.raises(ConfigError):
         schur_complement(m, k)
-    with pytest.raises(BadIndexError):
+    with pytest.raises(ConfigError):
         haynsworth_check(m, k)
 
 
@@ -219,7 +227,7 @@ def test_gx_inertia_random():
 def test_gx_rejects_zero_vector(golden_mats):
     _, d_inv, l = golden_mats
     f = perturbed_pencil(d_inv, l, 1.0).f
-    with pytest.raises(ZeroVectorError):
+    with pytest.raises(ConfigError):
         gx_matrix(f, np.zeros(2))
 
 
@@ -237,7 +245,7 @@ def test_gx_stack_matches_one_vector_at_a_time():
 def test_gx_stack_rejects_one_zero_row(golden_mats):
     _, d_inv, l = golden_mats
     f = perturbed_pencil(d_inv, l, 1.0).f
-    with pytest.raises(ZeroVectorError):
+    with pytest.raises(ConfigError):
         gx_matrix(f, np.array([[1.0, 0.0], [0.0, 0.0], [0.5, 0.5]]))
 
 

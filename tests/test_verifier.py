@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mwspec.errors import BadIndexError, ConfigError
+from mwspec.errors import ConfigError
 from mwspec.golden import golden_instance
 from mwspec.linalg import (
     DEFAULT_TOL,
@@ -82,7 +82,7 @@ def test_corrupted_distance_fails_p1():
                                      (1, 1, np.inf), (1, 1, np.nan)])
 def test_build_matrices_rejects_bad_corruption(corrupt):
     # the golden instance has ns = 8
-    with pytest.raises(BadIndexError):
+    with pytest.raises(ConfigError):
         build_matrices(golden_instance(), corrupt=corrupt)
 
 
