@@ -2,8 +2,10 @@
 
 `walk` is the one traversal in the package: the distance fill below (float
 and exact Fraction weights alike) and the connectivity check in `model` use
-it. The distance fill is the only O(n^2 s^2) loop in the package;
-everything downstream is LAPACK-bound.
+it. The fill walks once, from vertex 0, and then makes two passes of one
+numpy block-column update per tree edge: 2(n - 1) array operations of
+O(n s^2) each, with the additions of a walk from every root, so D keeps its
+bits. Everything downstream is LAPACK-bound.
 """
 
 from __future__ import annotations
@@ -47,15 +49,24 @@ def walk(adj: list[list[tuple[int, int]]], root: int) -> Iterator[tuple[int, int
 
 def distance_fill(adj: list[list[tuple[int, int]]], weights: list[np.ndarray],
                   s: int) -> np.ndarray:
-    """ns x ns tree distance matrix from per-root traversals.
+    """ns x ns tree distance matrix from two passes over the tree rooted at 0.
 
-    Block (r, v) accumulates edge weights along the unique r-v path. The
-    output has the weights' dtype: float, or object for Fractions.
+    Block (x, y) sums the edge weights on the x-y path in order from x: it is
+    block (x, u) + W_uy, u the neighbor of y toward x. For each tree edge
+    p-v (p the parent), the leaves-first pass sets column p on the subtree
+    of v from column v, and the root-first pass sets column v on the rest
+    of the tree from column p: one block-column update per edge and pass,
+    the same additions as a walk from every root. The output has the
+    weights' dtype: float, or object for Fractions.
     """
     n = len(adj)
     out = np.zeros((n * s, n * s), dtype=weights[0].dtype)
-    for r in range(n):
-        row = out[r * s:(r + 1) * s]
-        for u, v, k in walk(adj, r):
-            row[:, v * s:(v + 1) * s] = row[:, u * s:(u + 1) * s] + weights[k]
+    d = out.reshape(n, s, n, s)
+    steps = list(walk(adj, 0))
+    below = np.eye(n, dtype=bool)       # below[v]: the subtree of v
+    for p, v, k in reversed(steps):
+        d[below[v], :, p] = d[below[v], :, v] + weights[k]
+        below[p] |= below[v]
+    for p, v, k in steps:
+        d[~below[v], :, v] = d[~below[v], :, p] + weights[k]
     return out

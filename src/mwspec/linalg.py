@@ -29,9 +29,10 @@ class Tolerance:
     rel_residual: float = 1e-8
     eig_zero: float = 1e-9
     nonzero_floor: float = 1e-10
+    exact_rel_error: float = 1e-12     # float F against the exact rational F
 
     def __post_init__(self):
-        for name in ("rel_residual", "eig_zero", "nonzero_floor"):
+        for name in ("rel_residual", "eig_zero", "nonzero_floor", "exact_rel_error"):
             v = getattr(self, name)
             if not (0.0 < v < 1.0):
                 raise ConfigError(f"{name} must be in (0, 1), got {v}")

@@ -143,6 +143,23 @@ def _null_compress(x: np.ndarray, n: int, s: int) -> np.ndarray:
     return (btx[:, :, :-1] - btx[:, :, -1:]).reshape((n - 1) * s, (n - 1) * s)
 
 
+@dataclass(frozen=True)
+class DeletedBlocks:
+    """In(P(alpha'_i)) of every vertex i, alpha' = all blocks but i, and the
+    largest eigenvalue of each submatrix decomposed directly.
+
+    route is "derived" (In(P) minus In(F_ii), confirmed by the sample),
+    "direct" (In(P) has a zero or a derived count is negative) or
+    "contradicted" (a sampled inertia differs from the derived one); on the
+    last two every vertex is decomposed directly.
+    """
+
+    inertia: np.ndarray          # (n, 3): n_minus, n_zero, n_plus per vertex
+    route: str
+    sampled: list[int]           # the 1-based vertices decomposed directly
+    sampled_max: np.ndarray      # (len(sampled),)
+
+
 @dataclass
 class InstanceMatrices:
     """Everything downstream checks need, built once per instance.
@@ -173,15 +190,62 @@ class InstanceMatrices:
         return self.memo(("pencil", beta, tol),
                          lambda: perturbed_pencil(self.d_inv, self.l, beta, tol))
 
-    def deleted_spectra(self, beta: float, tol: Tolerance) -> np.ndarray:
-        """(n, (n-1)s): row i - 1 holds the ascending eigenvalues of P(alpha')
-        for alpha' = all blocks but i, where P = P(beta); P(0) is D^{-1}
-        itself, bit for bit."""
+    def p_spectrum(self, beta: float, tol: Tolerance) -> np.ndarray:
+        """Ascending eigenvalues of P(beta)."""
+        return self.memo(("p_eigs", beta, tol),
+                         lambda: sym_eigvals(self.pencil(beta, tol).p.array, tol))
+
+    def block_spectra(self, beta: float, tol: Tolerance) -> np.ndarray:
+        """(n, s): ascending eigenvalues of each diagonal block F_ii of F(beta)."""
         def make():
-            a = self.pencil(beta, tol).p if beta else self.d_inv
-            blocks = range(1, a.n + 1)
-            return np.array([sym_eigvals(principal_block_submatrix(
-                a, [k for k in blocks if k != i]).array, tol) for i in blocks])
+            f = self.pencil(beta, tol).f
+            n, s = f.n, f.s
+            return sym_eigvals(f.array.reshape(n, s, n, s)[np.arange(n), :, np.arange(n), :],
+                               tol)
+
+        return self.memo(("block_eigs", beta, tol), make)
+
+    def deleted_spectra(self, beta: float, tol: Tolerance, vertices) -> np.ndarray:
+        """The direct route: row k holds the ascending eigenvalues of P(alpha')
+        for alpha' = all blocks but vertices[k] (1-based), one eigvalsh of an
+        (n-1)s submatrix each. P(0) is D^{-1} itself, bit for bit."""
+        p = self.pencil(beta, tol).p
+        blocks = range(1, p.n + 1)
+        return np.array([sym_eigvals(principal_block_submatrix(
+            p, [k for k in blocks if k != i]).array, tol) for i in vertices])
+
+    def deleted_blocks(self, beta: float, tol: Tolerance) -> DeletedBlocks:
+        """In(P(alpha'_i)) for every vertex i, P = P(beta), from In(P) and the
+        spectra of the blocks F_ii of F = P^{-1}.
+
+        Haynsworth inertia additivity with the Fiedler-Markham nullity
+        theorem gives, for a nonsingular P and nu = n_0(F_ii),
+        n_-(P(alpha')) = n_-(P) - n_-(F_ii) - nu, n_0 = nu and
+        n_+ = n_+(P) - n_+(F_ii) - nu. At beta = 0, F = D, whose diagonal
+        blocks are exactly zero, so nu = s there. Vertex 1 and, of the others,
+        the vertex whose F_ii has the least eigenvalue are decomposed
+        directly, as an independent sample of the derived counts.
+        """
+        def make():
+            n, s = self.d.n, self.d.s
+            p_in = inertia_of_spectrum(self.p_spectrum(beta, tol), tol)
+            f_eigs = self.block_spectra(beta, tol) if beta else np.zeros((n, s))
+            f_in = inertia_of_spectrum(f_eigs, tol)
+            nu = f_in.n_zero
+            inertia = np.column_stack([p_in.n_minus - f_in.n_minus - nu, nu,
+                                       p_in.n_plus - f_in.n_plus - nu])
+            route = "direct"
+            if not p_in.n_zero and inertia.min() >= 0:
+                sampled = [1, 2 + int(np.argmin(f_eigs[1:, 0]))]
+                spectra = self.deleted_spectra(beta, tol, sampled)
+                measured = np.transpose(inertia_of_spectrum(spectra, tol))
+                if np.array_equal(measured, inertia[np.subtract(sampled, 1)]):
+                    return DeletedBlocks(inertia, "derived", sampled, spectra[:, -1])
+                route = "contradicted"
+            every = list(range(1, n + 1))
+            spectra = self.deleted_spectra(beta, tol, every)
+            return DeletedBlocks(np.transpose(inertia_of_spectrum(spectra, tol)), route,
+                                 every, spectra[:, -1])
 
         return self.memo(("deleted", beta, tol), make)
 
@@ -281,28 +345,32 @@ def verify_theorem(
     pencil = lambda: m.pencil(beta, tol)
     p_scale = lambda: max(1.0, float(np.abs(pencil().p.array).max()))
     f_scale = lambda: max(1.0, float(np.abs(pencil().f.array).max()))
-    p_eigs = lambda: m.memo(("p_eigs", beta, tol),
-                            lambda: sym_eigvals(pencil().p.array, tol))
     # THM.iv's inertia is the left-hand side of the Haynsworth check
     haynsworth = lambda: m.memo(("haynsworth", beta, tol),
                                 lambda: haynsworth_check(bordered(pencil().f), n * s, tol))
 
     def thm_i():
-        min_abs = float(np.abs(p_eigs()).min())
+        min_abs = float(np.abs(m.p_spectrum(beta, tol)).min())
         return min_abs > tol.eig_zero * p_scale(), {"min_abs_eig": min_abs}
 
     def thm_ii():
-        inert = inertia_of_spectrum(p_eigs(), tol)
+        inert = inertia_of_spectrum(m.p_spectrum(beta, tol), tol)
         return inert == (n * s - s, 0, s), {"inertia": list(inert)}
 
     def thm_iii():
         # strictly negative definite for beta > 0; at beta = 0 the submatrix
         # is D^{-1}[[Delta]], which has nullity exactly s (D_ii = 0), so only
-        # negative semidefiniteness can hold there
+        # negative semidefiniteness can hold there. The sampled spectra meet
+        # that bound, and every derived inertia is the one it implies.
         bound = tol.eig_zero * p_scale()
-        worst = float(m.deleted_spectra(beta, tol)[:, -1].max())
+        blocks = m.deleted_blocks(beta, tol)
+        worst = float(blocks.sampled_max.max())
         ok = worst < -bound if beta > 0 else worst <= bound
-        return ok, {"max_eig_over_i": worst}
+        if blocks.route == "derived":
+            target = ((n - 1) * s, 0, 0) if beta > 0 else ((n - 2) * s, s, 0)
+            ok = ok and np.all(blocks.inertia == target)
+        return ok and blocks.route != "contradicted", {
+            "max_eig_sampled": worst, "sampled": blocks.sampled, "route": blocks.route}
 
     def thm_iv():
         inert = haynsworth()[0]
@@ -360,21 +428,23 @@ def verify_fiedler_markham(
 ) -> CheckResult:
     """Nullity of a principal block of the inverse equals the nullity of the
     complementary principal submatrix, for every i; plus the distance-inverse
-    instance where the complementary nullity is forced to s."""
+    instance where the complementary nullity is forced to s.
+
+    The complementary nullities come from `InstanceMatrices.deleted_blocks`.
+    On its derived route they are n_0(F_ii) by construction, and the route
+    is kept only while its directly decomposed sample agrees; otherwise every
+    vertex is measured directly. `dinv_nullities` is the beta = 0 row.
+    """
     m = mats if mats is not None else build_matrices(inst)
-    n, s = inst.n, inst.s
+    s = inst.s
 
     def body():
-        f = m.pencil(beta, tol).f
-        # the (n, s, s) diagonal blocks F_ii; singular values of a symmetric
-        # matrix are its |eigenvalues|
-        diag = f.array.reshape(n, s, n, s)[np.arange(n), :, np.arange(n), :]
-        null_blocks = inertia_of_spectrum(sym_eigvals(diag, tol), tol).n_zero.tolist()
-        null_subs = inertia_of_spectrum(m.deleted_spectra(beta, tol), tol).n_zero.tolist()
+        null_blocks = inertia_of_spectrum(m.block_spectra(beta, tol), tol).n_zero.tolist()
+        null_subs = m.deleted_blocks(beta, tol).inertia[:, 1].tolist()
         mismatches = [{"i": i, "nullity_sub": q, "nullity_block": b}
                       for i, (q, b) in enumerate(zip(null_subs, null_blocks), start=1)
                       if q != b]
-        dinv_nullities = inertia_of_spectrum(m.deleted_spectra(0.0, tol), tol).n_zero.tolist()
+        dinv_nullities = m.deleted_blocks(0.0, tol).inertia[:, 1].tolist()
         ok = not mismatches and all(x == s for x in dinv_nullities)
         return ok, {"mismatches": mismatches, "dinv_nullities": dinv_nullities}
 
@@ -387,7 +457,8 @@ def verify_exact_consistency(
     tol: Tolerance = DEFAULT_TOL,
     mats: InstanceMatrices | None = None,
 ) -> CheckResult:
-    """Float-kernel F against the exact rational kernel, 1e-12 relative."""
+    """Float-kernel F against the exact rational kernel, within
+    tol.exact_rel_error relative to the largest entry."""
     m = mats if mats is not None else build_matrices(inst)
 
     def body():
@@ -397,7 +468,7 @@ def verify_exact_consistency(
             build_laplacian_exact(inst.graph)))
         f_x = rat_to_float(rational_invert(d_inv_x - Fraction(beta) * l_x))
         rel = float(np.abs(f.array - f_x).max()) / float(np.abs(f_x).max())
-        return rel <= 1e-12, {"rel_error": rel}
+        return rel <= tol.exact_rel_error, {"rel_error": rel}
 
     return _guard("EXACT-CONSISTENCY", beta, body)
 

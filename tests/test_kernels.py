@@ -1,4 +1,7 @@
+from fractions import Fraction
+
 import numpy as np
+import pytest
 
 from mwspec import kernels
 from mwspec.model import random_tree
@@ -23,3 +26,64 @@ def test_distance_is_symmetric_with_zero_diagonal():
     for i in range(10):
         assert np.array_equal(d[i * 3:(i + 1) * 3, i * 3:(i + 1) * 3],
                               np.zeros((3, 3)))
+
+
+def _per_root_fill(adj, weights, s):
+    """The reference fill: one walk from every root, block (r, v) = (r, u) + W_uv."""
+    n = len(adj)
+    out = np.zeros((n * s, n * s), dtype=weights[0].dtype)
+    for r in range(n):
+        row = out[r * s:(r + 1) * s]
+        for u, v, k in kernels.walk(adj, r):
+            row[:, v * s:(v + 1) * s] = row[:, u * s:(u + 1) * s] + weights[k]
+    return out
+
+
+SHAPES = ("path", "star", "caterpillar", "random")
+
+
+def _tree_edges(shape, n, rng):
+    if shape == "path":
+        edges = [(i, i + 1) for i in range(n - 1)]
+    elif shape == "star":
+        edges = [(0, i) for i in range(1, n)]
+    elif shape == "caterpillar":
+        spine = (n + 1) // 2
+        edges = [(i, i + 1) for i in range(spine - 1)]
+        edges += [(int(rng.integers(spine)), i) for i in range(spine, n)]
+    else:
+        edges = [(int(rng.integers(i)), i) for i in range(1, n)]
+    # relabel the vertices and shuffle edge order and orientation, so that
+    # vertex 0 is not always the first vertex of a path or the star's center
+    label = rng.permutation(n) if shape == "random" else np.arange(n)
+    edges = [(int(label[v]), int(label[u])) if rng.integers(2) else (int(label[u]), int(label[v]))
+             for u, v in edges]
+    return [edges[k] for k in rng.permutation(len(edges))]
+
+
+def _weight(s, rng, exact):
+    a = rng.integers(-9, 10, size=(s, s))
+    if exact:
+        b = rng.integers(1, 12, size=(s, s))
+        w = np.array([[Fraction(int(a[i, j] + a[j, i]), int(b[min(i, j), max(i, j)]))
+                       for j in range(s)] for i in range(s)], dtype=object)
+        return w + np.diag([Fraction(20)] * s)
+    return (a @ a.T) / 7.0 + rng.uniform(0.1, 3.0) * np.eye(s)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "fraction"])
+@pytest.mark.parametrize("s", [1, 3])
+@pytest.mark.parametrize("n", [2, 80])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_distance_fill_matches_the_per_root_walk(shape, n, s, exact):
+    """The two-pass fill makes the per-root walk's additions: equal arrays,
+    bit for bit for floats and exactly for Fractions."""
+    rng = np.random.default_rng([n, s, SHAPES.index(shape), exact])
+    adj = kernels.adjacency(n, _tree_edges(shape, n, rng))
+    weights = [_weight(s, rng, exact) for _ in range(n - 1)]
+    got = kernels.distance_fill(adj, weights, s)
+    want = _per_root_fill(adj, weights, s)
+    assert got.dtype == want.dtype == (object if exact else float)
+    assert np.array_equal(got, want)
+    if exact:
+        assert all(type(x) is type(y) for x, y in zip(got.flat, want.flat))

@@ -11,6 +11,7 @@ from mwspec.errors import ConfigError
 from mwspec.golden import golden_instance
 from mwspec.linalg import (
     DEFAULT_TOL,
+    Tolerance,
     inertia_of,
     inertia_of_spectrum,
     is_pd_quadratic_form,
@@ -42,6 +43,7 @@ from mwspec.verifier import (
     build_matrices,
     campaign_summary,
     run_campaign,
+    verify_exact_consistency,
     verify_fiedler_markham,
     verify_instance,
     verify_preliminaries,
@@ -116,6 +118,62 @@ def test_theorem_lists_non_pd_blocks_row_major():
     assert thm_vi.evidence["non_pd_blocks"] == [[1, 3], [2, 1], [4, 2]]
 
 
+def test_theorem_fails_when_the_sample_contradicts_the_derived_inertia():
+    # negate F_22: the derived In(P(alpha')) of vertex 2 becomes (4, 0, 2),
+    # while the sampled direct spectrum of the untouched P(alpha') is (6, 0, 0)
+    inst = golden_instance()
+    mats = build_matrices(inst)
+    pencil = perturbed_pencil(mats.d_inv, mats.l, 1.0)
+    f, s = pencil.f.array.copy(), inst.s
+    f[s:2 * s, s:2 * s] *= -1.0
+    tampered = PerturbedPencil(1.0, pencil.p, BlockMatrix(inst.n, s, f))
+    mats.memo(("pencil", 1.0, DEFAULT_TOL), lambda: tampered)
+    thm_iii = by_id(verify_theorem(inst, 1.0, mats=mats), "THM.iii")[0]
+    assert not thm_iii.passed
+    # a contradicted sample sends every vertex to the direct route
+    assert thm_iii.evidence["route"] == "contradicted"
+    assert thm_iii.evidence["sampled"] == [1, 2, 3, 4]
+    direct = [np.linalg.eigvalsh(principal_block_submatrix(
+        pencil.p, [k for k in range(1, 5) if k != i]).array) for i in range(1, 5)]
+    assert thm_iii.evidence["max_eig_sampled"] == max(w[-1] for w in direct)
+    # the measured counts are the direct ones, so FM sees no mismatch
+    assert verify_fiedler_markham(inst, 1.0, mats=mats).passed
+
+
+def test_singular_pencil_takes_the_direct_route(monkeypatch):
+    # remove P's eigenvalue nearest zero: In(P) gains a zero, so In(P) - In(F_ii)
+    # says nothing and every vertex is decomposed directly
+    inst = golden_instance()
+    n, s = inst.n, inst.s
+    mats = build_matrices(inst)
+    pencil = perturbed_pencil(mats.d_inv, mats.l, 1.0)
+    w, v = np.linalg.eigh(pencil.p.array)
+    k = int(np.argmin(np.abs(w)))
+    p = pencil.p.array - w[k] * np.outer(v[:, k], v[:, k])
+    assert inertia_of(p).n_zero == 1
+    singular = PerturbedPencil(1.0, BlockMatrix(n, s, p), pencil.f)
+    mats.memo(("pencil", 1.0, DEFAULT_TOL), lambda: singular)
+    calls = []
+    monkeypatch.setattr(verifier, "principal_block_submatrix",
+                        lambda a, idx: calls.append(idx) or principal_block_submatrix(a, idx))
+    blocks = mats.deleted_blocks(1.0, DEFAULT_TOL)
+    assert blocks.route == "direct"
+    assert blocks.sampled == [1, 2, 3, 4]
+    assert len(calls) == n
+    direct = [np.linalg.eigvalsh(principal_block_submatrix(
+        BlockMatrix(n, s, p), [k for k in range(1, n + 1) if k != i]).array)
+        for i in range(1, n + 1)]
+    assert blocks.inertia.tolist() == [list(inertia_of_spectrum(d)) for d in direct]
+    assert blocks.sampled_max.tolist() == [d[-1] for d in direct]
+    # THM.iii is then decided by the bound on every vertex, as before
+    thm = verify_theorem(inst, 1.0, mats=mats)
+    assert not by_id(thm, "THM.i")[0].passed
+    thm_iii = by_id(thm, "THM.iii")[0]
+    assert thm_iii.evidence["route"] == "direct"
+    assert thm_iii.passed == (max(d[-1] for d in direct)
+                              < -DEFAULT_TOL.eig_zero * max(1.0, np.abs(p).max()))
+
+
 def test_fiedler_markham_golden():
     check = verify_fiedler_markham(golden_instance(), 1.0)
     assert check.passed
@@ -142,7 +200,11 @@ def test_exact_consistency_on_rational_instance():
     report = verify_instance(inst, [1.0], kernel_mode="both")
     checks = [c for c in report.checks if c.check_id == "EXACT-CONSISTENCY"]
     assert len(checks) == 1 and checks[0].passed
-    assert checks[0].evidence["rel_error"] <= 1e-12
+    rel = checks[0].evidence["rel_error"]
+    assert 0 < rel <= DEFAULT_TOL.exact_rel_error == 1e-12
+    # the threshold is the tolerance's, not a literal
+    strict = verify_exact_consistency(inst, 1.0, Tolerance(exact_rel_error=rel / 2))
+    assert not strict.passed and strict.evidence == {"rel_error": rel}
 
 
 @pytest.mark.parametrize("mode", ["both"])
@@ -305,9 +367,9 @@ def _oracle_cases():
 @pytest.mark.parametrize("n, s, seed", _oracle_cases())
 @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 10.0])
 def test_shared_spectra_match_direct_route(n, s, seed, beta):
-    """The once-per-beta pencil, the deleted-block spectra and the stacked
-    block checks give the same evidence as building and decomposing every
-    submatrix, block and G_x per check."""
+    """The once-per-beta pencil, the derived deleted-block inertias and the
+    stacked block checks give the same evidence as building and decomposing
+    every submatrix, block and G_x per check."""
     inst = random_instance(n, s, seed, extra_edges=min(n, (n - 1) * (n - 2) // 2))
     mats = build_matrices(inst)
     checks = verify_theorem(inst, beta, mats=mats)
@@ -317,19 +379,24 @@ def test_shared_spectra_match_direct_route(n, s, seed, beta):
     rest = lambda i: [k for k in range(1, n + 1) if k != i]
     sub_p = [principal_block_submatrix(pencil.p, rest(i)).array for i in range(1, n + 1)]
     sub_d = [principal_block_submatrix(mats.d_inv, rest(i)).array for i in range(1, n + 1)]
+    direct = [np.linalg.eigvalsh(q) for q in sub_p]
 
-    # THM.iii: one eigvalsh per deleted vertex, as before
-    direct = max(float(np.linalg.eigvalsh(q)[-1]) for q in sub_p)
-    assert by_id(checks, "THM.iii")[0].evidence["max_eig_over_i"] == direct
+    # the derived inertia of every vertex is the direct route's
+    blocks = mats.deleted_blocks(beta, DEFAULT_TOL)
+    assert blocks.route == "derived"
+    assert blocks.inertia.tolist() == [list(inertia_of_spectrum(w)) for w in direct]
 
-    # the shared spectra, vertex by vertex
-    spectra = mats.deleted_spectra(beta, DEFAULT_TOL)
-    assert spectra.shape == (n, (n - 1) * s)
-    assert all(np.array_equal(w, np.linalg.eigvalsh(q)) for w, q in zip(spectra, sub_p))
+    # THM.iii: vertex 1 and, of the others, the least-eigenvalue F_ii
+    # (at beta = 0 every F_ii = D_ii is zero, so the first of the others)
+    least = [float(np.linalg.eigvalsh(pencil.f.block(i, i))[0]) for i in range(2, n + 1)]
+    sampled = [1, 2 + (int(np.argmin(least)) if beta else 0)]
+    thm_iii = by_id(checks, "THM.iii")[0]
+    assert thm_iii.evidence == {"max_eig_sampled": max(direct[i - 1][-1] for i in sampled),
+                                "sampled": sampled, "route": "derived"}
 
-    # FM-nullity: zero counts of the shared spectra against the SVD route
+    # FM-nullity: the derived zero counts against the SVD route
     nullity_of = lambda q: min(q.shape) - rank_of(q)
-    assert [inertia_of_spectrum(w).n_zero for w in spectra] == [nullity_of(q) for q in sub_p]
+    assert blocks.inertia[:, 1].tolist() == [nullity_of(q) for q in sub_p]
     mismatches = [{"i": i, "nullity_sub": nullity_of(q),
                    "nullity_block": nullity_of(pencil.f.block(i, i))}
                   for i, q in enumerate(sub_p, start=1)
