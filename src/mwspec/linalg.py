@@ -29,10 +29,9 @@ class Tolerance:
     rel_residual: float = 1e-8
     eig_zero: float = 1e-9
     nonzero_floor: float = 1e-10
-    exact_rel_error: float = 1e-12     # float F against the exact rational F
 
     def __post_init__(self):
-        for name in ("rel_residual", "eig_zero", "nonzero_floor", "exact_rel_error"):
+        for name in ("rel_residual", "eig_zero", "nonzero_floor"):
             v = getattr(self, name)
             if not (0.0 < v < 1.0):
                 raise ConfigError(f"{name} must be in (0, 1), got {v}")
@@ -88,6 +87,12 @@ def sym_eigvals(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return _sym_decompose(np.linalg.eigvalsh, a, tol)
 
 
+def zero_threshold(w: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """eig_zero * max(1, spectral_radius) of the spectrum w, or of each row of
+    a stack (k, m): values at most this far from zero count as zero."""
+    return tol.eig_zero * np.maximum(1.0, np.abs(w).max(axis=-1, initial=0.0))
+
+
 def inertia_of_spectrum(w: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Inertia:
     """Counts of (negative, zero, positive) values in the spectrum w; a stack
     (k, m) of spectra gives an Inertia of (k,) arrays, one count per row.
@@ -96,7 +101,7 @@ def inertia_of_spectrum(w: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Inertia:
     This is the one zero/sign rule for inertia, rank and nullity.
     """
     w = np.asarray(w)
-    thresh = tol.eig_zero * np.maximum(1.0, np.abs(w).max(axis=-1, initial=0.0))
+    thresh = zero_threshold(w, tol)
     n_minus = np.sum(w < -thresh[..., None], axis=-1)
     n_plus = np.sum(w > thresh[..., None], axis=-1)
     counts = (n_minus, w.shape[-1] - n_minus - n_plus, n_plus)

