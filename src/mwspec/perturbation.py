@@ -109,19 +109,21 @@ def schur_complement(m: np.ndarray, k: int) -> np.ndarray:
 
 
 def haynsworth_check(
-    m: np.ndarray, k: int, tol: Tolerance = DEFAULT_TOL
+    m: np.ndarray, k: int, pivot_inertia: Inertia, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[Inertia, Inertia, bool, np.ndarray]:
     """Inertia additivity: In(M) vs In(M11) + In(M/M11), componentwise, for
     the leading split M11 = M[:k, :k].
 
+    In(M11) comes from the caller as `pivot_inertia`, who may know it without
+    a decomposition: the verifier's pivot F = P^{-1} is congruent to P, so
+    In(F) = In(P). In(M) and In(M/M11) are measured.
     Returns (In(M), In(M11) + In(M/M11), whether they agree, M/M11).
     """
     m = np.asarray(m, dtype=float)
     schur = schur_complement(m, k)
     lhs = inertia_of(m, tol)
-    in_pivot = inertia_of(m[:k, :k], tol)
     in_schur = inertia_of(schur, tol)
-    rhs = Inertia(*(a + b for a, b in zip(in_pivot, in_schur)))
+    rhs = Inertia(*(a + b for a, b in zip(pivot_inertia, in_schur)))
     return lhs, rhs, lhs == rhs, schur
 
 

@@ -368,9 +368,10 @@ def verify_theorem(
     pencil = lambda: m.pencil(beta, tol)
     p_scale = lambda: max(1.0, float(np.abs(pencil().p.array).max()))
     f_scale = lambda: max(1.0, float(np.abs(pencil().f.array).max()))
-    # THM.iv's inertia is the left-hand side of the Haynsworth check
-    haynsworth = lambda: m.memo(("haynsworth", beta, tol),
-                                lambda: haynsworth_check(bordered(pencil().f), n * s, tol))
+    # THM.iv's inertia is the left-hand side of the Haynsworth check; the
+    # pivot F = P^{-1} is congruent to P, so In(F) is read from P's spectrum
+    haynsworth = lambda: m.memo(("haynsworth", beta, tol), lambda: haynsworth_check(
+        bordered(pencil().f), n * s, inertia_of_spectrum(m.p_spectrum(beta, tol), tol), tol))
 
     def p_eigs():
         pencil()     # P(0) = D^{-1} needs no inverse, but the theorem does

@@ -2,13 +2,61 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mwspec import exact as ex
 from mwspec.errors import InstanceSyntaxError, SingularMatrixError
+from mwspec.model import random_instance
+from mwspec.operators import build_laplacian_exact, distance_inverse_closed_form_exact
+from mwspec.verifier import DEFAULT_BETAS
 
 
 def F(p, q=1):
     return Fraction(p, q)
+
+
+def gauss_jordan_oracle(a):
+    """Exact inverse by Gauss-Jordan elimination over Fractions, with the
+    first nonzero entry at or below the diagonal as pivot."""
+    a = ex.rat_matrix(np.asarray(a, dtype=object).tolist()).reshape(np.shape(a))
+    n = len(a)
+    if a.shape != (n, n):
+        raise SingularMatrixError("matrix is not square")
+    aug = np.concatenate([a, np.eye(n, dtype=int).astype(object)], axis=1)
+    for col in range(n):
+        nonzero = np.flatnonzero(aug[col:, col] != 0)
+        if not len(nonzero):
+            raise SingularMatrixError(f"no nonzero pivot in column {col}")
+        pivot_row = col + nonzero[0]
+        if pivot_row != col:
+            aug[[col, pivot_row]] = aug[[pivot_row, col]]
+        aug[col, col:] /= aug[col, col]
+        rows = np.flatnonzero(aug[:, col] != 0)
+        rows = rows[rows != col]
+        aug[rows, col:] -= np.multiply.outer(aug[rows, col], aug[col, col:])
+    return aug[:, n:]
+
+
+def pd_oracle(a) -> bool:
+    """Positive definiteness by Gaussian elimination over Fractions without
+    row exchanges: every pivot must be positive."""
+    a = ex.rat_matrix(np.asarray(a, dtype=object).tolist()).reshape(np.shape(a))
+    for col in range(len(a)):
+        piv = a[col, col]
+        if piv <= 0:
+            return False
+        f = a[col + 1:, col] / piv
+        a[col + 1:, col:] -= np.multiply.outer(f, a[col, col:])
+    return True
+
+
+def assert_exact_inverse(a, inv):
+    n = len(a)
+    assert inv.dtype == object and inv.shape == (n, n)
+    assert all(type(x) is Fraction for x in inv.flat)
+    assert np.array_equal(a @ inv, np.eye(n, dtype=int))
+    assert np.array_equal(inv @ a, np.eye(n, dtype=int))
 
 
 def test_parse_rational():
@@ -64,3 +112,122 @@ def test_invert_needs_pivoting():
     inv = ex.rational_invert(a)
     assert np.array_equal(a @ inv, np.eye(2, dtype=int))
 
+
+# --- the fraction-free kernel against the Fraction oracle ---------------------
+
+# mostly zeros, so that leading and later pivots are often zero and rows
+# must be swapped; integers and rationals with up to 20-bit parts
+ENTRIES = st.one_of(
+    st.just(0),
+    st.integers(-4, 4),
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 50)),
+    st.builds(Fraction, st.integers(-2**20, 2**20), st.integers(1, 2**20)),
+)
+
+
+def _matrix(entries, rows, cols):
+    a = np.empty(rows * cols, dtype=object)
+    a[:] = entries
+    return a.reshape(rows, cols)
+
+
+@st.composite
+def square_matrices(draw, max_n=7):
+    n = draw(st.integers(0, max_n))
+    return _matrix(draw(st.lists(ENTRIES, min_size=n * n, max_size=n * n)), n, n)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(square_matrices())
+def test_invert_matches_the_gauss_jordan_oracle(a):
+    try:
+        want = gauss_jordan_oracle(a)
+    except SingularMatrixError as exc:
+        # singular input fails at the same column
+        with pytest.raises(SingularMatrixError, match=f"^{exc}$"):
+            ex.rational_invert(a)
+        return
+    got = ex.rational_invert(a)
+    assert np.array_equal(got, want)
+    assert_exact_inverse(ex.rat_matrix(a.tolist()).reshape(a.shape), got)
+
+
+@pytest.mark.parametrize("a, message", [
+    ([[0, 0], [0, 1]], "no nonzero pivot in column 0"),
+    ([[1, 2, 3], [2, 4, 6], [0, 0, 1]], "no nonzero pivot in column 1"),
+    ([[F(1, 3), F(1, 6)], [F(2, 3), F(1, 3)]], "no nonzero pivot in column 1"),
+    ([[1, 2, 3]], "matrix is not square"),
+    ([1, 2], "matrix is not square"),
+])
+def test_invert_errors(a, message):
+    with pytest.raises(SingularMatrixError, match=f"^{message}$"):
+        ex.rational_invert(a)
+
+
+@pytest.mark.parametrize("a, want", [
+    (np.empty((0, 0), dtype=object), np.empty((0, 0), dtype=object)),
+    ([[F(3, 7)]], [[F(7, 3)]]),
+    ([[-5]], [[F(-1, 5)]]),
+    ([[0, 1, 0], [0, 0, 1], [2, 0, 0]], [[0, 0, F(1, 2)], [1, 0, 0], [0, 1, 0]]),
+])
+def test_invert_small_and_integer_cases(a, want):
+    got = ex.rational_invert(a)
+    assert got.dtype == object and got.shape == np.shape(want)
+    assert np.array_equal(got, np.asarray(want, dtype=object))
+    assert all(type(x) is Fraction for x in got.flat)
+
+
+def test_invert_workload_sized_pencils():
+    # the size the exact path meets in a verify: one (10, 2) rational
+    # instance, D^{-1} - beta L at every default beta
+    inst = random_instance(10, 2, 1002, 10, rational=True)
+    d_inv = distance_inverse_closed_form_exact(inst.tree)
+    l = build_laplacian_exact(inst.graph)
+    for beta in DEFAULT_BETAS:
+        p = d_inv - Fraction(beta) * l
+        inv = ex.rational_invert(p)
+        assert np.array_equal(inv, gauss_jordan_oracle(p))
+        assert_exact_inverse(p, inv)
+
+
+@st.composite
+def symmetric_rationals(draw, max_n=6):
+    """(A, kind): A = C'C + qI with q > 0 (definite), C'C with C of fewer
+    rows than columns (semidefinite and singular), or (C + C')/2 (any)."""
+    n = draw(st.integers(1, max_n))
+    kind = draw(st.sampled_from(["definite", "semidefinite", "any"]))
+    rows = n + 1 if kind == "definite" else n - 1 if kind == "semidefinite" else n
+    c = _matrix(draw(st.lists(ENTRIES, min_size=rows * n, max_size=rows * n)), rows, n)
+    if kind == "any":
+        return (c + c.T) * F(1, 2), kind
+    a = c.T @ c
+    if kind == "definite":
+        q = draw(st.builds(Fraction, st.integers(1, 10), st.integers(1, 1000)))
+        a = a + q * np.eye(n, dtype=int)
+    return a, kind
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(symmetric_rationals())
+def test_is_pd_matches_the_fraction_pivot_oracle(case):
+    a, kind = case
+    a = ex.rat_matrix(a.tolist())
+    got = ex.rat_is_pd(a)
+    assert got == pd_oracle(a)
+    if kind != "any":
+        assert got == (kind == "definite")
+
+
+@pytest.mark.parametrize("a, ok", [
+    (np.empty((0, 0), dtype=object), True),
+    ([[F(1, 3)]], True),
+    ([[0]], False),
+    ([[F(-1, 2)]], False),
+    ([[0, 0], [0, 1]], False),              # a zero leading minor
+    ([[1, 1], [1, 1]], False),              # singular: last minor zero
+    ([[2, 1], [1, F(1, 2)]], False),
+    ([[2, 1], [1, F(501, 1000)]], True),
+    ([[1, 2], [2, 1]], False),              # indefinite
+])
+def test_is_pd_small_cases(a, ok):
+    assert ex.rat_is_pd(a) is ok

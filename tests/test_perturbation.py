@@ -5,7 +5,7 @@ import pytest
 
 from mwspec.errors import ConfigError, NonFiniteError, SingularPivotError
 from mwspec.golden import golden_instance
-from mwspec.linalg import inertia_of
+from mwspec.linalg import Inertia, inertia_of
 from mwspec.model import MatrixWeightedTree, PDWeight, random_instance
 from mwspec.operators import (
     build_distance_matrix,
@@ -168,19 +168,23 @@ def test_leading_split_must_leave_both_blocks_nonempty(k):
     with pytest.raises(ConfigError):
         schur_complement(m, k)
     with pytest.raises(ConfigError):
-        haynsworth_check(m, k)
+        haynsworth_check(m, k, Inertia(0, 0, k))
 
 
 def test_haynsworth_trivial():
-    lhs, rhs, ok, _ = haynsworth_check(np.diag([1.0, -1.0]), 1)
+    m = np.diag([1.0, -1.0])
+    lhs, rhs, ok, _ = haynsworth_check(m, 1, inertia_of(m[:1, :1]))
     assert ok
     assert lhs == (1, 0, 1)
+    # the pivot inertia is the caller's, used as it is, not measured again
+    lhs, rhs, ok, _ = haynsworth_check(m, 1, Inertia(1, 0, 0))
+    assert (lhs, rhs, ok) == ((1, 0, 1), (2, 0, 0), False)
 
 
 def test_haynsworth_golden(golden_mats):
     _, d_inv, l = golden_mats
     f = perturbed_pencil(d_inv, l, 1.0).f
-    lhs, rhs, ok, _ = haynsworth_check(bordered(f), 8)
+    lhs, rhs, ok, _ = haynsworth_check(bordered(f), 8, inertia_of(f.array))
     assert ok
     assert lhs == (8, 0, 2)
 
@@ -190,7 +194,7 @@ def test_haynsworth_random_symmetric():
     for _ in range(10):
         m = rng.standard_normal((12, 12))
         m = (m + m.T) / 2.0 + np.eye(12)  # keep the pivot comfortably nonsingular
-        _, _, ok, _ = haynsworth_check(m, 5)
+        _, _, ok, _ = haynsworth_check(m, 5, inertia_of(m[:5, :5]))
         assert ok
 
 

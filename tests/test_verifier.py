@@ -29,6 +29,7 @@ from mwspec.perturbation import (
     PerturbedPencil,
     bordered,
     gx_matrix,
+    haynsworth_check,
     perturbed_pencil,
     principal_block_submatrix,
 )
@@ -455,6 +456,11 @@ def test_shared_spectra_match_direct_route(n, s, seed, beta):
     # THM.iv: the Haynsworth left-hand side is the bordered inertia
     assert by_id(checks, "THM.iv")[0].evidence["inertia"] == list(
         inertia_of(bordered(pencil.f)))
+    # THM.iv.haynsworth reads its pivot's inertia In(F) off P's spectrum
+    # (F = P^{-1} is congruent to P); it agrees with In(F) measured
+    assert inertia_of_spectrum(mats.p_spectrum(beta, DEFAULT_TOL)) == inertia_of(pencil.f.array)
+    _, rhs, _, _ = haynsworth_check(bordered(pencil.f), n * s, inertia_of(pencil.f.array))
+    assert by_id(checks, "THM.iv.haynsworth")[0].evidence["rhs"] == list(rhs)
     assert by_id(checks, "THM.ii")[0].evidence["inertia"] == list(inertia_of(pencil.p.array))
 
     # P(0) is the closed-form D^{-1} bit for bit, so its spectra are shared
