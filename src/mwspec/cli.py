@@ -21,7 +21,7 @@ import tempfile
 
 from .errors import ConfigError, MwspecError
 from .golden import run_golden
-from .linalg import Tolerance
+from .linalg import DEFAULT_TOL, Tolerance
 from .model import (
     WeightProfile,
     instance_hash,
@@ -78,7 +78,7 @@ def cmd_verify(args) -> int:
     corrupt = None if args.corrupt_d is None else _parse_corrupt(args.corrupt_d)
     mode = args.mode
     if mode is None:
-        mode = "both" if inst.tree.is_exact and inst.graph.is_exact else "float"
+        mode = "both" if inst.is_exact else "float"
     betas = args.beta if args.beta else list(DEFAULT_BETAS)
     report = verify_instance(inst, betas, tol, kernel_mode=mode, corrupt=corrupt)
     if args.out:
@@ -129,9 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--out")
     p_verify.add_argument("--beta", type=float, action="append", default=None)
     p_verify.add_argument("--mode", choices=["float", "both"], default=None)
-    p_verify.add_argument("--rel-residual", type=float, default=1e-8)
-    p_verify.add_argument("--eig-zero", type=float, default=1e-9)
-    p_verify.add_argument("--nonzero-floor", type=float, default=1e-10,
+    p_verify.add_argument("--rel-residual", type=float, default=DEFAULT_TOL.rel_residual)
+    p_verify.add_argument("--eig-zero", type=float, default=DEFAULT_TOL.eig_zero)
+    p_verify.add_argument("--nonzero-floor", type=float, default=DEFAULT_TOL.nonzero_floor,
                           help="floor for the P4, COL-SPACE and THM.vi.gx checks")
     p_verify.add_argument("--corrupt-d", default=None, metavar="i,j,factor",
                           help="negative-control knob: scale one entry of D")

@@ -15,17 +15,14 @@ import numpy as np
 from . import exact as ex
 from .errors import ConfigError
 from .exact import parse_rational, rat_matrix, rational_invert
-from .linalg import DEFAULT_TOL, Inertia, Tolerance, inertia_of
+from .linalg import DEFAULT_TOL, Inertia, inertia_of
 from .model import Instance, MatrixWeightedGraph, MatrixWeightedTree, PDWeight
 from .operators import (
-    build_distance_matrix,
     build_distance_matrix_exact,
-    build_laplacian,
     build_laplacian_exact,
-    distance_inverse_closed_form,
     distance_inverse_closed_form_exact,
 )
-from .perturbation import perturbed_pencil
+from .verifier import build_matrices
 
 
 def _int_weight(rows) -> PDWeight:
@@ -134,7 +131,7 @@ def _compare_exact(name: str, got: ex.RatMatrix, want: ex.RatMatrix,
         )
 
 
-def run_golden(mode: str = "both", tol: Tolerance = DEFAULT_TOL) -> GoldenResult:
+def run_golden(mode: str = "both") -> GoldenResult:
     """Reproduce the worked example: D, L, and (D^{-1} - L)^{-1}.
 
     mode 'exact' compares bit-exact rationals; 'float' compares the floating
@@ -155,22 +152,20 @@ def run_golden(mode: str = "both", tol: Tolerance = DEFAULT_TOL) -> GoldenResult
         _compare_exact("F", f, expected_f(), mismatches)
 
     if mode in ("float", "both"):
-        d = build_distance_matrix(inst.tree).array
+        m = build_matrices(inst)
         want_d = np.array(EXPECTED_D, dtype=float)
-        if not np.array_equal(d, want_d):
+        if not np.array_equal(m.d.array, want_d):
             mismatches.append("D (float): integer entries not reproduced exactly")
-        l = build_laplacian(inst.graph)
         want_l = ex.rat_to_float(expected_l())
-        err = np.abs(l.array - want_l).max()
+        err = np.abs(m.l.array - want_l).max()
         if err > 1e-9 * np.abs(want_l).max():
             mismatches.append(f"L (float): max abs error {err:.3e}")
-        d_inv = distance_inverse_closed_form(inst.tree)
-        pencil = perturbed_pencil(d_inv, l, 1.0, tol)
+        pencil = m.pencil(1.0, DEFAULT_TOL)
         want_f = ex.rat_to_float(expected_f())
         rel = np.abs(pencil.f.array - want_f).max() / np.abs(want_f).max()
         if rel > 1e-9:
             mismatches.append(f"F (float): max relative error {rel:.3e}")
-        got_in = inertia_of(pencil.f.array, tol)
+        got_in = inertia_of(pencil.f.array)
         if got_in != EXPECTED_INERTIA:
             mismatches.append(
                 f"inertia: expected {tuple(EXPECTED_INERTIA)}, got {tuple(got_in)}"

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigError, InstanceSyntaxError, SchemaError, ValidationError
 from .exact import format_rational, parse_rational, rat_is_pd, rat_matrix, rat_to_float
 from .kernels import adjacency, walk
-from .linalg import DEFAULT_TOL, Tolerance
+from .linalg import DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -105,6 +105,11 @@ class Instance:
     def s(self) -> int:
         return self.tree.s
 
+    @property
+    def is_exact(self) -> bool:
+        """Whether every weight of the tree and the graph is rational."""
+        return self.tree.is_exact and self.graph.is_exact
+
 
 @dataclass
 class ValidationResult:
@@ -119,11 +124,7 @@ def _connected(n: int, edges) -> bool:
     return sum(1 for _ in walk(adj, 0)) == n - 1
 
 
-def validate(
-    g: MatrixWeightedGraph,
-    require_tree: bool = False,
-    tol: Tolerance = DEFAULT_TOL,
-) -> ValidationResult:
+def validate(g: MatrixWeightedGraph, require_tree: bool = False) -> ValidationResult:
     """Structural validation; violations are returned, never raised."""
     v: list[str] = []
     if g.n < 2:
@@ -161,7 +162,7 @@ def validate(
             # need only stay PD: a conditioning threshold would turn away
             # exact instances that only the exact kernel can check
             rounded = wt.exact is not None
-            if lam_min <= (0.0 if rounded else tol.eig_zero * scale):
+            if lam_min <= (0.0 if rounded else DEFAULT_TOL.eig_zero * scale):
                 what = "float rounding of weight" if rounded else "weight"
                 v.append(f"edge {key}: {what} not positive definite "
                          f"(min eigenvalue {lam_min:.3e})")
@@ -389,7 +390,7 @@ def parse_instance(text: str | bytes) -> Instance:
 
 
 def serialize_instance(inst: Instance) -> str:
-    kind = "rational" if inst.tree.is_exact and inst.graph.is_exact else "float"
+    kind = "rational" if inst.is_exact else "float"
 
     def edges(g):
         return {

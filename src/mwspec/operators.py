@@ -13,8 +13,6 @@ identity), which is what makes the cross-checks in the verifier meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import exact as ex
@@ -44,14 +42,6 @@ class BlockMatrix:
             raise IndexError(f"block index ({i},{j}) out of range for n={self.n}")
         s = self.s
         return self.array[(i - 1) * s:i * s, (j - 1) * s:j * s]
-
-
-@dataclass(frozen=True)
-class StructuralVectors:
-    """tau and Delta = tau (x) I_s."""
-
-    tau: np.ndarray        # (n,) integers, tau_i = 2 - degree(i)
-    delta: np.ndarray      # (ns, s) integers
 
 
 def _laplacian(g: MatrixWeightedGraph, weights, inv) -> np.ndarray:
@@ -88,18 +78,17 @@ def build_distance_matrix(t: MatrixWeightedTree) -> BlockMatrix:
     return BlockMatrix(t.n, t.s, _distance(t, [w.matrix for _, _, w in t.edges]))
 
 
-def structural_vectors(t: MatrixWeightedTree) -> StructuralVectors:
+def structural_vectors(t: MatrixWeightedTree) -> np.ndarray:
+    """tau: (n,) integers, tau_i = 2 - degree(i)."""
     ends = [x for u, v, _ in t.edges for x in (u, v)]
-    tau = 2 - np.bincount(ends, minlength=t.n)
-    delta = np.kron(tau.reshape(-1, 1), np.eye(t.s, dtype=int))
-    return StructuralVectors(tau, delta)
+    return 2 - np.bincount(ends, minlength=t.n)
 
 
 def _closed_form(t: MatrixWeightedTree, weights, inv) -> np.ndarray:
     # no float constant: one would turn Fractions into floats. Delta is an
     # integer matrix and halving is exact in binary floating point, so the
     # float D^{-1} has the bits of -(1/2) L(T) + (1/2) Delta R^{-1} Delta'
-    delta = structural_vectors(t).delta
+    delta = np.kron(structural_vectors(t).reshape(-1, 1), np.eye(t.s, dtype=int))
     a = (delta @ inv(sum(weights)) @ delta.T - _laplacian(t, weights, inv)) / 2
     return (a + a.T) / 2
 

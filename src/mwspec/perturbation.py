@@ -102,25 +102,24 @@ def schur_complement(m: np.ndarray, k: int) -> np.ndarray:
     # guard against solve "succeeding" on a nearly singular pivot
     if not np.all(np.isfinite(x)):
         raise SingularPivotError("pivot block singular (non-finite solve)")
-    out = m22 - m21 @ x
-    if np.allclose(m, m.T):
-        out = (out + out.T) / 2.0
-    return out
+    return m22 - m21 @ x
 
 
 def haynsworth_check(
     m: np.ndarray, k: int, pivot_inertia: Inertia, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[Inertia, Inertia, bool, np.ndarray]:
     """Inertia additivity: In(M) vs In(M11) + In(M/M11), componentwise, for
-    the leading split M11 = M[:k, :k].
+    a symmetric M and the leading split M11 = M[:k, :k].
 
     In(M11) comes from the caller as `pivot_inertia`, who may know it without
     a decomposition: the verifier's pivot F = P^{-1} is congruent to P, so
     In(F) = In(P). In(M) and In(M/M11) are measured.
-    Returns (In(M), In(M11) + In(M/M11), whether they agree, M/M11).
+    Returns (In(M), In(M11) + In(M/M11), whether they agree, M/M11), the
+    Schur complement averaged with its transpose, so symmetric bit for bit.
     """
     m = np.asarray(m, dtype=float)
     schur = schur_complement(m, k)
+    schur = (schur + schur.T) / 2.0
     lhs = inertia_of(m, tol)
     in_schur = inertia_of(schur, tol)
     rhs = Inertia(*(a + b for a, b in zip(pivot_inertia, in_schur)))

@@ -275,32 +275,34 @@ class InstanceMatrices:
 
 def build_matrices(inst: Instance, corrupt: tuple[int, int, float] | None = None,
                    ) -> InstanceMatrices:
-    d = build_distance_matrix(inst.tree)
-    if corrupt is not None:
-        i, j, factor = corrupt
-        ns = inst.n * inst.s
-        if not (1 <= i <= ns and 1 <= j <= ns and math.isfinite(factor)):
-            raise ConfigError(f"corrupt entry needs 1 <= i, j <= {ns} and a "
-                                f"finite factor, got ({i}, {j}, {factor})")
-        arr = d.array.copy()
-        arr[i - 1, j - 1] *= factor
-        d = BlockMatrix(d.n, d.s, arr)
-    return InstanceMatrices(
-        d=d,
-        d_inv=distance_inverse_closed_form(inst.tree),
-        l=build_laplacian(inst.graph),
-        u=build_U(inst.n, inst.s),
-    )
+    # an overflowing instance fails in the guarded checks, not while assembled
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = build_distance_matrix(inst.tree)
+        if corrupt is not None:
+            i, j, factor = corrupt
+            ns = inst.n * inst.s
+            if not (1 <= i <= ns and 1 <= j <= ns and math.isfinite(factor)):
+                raise ConfigError(f"corrupt entry needs 1 <= i, j <= {ns} and a "
+                                  f"finite factor, got ({i}, {j}, {factor})")
+            arr = d.array.copy()
+            arr[i - 1, j - 1] *= factor
+            d = BlockMatrix(d.n, d.s, arr)
+        return InstanceMatrices(
+            d=d,
+            d_inv=distance_inverse_closed_form(inst.tree),
+            l=build_laplacian(inst.graph),
+            u=build_U(inst.n, inst.s),
+        )
 
 
 def verify_preliminaries(
     inst: Instance,
     tol: Tolerance = DEFAULT_TOL,
-    mats: InstanceMatrices | None = None,
+    *,
+    mats: InstanceMatrices,
 ) -> list[CheckResult]:
-    m = mats if mats is not None else build_matrices(inst)
     n, s = inst.n, inst.s
-    d, d_inv, l = m.d.array, m.d_inv.array, m.l.array
+    d, d_inv, l = mats.d.array, mats.d_inv.array, mats.l.array
     d_scale = max(1.0, float(np.abs(d).max(initial=0.0)))
     l_scale = max(1.0, float(np.abs(l).max(initial=0.0)))
     checks = []
@@ -324,7 +326,7 @@ def verify_preliminaries(
 
     def p4():
         min_eig = float(sym_eigvals(l, tol)[0])
-        lu = _rel(l @ m.u, l_scale)
+        lu = _rel(l @ mats.u, l_scale)
         rank = rank_of(l, tol)
         ok = (min_eig >= -tol.eig_zero * l_scale
               and lu <= tol.nonzero_floor
@@ -333,11 +335,11 @@ def verify_preliminaries(
 
     def col_space():
         # every block row of JL = U U'L is U'L
-        res = _rel(m.u.T @ l, l_scale)
+        res = _rel(mats.u.T @ l, l_scale)
         return res <= tol.nonzero_floor, {"jl_residual": res}
 
     def cor28():
-        udu = m.u.T @ d_inv @ m.u
+        udu = mats.u.T @ d_inv @ mats.u
         min_eig = float(sym_eigvals(udu, tol)[0])
         return min_eig > tol.eig_zero, {"min_eig": min_eig}
 
@@ -358,24 +360,24 @@ def verify_theorem(
     inst: Instance,
     beta: float,
     tol: Tolerance = DEFAULT_TOL,
-    mats: InstanceMatrices | None = None,
+    *,
+    mats: InstanceMatrices,
     gx_seed: int = 0,
 ) -> list[CheckResult]:
-    m = mats if mats is not None else build_matrices(inst)
     n, s = inst.n, inst.s
     # every body builds what it reads on first use, inside its own guard, so
     # a pencil that cannot be built fails each check of this beta
-    pencil = lambda: m.pencil(beta, tol)
+    pencil = lambda: mats.pencil(beta, tol)
     p_scale = lambda: max(1.0, float(np.abs(pencil().p.array).max()))
     f_scale = lambda: max(1.0, float(np.abs(pencil().f.array).max()))
     # THM.iv's inertia is the left-hand side of the Haynsworth check; the
     # pivot F = P^{-1} is congruent to P, so In(F) is read from P's spectrum
-    haynsworth = lambda: m.memo(("haynsworth", beta, tol), lambda: haynsworth_check(
-        bordered(pencil().f), n * s, inertia_of_spectrum(m.p_spectrum(beta, tol), tol), tol))
+    haynsworth = lambda: mats.memo(("haynsworth", beta, tol), lambda: haynsworth_check(
+        bordered(pencil().f), n * s, inertia_of_spectrum(mats.p_spectrum(beta, tol), tol), tol))
 
     def p_eigs():
         pencil()     # P(0) = D^{-1} needs no inverse, but the theorem does
-        return m.p_spectrum(beta, tol)
+        return mats.p_spectrum(beta, tol)
 
     def thm_i():
         min_abs = float(np.abs(p_eigs()).min())
@@ -391,7 +393,7 @@ def verify_theorem(
         # negative semidefiniteness can hold there. The sampled spectra meet
         # that bound, and every derived inertia is the one it implies.
         bound = tol.eig_zero * p_scale()
-        blocks = m.deleted_blocks(beta, tol)
+        blocks = mats.deleted_blocks(beta, tol)
         worst = float(blocks.sampled_max.max())
         ok = worst < -bound if beta > 0 else worst <= bound
         if blocks.route == "derived":
@@ -407,7 +409,7 @@ def verify_theorem(
 
     def thm_iv_haynsworth():
         lhs, rhs, ok, gf = haynsworth()
-        target = -m.u.T @ m.d_inv.array @ m.u
+        target = -mats.u.T @ mats.d_inv.array @ mats.u
         res = _rel(gf - target, max(1.0, float(np.abs(target).max())))
         return ok and res <= tol.rel_residual, {
             "lhs": list(lhs), "rhs": list(rhs), "schur_residual": res,
@@ -453,7 +455,8 @@ def verify_fiedler_markham(
     inst: Instance,
     beta: float,
     tol: Tolerance = DEFAULT_TOL,
-    mats: InstanceMatrices | None = None,
+    *,
+    mats: InstanceMatrices,
 ) -> CheckResult:
     """Nullity of a principal block of the inverse equals the nullity of the
     complementary principal submatrix, for every i; plus the distance-inverse
@@ -466,12 +469,11 @@ def verify_fiedler_markham(
     directly. `dinv_nullities` is the beta = 0 row. The evidence names the
     measured vertices and the number inferred, for the beta and the dinv row.
     """
-    m = mats if mats is not None else build_matrices(inst)
     s = inst.s
 
     def body():
-        null_blocks = inertia_of_spectrum(m.block_spectra(beta, tol), tol).n_zero.tolist()
-        rows = {"beta": m.deleted_blocks(beta, tol), "dinv": m.deleted_blocks(0.0, tol)}
+        null_blocks = inertia_of_spectrum(mats.block_spectra(beta, tol), tol).n_zero.tolist()
+        rows = {"beta": mats.deleted_blocks(beta, tol), "dinv": mats.deleted_blocks(0.0, tol)}
         null_subs = rows["beta"].inertia[:, 1].tolist()
         mismatches = [{"i": i, "nullity_sub": q, "nullity_block": b}
                       for i, (q, b) in enumerate(zip(null_subs, null_blocks), start=1)
@@ -489,15 +491,15 @@ def verify_exact_consistency(
     inst: Instance,
     beta: float,
     tol: Tolerance = DEFAULT_TOL,
-    mats: InstanceMatrices | None = None,
+    *,
+    mats: InstanceMatrices,
 ) -> CheckResult:
     """Float-kernel F against the exact rational kernel, within
     EXACT_REL_ERROR relative to the largest entry."""
-    m = mats if mats is not None else build_matrices(inst)
 
     def body():
-        f = m.pencil(beta, tol).f
-        d_inv_x, l_x = m.memo("exact", lambda: (
+        f = mats.pencil(beta, tol).f
+        d_inv_x, l_x = mats.memo("exact", lambda: (
             distance_inverse_closed_form_exact(inst.tree),
             build_laplacian_exact(inst.graph)))
         f_x = rat_to_float(rational_invert(d_inv_x - Fraction(beta) * l_x))
@@ -518,22 +520,20 @@ def verify_instance(
     if kernel_mode not in ("float", "both"):
         raise ConfigError(f"kernel_mode must be float|both, got {kernel_mode!r}")
     exact = kernel_mode == "both"
-    if exact and not (inst.tree.is_exact and inst.graph.is_exact):
+    if exact and not inst.is_exact:
         raise ConfigError(f"mode {kernel_mode!r} needs a rational instance")
     for beta in betas:
         require_beta(beta)
     start = time.perf_counter()
-    # an overflowing instance fails in the guarded checks, not while assembled
-    with np.errstate(over="ignore", invalid="ignore"):
-        mats = build_matrices(inst, corrupt)
+    mats = build_matrices(inst, corrupt)
     h = instance_hash(inst)
     gx_seed = int(h[:8], 16)
-    checks = verify_preliminaries(inst, tol, mats)
+    checks = verify_preliminaries(inst, tol, mats=mats)
     for beta in betas:
-        checks.extend(verify_theorem(inst, beta, tol, mats, gx_seed))
-        checks.append(verify_fiedler_markham(inst, beta, tol, mats))
+        checks.extend(verify_theorem(inst, beta, tol, mats=mats, gx_seed=gx_seed))
+        checks.append(verify_fiedler_markham(inst, beta, tol, mats=mats))
         if exact:
-            checks.append(verify_exact_consistency(inst, beta, tol, mats))
+            checks.append(verify_exact_consistency(inst, beta, tol, mats=mats))
     ill = _weight_spectrum_ill_conditioned(inst)
     if ill:
         for c in checks:

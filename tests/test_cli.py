@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from mwspec.cli import main
+from mwspec.cli import build_parser, main
 from mwspec.golden import golden_instance
+from mwspec.linalg import DEFAULT_TOL, Tolerance
 from mwspec.model import parse_instance, serialize_instance, validate
 
 
@@ -241,6 +242,20 @@ def test_readme_instance_example_verifies(tmp_path, capsys):
     code, stdout, _ = run(["verify", "--in", str(inst_path)], capsys)
     assert code == 0
     assert stdout.startswith("passed: all")
+
+
+def test_verify_tolerance_defaults_are_default_tol():
+    args = build_parser().parse_args(["verify", "--in", "x.json"])
+    assert Tolerance(rel_residual=args.rel_residual, eig_zero=args.eig_zero,
+                     nonzero_floor=args.nonzero_floor) == DEFAULT_TOL
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library", 1)[1]
+    example = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(example, "README.md", "exec"), {})
+    assert "'failed': 0" in capsys.readouterr().out
 
 
 def test_usage_error_on_unknown_subcommand(capsys):

@@ -110,23 +110,22 @@ def test_distance_exact_matches_float(tree):
 
 
 def test_structural_vectors_golden(golden):
-    sv = structural_vectors(golden.tree)
-    assert sv.tau.tolist() == [1, -1, 1, 1]
+    assert structural_vectors(golden.tree).tolist() == [1, -1, 1, 1]
 
 
 def test_structural_vectors_star():
     n = 6
     edges = [(0, i, PDWeight(np.eye(1))) for i in range(1, n)]
-    sv = structural_vectors(MatrixWeightedTree(n, 1, edges))
-    assert sv.tau[0] == 2 - (n - 1)
-    assert all(sv.tau[1:] == 1)
-    assert sv.tau.sum() == 2
+    tau = structural_vectors(MatrixWeightedTree(n, 1, edges))
+    assert tau[0] == 2 - (n - 1)
+    assert all(tau[1:] == 1)
+    assert tau.sum() == 2
 
 
 def test_tau_sums_to_two_on_random_trees():
     for seed in range(5):
         t = random_tree(10, 2, seed=seed)
-        assert structural_vectors(t).tau.sum() == 2
+        assert structural_vectors(t).sum() == 2
 
 
 # --- closed-form inverse -----------------------------------------------------

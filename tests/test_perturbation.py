@@ -189,6 +189,20 @@ def test_haynsworth_golden(golden_mats):
     assert lhs == (8, 0, 2)
 
 
+def test_haynsworth_schur_complement_is_bitwise_symmetric():
+    # the verifier's M is the bitwise symmetric bordered G; schur_complement
+    # returns M22 - M21 M11^{-1} M12 as computed, haynsworth_check averages it
+    rng = np.random.default_rng(5)
+    for k in (2, 5, 9):
+        m = rng.standard_normal((12, 12))
+        m = (m + m.T) / 2.0 + np.eye(12)
+        assert np.array_equal(m, m.T)
+        _, _, _, schur = haynsworth_check(m, k, inertia_of(m[:k, :k]))
+        assert np.array_equal(schur, schur.T)
+        raw = schur_complement(m, k)
+        assert np.array_equal(schur, (raw + raw.T) / 2.0)
+
+
 def test_haynsworth_random_symmetric():
     rng = np.random.default_rng(77)
     for _ in range(10):

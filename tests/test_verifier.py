@@ -56,7 +56,8 @@ def by_id(checks, cid):
 
 
 def test_preliminaries_golden_pass():
-    checks = verify_preliminaries(golden_instance())
+    inst = golden_instance()
+    checks = verify_preliminaries(inst, mats=build_matrices(inst))
     assert all(c.passed for c in checks)
     p3 = by_id(checks, "P3")[0]
     assert p3.evidence["inertia"] == [6, 0, 2]
@@ -68,7 +69,8 @@ def test_preliminaries_minimal_instance():
     w = lambda: PDWeight(np.array([[2.0]]))
     tree = MatrixWeightedTree(2, 1, [(0, 1, w())])
     graph = MatrixWeightedGraph(2, 1, [(0, 1, w())])
-    checks = verify_preliminaries(Instance(tree, graph))
+    inst = Instance(tree, graph)
+    checks = verify_preliminaries(inst, mats=build_matrices(inst))
     assert all(c.passed for c in checks)
 
 
@@ -89,14 +91,16 @@ def test_build_matrices_rejects_bad_corruption(corrupt):
 
 
 def test_theorem_golden_beta_one():
-    checks = verify_theorem(golden_instance(), 1.0)
+    inst = golden_instance()
+    checks = verify_theorem(inst, 1.0, mats=build_matrices(inst))
     assert all(c.passed for c in checks)
     thm_ii = by_id(checks, "THM.ii")[0]
     assert thm_ii.evidence["inertia"] == [6, 0, 2]
 
 
 def test_theorem_beta_zero_skips_vi():
-    checks = verify_theorem(golden_instance(), 0.0)
+    inst = golden_instance()
+    checks = verify_theorem(inst, 0.0, mats=build_matrices(inst))
     for cid in ("THM.i", "THM.ii", "THM.iii", "THM.iv", "THM.v"):
         assert by_id(checks, cid)[0].passed
     assert by_id(checks, "THM.vi")[0].skipped
@@ -222,7 +226,8 @@ def test_singular_pencil_takes_the_direct_route(monkeypatch):
 
 
 def test_fiedler_markham_golden():
-    check = verify_fiedler_markham(golden_instance(), 1.0)
+    inst = golden_instance()
+    check = verify_fiedler_markham(inst, 1.0, mats=build_matrices(inst))
     assert check.passed
     assert check.evidence["mismatches"] == []
     assert check.evidence["dinv_nullities"] == [2, 2, 2, 2]
@@ -378,6 +383,33 @@ def test_unbuildable_pencil_fails_every_theorem_row(inst, mode, monkeypatch):
     thm = [c for c in report.checks if c.check_id in THM_IDS and not c.skipped]
     assert len(thm) == 14
     assert all(not c.passed and "error" in c.evidence for c in thm)
+
+
+_HUGE = lambda: PDWeight(np.array([[1e308]]))
+_TINY_WEIGHT = lambda: PDWeight(np.array([[float(_TINY)]]), [[_TINY]])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("inst", [
+    Instance(MatrixWeightedTree(2, 1, [(0, 1, _HUGE())]),
+             MatrixWeightedGraph(2, 1, [(0, 1, _HUGE())])),
+    _path3(_HUGE, _HUGE),
+    _path3(_TINY_WEIGHT, _TINY_WEIGHT),
+], ids=["float-2-vertex-1e308", "float-3-vertex-1e308", "rational-3-vertex-1e-308"])
+def test_stages_read_an_overflowing_bundle_as_non_finite_failures(inst):
+    """build_matrices assembles an instance whose float operators overflow
+    without a numpy RuntimeWarning, and each stage run on its bundle returns
+    failing rows marked non_finite (at beta = 0 every unskipped theorem row
+    is one), not a warning and not a traceback."""
+    mats = build_matrices(inst)
+    prelim = verify_preliminaries(inst, mats=mats)
+    theorem = verify_theorem(inst, 0.0, mats=mats)
+    per_beta = [verify_fiedler_markham(inst, 0.0, mats=mats)]
+    if inst.is_exact:
+        per_beta.append(verify_exact_consistency(inst, 0.0, mats=mats))
+    non_finite = lambda c: not c.passed and c.evidence.get("non_finite")
+    assert any(non_finite(c) for c in prelim)
+    assert all(non_finite(c) for c in theorem + per_beta if not c.skipped)
 
 
 def test_verify_instance_reads_eigenvectors_only_for_the_pseudoinverse(monkeypatch):
