@@ -95,9 +95,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_golden(args) -> int:
-    result = run_golden(args.mode)
+    result = run_golden()
     if result.ok:
-        print(f"golden: ok (mode={args.mode})")
+        print("golden: ok")
         return EXIT_OK
     for line in result.mismatches:
         print(f"golden mismatch: {line}")
@@ -138,8 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_golden = sub.add_parser("golden", help="reproduce the embedded example")
-    p_golden.add_argument("--mode", choices=["float", "exact", "both"],
-                          default="both")
     p_golden.set_defaults(func=cmd_golden)
     return parser
 

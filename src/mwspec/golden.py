@@ -13,15 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exact as ex
-from .errors import ConfigError
-from .exact import parse_rational, rat_matrix, rational_invert
-from .linalg import DEFAULT_TOL, Inertia, inertia_of
+from .exact import parse_rational, rat_matrix
+from .linalg import Inertia, inertia_of
 from .model import Instance, MatrixWeightedGraph, MatrixWeightedTree, PDWeight
-from .operators import (
-    build_distance_matrix_exact,
-    build_laplacian_exact,
-    distance_inverse_closed_form_exact,
-)
+from .operators import build_distance_matrix_exact
 from .verifier import build_matrices
 
 
@@ -131,44 +126,35 @@ def _compare_exact(name: str, got: ex.RatMatrix, want: ex.RatMatrix,
         )
 
 
-def run_golden(mode: str = "both") -> GoldenResult:
-    """Reproduce the worked example: D, L, and (D^{-1} - L)^{-1}.
-
-    mode 'exact' compares bit-exact rationals; 'float' compares the floating
-    pipeline to the frozen rationals at 1e-9 relative; 'both' runs both.
-    """
-    if mode not in ("float", "exact", "both"):
-        raise ConfigError(f"mode must be float|exact|both, got {mode!r}")
+def run_golden() -> GoldenResult:
+    """Reproduce the worked example: D, L, and F(1) = (D^{-1} - L)^{-1}, as
+    bit-exact rationals, and the float pipeline against the frozen rationals
+    at 1e-9 relative."""
     inst = golden_instance()
+    m = build_matrices(inst)
     mismatches: list[str] = []
 
-    if mode in ("exact", "both"):
-        d = build_distance_matrix_exact(inst.tree)
-        _compare_exact("D", d, expected_d_exact(), mismatches)
-        l = build_laplacian_exact(inst.graph)
-        _compare_exact("L", l, expected_l(), mismatches)
-        d_inv = distance_inverse_closed_form_exact(inst.tree)
-        f = rational_invert(d_inv - l)
-        _compare_exact("F", f, expected_f(), mismatches)
+    d_x = build_distance_matrix_exact(inst.tree)
+    _compare_exact("D", d_x, expected_d_exact(), mismatches)
+    _compare_exact("L", m.exact_operators()[1], expected_l(), mismatches)
+    _compare_exact("F", m.exact_f(1.0), expected_f(), mismatches)
 
-    if mode in ("float", "both"):
-        m = build_matrices(inst)
-        want_d = np.array(EXPECTED_D, dtype=float)
-        if not np.array_equal(m.d.array, want_d):
-            mismatches.append("D (float): integer entries not reproduced exactly")
-        want_l = ex.rat_to_float(expected_l())
-        err = np.abs(m.l.array - want_l).max()
-        if err > 1e-9 * np.abs(want_l).max():
-            mismatches.append(f"L (float): max abs error {err:.3e}")
-        pencil = m.pencil(1.0, DEFAULT_TOL)
-        want_f = ex.rat_to_float(expected_f())
-        rel = np.abs(pencil.f.array - want_f).max() / np.abs(want_f).max()
-        if rel > 1e-9:
-            mismatches.append(f"F (float): max relative error {rel:.3e}")
-        got_in = inertia_of(pencil.f.array)
-        if got_in != EXPECTED_INERTIA:
-            mismatches.append(
-                f"inertia: expected {tuple(EXPECTED_INERTIA)}, got {tuple(got_in)}"
-            )
+    want_d = np.array(EXPECTED_D, dtype=float)
+    if not np.array_equal(m.d.array, want_d):
+        mismatches.append("D (float): integer entries not reproduced exactly")
+    want_l = ex.rat_to_float(expected_l())
+    err = np.abs(m.l.array - want_l).max()
+    if err > 1e-9 * np.abs(want_l).max():
+        mismatches.append(f"L (float): max abs error {err:.3e}")
+    f = m.pencil(1.0).f.array
+    want_f = ex.rat_to_float(expected_f())
+    rel = np.abs(f - want_f).max() / np.abs(want_f).max()
+    if rel > 1e-9:
+        mismatches.append(f"F (float): max relative error {rel:.3e}")
+    got_in = inertia_of(f)
+    if got_in != EXPECTED_INERTIA:
+        mismatches.append(
+            f"inertia: expected {tuple(EXPECTED_INERTIA)}, got {tuple(got_in)}"
+        )
 
     return GoldenResult(not mismatches, mismatches)

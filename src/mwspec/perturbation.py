@@ -21,7 +21,6 @@ from .operators import BlockMatrix, build_U
 
 @dataclass(frozen=True)
 class PerturbedPencil:
-    beta: float
     p: BlockMatrix    # D^{-1} - beta L
     f: BlockMatrix    # (D^{-1} - beta L)^{-1}
 
@@ -63,7 +62,7 @@ def perturbed_pencil(
         raise SingularMatrixError(
             f"inversion residual {residual:.3e} exceeds tolerance"
         )
-    return PerturbedPencil(beta, BlockMatrix(d_inv.n, d_inv.s, p),
+    return PerturbedPencil(BlockMatrix(d_inv.n, d_inv.s, p),
                            BlockMatrix(d_inv.n, d_inv.s, f))
 
 

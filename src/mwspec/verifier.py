@@ -21,6 +21,7 @@ from .errors import ConfigError, MwspecError, NonFiniteError
 from .exact import rat_to_float, rational_invert
 from .linalg import (
     DEFAULT_TOL,
+    Inertia,
     Tolerance,
     inertia_of,
     inertia_of_spectrum,
@@ -179,18 +180,30 @@ def _nearest_zero_threshold(w: np.ndarray, tol: Tolerance) -> int:
 
 @dataclass
 class InstanceMatrices:
-    """Everything downstream checks need, built once per instance.
+    """Everything downstream checks need, built once per instance: the
+    instance itself, the thresholds its checks read, and its float operators.
 
     Objects that several checks read (the pencil, its spectra and the
-    Haynsworth split of each beta) are built on first use and kept in
-    `_memo`, together with the error that building one raised.
+    Haynsworth split of each beta, the exact F(beta), the instance hash) are
+    built on first use and kept in `_memo` under a name and beta, together
+    with the error that building one raised.
     """
 
+    inst: Instance
+    tol: Tolerance
     d: BlockMatrix          # path-sum distance matrix
     d_inv: BlockMatrix      # closed-form inverse
     l: BlockMatrix          # graph Laplacian
     u: np.ndarray           # e (x) I_s
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def n(self) -> int:
+        return self.inst.n
+
+    @property
+    def s(self) -> int:
+        return self.inst.s
 
     def memo(self, key, make):
         """make(), computed once per key; a raised error is kept and re-raised."""
@@ -203,39 +216,41 @@ class InstanceMatrices:
             raise self._memo[key]
         return self._memo[key]
 
-    def pencil(self, beta: float, tol: Tolerance) -> PerturbedPencil:
-        return self.memo(("pencil", beta, tol),
-                         lambda: perturbed_pencil(self.d_inv, self.l, beta, tol))
+    def instance_hash(self) -> str:
+        return self.memo("instance_hash", lambda: instance_hash(self.inst))
 
-    def p(self, beta: float, tol: Tolerance) -> BlockMatrix:
+    def pencil(self, beta: float) -> PerturbedPencil:
+        return self.memo(("pencil", beta),
+                         lambda: perturbed_pencil(self.d_inv, self.l, beta, self.tol))
+
+    def p(self, beta: float) -> BlockMatrix:
         """P(beta); P(0) is D^{-1} itself, bit for bit, and needs no inverse."""
-        return self.pencil(beta, tol).p if beta else self.d_inv
+        return self.pencil(beta).p if beta else self.d_inv
 
-    def p_spectrum(self, beta: float, tol: Tolerance) -> np.ndarray:
+    def p_spectrum(self, beta: float) -> np.ndarray:
         """Ascending eigenvalues of P(beta); at beta = 0 no pencil is built."""
-        return self.memo(("p_eigs", beta, tol),
-                         lambda: sym_eigvals(self.p(beta, tol).array, tol))
+        return self.memo(("p_eigs", beta),
+                         lambda: sym_eigvals(self.p(beta).array, self.tol))
 
-    def block_spectra(self, beta: float, tol: Tolerance) -> np.ndarray:
+    def block_spectra(self, beta: float) -> np.ndarray:
         """(n, s): ascending eigenvalues of each diagonal block F_ii of F(beta)."""
         def make():
-            f = self.pencil(beta, tol).f
-            n, s = f.n, f.s
-            return sym_eigvals(f.array.reshape(n, s, n, s)[np.arange(n), :, np.arange(n), :],
-                               tol)
+            n, s = self.n, self.s
+            f = self.pencil(beta).f.array.reshape(n, s, n, s)
+            return sym_eigvals(f[np.arange(n), :, np.arange(n), :], self.tol)
 
-        return self.memo(("block_eigs", beta, tol), make)
+        return self.memo(("block_eigs", beta), make)
 
-    def deleted_spectra(self, beta: float, tol: Tolerance, vertices) -> np.ndarray:
+    def deleted_spectra(self, beta: float, vertices) -> np.ndarray:
         """The direct route: row k holds the ascending eigenvalues of P(alpha')
         for alpha' = all blocks but vertices[k] (1-based), one eigvalsh of an
         (n-1)s submatrix each."""
-        p = self.p(beta, tol)
+        p = self.p(beta)
         blocks = range(1, p.n + 1)
         return np.array([sym_eigvals(principal_block_submatrix(
-            p, [k for k in blocks if k != i]).array, tol) for i in vertices])
+            p, [k for k in blocks if k != i]).array, self.tol) for i in vertices])
 
-    def deleted_blocks(self, beta: float, tol: Tolerance) -> DeletedBlocks:
+    def deleted_blocks(self, beta: float) -> DeletedBlocks:
         """In(P(alpha'_i)) for every vertex i, P = P(beta), from In(P) and the
         spectra of the blocks F_ii of F = P^{-1}.
 
@@ -250,9 +265,9 @@ class InstanceMatrices:
         n - 2 counts are inferred.
         """
         def make():
-            n, s = self.d.n, self.d.s
-            p_in = inertia_of_spectrum(self.p_spectrum(beta, tol), tol)
-            f_eigs = self.block_spectra(beta, tol) if beta else np.zeros((n, s))
+            n, s, tol = self.n, self.s, self.tol
+            p_in = inertia_of_spectrum(self.p_spectrum(beta), tol)
+            f_eigs = self.block_spectra(beta) if beta else np.zeros((n, s))
             f_in = inertia_of_spectrum(f_eigs, tol)
             nu = f_in.n_zero
             inertia = np.column_stack([p_in.n_minus - f_in.n_minus - nu, nu,
@@ -260,21 +275,42 @@ class InstanceMatrices:
             route = "direct"
             if not p_in.n_zero and inertia.min() >= 0:
                 sampled = [1, 2 + _nearest_zero_threshold(f_eigs[1:], tol)]
-                spectra = self.deleted_spectra(beta, tol, sampled)
+                spectra = self.deleted_spectra(beta, sampled)
                 measured = np.transpose(inertia_of_spectrum(spectra, tol))
                 if np.array_equal(measured, inertia[np.subtract(sampled, 1)]):
                     return DeletedBlocks(inertia, "derived", sampled, spectra[:, -1])
                 route = "contradicted"
             every = list(range(1, n + 1))
-            spectra = self.deleted_spectra(beta, tol, every)
+            spectra = self.deleted_spectra(beta, every)
             return DeletedBlocks(np.transpose(inertia_of_spectrum(spectra, tol)), route,
                                  every, spectra[:, -1])
 
-        return self.memo(("deleted", beta, tol), make)
+        return self.memo(("deleted", beta), make)
+
+    def haynsworth(self, beta: float) -> tuple[Inertia, Inertia, bool, np.ndarray]:
+        """The Haynsworth split of [[F, U], [U', 0]] at the pivot F = P^{-1}:
+        F is congruent to P, so In(F) is read from P's spectrum."""
+        return self.memo(("haynsworth", beta), lambda: haynsworth_check(
+            bordered(self.pencil(beta).f), self.n * self.s,
+            inertia_of_spectrum(self.p_spectrum(beta), self.tol), self.tol))
+
+    def exact_operators(self) -> tuple[np.ndarray, np.ndarray]:
+        """The closed-form D^{-1} and L in exact rationals (a rational instance)."""
+        return self.memo("exact", lambda: (
+            distance_inverse_closed_form_exact(self.inst.tree),
+            build_laplacian_exact(self.inst.graph)))
+
+    def exact_f(self, beta: float) -> np.ndarray:
+        """F(beta) in exact rationals; F(0) inverts D^{-1} itself."""
+        def make():
+            d_inv_x, l_x = self.exact_operators()
+            return rational_invert(d_inv_x - Fraction(beta) * l_x if beta else d_inv_x)
+
+        return self.memo(("exact_f", beta), make)
 
 
 def build_matrices(inst: Instance, corrupt: tuple[int, int, float] | None = None,
-                   ) -> InstanceMatrices:
+                   tol: Tolerance = DEFAULT_TOL) -> InstanceMatrices:
     # an overflowing instance fails in the guarded checks, not while assembled
     with np.errstate(over="ignore", invalid="ignore"):
         d = build_distance_matrix(inst.tree)
@@ -288,6 +324,8 @@ def build_matrices(inst: Instance, corrupt: tuple[int, int, float] | None = None
             arr[i - 1, j - 1] *= factor
             d = BlockMatrix(d.n, d.s, arr)
         return InstanceMatrices(
+            inst=inst,
+            tol=tol,
             d=d,
             d_inv=distance_inverse_closed_form(inst.tree),
             l=build_laplacian(inst.graph),
@@ -295,20 +333,15 @@ def build_matrices(inst: Instance, corrupt: tuple[int, int, float] | None = None
         )
 
 
-def verify_preliminaries(
-    inst: Instance,
-    tol: Tolerance = DEFAULT_TOL,
-    *,
-    mats: InstanceMatrices,
-) -> list[CheckResult]:
-    n, s = inst.n, inst.s
+def verify_preliminaries(mats: InstanceMatrices) -> list[CheckResult]:
+    n, s, tol = mats.n, mats.s, mats.tol
     d, d_inv, l = mats.d.array, mats.d_inv.array, mats.l.array
     d_scale = max(1.0, float(np.abs(d).max(initial=0.0)))
     l_scale = max(1.0, float(np.abs(l).max(initial=0.0)))
     checks = []
 
     def p1():
-        d_pinv = distance_from_laplacian_pinv(inst.tree, tol).array
+        d_pinv = distance_from_laplacian_pinv(mats.inst.tree, tol).array
         res = _rel(d - d_pinv, d_scale)
         return res <= tol.rel_residual, {"residual": res}
 
@@ -356,28 +389,17 @@ def _gx_vectors(s: int, seed: int) -> np.ndarray:
     return np.vstack([np.eye(s), xs])
 
 
-def verify_theorem(
-    inst: Instance,
-    beta: float,
-    tol: Tolerance = DEFAULT_TOL,
-    *,
-    mats: InstanceMatrices,
-    gx_seed: int = 0,
-) -> list[CheckResult]:
-    n, s = inst.n, inst.s
+def verify_theorem(mats: InstanceMatrices, beta: float) -> list[CheckResult]:
+    n, s, tol = mats.n, mats.s, mats.tol
     # every body builds what it reads on first use, inside its own guard, so
     # a pencil that cannot be built fails each check of this beta
-    pencil = lambda: mats.pencil(beta, tol)
+    pencil = lambda: mats.pencil(beta)
     p_scale = lambda: max(1.0, float(np.abs(pencil().p.array).max()))
     f_scale = lambda: max(1.0, float(np.abs(pencil().f.array).max()))
-    # THM.iv's inertia is the left-hand side of the Haynsworth check; the
-    # pivot F = P^{-1} is congruent to P, so In(F) is read from P's spectrum
-    haynsworth = lambda: mats.memo(("haynsworth", beta, tol), lambda: haynsworth_check(
-        bordered(pencil().f), n * s, inertia_of_spectrum(mats.p_spectrum(beta, tol), tol), tol))
 
     def p_eigs():
         pencil()     # P(0) = D^{-1} needs no inverse, but the theorem does
-        return mats.p_spectrum(beta, tol)
+        return mats.p_spectrum(beta)
 
     def thm_i():
         min_abs = float(np.abs(p_eigs()).min())
@@ -393,7 +415,7 @@ def verify_theorem(
         # negative semidefiniteness can hold there. The sampled spectra meet
         # that bound, and every derived inertia is the one it implies.
         bound = tol.eig_zero * p_scale()
-        blocks = mats.deleted_blocks(beta, tol)
+        blocks = mats.deleted_blocks(beta)
         worst = float(blocks.sampled_max.max())
         ok = worst < -bound if beta > 0 else worst <= bound
         if blocks.route == "derived":
@@ -404,11 +426,12 @@ def verify_theorem(
             "inferred": blocks.inferred, "route": blocks.route}
 
     def thm_iv():
-        inert = haynsworth()[0]
+        # THM.iv's inertia is the left-hand side of the Haynsworth check
+        inert = mats.haynsworth(beta)[0]
         return inert == (n * s, 0, s), {"inertia": list(inert)}
 
     def thm_iv_haynsworth():
-        lhs, rhs, ok, gf = haynsworth()
+        lhs, rhs, ok, gf = mats.haynsworth(beta)
         target = -mats.u.T @ mats.d_inv.array @ mats.u
         res = _rel(gf - target, max(1.0, float(np.abs(target).max())))
         return ok and res <= tol.rel_residual, {
@@ -439,7 +462,8 @@ def verify_theorem(
 
     def thm_vi_gx():
         floor = tol.nonzero_floor * f_scale()
-        gx = gx_matrix(pencil().f, _gx_vectors(s, gx_seed))
+        xs = _gx_vectors(s, int(mats.instance_hash()[:8], 16))
+        gx = gx_matrix(pencil().f, xs)
         inert = inertia_of_spectrum(sym_eigvals(gx, tol), tol)
         off = np.abs(gx[:, ~np.eye(n, dtype=bool)])
         worst_offdiag = float(off.min(initial=np.inf))
@@ -451,13 +475,7 @@ def verify_theorem(
     return checks + [_guard("THM.vi", beta, thm_vi), _guard("THM.vi.gx", beta, thm_vi_gx)]
 
 
-def verify_fiedler_markham(
-    inst: Instance,
-    beta: float,
-    tol: Tolerance = DEFAULT_TOL,
-    *,
-    mats: InstanceMatrices,
-) -> CheckResult:
+def verify_fiedler_markham(mats: InstanceMatrices, beta: float) -> CheckResult:
     """Nullity of a principal block of the inverse equals the nullity of the
     complementary principal submatrix, for every i; plus the distance-inverse
     instance where the complementary nullity is forced to s.
@@ -469,17 +487,16 @@ def verify_fiedler_markham(
     directly. `dinv_nullities` is the beta = 0 row. The evidence names the
     measured vertices and the number inferred, for the beta and the dinv row.
     """
-    s = inst.s
 
     def body():
-        null_blocks = inertia_of_spectrum(mats.block_spectra(beta, tol), tol).n_zero.tolist()
-        rows = {"beta": mats.deleted_blocks(beta, tol), "dinv": mats.deleted_blocks(0.0, tol)}
+        null_blocks = inertia_of_spectrum(mats.block_spectra(beta), mats.tol).n_zero.tolist()
+        rows = {"beta": mats.deleted_blocks(beta), "dinv": mats.deleted_blocks(0.0)}
         null_subs = rows["beta"].inertia[:, 1].tolist()
         mismatches = [{"i": i, "nullity_sub": q, "nullity_block": b}
                       for i, (q, b) in enumerate(zip(null_subs, null_blocks), start=1)
                       if q != b]
         dinv_nullities = rows["dinv"].inertia[:, 1].tolist()
-        ok = not mismatches and all(x == s for x in dinv_nullities)
+        ok = not mismatches and all(x == mats.s for x in dinv_nullities)
         return ok, {"mismatches": mismatches, "dinv_nullities": dinv_nullities,
                     "sampled": {k: r.sampled for k, r in rows.items()},
                     "inferred": {k: r.inferred for k, r in rows.items()}}
@@ -487,22 +504,13 @@ def verify_fiedler_markham(
     return _guard("FM-nullity", beta, body)
 
 
-def verify_exact_consistency(
-    inst: Instance,
-    beta: float,
-    tol: Tolerance = DEFAULT_TOL,
-    *,
-    mats: InstanceMatrices,
-) -> CheckResult:
+def verify_exact_consistency(mats: InstanceMatrices, beta: float) -> CheckResult:
     """Float-kernel F against the exact rational kernel, within
     EXACT_REL_ERROR relative to the largest entry."""
 
     def body():
-        f = mats.pencil(beta, tol).f
-        d_inv_x, l_x = mats.memo("exact", lambda: (
-            distance_inverse_closed_form_exact(inst.tree),
-            build_laplacian_exact(inst.graph)))
-        f_x = rat_to_float(rational_invert(d_inv_x - Fraction(beta) * l_x))
+        f = mats.pencil(beta).f
+        f_x = rat_to_float(mats.exact_f(beta))
         rel = float(np.abs(f.array - f_x).max()) / float(np.abs(f_x).max())
         return rel <= EXACT_REL_ERROR, {"rel_error": rel}
 
@@ -525,15 +533,13 @@ def verify_instance(
     for beta in betas:
         require_beta(beta)
     start = time.perf_counter()
-    mats = build_matrices(inst, corrupt)
-    h = instance_hash(inst)
-    gx_seed = int(h[:8], 16)
-    checks = verify_preliminaries(inst, tol, mats=mats)
+    mats = build_matrices(inst, corrupt, tol)
+    checks = verify_preliminaries(mats)
     for beta in betas:
-        checks.extend(verify_theorem(inst, beta, tol, mats=mats, gx_seed=gx_seed))
-        checks.append(verify_fiedler_markham(inst, beta, tol, mats=mats))
+        checks.extend(verify_theorem(mats, beta))
+        checks.append(verify_fiedler_markham(mats, beta))
         if exact:
-            checks.append(verify_exact_consistency(inst, beta, tol, mats=mats))
+            checks.append(verify_exact_consistency(mats, beta))
     ill = _weight_spectrum_ill_conditioned(inst)
     if ill:
         for c in checks:
@@ -541,8 +547,8 @@ def verify_instance(
                 c.warning = True
                 c.evidence["ill_conditioned"] = True
     return VerificationReport(
-        instance_hash=h, n=inst.n, s=inst.s, betas=list(betas), seed=seed,
-        kernel_mode=kernel_mode, checks=checks,
+        instance_hash=mats.instance_hash(), n=inst.n, s=inst.s, betas=list(betas),
+        seed=seed, kernel_mode=kernel_mode, checks=checks,
         wall_time=time.perf_counter() - start,
     )
 

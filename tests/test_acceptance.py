@@ -51,7 +51,7 @@ def collect(reports, check_id):
 
 def test_criterion_1_golden_exactness():
     start = time.perf_counter()
-    result = run_golden("both")
+    result = run_golden()
     elapsed = time.perf_counter() - start
     ok = result.ok and elapsed < 1.0
     if not result.ok:

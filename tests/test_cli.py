@@ -227,10 +227,9 @@ def test_verify_non_finite_weight_exits_two(tmp_path, capsys, literal):
 
 
 def test_golden_exits_zero(capsys):
-    for mode in ("float", "exact", "both"):
-        code, stdout, _ = run(["golden", "--mode", mode], capsys)
-        assert code == 0
-        assert "ok" in stdout
+    code, stdout, _ = run(["golden"], capsys)
+    assert code == 0
+    assert stdout == "golden: ok\n"
 
 
 def test_readme_instance_example_verifies(tmp_path, capsys):

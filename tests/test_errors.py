@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mwspec.errors import ConfigError
-from mwspec.golden import golden_instance, run_golden
+from mwspec.golden import golden_instance
 from mwspec.linalg import sym_eigvals
 from mwspec.model import PDWeight, WeightProfile, random_tree
 from mwspec.operators import BlockMatrix, build_distance_matrix, build_laplacian_exact
@@ -23,12 +23,10 @@ def _golden_d():
     lambda: BlockMatrix(2, 2, np.eye(3)),
     lambda: sym_eigvals(np.ones((2, 3))),
     lambda: PDWeight(np.ones((2, 3))),
-    lambda: run_golden("x"),
     lambda: build_laplacian_exact(random_tree(3, 2, 0)),
     lambda: build_matrices(golden_instance(), corrupt=(99, 99, 2.0)),
 ], ids=["n", "seed", "profile", "empty-index-set", "zero-vector", "block-shape",
-        "non-square", "weight-shape", "golden-mode", "float-to-exact",
-        "corrupt-entry"])
+        "non-square", "weight-shape", "float-to-exact", "corrupt-entry"])
 def test_bad_argument_raises_config_error(call):
     # one class for a bad argument, and it is a ValueError
     with pytest.raises(ConfigError) as exc:

@@ -1,4 +1,5 @@
 import numbers
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from mwspec.operators import (
     structural_vectors,
 )
 from mwspec.perturbation import perturbed_pencil
+from mwspec.verifier import build_matrices
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +166,14 @@ def test_closed_form_exact_golden(inst):
     d_inv = distance_inverse_closed_form_exact(inst.tree)
     d = build_distance_matrix_exact(inst.tree)
     assert np.array_equal(d_inv @ d, np.eye(inst.n * inst.s, dtype=int))
+
+
+@pytest.mark.parametrize("inst", RATIONAL_INSTANCES, ids=RATIONAL_IDS)
+def test_exact_f_at_beta_zero_is_the_distance_matrix(inst):
+    # F(0) = (D^{-1})^{-1} = D, entry for entry
+    f0 = build_matrices(inst).exact_f(0.0)
+    assert np.array_equal(f0, build_distance_matrix_exact(inst.tree))
+    assert all(isinstance(x, Fraction) for x in f0.flat)
 
 
 @pytest.mark.parametrize("inst", RATIONAL_INSTANCES, ids=RATIONAL_IDS)

@@ -11,6 +11,7 @@ from mwspec.errors import ConfigError, SingularMatrixError
 from mwspec.golden import golden_instance
 from mwspec.linalg import (
     DEFAULT_TOL,
+    Tolerance,
     inertia_of,
     inertia_of_spectrum,
     is_pd_quadratic_form,
@@ -22,6 +23,7 @@ from mwspec.model import (
     MatrixWeightedTree,
     PDWeight,
     WeightProfile,
+    instance_hash,
     random_instance,
 )
 from mwspec.operators import BlockMatrix
@@ -35,6 +37,7 @@ from mwspec.perturbation import (
 )
 from mwspec import verifier
 from mwspec.verifier import (
+    DEFAULT_BETAS,
     CampaignConfig,
     _guard,
     _gx_vectors,
@@ -57,7 +60,7 @@ def by_id(checks, cid):
 
 def test_preliminaries_golden_pass():
     inst = golden_instance()
-    checks = verify_preliminaries(inst, mats=build_matrices(inst))
+    checks = verify_preliminaries(build_matrices(inst))
     assert all(c.passed for c in checks)
     p3 = by_id(checks, "P3")[0]
     assert p3.evidence["inertia"] == [6, 0, 2]
@@ -70,14 +73,14 @@ def test_preliminaries_minimal_instance():
     tree = MatrixWeightedTree(2, 1, [(0, 1, w())])
     graph = MatrixWeightedGraph(2, 1, [(0, 1, w())])
     inst = Instance(tree, graph)
-    checks = verify_preliminaries(inst, mats=build_matrices(inst))
+    checks = verify_preliminaries(build_matrices(inst))
     assert all(c.passed for c in checks)
 
 
 def test_corrupted_distance_fails_p1():
     inst = golden_instance()
     mats = build_matrices(inst, corrupt=(1, 3, 1.1))
-    checks = verify_preliminaries(inst, mats=mats)
+    checks = verify_preliminaries(mats)
     p1 = by_id(checks, "P1")[0]
     assert not p1.passed
 
@@ -92,7 +95,7 @@ def test_build_matrices_rejects_bad_corruption(corrupt):
 
 def test_theorem_golden_beta_one():
     inst = golden_instance()
-    checks = verify_theorem(inst, 1.0, mats=build_matrices(inst))
+    checks = verify_theorem(build_matrices(inst), 1.0)
     assert all(c.passed for c in checks)
     thm_ii = by_id(checks, "THM.ii")[0]
     assert thm_ii.evidence["inertia"] == [6, 0, 2]
@@ -100,7 +103,7 @@ def test_theorem_golden_beta_one():
 
 def test_theorem_beta_zero_skips_vi():
     inst = golden_instance()
-    checks = verify_theorem(inst, 0.0, mats=build_matrices(inst))
+    checks = verify_theorem(build_matrices(inst), 0.0)
     for cid in ("THM.i", "THM.ii", "THM.iii", "THM.iv", "THM.v"):
         assert by_id(checks, cid)[0].passed
     assert by_id(checks, "THM.vi")[0].skipped
@@ -115,9 +118,9 @@ def test_theorem_lists_non_pd_blocks_row_major():
     f, s = pencil.f.array.copy(), inst.s
     for i, j in ((1, 3), (2, 1), (4, 2)):
         f[(i - 1) * s:i * s, (j - 1) * s:j * s] *= -1.0
-    tampered = PerturbedPencil(1.0, pencil.p, BlockMatrix(inst.n, s, f))
-    mats.memo(("pencil", 1.0, DEFAULT_TOL), lambda: tampered)
-    thm_vi = by_id(verify_theorem(inst, 1.0, mats=mats), "THM.vi")[0]
+    tampered = PerturbedPencil(pencil.p, BlockMatrix(inst.n, s, f))
+    mats.memo(("pencil", 1.0), lambda: tampered)
+    thm_vi = by_id(verify_theorem(mats, 1.0), "THM.vi")[0]
     assert not thm_vi.passed
     assert thm_vi.evidence["non_pd_blocks"] == [[1, 3], [2, 1], [4, 2]]
 
@@ -130,9 +133,9 @@ def test_theorem_fails_when_the_sample_contradicts_the_derived_inertia():
     pencil = perturbed_pencil(mats.d_inv, mats.l, 1.0)
     f, s = pencil.f.array.copy(), inst.s
     f[s:2 * s, s:2 * s] *= -1.0
-    tampered = PerturbedPencil(1.0, pencil.p, BlockMatrix(inst.n, s, f))
-    mats.memo(("pencil", 1.0, DEFAULT_TOL), lambda: tampered)
-    thm_iii = by_id(verify_theorem(inst, 1.0, mats=mats), "THM.iii")[0]
+    tampered = PerturbedPencil(pencil.p, BlockMatrix(inst.n, s, f))
+    mats.memo(("pencil", 1.0), lambda: tampered)
+    thm_iii = by_id(verify_theorem(mats, 1.0), "THM.iii")[0]
     assert not thm_iii.passed
     # a contradicted sample sends every vertex to the direct route
     assert thm_iii.evidence["route"] == "contradicted"
@@ -142,7 +145,7 @@ def test_theorem_fails_when_the_sample_contradicts_the_derived_inertia():
         pencil.p, [k for k in range(1, 5) if k != i]).array) for i in range(1, 5)]
     assert thm_iii.evidence["max_eig_sampled"] == max(w[-1] for w in direct)
     # the measured counts are the direct ones, so FM sees no mismatch
-    assert verify_fiedler_markham(inst, 1.0, mats=mats).passed
+    assert verify_fiedler_markham(mats, 1.0).passed
 
 
 def test_sample_takes_the_block_nearest_its_zero_threshold():
@@ -160,16 +163,16 @@ def test_sample_takes_the_block_nearest_its_zero_threshold():
     a = 1e3 * max(least)
     q = np.linalg.qr(np.arange(1.0, s * s + 1).reshape(s, s) + np.eye(s))[0]
     f[(k - 1) * s:k * s, (k - 1) * s:k * s] = (q * [a, 1e10 * a]) @ q.T
-    tampered = PerturbedPencil(1.0, pencil.p, BlockMatrix(n, s, f))
+    tampered = PerturbedPencil(pencil.p, BlockMatrix(n, s, f))
     assert inertia_of_spectrum(np.linalg.eigvalsh(tampered.f.block(k, k))).n_zero == 1
     new_least = [np.linalg.eigvalsh(tampered.f.block(i, i))[0] for i in range(2, n + 1)]
     assert 2 + int(np.argmin(new_least)) != k
-    mats.memo(("pencil", 1.0, DEFAULT_TOL), lambda: tampered)
-    thm_iii = by_id(verify_theorem(inst, 1.0, mats=mats), "THM.iii")[0]
+    mats.memo(("pencil", 1.0), lambda: tampered)
+    thm_iii = by_id(verify_theorem(mats, 1.0), "THM.iii")[0]
     assert not thm_iii.passed
     assert thm_iii.evidence["route"] == "contradicted"
     # every vertex measured: FM sees vertex k's block nullity 1 against 0
-    fm = verify_fiedler_markham(inst, 1.0, mats=mats)
+    fm = verify_fiedler_markham(mats, 1.0)
     assert not fm.passed
     assert fm.evidence["mismatches"] == [{"i": k, "nullity_sub": 0, "nullity_block": 1}]
     assert fm.evidence["inferred"] == {"beta": 0, "dinv": n - 2}
@@ -184,11 +187,11 @@ def test_fiedler_markham_reads_d_inverse_at_beta_zero():
         raise SingularMatrixError("inversion residual exceeds tolerance")
 
     with pytest.raises(SingularMatrixError):
-        mats.memo(("pencil", 0.0, DEFAULT_TOL), fail)
-    check = verify_fiedler_markham(inst, 1.0, mats=mats)
+        mats.memo(("pencil", 0.0), fail)
+    check = verify_fiedler_markham(mats, 1.0)
     assert check.passed
     assert check.evidence["dinv_nullities"] == [2, 2, 2, 2]
-    assert not verify_fiedler_markham(inst, 0.0, mats=mats).passed
+    assert not verify_fiedler_markham(mats, 0.0).passed
 
 
 def test_singular_pencil_takes_the_direct_route(monkeypatch):
@@ -202,12 +205,12 @@ def test_singular_pencil_takes_the_direct_route(monkeypatch):
     k = int(np.argmin(np.abs(w)))
     p = pencil.p.array - w[k] * np.outer(v[:, k], v[:, k])
     assert inertia_of(p).n_zero == 1
-    singular = PerturbedPencil(1.0, BlockMatrix(n, s, p), pencil.f)
-    mats.memo(("pencil", 1.0, DEFAULT_TOL), lambda: singular)
+    singular = PerturbedPencil(BlockMatrix(n, s, p), pencil.f)
+    mats.memo(("pencil", 1.0), lambda: singular)
     calls = []
     monkeypatch.setattr(verifier, "principal_block_submatrix",
                         lambda a, idx: calls.append(idx) or principal_block_submatrix(a, idx))
-    blocks = mats.deleted_blocks(1.0, DEFAULT_TOL)
+    blocks = mats.deleted_blocks(1.0)
     assert blocks.route == "direct"
     assert blocks.sampled == [1, 2, 3, 4]
     assert len(calls) == n
@@ -217,7 +220,7 @@ def test_singular_pencil_takes_the_direct_route(monkeypatch):
     assert blocks.inertia.tolist() == [list(inertia_of_spectrum(d)) for d in direct]
     assert blocks.sampled_max.tolist() == [d[-1] for d in direct]
     # THM.iii is then decided by the bound on every vertex, as before
-    thm = verify_theorem(inst, 1.0, mats=mats)
+    thm = verify_theorem(mats, 1.0)
     assert not by_id(thm, "THM.i")[0].passed
     thm_iii = by_id(thm, "THM.iii")[0]
     assert thm_iii.evidence["route"] == "direct"
@@ -227,10 +230,31 @@ def test_singular_pencil_takes_the_direct_route(monkeypatch):
 
 def test_fiedler_markham_golden():
     inst = golden_instance()
-    check = verify_fiedler_markham(inst, 1.0, mats=build_matrices(inst))
+    check = verify_fiedler_markham(build_matrices(inst), 1.0)
     assert check.passed
     assert check.evidence["mismatches"] == []
     assert check.evidence["dinv_nullities"] == [2, 2, 2, 2]
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, Tolerance(rel_residual=1e-6, eig_zero=1e-7,
+                                                          nonzero_floor=1e-3)],
+                         ids=["default-tol", "loose-tol"])
+@pytest.mark.parametrize("inst, mode", [(golden_instance(), "both"),
+                                        (random_instance(6, 2, 42, 2), "float")],
+                         ids=["golden", "random-6x2"])
+def test_stages_alone_give_verify_instance_rows(inst, mode, tol):
+    """The bundle is the stages' one input: run one by one on it, they give
+    every row verify_instance reports, evidence included."""
+    betas = list(DEFAULT_BETAS)
+    mats = build_matrices(inst, tol=tol)
+    rows = verify_preliminaries(mats)
+    for beta in betas:
+        rows += verify_theorem(mats, beta) + [verify_fiedler_markham(mats, beta)]
+        if mode == "both":
+            rows.append(verify_exact_consistency(mats, beta))
+    report = verify_instance(inst, betas, tol, kernel_mode=mode)
+    assert [c.to_json() for c in rows] == [c.to_json() for c in report.checks]
+    assert report.instance_hash == instance_hash(inst)
 
 
 def test_verify_instance_report_shape():
@@ -298,7 +322,7 @@ def test_null_space_compressions_match_dense_kronecker_products(n, s):
         assert np.array_equal(_null_compress(x, n, s), b.T @ x @ b)
 
     l = mats.l.array
-    col_space = by_id(verify_preliminaries(inst, mats=mats), "COL-SPACE")[0]
+    col_space = by_id(verify_preliminaries(mats), "COL-SPACE")[0]
     dense = _rel(j @ l, max(1.0, float(np.abs(l).max())))
     assert abs(col_space.evidence["jl_residual"] - dense) <= 1e-15
 
@@ -313,7 +337,7 @@ def test_build_matrices_keeps_few_dense_copies():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert set(vars(mats)) == {"d", "d_inv", "l", "u", "_memo"}
+    assert set(vars(mats)) == {"inst", "tol", "d", "d_inv", "l", "u", "_memo"}
     assert peak <= 4 * ns * ns * 8
 
 
@@ -402,11 +426,11 @@ def test_stages_read_an_overflowing_bundle_as_non_finite_failures(inst):
     failing rows marked non_finite (at beta = 0 every unskipped theorem row
     is one), not a warning and not a traceback."""
     mats = build_matrices(inst)
-    prelim = verify_preliminaries(inst, mats=mats)
-    theorem = verify_theorem(inst, 0.0, mats=mats)
-    per_beta = [verify_fiedler_markham(inst, 0.0, mats=mats)]
+    prelim = verify_preliminaries(mats)
+    theorem = verify_theorem(mats, 0.0)
+    per_beta = [verify_fiedler_markham(mats, 0.0)]
     if inst.is_exact:
-        per_beta.append(verify_exact_consistency(inst, 0.0, mats=mats))
+        per_beta.append(verify_exact_consistency(mats, 0.0))
     non_finite = lambda c: not c.passed and c.evidence.get("non_finite")
     assert any(non_finite(c) for c in prelim)
     assert all(non_finite(c) for c in theorem + per_beta if not c.skipped)
@@ -447,8 +471,8 @@ def test_shared_spectra_match_direct_route(n, s, seed, beta):
     every submatrix, block and G_x per check."""
     inst = random_instance(n, s, seed, extra_edges=min(n, (n - 1) * (n - 2) // 2))
     mats = build_matrices(inst)
-    checks = verify_theorem(inst, beta, mats=mats)
-    fm = verify_fiedler_markham(inst, beta, mats=mats)
+    checks = verify_theorem(mats, beta)
+    fm = verify_fiedler_markham(mats, beta)
 
     pencil = perturbed_pencil(mats.d_inv, mats.l, beta)
     rest = lambda i: [k for k in range(1, n + 1) if k != i]
@@ -457,7 +481,7 @@ def test_shared_spectra_match_direct_route(n, s, seed, beta):
     direct = [np.linalg.eigvalsh(q) for q in sub_p]
 
     # the derived inertia of every vertex is the direct route's
-    blocks = mats.deleted_blocks(beta, DEFAULT_TOL)
+    blocks = mats.deleted_blocks(beta)
     assert blocks.route == "derived"
     assert blocks.inertia.tolist() == [list(inertia_of_spectrum(w)) for w in direct]
 
@@ -490,14 +514,14 @@ def test_shared_spectra_match_direct_route(n, s, seed, beta):
         inertia_of(bordered(pencil.f)))
     # THM.iv.haynsworth reads its pivot's inertia In(F) off P's spectrum
     # (F = P^{-1} is congruent to P); it agrees with In(F) measured
-    assert inertia_of_spectrum(mats.p_spectrum(beta, DEFAULT_TOL)) == inertia_of(pencil.f.array)
+    assert inertia_of_spectrum(mats.p_spectrum(beta)) == inertia_of(pencil.f.array)
     _, rhs, _, _ = haynsworth_check(bordered(pencil.f), n * s, inertia_of(pencil.f.array))
     assert by_id(checks, "THM.iv.haynsworth")[0].evidence["rhs"] == list(rhs)
     assert by_id(checks, "THM.ii")[0].evidence["inertia"] == list(inertia_of(pencil.p.array))
 
     # P(0) is the closed-form D^{-1} bit for bit, so its spectra are shared
     if beta == 0:
-        assert np.array_equal(mats.pencil(0.0, DEFAULT_TOL).p.array, mats.d_inv.array)
+        assert np.array_equal(mats.pencil(0.0).p.array, mats.d_inv.array)
         return
 
     # THM.vi: one quadratic-form test per block
@@ -506,10 +530,10 @@ def test_shared_spectra_match_direct_route(n, s, seed, beta):
            if not is_pd_quadratic_form(f.block(i, j))]
     assert by_id(checks, "THM.vi")[0].evidence["non_pd_blocks"] == bad
 
-    # THM.vi.gx: one G_x and one inertia per vector
+    # THM.vi.gx: one G_x and one inertia per vector, seeded by the instance hash
     floor = DEFAULT_TOL.nonzero_floor * max(1.0, float(np.abs(f.array).max()))
     ok, worst = True, np.inf
-    for x in _gx_vectors(s, 0):
+    for x in _gx_vectors(s, int(instance_hash(inst)[:8], 16)):
         gx = gx_matrix(f, x)
         off = np.abs(gx[~np.eye(n, dtype=bool)])
         worst = min(worst, float(off.min(initial=np.inf)))
