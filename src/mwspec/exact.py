@@ -8,6 +8,12 @@ of its denominators, and Bareiss's fraction-free elimination (Math. Comp. 22,
 1968) keeps every intermediate an exact minor, with no gcd per operation.
 numpy's `+`, `-`, `*`, `@` and `.T` work on these arrays entry by entry;
 only the eliminations below are written out.
+
+`PerturbedInverse` gets F(beta) = (D^{-1} - beta L)^{-1} from a distance
+matrix D and a Laplacian L alone, as (I - beta D L)^{-1} D: every row of
+I - beta L D is made integer with only its own denominators, so the
+elimination's numbers stay far shorter than those of D^{-1} - beta L scaled
+row by row.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InstanceSyntaxError, SingularMatrixError
+from .errors import ConfigError, InstanceSyntaxError, SingularMatrixError
 
 RatMatrix = np.ndarray      # dtype=object, entries Fraction
 
@@ -51,15 +57,21 @@ def rat_matrix(rows) -> RatMatrix:
 
 
 def _scaled_rows(a: np.ndarray) -> tuple[list[list[int]], list[int]]:
-    """Row i of `a` times c_i, the lcm of its denominators, as a list of
-    Python ints; and the c_i."""
+    """Row i of `a` (Python ints and Fractions) times c_i, the lcm of its
+    denominators, as a list of Python ints; and the c_i."""
     rows, scales = [], []
     for row in a:
-        row = [Fraction(x) for x in row]
         c = math.lcm(*(x.denominator for x in row))
         rows.append([x.numerator * (c // x.denominator) for x in row])
         scales.append(c)
     return rows, scales
+
+
+def _integer_matrix(a: np.ndarray) -> tuple[list[list[int]], int]:
+    """`a` (Python ints and Fractions) times e, the lcm of all its
+    denominators, as rows of Python ints; and e."""
+    e = math.lcm(*(x.denominator for x in a.flat))
+    return [[x.numerator * (e // x.denominator) for x in row] for row in a], e
 
 
 def _bareiss_step(m: list[list[int]], k: int, prev: int, rows, hi: int):
@@ -75,22 +87,29 @@ def _bareiss_step(m: list[list[int]], k: int, prev: int, rows, hi: int):
         row[k + 1:hi] = [(p * x - f * y) // prev for x, y in zip(row[k + 1:hi], pivot)]
 
 
-def rational_invert(a) -> RatMatrix:
-    """Exact inverse by fraction-free Gauss-Jordan elimination over Python ints.
+def rational_invert(a, b=None) -> RatMatrix:
+    """Exact A^{-1}, or A^{-1} B when b is given, by fraction-free
+    Gauss-Jordan elimination over Python ints.
 
-    Row i of [A | I] is scaled by the lcm c_i of its denominators. The pivot
-    is the first nonzero entry at or below the diagonal, swapped in. A row
-    swap also swaps the two rows' columns of the right half, so that before
-    step k the right half is nonzero only in its first k columns and on its
-    diagonal, and step k rewrites columns k+1..n+k alone: the columns left
-    of them are settled. At the end the left half is d I, d the last pivot,
-    and the right half d A^{-1} with its columns permuted, so each entry of
-    the inverse is one Fraction(x, d).
+    Entries are Python ints or Fractions. Row i of [A | I] is scaled by the
+    lcm c_i of its denominators. The pivot is the first nonzero entry at or
+    below the diagonal, swapped in. A row swap also swaps the two rows'
+    columns of the right half, so that before step k the right half is
+    nonzero only in its first k columns and on its diagonal, and step k
+    rewrites columns k+1..n+k alone: the columns left of them are settled.
+    At the end the left half is d I, d the last pivot, and the right half
+    d A^{-1} with its columns permuted, so each entry of the inverse is one
+    Fraction(x, d). With b, that integer d A^{-1} times e B, e the lcm of
+    B's denominators, is d e A^{-1} B: each entry is one Fraction(x, d e).
     """
     a = np.asarray(a, dtype=object)
     n = len(a)
     if a.shape != (n, n):
         raise SingularMatrixError("matrix is not square")
+    if b is not None:
+        b = np.asarray(b, dtype=object)
+        if b.ndim != 2 or len(b) != n:
+            raise ConfigError(f"right-hand side of shape {b.shape} for a {n} x {n} matrix")
     m, scales = _scaled_rows(a)
     for i, (row, c) in enumerate(zip(m, scales)):
         row += [0] * n
@@ -113,9 +132,50 @@ def rational_invert(a) -> RatMatrix:
             m[i][n + i] = m[i][n + i] * p // prev
         _bareiss_step(m, k, prev, [i for i in range(n) if i != k], n + k + 1)
         prev = p
-    inv = np.empty((n, n), dtype=object)
-    inv[:, perm] = [[Fraction(x, prev) for x in row[n:]] for row in m]
-    return inv
+    x = np.empty((n, n), dtype=object)
+    x[:, perm] = [row[n:] for row in m]
+    if b is not None:
+        ints, e = _integer_matrix(b)
+        x = x @ np.array(ints, dtype=object).reshape(b.shape)
+        prev *= e
+    return np.array([[Fraction(y, prev) for y in row] for row in x],
+                    dtype=object).reshape(x.shape)
+
+
+class PerturbedInverse:
+    """F(beta) = (D^{-1} - beta L)^{-1} of a symmetric D and L, from D and L
+    alone: D^{-1} - beta L = D^{-1} (I - beta D L), so F(beta) is
+    (I - beta D L)^{-1} D, and F(0) is D.
+
+    What does not depend on beta is built once, in Python ints: dd D, dd the
+    lcm of D's denominators; the rows l_i = c_i L_i of L, each times the lcm
+    c_i of its denominators; and LD = l @ dd D.
+    """
+
+    def __init__(self, d: RatMatrix, l: RatMatrix):
+        self.d_int, self.dd = _integer_matrix(d)
+        rows, self.scales = _scaled_rows(l)
+        self.ld = (np.array(rows, dtype=object) @ np.array(self.d_int, dtype=object)).tolist()
+
+    def at(self, beta) -> RatMatrix:
+        """F(beta) for beta = b_n / b_d > 0.
+
+        Row i of I - beta L D times c_i dd b_d is the integer row
+        a_i = c_i dd b_d e_i - b_n LD_i; divided by its content g_i it is
+        s_i (I - beta L D)_i with s_i = c_i dd b_d / g_i. With A the matrix of
+        those rows, A' = (I - beta D L) S, so F = S (A')^{-1} dd D / dd, and
+        F_ij = c_i b_d Y_ij / g_i for Y = (A')^{-1} dd D.
+        """
+        bn, bd = beta.as_integer_ratio()
+        rows, factors = [], []
+        for i, (ld, c) in enumerate(zip(self.ld, self.scales)):
+            row = [-bn * x for x in ld]
+            row[i] += c * self.dd * bd
+            g = math.gcd(*row) or 1      # a zero row is singular: the elimination says so
+            rows.append([x // g for x in row])
+            factors.append((c * bd, g))
+        y = rational_invert(list(zip(*rows)), self.d_int)
+        return y * np.array([Fraction(c, g) for c, g in factors], dtype=object)[:, None]
 
 
 def rat_is_pd(a) -> bool:

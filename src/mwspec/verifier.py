@@ -13,12 +13,11 @@ import functools
 import math
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import ConfigError, MwspecError, NonFiniteError
-from .exact import rat_to_float, rational_invert
+from .exact import PerturbedInverse, rat_matrix, rat_to_float
 from .linalg import (
     DEFAULT_TOL,
     Inertia,
@@ -34,12 +33,12 @@ from .model import Instance, WeightProfile, instance_hash, random_instance
 from .operators import (
     BlockMatrix,
     build_distance_matrix,
+    build_distance_matrix_exact,
     build_laplacian,
     build_laplacian_exact,
     build_U,
     distance_from_laplacian_pinv,
     distance_inverse_closed_form,
-    distance_inverse_closed_form_exact,
 )
 from .perturbation import (
     PerturbedPencil,
@@ -184,9 +183,9 @@ class InstanceMatrices:
     instance itself, the thresholds its checks read, and its float operators.
 
     Objects that several checks read (the pencil, its spectra and the
-    Haynsworth split of each beta, the exact F(beta), the instance hash) are
-    built on first use and kept in `_memo` under a name and beta, together
-    with the error that building one raised.
+    Haynsworth split of each beta, the exact F(beta), THM.vi.gx's vectors,
+    the instance hash) are built on first use and kept in `_memo` under a
+    name and beta, together with the error that building one raised.
     """
 
     inst: Instance
@@ -295,16 +294,20 @@ class InstanceMatrices:
             inertia_of_spectrum(self.p_spectrum(beta), self.tol), self.tol))
 
     def exact_operators(self) -> tuple[np.ndarray, np.ndarray]:
-        """The closed-form D^{-1} and L in exact rationals (a rational instance)."""
+        """The path-sum D and L in exact rationals (a rational instance)."""
         return self.memo("exact", lambda: (
-            distance_inverse_closed_form_exact(self.inst.tree),
+            build_distance_matrix_exact(self.inst.tree),
             build_laplacian_exact(self.inst.graph)))
 
     def exact_f(self, beta: float) -> np.ndarray:
-        """F(beta) in exact rationals; F(0) inverts D^{-1} itself."""
+        """F(beta) in exact rationals, from D and L alone: F(0) = D, and for
+        beta > 0 (I - beta D L)^{-1} D, solved in integers. No closed-form
+        D^{-1} is read, so this is a route independent of the float F's."""
         def make():
-            d_inv_x, l_x = self.exact_operators()
-            return rational_invert(d_inv_x - Fraction(beta) * l_x if beta else d_inv_x)
+            if not beta:
+                return rat_matrix(self.exact_operators()[0])
+            return self.memo("perturbed_inverse",
+                             lambda: PerturbedInverse(*self.exact_operators())).at(beta)
 
         return self.memo(("exact_f", beta), make)
 
@@ -462,7 +465,8 @@ def verify_theorem(mats: InstanceMatrices, beta: float) -> list[CheckResult]:
 
     def thm_vi_gx():
         floor = tol.nonzero_floor * f_scale()
-        xs = _gx_vectors(s, int(mats.instance_hash()[:8], 16))
+        xs = mats.memo("gx_vectors",
+                       lambda: _gx_vectors(s, int(mats.instance_hash()[:8], 16)))
         gx = gx_matrix(pencil().f, xs)
         inert = inertia_of_spectrum(sym_eigvals(gx, tol), tol)
         off = np.abs(gx[:, ~np.eye(n, dtype=bool)])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mwspec import exact as ex
-from mwspec.errors import InstanceSyntaxError, SingularMatrixError
+from mwspec.errors import ConfigError, InstanceSyntaxError, SingularMatrixError
 from mwspec.model import random_instance
 from mwspec.operators import build_laplacian_exact, distance_inverse_closed_form_exact
 from mwspec.verifier import DEFAULT_BETAS
@@ -152,16 +152,56 @@ def test_invert_matches_the_gauss_jordan_oracle(a):
     assert_exact_inverse(ex.rat_matrix(a.tolist()).reshape(a.shape), got)
 
 
-@pytest.mark.parametrize("a, message", [
+@st.composite
+def systems(draw, max_n=6):
+    """(A, B): A square, B with A's row count and 0-3 columns."""
+    a = draw(square_matrices(max_n))
+    n, w = len(a), draw(st.integers(0, 3))
+    return a, _matrix(draw(st.lists(ENTRIES, min_size=n * w, max_size=n * w)), n, w)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(systems())
+def test_solve_matches_the_oracle_inverse_times_b(case):
+    a, b = case
+    try:
+        want = gauss_jordan_oracle(a) @ b
+    except SingularMatrixError as exc:
+        with pytest.raises(SingularMatrixError, match=f"^{exc}$"):
+            ex.rational_invert(a, b)
+        return
+    got = ex.rational_invert(a, b)
+    assert got.dtype == object and got.shape == b.shape
+    assert np.array_equal(got, want)
+    assert all(type(x) is Fraction for x in got.flat)
+
+
+INVERT_ERRORS = [
     ([[0, 0], [0, 1]], "no nonzero pivot in column 0"),
     ([[1, 2, 3], [2, 4, 6], [0, 0, 1]], "no nonzero pivot in column 1"),
     ([[F(1, 3), F(1, 6)], [F(2, 3), F(1, 3)]], "no nonzero pivot in column 1"),
     ([[1, 2, 3]], "matrix is not square"),
     ([1, 2], "matrix is not square"),
-])
+]
+
+
+@pytest.mark.parametrize("a, message", INVERT_ERRORS)
 def test_invert_errors(a, message):
     with pytest.raises(SingularMatrixError, match=f"^{message}$"):
         ex.rational_invert(a)
+
+
+@pytest.mark.parametrize("a, message", INVERT_ERRORS)
+def test_solve_errors(a, message):
+    with pytest.raises(SingularMatrixError, match=f"^{message}$"):
+        ex.rational_invert(a, [[F(1, 2), 3]] * len(a))
+
+
+@pytest.mark.parametrize("b", [[1, 2], [[1], [2], [3]], [[[1]], [[2]]]],
+                         ids=["vector", "too-many-rows", "three-axes"])
+def test_solve_rejects_a_right_hand_side_of_the_wrong_shape(b):
+    with pytest.raises(ConfigError, match="right-hand side"):
+        ex.rational_invert([[1, 0], [0, 1]], b)
 
 
 @pytest.mark.parametrize("a, want", [

@@ -42,6 +42,13 @@ def test_perturbed_inverse_bit_exact():
     assert f[0][0] == Fraction(3419893, 612184)
 
 
+def test_bundle_exact_f_bit_exact():
+    # F(1) from D and L alone, the route golden and EXACT-CONSISTENCY read
+    f = build_matrices(golden_instance()).exact_f(1.0)
+    assert np.array_equal(f, expected_f())
+    assert all(type(x) is Fraction for x in f.flat)
+
+
 def test_expected_f_entries_are_exactly_nonzero():
     # the off-diagonal nonzeroness claim, checked literally on rationals
     assert all(x != 0 for row in expected_f() for x in row)

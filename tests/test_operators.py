@@ -22,7 +22,8 @@ from mwspec.operators import (
     structural_vectors,
 )
 from mwspec.perturbation import perturbed_pencil
-from mwspec.verifier import build_matrices
+from mwspec.verifier import DEFAULT_BETAS, build_matrices
+from test_exact import gauss_jordan_oracle
 
 
 @pytest.fixture(scope="module")
@@ -170,10 +171,39 @@ def test_closed_form_exact_golden(inst):
 
 @pytest.mark.parametrize("inst", RATIONAL_INSTANCES, ids=RATIONAL_IDS)
 def test_exact_f_at_beta_zero_is_the_distance_matrix(inst):
-    # F(0) = (D^{-1})^{-1} = D, entry for entry
+    # F(0) = D, against the inverse of the closed-form D^{-1}, entry for entry
     f0 = build_matrices(inst).exact_f(0.0)
-    assert np.array_equal(f0, build_distance_matrix_exact(inst.tree))
-    assert all(isinstance(x, Fraction) for x in f0.flat)
+    assert np.array_equal(f0, ex.rational_invert(distance_inverse_closed_form_exact(inst.tree)))
+    assert all(type(x) is Fraction for x in f0.flat)
+
+
+@pytest.mark.parametrize("inst", RATIONAL_INSTANCES, ids=RATIONAL_IDS)
+def test_exact_f_matches_the_inverse_of_the_pencil(inst):
+    # (I - beta D L)^{-1} D from D and L alone against (D^{-1} - beta L)^{-1}
+    # with the closed-form D^{-1}, by the kernel and by the Fraction oracle
+    mats = build_matrices(inst)
+    d_inv = distance_inverse_closed_form_exact(inst.tree)
+    l = build_laplacian_exact(inst.graph)
+    for beta in DEFAULT_BETAS:
+        p = d_inv - Fraction(beta) * l
+        f = mats.exact_f(beta)
+        assert np.array_equal(f, ex.rational_invert(p))
+        assert np.array_equal(f, gauss_jordan_oracle(p))
+        assert all(type(x) is Fraction for x in f.flat)
+
+
+def test_exact_f_hands_the_elimination_python_ints(monkeypatch):
+    # no Fraction reaches the elimination at beta > 0: the system and its
+    # right-hand side are matrices of Python ints
+    mats = build_matrices(RATIONAL_INSTANCES[2])
+    mats.exact_operators()
+    calls, invert = [], ex.rational_invert
+    monkeypatch.setattr(ex, "rational_invert", lambda a, b=None: calls.append((a, b))
+                        or invert(a, b))
+    mats.exact_f(0.5)
+    assert len(calls) == 1
+    for m in calls[0]:
+        assert all(type(x) is int for x in np.asarray(m, dtype=object).flat)
 
 
 @pytest.mark.parametrize("inst", RATIONAL_INSTANCES, ids=RATIONAL_IDS)

@@ -35,7 +35,7 @@ from mwspec.perturbation import (
     perturbed_pencil,
     principal_block_submatrix,
 )
-from mwspec import verifier
+from mwspec import operators, verifier
 from mwspec.verifier import (
     DEFAULT_BETAS,
     CampaignConfig,
@@ -284,6 +284,39 @@ def test_exact_mode_needs_rational_instance(mode):
     inst = random_instance(4, 2, seed=6, extra_edges=1)
     with pytest.raises(ConfigError, match="rational"):
         verify_instance(inst, [1.0], kernel_mode=mode)
+
+
+def test_gx_vectors_are_drawn_once_per_instance(monkeypatch):
+    seeds = []
+    monkeypatch.setattr(verifier, "_gx_vectors",
+                        lambda s, seed: seeds.append(seed) or _gx_vectors(s, seed))
+    inst = random_instance(5, 2, seed=4, extra_edges=2)
+    assert verify_instance(inst, list(DEFAULT_BETAS)).ok
+    assert seeds == [int(instance_hash(inst)[:8], 16)]
+
+
+def test_exact_consistency_sees_a_wrong_closed_form(monkeypatch):
+    """The exact F is built from D and L, not from the closed-form D^{-1}:
+    a closed form that is wrong in both kernels fails EXACT-CONSISTENCY at
+    every beta, where inverting the same wrong body on both sides passed."""
+    closed_form = operators._closed_form
+    monkeypatch.setattr(operators, "_closed_form", lambda *a: 2 * closed_form(*a))
+    inst = random_instance(4, 2, seed=6, extra_edges=1, rational=True)
+    report = verify_instance(inst, list(DEFAULT_BETAS), kernel_mode="both")
+    rows = by_id(report.checks, "EXACT-CONSISTENCY")
+    assert [c.beta for c in rows] == list(DEFAULT_BETAS)
+    assert not any(c.passed for c in rows)
+
+
+def test_exact_mode_builds_no_exact_closed_form(monkeypatch):
+    kernels, exact_calls = [], []
+    closed_form = operators._closed_form
+    monkeypatch.setattr(operators, "_closed_form",
+                        lambda t, w, inv: kernels.append(inv) or closed_form(t, w, inv))
+    monkeypatch.setattr(operators, "distance_inverse_closed_form_exact", exact_calls.append)
+    report = verify_instance(golden_instance(), list(DEFAULT_BETAS), kernel_mode="both")
+    assert report.ok and len(by_id(report.checks, "EXACT-CONSISTENCY")) == len(DEFAULT_BETAS)
+    assert kernels == [np.linalg.inv] and exact_calls == []
 
 
 @pytest.mark.parametrize("beta", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
