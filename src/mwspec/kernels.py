@@ -5,7 +5,9 @@ and exact Fraction weights alike) and the connectivity check in `model` use
 it. The fill walks once, from vertex 0, and then makes two passes of one
 numpy block-column update per tree edge: 2(n - 1) array operations of
 O(n s^2) each, with the additions of a walk from every root, so D keeps its
-bits. Everything downstream is LAPACK-bound.
+bits. It is the largest Python-level cost of assembling D, the closed-form
+D^{-1} and L: those invert the edge weights in one stacked call and copy or
+combine whole arrays.
 """
 
 from __future__ import annotations

@@ -187,8 +187,12 @@ def random_pd_weight(
     lam = rng.uniform(profile.lam_lo, profile.lam_hi, size=s)
     q, r = np.linalg.qr(rng.standard_normal((s, s)))
     q = q * np.sign(np.diag(r))
-    w = (q * lam) @ q.T
-    w = (w + w.T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = (q * lam) @ q.T
+        w = (w + w.T) / 2.0
+    if not np.isfinite(w).all():
+        raise ConfigError(f"weights with eigenvalues in [{profile.lam_lo}, "
+                          f"{profile.lam_hi}] overflow the float range at s = {s}")
     return PDWeight(w)
 
 
@@ -222,6 +226,9 @@ def _weight_maker(s: int, rng: np.random.Generator, profile: WeightProfile,
                   rational: bool):
     """A no-argument maker of PD weights that draws from rng."""
     if rational:
+        if profile != DEFAULT_PROFILE:
+            raise ConfigError(f"rational weights take no eigenvalue range, got "
+                              f"[{profile.lam_lo}, {profile.lam_hi}]")
         return lambda: _random_rational_pd_weight(s, rng)
     return lambda: random_pd_weight(s, rng, profile)
 

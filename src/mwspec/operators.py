@@ -9,6 +9,14 @@ verifier reads their products as block differences and block sums on the
 The tree distance matrix and the closed-form inverse of it are two
 independent routes to the same object (the third being the pseudoinverse
 identity), which is what makes the cross-checks in the verifier meaningful.
+
+Each operator has one assembly body that both kernels run: float arrays, or
+numpy object arrays of Fractions. L (and L(T) inside the closed form) comes
+from one stacked inverse of the (m, s, s) edge weights (`np.linalg.inv`, or
+`exact.rational_invert` weight by weight), one fancy-index write of every
+off-diagonal block, and each diagonal block summed over its incident edges
+in edge order, so its bits are those of a per-edge loop. D's lower triangle
+is a copy of its upper one, so D is bitwise symmetric.
 """
 
 from __future__ import annotations
@@ -44,38 +52,48 @@ class BlockMatrix:
         return self.array[(i - 1) * s:i * s, (j - 1) * s:j * s]
 
 
-def _laplacian(g: MatrixWeightedGraph, weights, inv) -> np.ndarray:
+def _weights(g: MatrixWeightedGraph, exact: bool = False) -> np.ndarray:
+    """The (m, s, s) stack of edge weights, in edge order: floats, or the
+    Fraction payloads."""
+    if not g.edges:
+        raise ConfigError(f"graph on {g.n} vertices has no edges")
+    return np.stack([w.exact if exact else w.matrix for _, _, w in g.edges])
+
+
+def _laplacian(g: MatrixWeightedGraph, weights: np.ndarray, inv) -> np.ndarray:
+    # inv maps the (m, s, s) stack of edge weights to the stack of inverses
     n, s = g.n, g.s
-    a = np.zeros((n * s, n * s), dtype=weights[0].dtype)
-    for (u, v, _), w in zip(g.edges, weights):
-        vinv = inv(w)
-        vinv = (vinv + vinv.T) / 2
-        a[u * s:(u + 1) * s, v * s:(v + 1) * s] = -vinv
-        a[v * s:(v + 1) * s, u * s:(u + 1) * s] = -vinv
-        a[u * s:(u + 1) * s, u * s:(u + 1) * s] += vinv
-        a[v * s:(v + 1) * s, v * s:(v + 1) * s] += vinv
+    uv = np.array([(u, v) for u, v, _ in g.edges])
+    rows, cols = uv.ravel(), uv[:, ::-1].ravel()     # each edge both ways
+    vinv = inv(weights)
+    vinv = np.repeat((vinv + vinv.transpose(0, 2, 1)) / 2, 2, axis=0)
+    a = np.zeros((n * s, n * s), dtype=vinv.dtype)
+    blocks = a.reshape(n, s, n, s)
+    blocks[rows, :, cols] = -vinv
+    # unbuffered and in index order: each diagonal block adds its incident
+    # inverses to 0 in edge order, the additions of a per-edge loop
+    np.add.at(blocks, (rows, slice(None), rows), vinv)
     return a
 
 
 def build_laplacian(g: MatrixWeightedGraph) -> BlockMatrix:
     """Block Laplacian: off-diagonal blocks -W_uv^{-1} on edges, diagonal
     blocks summing the inverted incident weights."""
-    return BlockMatrix(g.n, g.s, _laplacian(g, [w.matrix for _, _, w in g.edges],
-                                            np.linalg.inv))
+    return BlockMatrix(g.n, g.s, _laplacian(g, _weights(g), np.linalg.inv))
 
 
-def _distance(t: MatrixWeightedTree, weights) -> np.ndarray:
+def _distance(t: MatrixWeightedTree, weights: np.ndarray) -> np.ndarray:
     arr = distance_fill(adjacency(t.n, [(u, v) for u, v, _ in t.edges]), weights, t.s)
     # the kernel accumulates each path once per endpoint, in opposite edge
-    # orders; mirror the upper triangle so D is bit-exactly symmetric
-    lower = np.tril_indices(len(arr), -1)
-    arr[lower] = arr.T[lower]
+    # orders; copy the upper triangle down so D is bit-exactly symmetric
+    for i in range(1, len(arr)):
+        arr[i, :i] = arr[:i, i]
     return arr
 
 
 def build_distance_matrix(t: MatrixWeightedTree) -> BlockMatrix:
     """Tree distance matrix: block (i, j) sums the weights on the i-j path."""
-    return BlockMatrix(t.n, t.s, _distance(t, [w.matrix for _, _, w in t.edges]))
+    return BlockMatrix(t.n, t.s, _distance(t, _weights(t)))
 
 
 def structural_vectors(t: MatrixWeightedTree) -> np.ndarray:
@@ -89,14 +107,15 @@ def _closed_form(t: MatrixWeightedTree, weights, inv) -> np.ndarray:
     # integer matrix and halving is exact in binary floating point, so the
     # float D^{-1} has the bits of -(1/2) L(T) + (1/2) Delta R^{-1} Delta'
     delta = np.kron(structural_vectors(t).reshape(-1, 1), np.eye(t.s, dtype=int))
-    a = (delta @ inv(sum(weights)) @ delta.T - _laplacian(t, weights, inv)) / 2
+    r_inv = inv(sum(weights)[None])[0]
+    a = (delta @ r_inv @ delta.T - _laplacian(t, weights, inv)) / 2
     return (a + a.T) / 2
 
 
 def distance_inverse_closed_form(t: MatrixWeightedTree) -> BlockMatrix:
     """D^{-1} = (Delta R^{-1} Delta' - L(T)) / 2."""
     try:
-        a = _closed_form(t, [w.matrix for _, _, w in t.edges], np.linalg.inv)
+        a = _closed_form(t, _weights(t), np.linalg.inv)
     except np.linalg.LinAlgError as exc:  # unreachable for valid PD weights
         raise SingularMatrixError(f"singular weight sum or weight: {exc}") from exc
     return BlockMatrix(t.n, t.s, a)
@@ -130,16 +149,20 @@ def _require_exact(g: MatrixWeightedGraph):
         raise ConfigError("exact constructor requires rational weight payloads")
 
 
+def _rational_inverses(weights: np.ndarray) -> np.ndarray:
+    return np.stack([ex.rational_invert(w) for w in weights])
+
+
 def build_laplacian_exact(g: MatrixWeightedGraph) -> ex.RatMatrix:
     _require_exact(g)
-    return _laplacian(g, [w.exact for _, _, w in g.edges], ex.rational_invert)
+    return _laplacian(g, _weights(g, exact=True), _rational_inverses)
 
 
 def build_distance_matrix_exact(t: MatrixWeightedTree) -> ex.RatMatrix:
     _require_exact(t)
-    return _distance(t, [w.exact for _, _, w in t.edges])
+    return _distance(t, _weights(t, exact=True))
 
 
 def distance_inverse_closed_form_exact(t: MatrixWeightedTree) -> ex.RatMatrix:
     _require_exact(t)
-    return _closed_form(t, [w.exact for _, _, w in t.edges], ex.rational_invert)
+    return _closed_form(t, _weights(t, exact=True), _rational_inverses)

@@ -40,13 +40,25 @@ def test_gen_rejects_small_n(tmp_path, capsys):
     ["--weight-lo", "nan"],
     ["--weight-hi", "inf"],
     ["--seed", "-1"],
-], ids=["nan-weight-lo", "inf-weight-hi", "negative-seed"])
+    ["--weight-lo", "1e308", "--weight-hi", "1e308"],
+    ["--weight-lo", "1e300", "--weight-hi", "1e300", "--scalar-kind", "rational"],
+    ["--weight-hi", "20", "--scalar-kind", "rational"],
+], ids=["nan-weight-lo", "inf-weight-hi", "negative-seed", "overflowing-weights",
+        "rational-with-range", "rational-with-weight-hi"])
 def test_gen_bad_argument_exits_two(tmp_path, capsys, args):
     out = tmp_path / "x.json"
     code, _, err = run(["gen", "--n", "4", *args, "--out", str(out)], capsys)
     assert code == 2
     assert err.startswith("error:")
     assert not out.exists()
+
+
+def test_gen_names_the_weight_range_that_overflows(tmp_path, capsys):
+    code, _, err = run(["gen", "--n", "3", "--weight-lo", "1e308", "--weight-hi", "1e308",
+                        "--out", str(tmp_path / "x.json")], capsys)
+    assert code == 2
+    assert err == "error: weights with eigenvalues in [1e+308, 1e+308] overflow the " \
+                  "float range at s = 2\n"
 
 
 def test_verify_golden_instance(tmp_path, capsys):

@@ -170,6 +170,36 @@ def test_random_pd_weight_deterministic():
     assert np.array_equal(a.matrix, b.matrix)
 
 
+def test_random_pd_weight_rejects_a_range_that_overflows():
+    # (w + w') / 2 of a weight near the float maximum overflows; the generator
+    # names the range, and warns of nothing (RuntimeWarnings are errors here)
+    for s in (1, 2):
+        with pytest.raises(ConfigError, match=r"\[1e\+308, 1e\+308\]"):
+            random_pd_weight(s, np.random.default_rng(0), WeightProfile(1e308, 1e308))
+    w = random_pd_weight(1, np.random.default_rng(0), WeightProfile(8e307, 8e307))
+    assert np.array_equal(w.matrix, [[8e307]])
+
+
+@pytest.mark.parametrize("args, digest", [
+    ((6, 2, 3, 2), "bcb8efc69e52d59e8f3937e1b6c1c5a1b69a1b5f5028f8ed4117006f7c330ff2"),
+    ((5, 3, 4, 3, WeightProfile(1e-8, 1e8)),
+     "c4428a12bbb28e3c75cab199674ee2feebced0cde51a8f27712ff049af8c36eb"),
+    ((4, 2, 7, 1, WeightProfile(1e307, 1e307)),
+     "6e76605479118447b5be42d5cb4a7875fec9bf87684ceb0c257ceb3853520cef"),
+], ids=["default", "wide", "near-overflow"])
+def test_generated_weights_keep_their_bits(args, digest):
+    # the serialized instance holds every weight to the last bit (repr floats)
+    assert model.instance_hash(random_instance(*args)) == digest
+
+
+def test_rational_generation_rejects_a_weight_range():
+    with pytest.raises(ConfigError, match="rational weights take no eigenvalue range"):
+        random_instance(3, 2, 0, profile=WeightProfile(1e300, 1e300), rational=True)
+    with pytest.raises(ConfigError, match="rational"):
+        random_tree(3, 2, 0, WeightProfile(0.1, 11.0), rational=True)
+    assert random_instance(3, 2, 0, profile=WeightProfile(0.1, 10.0), rational=True).is_exact
+
+
 def test_profile_rejects_bad_range():
     with pytest.raises(ConfigError):
         WeightProfile(0.0, 1.0)

@@ -8,7 +8,14 @@ from mwspec import exact as ex
 from mwspec.errors import ConfigError
 from mwspec.golden import EXPECTED_D, expected_l, golden_instance
 from mwspec.linalg import pinv_psd
-from mwspec.model import MatrixWeightedTree, PDWeight, random_instance, random_tree
+from mwspec.kernels import adjacency
+from mwspec.model import (
+    MatrixWeightedGraph,
+    MatrixWeightedTree,
+    PDWeight,
+    random_instance,
+    random_tree,
+)
 from mwspec.operators import (
     BlockMatrix,
     build_distance_matrix,
@@ -24,6 +31,7 @@ from mwspec.operators import (
 from mwspec.perturbation import perturbed_pencil
 from mwspec.verifier import DEFAULT_BETAS, build_matrices
 from test_exact import gauss_jordan_oracle
+from test_kernels import SHAPES, _per_root_fill, _tree_edges, _weight
 
 
 @pytest.fixture(scope="module")
@@ -259,6 +267,13 @@ def test_UtU():
     assert np.array_equal(u.T @ u, 7 * np.eye(2))
 
 
+@pytest.mark.parametrize("build", [build_laplacian, build_distance_matrix,
+                                   distance_inverse_closed_form])
+def test_constructors_reject_a_graph_with_no_edges(build):
+    with pytest.raises(ConfigError, match="no edges"):
+        build(MatrixWeightedTree(3, 1, []))
+
+
 def test_size_validation():
     with pytest.raises(ConfigError):
         build_U(1, 1)
@@ -282,3 +297,96 @@ def test_permutation_equivariance():
     d = build_distance_matrix(t).array
     d_perm = build_distance_matrix(relabeled).array
     assert np.allclose(p_block @ d_perm @ p_block.T, d)
+
+
+# --- assembly oracles --------------------------------------------------------
+
+
+def _per_edge_laplacian(n, s, edges, weights, inv):
+    """The reference assembly: one inverse and four block writes per edge, so
+    each diagonal block adds its incident inverses in edge order."""
+    a = np.zeros((n * s, n * s), dtype=weights[0].dtype)
+    for (u, v), w in zip(edges, weights):
+        vinv = inv(w)
+        vinv = (vinv + vinv.T) / 2
+        a[u * s:(u + 1) * s, v * s:(v + 1) * s] = -vinv
+        a[v * s:(v + 1) * s, u * s:(u + 1) * s] = -vinv
+        a[u * s:(u + 1) * s, u * s:(u + 1) * s] += vinv
+        a[v * s:(v + 1) * s, v * s:(v + 1) * s] += vinv
+    return a
+
+
+def _weighted(cls, n, s, edges, weights):
+    exact = weights[0].dtype == object
+    return cls(n, s, [(u, v, PDWeight(w, w if exact else None))
+                      for (u, v), w in zip(edges, weights)])
+
+
+def _assembly_case(shape, n, s, exact):
+    """A tree of the given shape, and a graph holding it plus n extra edges
+    (none at n = 2), both in shuffled edge order and orientation."""
+    rng = np.random.default_rng([n, s, SHAPES.index(shape), exact, 7])
+    tree_edges = _tree_edges(shape, n, rng)
+    edges, seen = list(tree_edges), {frozenset(e) for e in tree_edges}
+    while len(edges) < min(2 * n - 1, n * (n - 1) // 2):
+        u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
+        if frozenset((u, v)) not in seen:
+            seen.add(frozenset((u, v)))
+            edges.append((u, v))
+    edges = [edges[k] for k in rng.permutation(len(edges))]
+    weights = {e: _weight(s, rng, exact) for e in edges}
+    tree_weights = [weights[e] for e in tree_edges]
+    return (tree_edges, tree_weights, _weighted(MatrixWeightedTree, n, s, tree_edges, tree_weights),
+            _weighted(MatrixWeightedGraph, n, s, edges, [weights[e] for e in edges]))
+
+
+def _assert_identical(got, want, exact):
+    """Equal bit for bit for floats; for Fractions, equal with the same
+    type in every entry."""
+    assert got.dtype == want.dtype == (object if exact else float)
+    if exact:
+        assert np.array_equal(got, want)
+        assert all(type(x) is type(y) for x, y in zip(got.flat, want.flat))
+    else:
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+CASES = [(shape, n, s, exact) for shape in SHAPES for n in (2, 80) for s in (1, 3)
+         for exact in (False, True)]
+ASSEMBLY_CASES = pytest.mark.parametrize(
+    "shape, n, s, exact", CASES,
+    ids=[f"{shape}-{n}-{s}-{'fraction' if exact else 'float'}" for shape, n, s, exact in CASES])
+
+
+@ASSEMBLY_CASES
+def test_laplacian_matches_the_per_edge_loop(shape, n, s, exact):
+    _, _, tree, graph = _assembly_case(shape, n, s, exact)
+    inv = gauss_jordan_oracle if exact else np.linalg.inv
+    build = build_laplacian_exact if exact else (lambda g: build_laplacian(g).array)
+    for g in (tree, graph):
+        want = _per_edge_laplacian(n, s, [(u, v) for u, v, _ in g.edges],
+                                   [w.exact if exact else w.matrix for _, _, w in g.edges], inv)
+        _assert_identical(build(g), want, exact)
+
+
+@ASSEMBLY_CASES
+def test_closed_form_matches_the_per_edge_loop(shape, n, s, exact):
+    edges, weights, tree, _ = _assembly_case(shape, n, s, exact)
+    inv = gauss_jordan_oracle if exact else np.linalg.inv
+    tau = 2 - np.bincount(np.ravel(edges), minlength=n)
+    delta = np.kron(tau.reshape(-1, 1), np.eye(s, dtype=int))
+    a = (delta @ inv(sum(weights)) @ delta.T - _per_edge_laplacian(n, s, edges, weights, inv)) / 2
+    got = (distance_inverse_closed_form_exact(tree) if exact
+           else distance_inverse_closed_form(tree).array)
+    _assert_identical(got, (a + a.T) / 2, exact)
+
+
+@ASSEMBLY_CASES
+def test_distance_is_the_per_root_fill_with_its_upper_triangle_mirrored(shape, n, s, exact):
+    edges, weights, tree, _ = _assembly_case(shape, n, s, exact)
+    want = _per_root_fill(adjacency(n, edges), weights, s)
+    lower = np.tril_indices(n * s, -1)
+    want[lower] = want.T[lower]
+    got = build_distance_matrix_exact(tree) if exact else build_distance_matrix(tree).array
+    _assert_identical(got, want, exact)
+    _assert_identical(got, got.T, exact)
