@@ -3,7 +3,7 @@ Laplacian-perturbed inverse (D^{-1} - beta L)^{-1}, with a verification
 suite for their structural properties (inertia, block positive
 definiteness, negative semidefiniteness on the null space of J)."""
 
-from .linalg import Inertia, Tolerance, inertia_of, is_pd_quadratic_form, pinv_psd, rank_of, sym_eigvals
+from .linalg import Inertia, inertia_of, is_pd_quadratic_form, pinv_psd, rank_of, sym_eigvals
 from .model import (
     Instance,
     MatrixWeightedGraph,

@@ -7,8 +7,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 mathematical check failure, 2 usage error (bad
 arguments, a malformed instance, a negative or non-finite beta, a
---corrupt-d entry outside D, or --mode both on a float instance), 3 I/O
-error. `main` is the one place that maps an error to its exit code.
+--corrupt-d entry outside D or one the factor leaves unchanged, or --mode
+both on a float instance), 3 I/O error. `main` is the one place that maps
+an error to its exit code.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import tempfile
 
 from .errors import ConfigError, MwspecError
 from .golden import run_golden
-from .linalg import DEFAULT_TOL, Tolerance
 from .model import (
     WeightProfile,
     instance_hash,
@@ -73,14 +73,12 @@ def cmd_verify(args) -> int:
     with open(args.input, "rb") as fh:
         text = fh.read()
     inst = parse_instance(text)
-    tol = Tolerance(rel_residual=args.rel_residual, eig_zero=args.eig_zero,
-                    nonzero_floor=args.nonzero_floor)
     corrupt = None if args.corrupt_d is None else _parse_corrupt(args.corrupt_d)
     mode = args.mode
     if mode is None:
         mode = "both" if inst.is_exact else "float"
     betas = args.beta if args.beta else list(DEFAULT_BETAS)
-    report = verify_instance(inst, betas, tol, kernel_mode=mode, corrupt=corrupt)
+    report = verify_instance(inst, betas, kernel_mode=mode, corrupt=corrupt)
     if args.out:
         _atomic_write(args.out, json.dumps(report.to_json(), indent=2))
     summary = report.summary
@@ -129,10 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--out")
     p_verify.add_argument("--beta", type=float, action="append", default=None)
     p_verify.add_argument("--mode", choices=["float", "both"], default=None)
-    p_verify.add_argument("--rel-residual", type=float, default=DEFAULT_TOL.rel_residual)
-    p_verify.add_argument("--eig-zero", type=float, default=DEFAULT_TOL.eig_zero)
-    p_verify.add_argument("--nonzero-floor", type=float, default=DEFAULT_TOL.nonzero_floor,
-                          help="floor for the P4, COL-SPACE and THM.vi.gx checks")
     p_verify.add_argument("--corrupt-d", default=None, metavar="i,j,factor",
                           help="negative-control knob: scale one entry of D")
     p_verify.set_defaults(func=cmd_verify)

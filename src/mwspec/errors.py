@@ -37,9 +37,10 @@ class SingularPivotError(MwspecError):
 
 
 class ConfigError(MwspecError, ValueError):
-    """A bad argument: a size, seed, weight profile, tolerance, beta, verify
-    or golden mode, block index or index set, vector, matrix shape, a float
-    weight handed to an exact constructor, or a corrupt entry outside D."""
+    """A bad argument: a size, seed, weight profile, beta, verify mode, block
+    index or index set, vector, matrix shape, a float weight handed to an
+    exact constructor, or a corrupt entry outside D or one that scaling
+    leaves unchanged."""
 
 
 class InstanceSyntaxError(MwspecError):

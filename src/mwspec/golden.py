@@ -16,7 +16,6 @@ from . import exact as ex
 from .exact import parse_rational, rat_matrix
 from .linalg import Inertia, inertia_of
 from .model import Instance, MatrixWeightedGraph, MatrixWeightedTree, PDWeight
-from .operators import build_distance_matrix_exact
 from .verifier import build_matrices
 
 
@@ -134,8 +133,7 @@ def run_golden() -> GoldenResult:
     m = build_matrices(inst)
     mismatches: list[str] = []
 
-    d_x = build_distance_matrix_exact(inst.tree)
-    _compare_exact("D", d_x, expected_d_exact(), mismatches)
+    _compare_exact("D", m.exact_operators()[0], expected_d_exact(), mismatches)
     _compare_exact("L", m.exact_operators()[1], expected_l(), mismatches)
     _compare_exact("F", m.exact_f(1.0), expected_f(), mismatches)
 

@@ -1,14 +1,18 @@
 """Dense symmetric linear algebra: eigendecomposition, inertia, pseudoinverse,
 definiteness tests, numerical rank.
 
-All routines take plain float ndarrays. Matrices that are symmetric by
-construction are explicitly symmetrized before eigendecomposition so that
-round-off asymmetry never leaks into eigenvalue classification.
+All routines take plain float ndarrays. A symmetric matrix that is not
+bitwise symmetric is held to the asymmetry bound and averaged with its
+transpose before eigendecomposition, so round-off asymmetry never leaks into
+eigenvalue classification; a bitwise symmetric one is passed on as it is.
+
+Every float verdict of the package is decided against the three thresholds
+below, most of them scaled by max(1, the largest magnitude of the matrix or
+spectrum at hand).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -22,22 +26,12 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Numeric thresholds for residual and eigenvalue classification."""
-
-    rel_residual: float = 1e-8
-    eig_zero: float = 1e-9
-    nonzero_floor: float = 1e-10
-
-    def __post_init__(self):
-        for name in ("rel_residual", "eig_zero", "nonzero_floor"):
-            v = getattr(self, name)
-            if not (0.0 < v < 1.0):
-                raise ConfigError(f"{name} must be in (0, 1), got {v}")
-
-
-DEFAULT_TOL = Tolerance()
+# largest residual of an identity (P1, P2, PF = I, Schur) or asymmetry
+REL_RESIDUAL = 1e-8
+# an eigenvalue or quadratic-form minimum this close to zero counts as zero
+EIG_ZERO = 1e-9
+# a product that must vanish (LU, U'L) stays below it; G_x's off-diagonal exceed it
+NONZERO_FLOOR = 1e-10
 
 
 class Inertia(NamedTuple):
@@ -55,7 +49,7 @@ def _as_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _sym_decompose(decompose, a: np.ndarray, tol: Tolerance):
+def _sym_decompose(decompose, a: np.ndarray):
     """decompose((A + A')/2) for a symmetric matrix A, or for each matrix of a
     stack (..., m, m), each held to the asymmetry bound at its own scale. A
     bitwise symmetric A is its own average and is passed on as it is. An
@@ -65,11 +59,11 @@ def _sym_decompose(decompose, a: np.ndarray, tol: Tolerance):
     if not np.array_equal(a, at):
         scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
         asym = np.abs(a - at).max(axis=(-2, -1), initial=0.0)
-        bad = np.flatnonzero(asym > tol.rel_residual * scale)
+        bad = np.flatnonzero(asym > REL_RESIDUAL * scale)
         if bad.size:
             k = bad[0]     # the first offending matrix of a stack
             raise NotSymmetricError(f"asymmetry {asym.flat[k]:.3e} exceeds "
-                                    f"{tol.rel_residual:.1e} * {scale.flat[k]:.3e}")
+                                    f"{REL_RESIDUAL:.1e} * {scale.flat[k]:.3e}")
         a = (a + at) / 2.0
     try:
         out = decompose(a)
@@ -81,42 +75,42 @@ def _sym_decompose(decompose, a: np.ndarray, tol: Tolerance):
     return out
 
 
-def sym_eigvals(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def sym_eigvals(a: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a symmetric matrix, or of each matrix of a
     stack (..., m, m), each held to the asymmetry bound at its own scale."""
-    return _sym_decompose(np.linalg.eigvalsh, a, tol)
+    return _sym_decompose(np.linalg.eigvalsh, a)
 
 
-def zero_threshold(w: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """eig_zero * max(1, spectral_radius) of the spectrum w, or of each row of
+def zero_threshold(w: np.ndarray) -> np.ndarray:
+    """EIG_ZERO * max(1, spectral_radius) of the spectrum w, or of each row of
     a stack (k, m): values at most this far from zero count as zero."""
-    return tol.eig_zero * np.maximum(1.0, np.abs(w).max(axis=-1, initial=0.0))
+    return EIG_ZERO * np.maximum(1.0, np.abs(w).max(axis=-1, initial=0.0))
 
 
-def inertia_of_spectrum(w: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Inertia:
+def inertia_of_spectrum(w: np.ndarray) -> Inertia:
     """Counts of (negative, zero, positive) values in the spectrum w; a stack
     (k, m) of spectra gives an Inertia of (k,) arrays, one count per row.
 
-    Values with |lambda| <= eig_zero * max(1, spectral_radius) count as zero.
+    Values with |lambda| <= EIG_ZERO * max(1, spectral_radius) count as zero.
     This is the one zero/sign rule for inertia, rank and nullity.
     """
     w = np.asarray(w)
-    thresh = zero_threshold(w, tol)
+    thresh = zero_threshold(w)
     n_minus = np.sum(w < -thresh[..., None], axis=-1)
     n_plus = np.sum(w > thresh[..., None], axis=-1)
     counts = (n_minus, w.shape[-1] - n_minus - n_plus, n_plus)
     return Inertia(*(map(int, counts) if w.ndim == 1 else counts))
 
 
-def inertia_of(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Inertia:
+def inertia_of(a: np.ndarray) -> Inertia:
     """Counts of (negative, zero, positive) eigenvalues of a symmetric matrix."""
-    return inertia_of_spectrum(sym_eigvals(a, tol), tol)
+    return inertia_of_spectrum(sym_eigvals(a))
 
 
-def pinv_psd(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def pinv_psd(a: np.ndarray) -> np.ndarray:
     """Moore-Penrose inverse of a symmetric positive semidefinite matrix."""
-    w, v = _sym_decompose(np.linalg.eigh, a, tol)
-    inert = inertia_of_spectrum(w, tol)
+    w, v = _sym_decompose(np.linalg.eigh, a)
+    inert = inertia_of_spectrum(w)
     if inert.n_minus:
         raise NotPSDError(f"negative eigenvalue {w[0]:.3e} beyond tolerance")
     inv_w = np.zeros_like(w)     # ascending: the zeros first, then positives
@@ -124,7 +118,7 @@ def pinv_psd(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return (v * inv_w) @ v.T
 
 
-def is_pd_quadratic_form(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool | np.ndarray:
+def is_pd_quadratic_form(a: np.ndarray) -> bool | np.ndarray:
     """True iff x'Ax > 0 for every nonzero x.
 
     Equivalent to positive definiteness of the symmetric part (A + A')/2;
@@ -132,18 +126,18 @@ def is_pd_quadratic_form(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool | 
     of the leading shape, one verdict per matrix.
     """
     a = _as_square(a)
-    w = sym_eigvals((a + a.swapaxes(-1, -2)) / 2.0, tol)
+    w = sym_eigvals((a + a.swapaxes(-1, -2)) / 2.0)
     scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
-    ok = w[..., 0] > tol.eig_zero * scale
+    ok = w[..., 0] > EIG_ZERO * scale
     return bool(ok) if ok.ndim == 0 else ok
 
 
-def rank_of(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
+def rank_of(a: np.ndarray) -> int:
     """Numerical rank via singular values above a relative threshold."""
     a = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(a)):
         raise NonFiniteError("matrix contains non-finite entries")
     if a.size == 0:
         return 0
-    return inertia_of_spectrum(np.linalg.svd(a, compute_uv=False), tol).n_plus
+    return inertia_of_spectrum(np.linalg.svd(a, compute_uv=False)).n_plus
 

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigError, InstanceSyntaxError, SchemaError, ValidationError
 from .exact import format_rational, parse_rational, rat_is_pd, rat_matrix, rat_to_float
 from .kernels import adjacency, walk
-from .linalg import DEFAULT_TOL
+from .linalg import EIG_ZERO
 
 
 @dataclass(frozen=True)
@@ -162,7 +162,7 @@ def validate(g: MatrixWeightedGraph, require_tree: bool = False) -> ValidationRe
             # need only stay PD: a conditioning threshold would turn away
             # exact instances that only the exact kernel can check
             rounded = wt.exact is not None
-            if lam_min <= (0.0 if rounded else DEFAULT_TOL.eig_zero * scale):
+            if lam_min <= (0.0 if rounded else EIG_ZERO * scale):
                 what = "float rounding of weight" if rounded else "weight"
                 v.append(f"edge {key}: {what} not positive definite "
                          f"(min eigenvalue {lam_min:.3e})")

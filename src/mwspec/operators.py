@@ -26,7 +26,7 @@ import numpy as np
 from . import exact as ex
 from .errors import ConfigError, SingularMatrixError
 from .kernels import adjacency, distance_fill
-from .linalg import DEFAULT_TOL, Tolerance, pinv_psd
+from .linalg import pinv_psd
 from .model import MatrixWeightedGraph, MatrixWeightedTree
 
 
@@ -121,12 +121,10 @@ def distance_inverse_closed_form(t: MatrixWeightedTree) -> BlockMatrix:
     return BlockMatrix(t.n, t.s, a)
 
 
-def distance_from_laplacian_pinv(
-    t: MatrixWeightedTree, tol: Tolerance = DEFAULT_TOL
-) -> BlockMatrix:
+def distance_from_laplacian_pinv(t: MatrixWeightedTree) -> BlockMatrix:
     """D via the pseudoinverse identity D_ij = Ldag_ii + Ldag_jj - 2 Ldag_ij."""
     n, s = t.n, t.s
-    ldag = pinv_psd(build_laplacian(t).array, tol)
+    ldag = pinv_psd(build_laplacian(t).array)
     blocks = ldag.reshape(n, s, n, s)
     diag = blocks[np.arange(n), :, np.arange(n), :]    # (n, s, s): Ldag_ii
     out = diag[:, :, None, :] + diag.transpose(1, 0, 2)[None] - 2.0 * blocks

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, NonFiniteError, SingularMatrixError, SingularPivotError
-from .linalg import DEFAULT_TOL, Inertia, Tolerance, inertia_of
+from .linalg import REL_RESIDUAL, Inertia, inertia_of
 from .operators import BlockMatrix, build_U
 
 
@@ -31,12 +31,7 @@ def require_beta(beta: float):
         raise ConfigError(f"beta must be finite and >= 0, got {beta}")
 
 
-def perturbed_pencil(
-    d_inv: BlockMatrix,
-    l: BlockMatrix,
-    beta: float,
-    tol: Tolerance = DEFAULT_TOL,
-) -> PerturbedPencil:
+def perturbed_pencil(d_inv: BlockMatrix, l: BlockMatrix, beta: float) -> PerturbedPencil:
     """P = D^{-1} - beta L and F = P^{-1}, with an inversion residual check.
 
     Nonsingularity is guaranteed for exact data and beta >= 0, so a Singular
@@ -55,7 +50,7 @@ def perturbed_pencil(
         raise SingularMatrixError(f"pencil numerically singular: {exc}") from exc
     f = (f + f.T) / 2.0
     residual = float(np.abs(p @ f - np.eye(dim)).max())
-    bound = tol.rel_residual * max(1.0, float(np.abs(p).max()))
+    bound = REL_RESIDUAL * max(1.0, float(np.abs(p).max()))
     if not (math.isfinite(residual) and math.isfinite(bound)):
         raise NonFiniteError("pencil or its inverse has non-finite entries")
     if residual > bound:
@@ -104,9 +99,8 @@ def schur_complement(m: np.ndarray, k: int) -> np.ndarray:
     return m22 - m21 @ x
 
 
-def haynsworth_check(
-    m: np.ndarray, k: int, pivot_inertia: Inertia, tol: Tolerance = DEFAULT_TOL
-) -> tuple[Inertia, Inertia, bool, np.ndarray]:
+def haynsworth_check(m: np.ndarray, k: int, pivot_inertia: Inertia
+                     ) -> tuple[Inertia, Inertia, bool, np.ndarray]:
     """Inertia additivity: In(M) vs In(M11) + In(M/M11), componentwise, for
     a symmetric M and the leading split M11 = M[:k, :k].
 
@@ -119,8 +113,8 @@ def haynsworth_check(
     m = np.asarray(m, dtype=float)
     schur = schur_complement(m, k)
     schur = (schur + schur.T) / 2.0
-    lhs = inertia_of(m, tol)
-    in_schur = inertia_of(schur, tol)
+    lhs = inertia_of(m)
+    in_schur = inertia_of(schur)
     rhs = Inertia(*(a + b for a, b in zip(pivot_inertia, in_schur)))
     return lhs, rhs, lhs == rhs, schur
 

@@ -19,9 +19,10 @@ import numpy as np
 from .errors import ConfigError, MwspecError, NonFiniteError
 from .exact import PerturbedInverse, rat_matrix, rat_to_float
 from .linalg import (
-    DEFAULT_TOL,
+    EIG_ZERO,
+    NONZERO_FLOOR,
+    REL_RESIDUAL,
     Inertia,
-    Tolerance,
     inertia_of,
     inertia_of_spectrum,
     is_pd_quadratic_form,
@@ -169,18 +170,18 @@ class DeletedBlocks:
         return len(self.inertia) - len(self.sampled)
 
 
-def _nearest_zero_threshold(w: np.ndarray, tol: Tolerance) -> int:
+def _nearest_zero_threshold(w: np.ndarray) -> int:
     """Row of the stack of spectra w with the value nearest, in ratio, to its
     row's zero threshold: the block whose zero count is likeliest to differ
     from what a decomposition at another scale would count."""
-    a, t = np.abs(w), zero_threshold(w, tol)[:, None]
+    a, t = np.abs(w), zero_threshold(w)[:, None]
     return int(np.argmax((np.minimum(a, t) / np.maximum(a, t)).max(axis=-1)))
 
 
 @dataclass
 class InstanceMatrices:
     """Everything downstream checks need, built once per instance: the
-    instance itself, the thresholds its checks read, and its float operators.
+    instance itself and its float operators.
 
     Objects that several checks read (the pencil, its spectra and the
     Haynsworth split of each beta, the exact F(beta), THM.vi.gx's vectors,
@@ -189,7 +190,6 @@ class InstanceMatrices:
     """
 
     inst: Instance
-    tol: Tolerance
     d: BlockMatrix          # path-sum distance matrix
     d_inv: BlockMatrix      # closed-form inverse
     l: BlockMatrix          # graph Laplacian
@@ -220,7 +220,7 @@ class InstanceMatrices:
 
     def pencil(self, beta: float) -> PerturbedPencil:
         return self.memo(("pencil", beta),
-                         lambda: perturbed_pencil(self.d_inv, self.l, beta, self.tol))
+                         lambda: perturbed_pencil(self.d_inv, self.l, beta))
 
     def p(self, beta: float) -> BlockMatrix:
         """P(beta); P(0) is D^{-1} itself, bit for bit, and needs no inverse."""
@@ -229,14 +229,14 @@ class InstanceMatrices:
     def p_spectrum(self, beta: float) -> np.ndarray:
         """Ascending eigenvalues of P(beta); at beta = 0 no pencil is built."""
         return self.memo(("p_eigs", beta),
-                         lambda: sym_eigvals(self.p(beta).array, self.tol))
+                         lambda: sym_eigvals(self.p(beta).array))
 
     def block_spectra(self, beta: float) -> np.ndarray:
         """(n, s): ascending eigenvalues of each diagonal block F_ii of F(beta)."""
         def make():
             n, s = self.n, self.s
             f = self.pencil(beta).f.array.reshape(n, s, n, s)
-            return sym_eigvals(f[np.arange(n), :, np.arange(n), :], self.tol)
+            return sym_eigvals(f[np.arange(n), :, np.arange(n), :])
 
         return self.memo(("block_eigs", beta), make)
 
@@ -247,7 +247,7 @@ class InstanceMatrices:
         p = self.p(beta)
         blocks = range(1, p.n + 1)
         return np.array([sym_eigvals(principal_block_submatrix(
-            p, [k for k in blocks if k != i]).array, self.tol) for i in vertices])
+            p, [k for k in blocks if k != i]).array) for i in vertices])
 
     def deleted_blocks(self, beta: float) -> DeletedBlocks:
         """In(P(alpha'_i)) for every vertex i, P = P(beta), from In(P) and the
@@ -264,24 +264,24 @@ class InstanceMatrices:
         n - 2 counts are inferred.
         """
         def make():
-            n, s, tol = self.n, self.s, self.tol
-            p_in = inertia_of_spectrum(self.p_spectrum(beta), tol)
+            n, s = self.n, self.s
+            p_in = inertia_of_spectrum(self.p_spectrum(beta))
             f_eigs = self.block_spectra(beta) if beta else np.zeros((n, s))
-            f_in = inertia_of_spectrum(f_eigs, tol)
+            f_in = inertia_of_spectrum(f_eigs)
             nu = f_in.n_zero
             inertia = np.column_stack([p_in.n_minus - f_in.n_minus - nu, nu,
                                        p_in.n_plus - f_in.n_plus - nu])
             route = "direct"
             if not p_in.n_zero and inertia.min() >= 0:
-                sampled = [1, 2 + _nearest_zero_threshold(f_eigs[1:], tol)]
+                sampled = [1, 2 + _nearest_zero_threshold(f_eigs[1:])]
                 spectra = self.deleted_spectra(beta, sampled)
-                measured = np.transpose(inertia_of_spectrum(spectra, tol))
+                measured = np.transpose(inertia_of_spectrum(spectra))
                 if np.array_equal(measured, inertia[np.subtract(sampled, 1)]):
                     return DeletedBlocks(inertia, "derived", sampled, spectra[:, -1])
                 route = "contradicted"
             every = list(range(1, n + 1))
             spectra = self.deleted_spectra(beta, every)
-            return DeletedBlocks(np.transpose(inertia_of_spectrum(spectra, tol)), route,
+            return DeletedBlocks(np.transpose(inertia_of_spectrum(spectra)), route,
                                  every, spectra[:, -1])
 
         return self.memo(("deleted", beta), make)
@@ -291,7 +291,7 @@ class InstanceMatrices:
         F is congruent to P, so In(F) is read from P's spectrum."""
         return self.memo(("haynsworth", beta), lambda: haynsworth_check(
             bordered(self.pencil(beta).f), self.n * self.s,
-            inertia_of_spectrum(self.p_spectrum(beta), self.tol), self.tol))
+            inertia_of_spectrum(self.p_spectrum(beta))))
 
     def exact_operators(self) -> tuple[np.ndarray, np.ndarray]:
         """The path-sum D and L in exact rationals (a rational instance)."""
@@ -312,8 +312,8 @@ class InstanceMatrices:
         return self.memo(("exact_f", beta), make)
 
 
-def build_matrices(inst: Instance, corrupt: tuple[int, int, float] | None = None,
-                   tol: Tolerance = DEFAULT_TOL) -> InstanceMatrices:
+def build_matrices(inst: Instance,
+                   corrupt: tuple[int, int, float] | None = None) -> InstanceMatrices:
     # an overflowing instance fails in the guarded checks, not while assembled
     with np.errstate(over="ignore", invalid="ignore"):
         d = build_distance_matrix(inst.tree)
@@ -324,11 +324,14 @@ def build_matrices(inst: Instance, corrupt: tuple[int, int, float] | None = None
                 raise ConfigError(f"corrupt entry needs 1 <= i, j <= {ns} and a "
                                   f"finite factor, got ({i}, {j}, {factor})")
             arr = d.array.copy()
+            old = arr[i - 1, j - 1]
             arr[i - 1, j - 1] *= factor
+            if arr[i - 1, j - 1] == old:
+                raise ConfigError(f"scaling D's entry ({i}, {j}) = {old:g} by {factor} "
+                                  f"leaves it unchanged")
             d = BlockMatrix(d.n, d.s, arr)
         return InstanceMatrices(
             inst=inst,
-            tol=tol,
             d=d,
             d_inv=distance_inverse_closed_form(inst.tree),
             l=build_laplacian(inst.graph),
@@ -337,47 +340,47 @@ def build_matrices(inst: Instance, corrupt: tuple[int, int, float] | None = None
 
 
 def verify_preliminaries(mats: InstanceMatrices) -> list[CheckResult]:
-    n, s, tol = mats.n, mats.s, mats.tol
+    n, s = mats.n, mats.s
     d, d_inv, l = mats.d.array, mats.d_inv.array, mats.l.array
     d_scale = max(1.0, float(np.abs(d).max(initial=0.0)))
     l_scale = max(1.0, float(np.abs(l).max(initial=0.0)))
     checks = []
 
     def p1():
-        d_pinv = distance_from_laplacian_pinv(mats.inst.tree, tol).array
+        d_pinv = distance_from_laplacian_pinv(mats.inst.tree).array
         res = _rel(d - d_pinv, d_scale)
-        return res <= tol.rel_residual, {"residual": res}
+        return res <= REL_RESIDUAL, {"residual": res}
 
     def p2():
         res = _rel(d_inv @ d - np.eye(n * s), 1.0)
-        return res <= tol.rel_residual, {"residual": res}
+        return res <= REL_RESIDUAL, {"residual": res}
 
     def p3():
-        inert = inertia_of(d, tol)
+        inert = inertia_of(d)
         btdb = _null_compress(d, n, s)
-        max_eig = float(sym_eigvals(btdb, tol)[-1])
+        max_eig = float(sym_eigvals(btdb)[-1])
         ok = (inert == (n * s - s, 0, s)
-              and max_eig < -tol.eig_zero * d_scale)
+              and max_eig < -EIG_ZERO * d_scale)
         return ok, {"inertia": list(inert), "btdb_max_eig": max_eig}
 
     def p4():
-        min_eig = float(sym_eigvals(l, tol)[0])
+        min_eig = float(sym_eigvals(l)[0])
         lu = _rel(l @ mats.u, l_scale)
-        rank = rank_of(l, tol)
-        ok = (min_eig >= -tol.eig_zero * l_scale
-              and lu <= tol.nonzero_floor
+        rank = rank_of(l)
+        ok = (min_eig >= -EIG_ZERO * l_scale
+              and lu <= NONZERO_FLOOR
               and rank == n * s - s)
         return ok, {"min_eig": min_eig, "lu_residual": lu, "rank": rank}
 
     def col_space():
         # every block row of JL = U U'L is U'L
         res = _rel(mats.u.T @ l, l_scale)
-        return res <= tol.nonzero_floor, {"jl_residual": res}
+        return res <= NONZERO_FLOOR, {"jl_residual": res}
 
     def cor28():
         udu = mats.u.T @ d_inv @ mats.u
-        min_eig = float(sym_eigvals(udu, tol)[0])
-        return min_eig > tol.eig_zero, {"min_eig": min_eig}
+        min_eig = float(sym_eigvals(udu)[0])
+        return min_eig > EIG_ZERO, {"min_eig": min_eig}
 
     for cid, fn in (("P1", p1), ("P2", p2), ("P3", p3), ("P4", p4),
                     ("COL-SPACE", col_space), ("COR2.8", cor28)):
@@ -393,7 +396,7 @@ def _gx_vectors(s: int, seed: int) -> np.ndarray:
 
 
 def verify_theorem(mats: InstanceMatrices, beta: float) -> list[CheckResult]:
-    n, s, tol = mats.n, mats.s, mats.tol
+    n, s = mats.n, mats.s
     # every body builds what it reads on first use, inside its own guard, so
     # a pencil that cannot be built fails each check of this beta
     pencil = lambda: mats.pencil(beta)
@@ -406,10 +409,10 @@ def verify_theorem(mats: InstanceMatrices, beta: float) -> list[CheckResult]:
 
     def thm_i():
         min_abs = float(np.abs(p_eigs()).min())
-        return min_abs > tol.eig_zero * p_scale(), {"min_abs_eig": min_abs}
+        return min_abs > EIG_ZERO * p_scale(), {"min_abs_eig": min_abs}
 
     def thm_ii():
-        inert = inertia_of_spectrum(p_eigs(), tol)
+        inert = inertia_of_spectrum(p_eigs())
         return inert == (n * s - s, 0, s), {"inertia": list(inert)}
 
     def thm_iii():
@@ -417,7 +420,7 @@ def verify_theorem(mats: InstanceMatrices, beta: float) -> list[CheckResult]:
         # is D^{-1}[[Delta]], which has nullity exactly s (D_ii = 0), so only
         # negative semidefiniteness can hold there. The sampled spectra meet
         # that bound, and every derived inertia is the one it implies.
-        bound = tol.eig_zero * p_scale()
+        bound = EIG_ZERO * p_scale()
         blocks = mats.deleted_blocks(beta)
         worst = float(blocks.sampled_max.max())
         ok = worst < -bound if beta > 0 else worst <= bound
@@ -437,14 +440,14 @@ def verify_theorem(mats: InstanceMatrices, beta: float) -> list[CheckResult]:
         lhs, rhs, ok, gf = mats.haynsworth(beta)
         target = -mats.u.T @ mats.d_inv.array @ mats.u
         res = _rel(gf - target, max(1.0, float(np.abs(target).max())))
-        return ok and res <= tol.rel_residual, {
+        return ok and res <= REL_RESIDUAL, {
             "lhs": list(lhs), "rhs": list(rhs), "schur_residual": res,
         }
 
     def thm_v():
         bfb = _null_compress(pencil().f.array, n, s)
-        max_eig = float(sym_eigvals(bfb, tol)[-1])
-        return max_eig <= tol.eig_zero * f_scale(), {"max_eig": max_eig}
+        max_eig = float(sym_eigvals(bfb)[-1])
+        return max_eig <= EIG_ZERO * f_scale(), {"max_eig": max_eig}
 
     checks = [_guard(cid, beta, fn) for cid, fn in (
         ("THM.i", thm_i), ("THM.ii", thm_ii), ("THM.iii", thm_iii), ("THM.iv", thm_iv),
@@ -459,16 +462,16 @@ def verify_theorem(mats: InstanceMatrices, beta: float) -> list[CheckResult]:
     def thm_vi():
         # the (n, n, s, s) stack of blocks F_ij, row-major in (i, j)
         f = pencil().f
-        pd = is_pd_quadratic_form(f.array.reshape(n, s, n, s).swapaxes(1, 2), tol)
+        pd = is_pd_quadratic_form(f.array.reshape(n, s, n, s).swapaxes(1, 2))
         bad = (np.argwhere(~pd) + 1).tolist()
         return not bad, {"non_pd_blocks": bad}
 
     def thm_vi_gx():
-        floor = tol.nonzero_floor * f_scale()
+        floor = NONZERO_FLOOR * f_scale()
         xs = mats.memo("gx_vectors",
                        lambda: _gx_vectors(s, int(mats.instance_hash()[:8], 16)))
         gx = gx_matrix(pencil().f, xs)
-        inert = inertia_of_spectrum(sym_eigvals(gx, tol), tol)
+        inert = inertia_of_spectrum(sym_eigvals(gx))
         off = np.abs(gx[:, ~np.eye(n, dtype=bool)])
         worst_offdiag = float(off.min(initial=np.inf))
         ok = (np.all(np.transpose(inert) == (n - 1, 0, 1))
@@ -493,7 +496,7 @@ def verify_fiedler_markham(mats: InstanceMatrices, beta: float) -> CheckResult:
     """
 
     def body():
-        null_blocks = inertia_of_spectrum(mats.block_spectra(beta), mats.tol).n_zero.tolist()
+        null_blocks = inertia_of_spectrum(mats.block_spectra(beta)).n_zero.tolist()
         rows = {"beta": mats.deleted_blocks(beta), "dinv": mats.deleted_blocks(0.0)}
         null_subs = rows["beta"].inertia[:, 1].tolist()
         mismatches = [{"i": i, "nullity_sub": q, "nullity_block": b}
@@ -524,7 +527,6 @@ def verify_exact_consistency(mats: InstanceMatrices, beta: float) -> CheckResult
 def verify_instance(
     inst: Instance,
     betas: list[float],
-    tol: Tolerance = DEFAULT_TOL,
     seed: int | None = None,
     kernel_mode: str = "float",
     corrupt: tuple[int, int, float] | None = None,
@@ -537,7 +539,7 @@ def verify_instance(
     for beta in betas:
         require_beta(beta)
     start = time.perf_counter()
-    mats = build_matrices(inst, corrupt, tol)
+    mats = build_matrices(inst, corrupt)
     checks = verify_preliminaries(mats)
     for beta in betas:
         checks.extend(verify_theorem(mats, beta))

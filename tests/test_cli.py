@@ -4,9 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from mwspec.cli import build_parser, main
+from mwspec.cli import main
 from mwspec.golden import golden_instance
-from mwspec.linalg import DEFAULT_TOL, Tolerance
 from mwspec.model import parse_instance, serialize_instance, validate
 
 
@@ -105,7 +104,10 @@ def test_verify_corrupted_exits_one(tmp_path, capsys):
     ["--beta", "nan"],
     ["--beta", "1", "--corrupt-d", "99,99,2"],
     ["--beta", "1", "--corrupt-d", "1,1,nan"],
-], ids=["negative-beta", "nan-beta", "corrupt-out-of-range", "corrupt-nan-factor"])
+    ["--beta", "1", "--corrupt-d", "2,2,0.5"],
+    ["--beta", "1", "--corrupt-d", "1,3,1"],
+], ids=["negative-beta", "nan-beta", "corrupt-out-of-range", "corrupt-nan-factor",
+        "corrupt-zero-entry", "corrupt-unit-factor"])
 def test_verify_bad_argument_exits_two(tmp_path, capsys, args):
     inst_path = tmp_path / "golden.json"
     inst_path.write_text(serialize_instance(golden_instance()))
@@ -255,10 +257,15 @@ def test_readme_instance_example_verifies(tmp_path, capsys):
     assert stdout.startswith("passed: all")
 
 
-def test_verify_tolerance_defaults_are_default_tol():
-    args = build_parser().parse_args(["verify", "--in", "x.json"])
-    assert Tolerance(rel_residual=args.rel_residual, eig_zero=args.eig_zero,
-                     nonzero_floor=args.nonzero_floor) == DEFAULT_TOL
+@pytest.mark.parametrize("flag", ["--rel-residual", "--eig-zero", "--nonzero-floor"])
+def test_verify_takes_no_threshold(tmp_path, capsys, flag):
+    # the thresholds are constants; a former flag is an unknown argument
+    inst_path = tmp_path / "golden.json"
+    inst_path.write_text(serialize_instance(golden_instance()))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--in", str(inst_path), flag, "1e-9"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_readme_library_example_runs(capsys):

@@ -13,7 +13,6 @@ from mwspec.errors import (
     NotSymmetricError,
 )
 from mwspec.linalg import (
-    Tolerance,
     inertia_of,
     inertia_of_spectrum,
     is_pd_quadratic_form,
@@ -194,7 +193,7 @@ def test_sym_eigen_passes_a_symmetric_matrix_on_as_it_is(monkeypatch):
 
 def test_sym_eigen_stack_rejects_one_asymmetric_member():
     a = np.stack([np.eye(3), 1e3 * np.eye(3), np.eye(3)])
-    # within rel_residual of the largest member's scale, not of its own
+    # within REL_RESIDUAL of the largest member's scale, not of its own
     a[2, 0, 1] = 1e-7
     with pytest.raises(NotSymmetricError):
         sym_eigvals(a)
@@ -209,10 +208,3 @@ def test_rank_of_J():
     j = np.kron(np.ones((4, 4)), np.eye(2))
     assert rank_of(j) == 2
 
-
-def test_tolerance_rejects_bad_values():
-    # a ConfigError, which is also a ValueError
-    with pytest.raises(ConfigError):
-        Tolerance(rel_residual=0.0)
-    with pytest.raises(ValueError):
-        Tolerance(eig_zero=1.5)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -256,6 +257,25 @@ def test_random_graph_matches_complement_list(n, extra):
         topo = [(u, v) for u, v, _ in g.edges]
         assert topo == _complement_list_topology(n, seed, extra)
         assert all(type(x) is int for e in topo for x in e)
+
+
+@pytest.mark.parametrize("n, digest", [
+    (2, "b9905b991e2dab69"), (3, "88d7469b12380316"), (4, "ce8a15048fe1fec1"),
+    (7, "d0fda0f48c904664"), (12, "29ef7d7eaab9cdf6"), (29, "61a327307b782c64"),
+    (60, "e89aad3ba612be53"), (80, "df1822360509a773"), (600, "313a6bbc4d3b21b2"),
+])
+def test_random_graph_keeps_its_edge_lists(monkeypatch, n, digest):
+    # seeds 0-4, extra in {0, 1, max/3, max}: one digest of every edge list;
+    # the topology is drawn before any weight, so one shared weight keeps it
+    one = PDWeight(np.eye(1))
+    monkeypatch.setattr(model, "random_pd_weight", lambda s, rng, profile: one)
+    max_extra = (n - 1) * (n - 2) // 2
+    h = hashlib.sha256()
+    for seed in range(5):
+        for extra in sorted({0, 1, max_extra // 3, max_extra} & set(range(max_extra + 1))):
+            g = random_connected_graph(n, 1, seed, extra)
+            h.update(repr([(u, v) for u, v, _ in g.edges]).encode())
+    assert h.hexdigest()[:16] == digest
 
 
 def test_random_graph_large_n_memory(monkeypatch):

@@ -1,4 +1,4 @@
-"""Print the verdict-comparison set: 68 verification reports, one sort-keyed
+"""Print the verdict-comparison set: 69 verification reports, one sort-keyed
 JSON line each, `VerificationReport.to_json()` without `wall_time`.
 
 Two checkouts verify the same instances bit for bit exactly when their
@@ -22,7 +22,13 @@ The set, in print order:
   - the edge set: the float 2- and 3-vertex paths of weight [[1e308]], the
     rational 3-vertex paths of weight 1/10^308 and 1/10^300 in mode both, a
     float 3-vertex path of unit weights at beta = 1e300, and the golden
-    instance with D's entry (1, 3) scaled by 1.1.
+    instance with D's entry (1, 3) scaled by 1.1;
+  - a large-beta case: the instance of `mwspec gen --n 6 --s 2 --seed 3
+    --extra-edges 2` at beta 3e6, 1e7 and 1e10, where float P(beta) is
+    ill-conditioned enough for theorem checks to fail.
+
+A report added to the end of the set leaves the earlier lines as they were,
+so `head` of a longer set still compares with a shorter one.
 """
 
 from __future__ import annotations
@@ -95,6 +101,7 @@ def reports():
                               kernel_mode="both")
     yield verify_instance(_path(3, _float(1.0)), [1e300])
     yield verify_instance(golden_instance(), betas, corrupt=(1, 3, 1.1))
+    yield verify_instance(random_instance(6, 2, 3, 2), [3e6, 1e7, 1e10])
 
 
 def main():
