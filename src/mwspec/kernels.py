@@ -2,12 +2,8 @@
 
 `walk` is the one traversal in the package: the distance fill below (float
 and exact Fraction weights alike) and the connectivity check in `model` use
-it. The fill walks once, from vertex 0, and then makes two passes of one
-numpy block-column update per tree edge: 2(n - 1) array operations of
-O(n s^2) each, with the additions of a walk from every root, so D keeps its
-bits. It is the largest Python-level cost of assembling D, the closed-form
-D^{-1} and L: those invert the edge weights in one stacked call and copy or
-combine whole arrays.
+it. The fill makes two passes of contiguous block-row slice updates per tree
+edge, with the additions of a walk from every root, so D keeps its bits.
 """
 
 from __future__ import annotations
@@ -49,26 +45,38 @@ def walk(adj: list[list[tuple[int, int]]], root: int) -> Iterator[tuple[int, int
                 stack.append(v)
 
 
-def distance_fill(adj: list[list[tuple[int, int]]], weights: list[np.ndarray],
+def distance_fill(adj: list[list[tuple[int, int]]], weights: np.ndarray,
                   s: int) -> np.ndarray:
-    """ns x ns tree distance matrix from two passes over the tree rooted at 0.
-
-    Block (x, y) sums the edge weights on the x-y path in order from x: it is
-    block (x, u) + W_uy, u the neighbor of y toward x. For each tree edge
-    p-v (p the parent), the leaves-first pass sets column p on the subtree
-    of v from column v, and the root-first pass sets column v on the rest
-    of the tree from column p: one block-column update per edge and pass,
-    the same additions as a walk from every root. The output has the
-    weights' dtype: float, or object for Fractions.
+    """ns x ns tree distance matrix D of the (m, s, s) edge weights, in
+    their dtype. Block (x, y) sums the weights on the x-y path from x. With
+    each subtree of the tree rooted at 0 on a contiguous range of positions,
+    the fill writes D's transpose (block row y, block column pos[x]): per edge
+    p-v, a leaves-first pass sets row p on v's subtree from row v, a
+    root-first pass row v on the rest from row p. A row loop then puts the
+    lower triangle in label order and copies it up, in place: D is bitwise
+    symmetric, with the upper triangle of a walk from every root.
     """
     n = len(adj)
-    out = np.zeros((n * s, n * s), dtype=weights[0].dtype)
-    d = out.reshape(n, s, n, s)
+    out = np.zeros((n * s, n * s), dtype=weights.dtype)
     steps = list(walk(adj, 0))
-    below = np.eye(n, dtype=bool)       # below[v]: the subtree of v
+    size = [1] * n
+    for p, v, _ in reversed(steps):
+        size[p] += size[v]
+    pos, cursor = [0] * n, [1] * n      # cursor[p]: next free position under p
+    for p, v, _ in steps:
+        pos[v], cursor[v] = cursor[p], cursor[p] + 1
+        cursor[p] += size[v]
+    e = out.reshape(n, s, n, s)         # e[y, :, pos[x]]: block (x, y) transposed
+    wt = weights.transpose(0, 2, 1)[:, :, None]
     for p, v, k in reversed(steps):
-        d[below[v], :, p] = d[below[v], :, v] + weights[k]
-        below[p] |= below[v]
+        a, b = pos[v], pos[v] + size[v]
+        e[p, :, a:b] = e[v, :, a:b] + wt[k]
     for p, v, k in steps:
-        d[~below[v], :, v] = d[~below[v], :, p] + weights[k]
+        a, b = pos[v], pos[v] + size[v]
+        e[v, :, :a] = e[p, :, :a] + wt[k]
+        e[v, :, b:] = e[p, :, b:] + wt[k]
+    cols = (np.multiply(pos, s)[:, None] + np.arange(s)).ravel()  # D's column c is at cols[c]
+    for i in range(n * s):
+        out[i, :i + 1] = out[i, cols[:i + 1]]
+        out[:i, i] = out[i, :i]
     return out

@@ -11,12 +11,12 @@ independent routes to the same object (the third being the pseudoinverse
 identity), which is what makes the cross-checks in the verifier meaningful.
 
 Each operator has one assembly body that both kernels run: float arrays, or
-numpy object arrays of Fractions. L (and L(T) inside the closed form) comes
-from one stacked inverse of the (m, s, s) edge weights (`np.linalg.inv`, or
-`exact.rational_invert` weight by weight), one fancy-index write of every
-off-diagonal block, and each diagonal block summed over its incident edges
-in edge order, so its bits are those of a per-edge loop. D's lower triangle
-is a copy of its upper one, so D is bitwise symmetric.
+numpy object arrays of Fractions. L's nonzero blocks come from one stacked
+inverse of the (m, s, s) edge weights (`np.linalg.inv`, or
+`exact.rational_invert` weight by weight), each diagonal block summed over
+its incident edges in edge order, so L has the bits of a per-edge loop; the
+closed form subtracts L(T) block by block and symmetrizes tile by tile. D
+comes whole from `kernels.distance_fill`, bitwise symmetric.
 """
 
 from __future__ import annotations
@@ -60,19 +60,24 @@ def _weights(g: MatrixWeightedGraph, exact: bool = False) -> np.ndarray:
     return np.stack([w.exact if exact else w.matrix for _, _, w in g.edges])
 
 
-def _laplacian(g: MatrixWeightedGraph, weights: np.ndarray, inv) -> np.ndarray:
-    # inv maps the (m, s, s) stack of edge weights to the stack of inverses
-    n, s = g.n, g.s
+def _laplacian_blocks(g: MatrixWeightedGraph, weights: np.ndarray, inv):
+    """L's nonzero blocks: -W^{-1} at (rows, cols), each edge both ways, and
+    the (n, s, s) diagonal blocks. inv inverts the (m, s, s) weight stack."""
     uv = np.array([(u, v) for u, v, _ in g.edges])
-    rows, cols = uv.ravel(), uv[:, ::-1].ravel()     # each edge both ways
     vinv = inv(weights)
     vinv = np.repeat((vinv + vinv.transpose(0, 2, 1)) / 2, 2, axis=0)
-    a = np.zeros((n * s, n * s), dtype=vinv.dtype)
-    blocks = a.reshape(n, s, n, s)
-    blocks[rows, :, cols] = -vinv
+    diag = np.zeros((g.n, g.s, g.s), dtype=vinv.dtype)
     # unbuffered and in index order: each diagonal block adds its incident
     # inverses to 0 in edge order, the additions of a per-edge loop
-    np.add.at(blocks, (rows, slice(None), rows), vinv)
+    np.add.at(diag, uv.ravel(), vinv)
+    return uv.ravel(), uv[:, ::-1].ravel(), -vinv, diag
+
+
+def _laplacian(g: MatrixWeightedGraph, weights: np.ndarray, inv) -> np.ndarray:
+    rows, cols, off, diag = _laplacian_blocks(g, weights, inv)
+    a = np.zeros((g.n * g.s, g.n * g.s), dtype=off.dtype)
+    blocks, ii = a.reshape(g.n, g.s, g.n, g.s), np.arange(g.n)
+    blocks[rows, :, cols], blocks[ii, :, ii] = off, diag
     return a
 
 
@@ -83,12 +88,7 @@ def build_laplacian(g: MatrixWeightedGraph) -> BlockMatrix:
 
 
 def _distance(t: MatrixWeightedTree, weights: np.ndarray) -> np.ndarray:
-    arr = distance_fill(adjacency(t.n, [(u, v) for u, v, _ in t.edges]), weights, t.s)
-    # the kernel accumulates each path once per endpoint, in opposite edge
-    # orders; copy the upper triangle down so D is bit-exactly symmetric
-    for i in range(1, len(arr)):
-        arr[i, :i] = arr[:i, i]
-    return arr
+    return distance_fill(adjacency(t.n, [(u, v) for u, v, _ in t.edges]), weights, t.s)
 
 
 def build_distance_matrix(t: MatrixWeightedTree) -> BlockMatrix:
@@ -108,8 +108,20 @@ def _closed_form(t: MatrixWeightedTree, weights, inv) -> np.ndarray:
     # float D^{-1} has the bits of -(1/2) L(T) + (1/2) Delta R^{-1} Delta'
     delta = np.kron(structural_vectors(t).reshape(-1, 1), np.eye(t.s, dtype=int))
     r_inv = inv(sum(weights)[None])[0]
-    a = (delta @ r_inv @ delta.T - _laplacian(t, weights, inv)) / 2
-    return (a + a.T) / 2
+    a = delta @ r_inv @ delta.T
+    # a - L(T) on L(T)'s nonzero blocks only: x - 0 is x, sign of zero included
+    rows, cols, off, diag = _laplacian_blocks(t, weights, inv)
+    blocks, ii = a.reshape(t.n, t.s, t.n, t.s), np.arange(t.n)
+    blocks[rows, :, cols] -= off
+    blocks[ii, :, ii] -= diag
+    # (a/2 + a'/2)/2 in place, a pair of tiles at a time: the bits of the
+    # whole-array expression, with no strided pass over all of a'
+    for i in range(0, len(a), 128):
+        for j in range(i, len(a), 128):
+            x, y = slice(i, i + 128), slice(j, j + 128)
+            u = (a[x, y] / 2 + a[y, x].T / 2) / 2
+            a[x, y], a[y, x] = u, u.T
+    return a
 
 
 def distance_inverse_closed_form(t: MatrixWeightedTree) -> BlockMatrix:

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from mwspec import kernels
 from mwspec.model import random_tree
-from mwspec.operators import build_distance_matrix
+from mwspec.operators import _weights, build_distance_matrix
 
 
 def test_walk_reaches_every_vertex_once_in_dfs_order():
@@ -28,6 +29,13 @@ def test_distance_is_symmetric_with_zero_diagonal():
                               np.zeros((3, 3)))
 
 
+def _mirror_down(out):
+    """Copy the upper triangle down, as D is bitwise symmetric."""
+    for i in range(1, len(out)):
+        out[i, :i] = out[:i, i]
+    return out
+
+
 def _per_root_fill(adj, weights, s):
     """The reference fill: one walk from every root, block (r, v) = (r, u) + W_uv."""
     n = len(adj)
@@ -37,6 +45,17 @@ def _per_root_fill(adj, weights, s):
         for u, v, k in kernels.walk(adj, r):
             row[:, v * s:(v + 1) * s] = row[:, u * s:(u + 1) * s] + weights[k]
     return out
+
+
+def _assert_identical(got, want, exact):
+    """Equal bit for bit for floats; for Fractions, equal with the same
+    type in every entry."""
+    assert got.dtype == want.dtype == (object if exact else float)
+    if exact:
+        assert np.array_equal(got, want)
+        assert all(type(x) is type(y) for x, y in zip(got.flat, want.flat))
+    else:
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 SHAPES = ("path", "star", "caterpillar", "random")
@@ -76,14 +95,42 @@ def _weight(s, rng, exact):
 @pytest.mark.parametrize("n", [2, 80])
 @pytest.mark.parametrize("shape", SHAPES)
 def test_distance_fill_matches_the_per_root_walk(shape, n, s, exact):
-    """The two-pass fill makes the per-root walk's additions: equal arrays,
-    bit for bit for floats and exactly for Fractions."""
+    """The two-pass fill makes the per-root walk's additions: D equals that
+    walk's upper triangle mirrored down, bit for bit for floats and exactly
+    for Fractions."""
     rng = np.random.default_rng([n, s, SHAPES.index(shape), exact])
     adj = kernels.adjacency(n, _tree_edges(shape, n, rng))
-    weights = [_weight(s, rng, exact) for _ in range(n - 1)]
+    weights = np.stack([_weight(s, rng, exact) for _ in range(n - 1)])
     got = kernels.distance_fill(adj, weights, s)
-    want = _per_root_fill(adj, weights, s)
-    assert got.dtype == want.dtype == (object if exact else float)
-    assert np.array_equal(got, want)
-    if exact:
-        assert all(type(x) is type(y) for x, y in zip(got.flat, want.flat))
+    _assert_identical(got, _mirror_down(_per_root_fill(adj, weights, s)), exact)
+
+
+def _tree_input(t):
+    return kernels.adjacency(t.n, [(u, v) for u, v, _ in t.edges]), _weights(t, t.is_exact)
+
+
+# the trees of the assemble-wide (n = 600, s = 2) and verify-large (n = 60
+# and 80, s = 3) benchmark workloads at their recorded seeds, and a rational
+# tree of verify-large's size
+@pytest.mark.parametrize("n, s, seed, rational", [
+    (600, 2, 1, False), (600, 2, 1912, False), (60, 3, 1060, False), (80, 3, 1080, False),
+    (60, 3, 1912060, False), (80, 3, 1912080, False), (80, 3, 7, True)])
+def test_distance_fill_is_the_per_root_walk_on_benchmark_trees(n, s, seed, rational):
+    adj, weights = _tree_input(random_tree(n, s, seed, rational=rational))
+    got = kernels.distance_fill(adj, weights, s)
+    _assert_identical(got, _mirror_down(_per_root_fill(adj, weights, s)), rational)
+    assert not rational or any(type(x) is Fraction for x in got.flat)
+
+
+def test_distance_fill_makes_no_second_dense_array():
+    # D is assembled inside the one ns x ns output: a full-size copy made to
+    # put it in label order would double the peak
+    n, s = 600, 2
+    adj, weights = _tree_input(random_tree(n, s, 1))
+    tracemalloc.start()
+    try:
+        kernels.distance_fill(adj, weights, s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * (n * s) ** 2 * 8

@@ -1,4 +1,5 @@
 import numbers
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +32,7 @@ from mwspec.operators import (
 from mwspec.perturbation import perturbed_pencil
 from mwspec.verifier import DEFAULT_BETAS, build_matrices
 from test_exact import gauss_jordan_oracle
-from test_kernels import SHAPES, _per_root_fill, _tree_edges, _weight
+from test_kernels import SHAPES, _assert_identical, _per_root_fill, _tree_edges, _weight
 
 
 @pytest.fixture(scope="module")
@@ -340,17 +341,6 @@ def _assembly_case(shape, n, s, exact):
             _weighted(MatrixWeightedGraph, n, s, edges, [weights[e] for e in edges]))
 
 
-def _assert_identical(got, want, exact):
-    """Equal bit for bit for floats; for Fractions, equal with the same
-    type in every entry."""
-    assert got.dtype == want.dtype == (object if exact else float)
-    if exact:
-        assert np.array_equal(got, want)
-        assert all(type(x) is type(y) for x, y in zip(got.flat, want.flat))
-    else:
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-
 CASES = [(shape, n, s, exact) for shape in SHAPES for n in (2, 80) for s in (1, 3)
          for exact in (False, True)]
 ASSEMBLY_CASES = pytest.mark.parametrize(
@@ -390,3 +380,23 @@ def test_distance_is_the_per_root_fill_with_its_upper_triangle_mirrored(shape, n
     got = build_distance_matrix_exact(tree) if exact else build_distance_matrix(tree).array
     _assert_identical(got, want, exact)
     _assert_identical(got, got.T, exact)
+
+
+@pytest.mark.parametrize("seed", [1, 1912])
+def test_closed_form_keeps_its_bits_and_one_dense_array_at_benchmark_size(seed):
+    # the assemble-wide tree (n = 600, s = 2): D^{-1} has the bits of the
+    # whole-array expression, and is symmetrized inside its own ns x ns
+    # array, where subtracting a dense L(T) and adding a' made two more
+    tree = random_tree(600, 2, seed)
+    ns = tree.n * tree.s
+    tracemalloc.start()
+    try:
+        got = distance_inverse_closed_form(tree).array
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * ns * ns * 8
+    delta = np.kron(structural_vectors(tree).reshape(-1, 1), np.eye(2, dtype=int))
+    r_inv = np.linalg.inv(sum(w.matrix for _, _, w in tree.edges))
+    a = (delta @ r_inv @ delta.T - build_laplacian(tree).array) / 2
+    _assert_identical(got, (a + a.T) / 2, False)
