@@ -178,22 +178,40 @@ def validate(g: MatrixWeightedGraph, require_tree: bool = False) -> ValidationRe
 # random generation
 
 
-def random_pd_weight(
-    s: int, rng: np.random.Generator, profile: WeightProfile = DEFAULT_PROFILE
-) -> PDWeight:
-    """Q diag(lam) Q' with random orthogonal Q, lam uniform in the profile range."""
+def random_pd_weights(
+    count: int, s: int, rng: np.random.Generator, profile: WeightProfile = DEFAULT_PROFILE
+) -> list[PDWeight]:
+    """count weights Q diag(lam) Q', each with a random orthogonal Q and lam
+    uniform in the profile range.
+
+    Each weight draws its lam and then its Gaussian for Q, in order, and the
+    count Gaussians are factored as one stack: every weight has the bits of
+    its own `np.linalg.qr` call, and rng ends where count single draws leave it.
+    Q's column signs are not fixed: a column and its negation give the same
+    products in Q diag(lam) Q', bit for bit.
+    """
     if s < 1:
         raise ConfigError(f"s must be >= 1, got {s}")
-    lam = rng.uniform(profile.lam_lo, profile.lam_hi, size=s)
-    q, r = np.linalg.qr(rng.standard_normal((s, s)))
-    q = q * np.sign(np.diag(r))
+    lam = np.empty((count, 1, s))
+    gauss = np.empty((count, s, s))
+    for k in range(count):
+        lam[k] = rng.uniform(profile.lam_lo, profile.lam_hi, size=s)
+        gauss[k] = rng.standard_normal((s, s))
+    q = np.linalg.qr(gauss)[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        w = (q * lam) @ q.T
-        w = (w + w.T) / 2.0
+        w = (q * lam) @ q.transpose(0, 2, 1)
+        w = (w + w.transpose(0, 2, 1)) / 2.0
     if not np.isfinite(w).all():
         raise ConfigError(f"weights with eigenvalues in [{profile.lam_lo}, "
                           f"{profile.lam_hi}] overflow the float range at s = {s}")
-    return PDWeight(w)
+    return [PDWeight(x) for x in w]
+
+
+def random_pd_weight(
+    s: int, rng: np.random.Generator, profile: WeightProfile = DEFAULT_PROFILE
+) -> PDWeight:
+    """One weight of `random_pd_weights`."""
+    return random_pd_weights(1, s, rng, profile)[0]
 
 
 def _random_rational_pd_weight(s: int, rng: np.random.Generator) -> PDWeight:
@@ -224,13 +242,13 @@ def _prufer_decode(seq: list[int], n: int) -> list[tuple[int, int]]:
 
 def _weight_maker(s: int, rng: np.random.Generator, profile: WeightProfile,
                   rational: bool):
-    """A no-argument maker of PD weights that draws from rng."""
+    """A maker of PD weights that draws from rng: make(count) is a list."""
     if rational:
         if profile != DEFAULT_PROFILE:
             raise ConfigError(f"rational weights take no eigenvalue range, got "
                               f"[{profile.lam_lo}, {profile.lam_hi}]")
-        return lambda: _random_rational_pd_weight(s, rng)
-    return lambda: random_pd_weight(s, rng, profile)
+        return lambda count: [_random_rational_pd_weight(s, rng) for _ in range(count)]
+    return lambda count: random_pd_weights(count, s, rng, profile)
 
 
 def _require_sizes(n: int, s: int, seed: int):
@@ -257,8 +275,8 @@ def random_tree(
     _require_sizes(n, s, seed)
     rng = np.random.default_rng(seed)
     edges = _tree_edges(n, rng)
-    make = _weight_maker(s, rng, profile, rational)
-    return MatrixWeightedTree(n, s, [(u, v, make()) for u, v in edges])
+    weights = _weight_maker(s, rng, profile, rational)(len(edges))
+    return MatrixWeightedTree(n, s, [(u, v, w) for (u, v), w in zip(edges, weights)])
 
 
 def random_connected_graph(
@@ -290,8 +308,8 @@ def random_connected_graph(
     rows = np.searchsorted(starts, ranks, side="right") - 1
     cols = ranks - starts[rows] + rows + 1
     topo = tree + list(zip(rows.tolist(), cols.tolist()))
-    make = _weight_maker(s, rng, profile, rational)
-    return MatrixWeightedGraph(n, s, [(u, v, make()) for u, v in topo])
+    weights = _weight_maker(s, rng, profile, rational)(len(topo))
+    return MatrixWeightedGraph(n, s, [(u, v, w) for (u, v), w in zip(topo, weights)])
 
 
 def random_instance(
@@ -312,12 +330,6 @@ def random_instance(
 
 _TOP_KEYS = {"n", "s", "scalar_kind", "tree", "graph"}
 _EDGE_KEYS = {"u", "v", "w"}
-
-
-def _weight_to_json(w: PDWeight, kind: str):
-    if kind == "rational":
-        return [[format_rational(x) for x in row] for row in w.exact]
-    return [[float(x) for x in row] for row in w.matrix]
 
 
 def _weight_from_json(obj, s: int, kind: str) -> PDWeight:
@@ -396,25 +408,43 @@ def parse_instance(text: str | bytes) -> Instance:
     return Instance(tree, graph)
 
 
+def _edge_template(s: int) -> str:
+    """One edge of an instance file, as `json.dumps(indent=2)` lays it out,
+    with %s for u, v and the s*s entries of w in row order."""
+    row = "[\n" + ",\n".join([" " * 12 + "%s"] * s) + "\n" + " " * 10 + "]"
+    w = "[\n" + ",\n".join([" " * 10 + row] * s) + "\n" + " " * 8 + "]" if s else "[]"
+    return '      {\n        "u": %s,\n        "v": %s,\n        "w": ' + w + "\n      }"
+
+
+def _edges_to_json(g: MatrixWeightedGraph, kind: str) -> str:
+    if not g.edges:
+        return '{\n    "edges": []\n  }'
+    weights = [w for _, _, w in g.edges]
+    if kind == "rational":
+        flat = [format_rational(x) for w in weights for x in w.exact.flat]
+    else:
+        flat = np.concatenate([w.matrix.ravel() for w in weights]).tolist()
+    # one call of json's C encoder renders every entry: its float repr, NaN
+    # and Infinity, and its string escapes; no entry holds ", "
+    items = json.dumps(flat)[1:-1].split(", ")
+    templates = {s: _edge_template(s) for s in {w.order for w in weights}}
+    edges, at = [], 0
+    for u, v, w in g.edges:
+        size = w.order * w.order
+        edges.append(templates[w.order] % (u + 1, v + 1, *items[at:at + size]))
+        at += size
+    return '{\n    "edges": [\n' + ",\n".join(edges) + "\n    ]\n  }"
+
+
 def serialize_instance(inst: Instance) -> str:
+    """The instance file: the text of `json.dumps(obj, indent=2)`, written
+    from a template. obj holds n, s, scalar_kind and the 1-based edges of
+    the tree and the graph, each weight a list of rows of floats, or of
+    'p/q' strings when every weight is rational."""
     kind = "rational" if inst.is_exact else "float"
-
-    def edges(g):
-        return {
-            "edges": [
-                {"u": u + 1, "v": v + 1, "w": _weight_to_json(w, kind)}
-                for u, v, w in g.edges
-            ]
-        }
-
-    obj = {
-        "n": inst.n,
-        "s": inst.s,
-        "scalar_kind": kind,
-        "tree": edges(inst.tree),
-        "graph": edges(inst.graph),
-    }
-    return json.dumps(obj, indent=2)
+    return ('{\n  "n": %s,\n  "s": %s,\n  "scalar_kind": "%s",\n  "tree": %s,\n'
+            '  "graph": %s\n}') % (inst.n, inst.s, kind, _edges_to_json(inst.tree, kind),
+                                   _edges_to_json(inst.graph, kind))
 
 
 def instance_hash(inst: Instance) -> str:

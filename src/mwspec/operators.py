@@ -147,7 +147,7 @@ def build_U(n: int, s: int) -> np.ndarray:
     """U = e (x) I_s, shape (ns, s)."""
     if n < 2 or s < 1:
         raise ConfigError(f"need n >= 2 and s >= 1, got n={n}, s={s}")
-    return np.kron(np.ones((n, 1)), np.eye(s))
+    return np.tile(np.eye(s), (n, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, NonFiniteError, SingularMatrixError, SingularPivotError
 from .linalg import REL_RESIDUAL, Inertia, inertia_of
-from .operators import BlockMatrix, build_U
+from .operators import BlockMatrix
 
 
 @dataclass(frozen=True)
@@ -76,11 +76,15 @@ def principal_block_submatrix(a: BlockMatrix, idx: Sequence[int]) -> BlockMatrix
 
 
 def bordered(f: BlockMatrix) -> np.ndarray:
-    """(ns+s) x (ns+s) symmetric matrix [[F, U], [U', 0]]."""
-    u = build_U(f.n, f.s)
-    top = np.hstack([f.array, u])
-    bottom = np.hstack([u.T, np.zeros((f.s, f.s))])
-    return np.vstack([top, bottom])
+    """(ns+s) x (ns+s) symmetric matrix [[F, U], [U', 0]], written into one
+    array: U = e (x) I_s goes in as n identity blocks, built in place."""
+    n, s = f.n, f.s
+    ns = n * s
+    g = np.zeros((ns + s, ns + s))
+    g[:ns, :ns] = f.array
+    g[:ns, ns:].reshape(n, s, s)[:] = np.eye(s)     # splitting rows: a view
+    g[ns:, :ns] = g[:ns, ns:].T
+    return g
 
 
 def schur_complement(m: np.ndarray, k: int) -> np.ndarray:

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -255,6 +257,24 @@ def test_readme_instance_example_verifies(tmp_path, capsys):
     code, stdout, _ = run(["verify", "--in", str(inst_path)], capsys)
     assert code == 0
     assert stdout.startswith("passed: all")
+
+
+@pytest.mark.parametrize("out, digest", [
+    ("inst.json", "e8f120a9e04629f26c50b5b0daace80cdf4d128557e0a56a5fdddd53bf742023"),
+    ("rat.json", "ae80d296b91b7f1127f160b57975a40282325caec9897a5c8b2cd8ea95041395"),
+])
+def test_readme_gen_examples_keep_their_bytes(tmp_path, capsys, out, digest):
+    # the instance file of each quick-start `mwspec gen` line, to the byte:
+    # a change to the weight draws or to the serializer shows here
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    argv = next(shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("mwspec gen") and line.endswith(f"--out {out}"))
+    argv[-1] = str(tmp_path / out)
+    code, stdout, _ = run(argv, capsys)
+    assert code == 0
+    assert hashlib.sha256((tmp_path / out).read_bytes()).hexdigest() == digest
+    assert stdout == digest + "\n"
 
 
 @pytest.mark.parametrize("flag", ["--rel-residual", "--eig-zero", "--nonzero-floor"])

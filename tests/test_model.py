@@ -1,10 +1,13 @@
 import hashlib
+import json
 import math
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mwspec import model
 from mwspec.errors import (
@@ -24,6 +27,7 @@ from mwspec.model import (
     random_connected_graph,
     random_instance,
     random_pd_weight,
+    random_pd_weights,
     random_tree,
     serialize_instance,
     validate,
@@ -193,6 +197,44 @@ def test_generated_weights_keep_their_bits(args, digest):
     assert model.instance_hash(random_instance(*args)) == digest
 
 
+def _weight_one_at_a_time(s, rng, profile):
+    # the generator as first written: one QR per weight, Q's signs fixed by R
+    lam = rng.uniform(profile.lam_lo, profile.lam_hi, size=s)
+    q, r = np.linalg.qr(rng.standard_normal((s, s)))
+    q = q * np.sign(np.diag(r))
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = (q * lam) @ q.T
+        w = (w + w.T) / 2.0
+    if not np.isfinite(w).all():
+        raise ConfigError(f"weights with eigenvalues in [{profile.lam_lo}, "
+                          f"{profile.lam_hi}] overflow the float range at s = {s}")
+    return w
+
+
+@pytest.mark.parametrize("profile", [model.DEFAULT_PROFILE, WeightProfile(2.0, 2.0),
+                                     WeightProfile(1e-8, 1e8)],
+                         ids=["default", "degenerate", "wide"])
+@pytest.mark.parametrize("count", [1, 2, 7, 1199])
+@pytest.mark.parametrize("s", range(1, 7))
+def test_stacked_weights_are_the_one_at_a_time_weights(s, count, profile):
+    stacked, single = np.random.default_rng(100 * s + count), np.random.default_rng(100 * s + count)
+    got = np.stack([w.matrix for w in random_pd_weights(count, s, stacked, profile)])
+    want = np.stack([_weight_one_at_a_time(s, single, profile) for _ in range(count)])
+    assert got.tobytes() == want.tobytes()
+    assert stacked.random() == single.random()     # the same draws were consumed
+
+
+@pytest.mark.parametrize("count", [1, 2, 7])
+@pytest.mark.parametrize("s", range(1, 7))
+def test_stacked_weights_reject_an_overflow_as_one_at_a_time_does(s, count):
+    profile = WeightProfile(1e308, 1e308)
+    with pytest.raises(ConfigError) as want:
+        [_weight_one_at_a_time(s, np.random.default_rng(s), profile) for _ in range(count)]
+    with pytest.raises(ConfigError) as got:
+        random_pd_weights(count, s, np.random.default_rng(s), profile)
+    assert str(got.value) == str(want.value)
+
+
 def test_rational_generation_rejects_a_weight_range():
     with pytest.raises(ConfigError, match="rational weights take no eigenvalue range"):
         random_instance(3, 2, 0, profile=WeightProfile(1e300, 1e300), rational=True)
@@ -267,8 +309,9 @@ def test_random_graph_matches_complement_list(n, extra):
 def test_random_graph_keeps_its_edge_lists(monkeypatch, n, digest):
     # seeds 0-4, extra in {0, 1, max/3, max}: one digest of every edge list;
     # the topology is drawn before any weight, so one shared weight keeps it
+    # and the weight maker draws nothing
     one = PDWeight(np.eye(1))
-    monkeypatch.setattr(model, "random_pd_weight", lambda s, rng, profile: one)
+    monkeypatch.setattr(model, "random_pd_weights", lambda count, s, rng, profile: [one] * count)
     max_extra = (n - 1) * (n - 2) // 2
     h = hashlib.sha256()
     for seed in range(5):
@@ -282,7 +325,7 @@ def test_random_graph_large_n_memory(monkeypatch):
     # the complement list would hold ~2e8 pairs (several GB) at this size;
     # one shared weight keeps 20002 weight draws out of the traced time
     one = PDWeight(np.eye(1))
-    monkeypatch.setattr(model, "random_pd_weight", lambda s, rng, profile: one)
+    monkeypatch.setattr(model, "random_pd_weights", lambda count, s, rng, profile: [one] * count)
     tracemalloc.start()
     try:
         g = random_connected_graph(20000, 1, seed=5, extra_edges=3)
@@ -312,6 +355,63 @@ def test_round_trip_rational():
     assert np.array_equal(again.tree.edges[0][2].exact, inst.tree.edges[0][2].exact)
 
 
+def _json_dumps_instance(inst):
+    # the serializer as first written: the object, through json.dumps
+    kind = "rational" if inst.is_exact else "float"
+
+    def weight(w):
+        if kind == "rational":
+            return [[model.format_rational(x) for x in row] for row in w.exact]
+        return [[float(x) for x in row] for row in w.matrix]
+
+    def edges(g):
+        return {"edges": [{"u": u + 1, "v": v + 1, "w": weight(w)} for u, v, w in g.edges]}
+
+    obj = {"n": inst.n, "s": inst.s, "scalar_kind": kind,
+           "tree": edges(inst.tree), "graph": edges(inst.graph)}
+    return json.dumps(obj, indent=2)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 9), s=st.integers(1, 4), seed=st.integers(0, 2**32),
+       extra=st.integers(0, 6), rational=st.booleans(),
+       profile=st.sampled_from([model.DEFAULT_PROFILE, WeightProfile(1e-8, 1e8),
+                                WeightProfile(1e300, 1e300)]))
+def test_serializer_writes_the_json_dumps_text(n, s, seed, extra, rational, profile):
+    extra = min(extra, (n - 1) * (n - 2) // 2)
+    if rational:
+        profile = model.DEFAULT_PROFILE
+    inst = random_instance(n, s, seed, extra, profile, rational)
+    assert serialize_instance(inst) == _json_dumps_instance(inst)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_serializer_writes_json_dumps_special_floats(s):
+    # entries no generator makes, each filling one weight, then all mixed
+    special = [-0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308,
+               math.nan, math.inf, -math.inf, 0.1, 1 / 3]
+    weights = [PDWeight(np.full((s, s), x)) for x in special]
+    weights.append(PDWeight(np.resize(special, (s, s))))
+    tree = model.MatrixWeightedTree(3, s, [(0, 1, weights[0]), (1, 2, weights[1])])
+    graph = MatrixWeightedGraph(3, s, [(0, 2, w) for w in weights[2:]])
+    inst = model.Instance(tree, graph)
+    text = serialize_instance(inst)
+    assert text == _json_dumps_instance(inst)
+    for token in ("-0.0", "5e-324", "1e+308", "NaN", " Infinity", "-Infinity"):
+        assert token in text
+
+
+def test_serializer_writes_json_dumps_edge_lists_of_any_size():
+    # empty edge lists, and weights of several orders, 0 included, in one graph
+    none, one = PDWeight(np.zeros((0, 0))), PDWeight(np.eye(1))
+    two = PDWeight([[2.0, -0.0], [-0.0, 2.0]])
+    for tree_edges, graph_edges in (([], []), ([(0, 1, one)], []),
+                                    ([(0, 1, one)], [(0, 1, none), (1, 2, two), (0, 2, one)])):
+        inst = model.Instance(model.MatrixWeightedTree(3, 1, tree_edges),
+                              MatrixWeightedGraph(3, 1, graph_edges))
+        assert serialize_instance(inst) == _json_dumps_instance(inst)
+
+
 def test_parse_empty_is_syntax_error():
     with pytest.raises(InstanceSyntaxError):
         parse_instance("")
@@ -319,8 +419,6 @@ def test_parse_empty_is_syntax_error():
 
 def test_parse_rejects_unknown_field():
     text = serialize_instance(golden_instance())
-    import json
-
     obj = json.loads(text)
     obj["extra"] = 1
     with pytest.raises(SchemaError):
@@ -328,8 +426,6 @@ def test_parse_rejects_unknown_field():
 
 
 def test_parse_rejects_weight_order_mismatch():
-    import json
-
     obj = json.loads(serialize_instance(golden_instance()))
     obj["tree"]["edges"][0]["w"] = [["1"]]
     with pytest.raises(SchemaError):
@@ -337,8 +433,6 @@ def test_parse_rejects_weight_order_mismatch():
 
 
 def test_parse_rejects_invalid_structure():
-    import json
-
     obj = json.loads(serialize_instance(golden_instance()))
     del obj["tree"]["edges"][0]  # tree loses an edge -> disconnected
     with pytest.raises(ValidationError):
@@ -346,8 +440,6 @@ def test_parse_rejects_invalid_structure():
 
 
 def test_parse_rejects_non_reduced_rational():
-    import json
-
     obj = json.loads(serialize_instance(golden_instance()))
     obj["tree"]["edges"][0]["w"][0][0] = "16/2"
     with pytest.raises(InstanceSyntaxError):

@@ -8,6 +8,7 @@ from mwspec.golden import golden_instance
 from mwspec.linalg import Inertia, inertia_of
 from mwspec.model import MatrixWeightedTree, PDWeight, random_instance
 from mwspec.operators import (
+    BlockMatrix,
     build_distance_matrix,
     build_laplacian,
     build_U,
@@ -130,6 +131,21 @@ def test_bordered_two_vertex_scalar():
     assert g.shape == (3, 3)
     # oracle: eigenvalues of [[0,1,1],[1,0,1],[1,1,0]] are (2, -1, -1)
     assert inertia_of(g) == (2, 0, 1)
+
+
+@pytest.mark.parametrize("n, s", [(2, 1), (3, 2), (5, 3), (4, 4)])
+def test_bordered_and_U_are_the_kron_and_stack_forms(n, s):
+    # bit for bit, signs of zero included: a third of F's entries are -0.0
+    rng = np.random.default_rng(n * s)
+    f = rng.standard_normal((n * s, n * s))
+    f[rng.random(f.shape) < 1 / 3] = -0.0
+    f = BlockMatrix(n, s, f)
+    u = np.kron(np.ones((n, 1)), np.eye(s))
+    assert build_U(n, s).dtype == u.dtype and build_U(n, s).tobytes() == u.tobytes()
+    want = np.vstack([np.hstack([f.array, u]), np.hstack([u.T, np.zeros((s, s))])])
+    g = bordered(f)
+    assert g.shape == want.shape and g.dtype == want.dtype
+    assert g.tobytes() == want.tobytes()
 
 
 # --- Schur complement / Haynsworth -------------------------------------------
