@@ -8,12 +8,10 @@ from .model import (
     Instance,
     MatrixWeightedGraph,
     MatrixWeightedTree,
-    PDWeight,
     WeightProfile,
     parse_instance,
     random_connected_graph,
     random_instance,
-    random_pd_weight,
     random_tree,
     serialize_instance,
     validate,

@@ -38,9 +38,10 @@ class SingularPivotError(MwspecError):
 
 class ConfigError(MwspecError, ValueError):
     """A bad argument: a size, seed, weight profile, beta, verify mode, block
-    index or index set, vector, matrix shape, a float weight handed to an
-    exact constructor, or a corrupt entry outside D or one that scaling
-    leaves unchanged."""
+    index or index set, vector, matrix shape, a graph's endpoint array or
+    weight stack of the wrong shape, a graph with no edges or with float
+    weights only handed to an operator that needs them, or a corrupt entry
+    outside D or one that scaling leaves unchanged."""
 
 
 class InstanceSyntaxError(MwspecError):

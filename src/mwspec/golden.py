@@ -15,12 +15,8 @@ import numpy as np
 from . import exact as ex
 from .exact import parse_rational, rat_matrix
 from .linalg import Inertia, inertia_of
-from .model import Instance, MatrixWeightedGraph, MatrixWeightedTree, PDWeight
+from .model import Instance, MatrixWeightedGraph, MatrixWeightedTree
 from .verifier import build_matrices
-
-
-def _int_weight(rows) -> PDWeight:
-    return PDWeight(np.array(rows, dtype=float), rows)
 
 
 W1 = [[8, 6], [6, 5]]
@@ -33,18 +29,12 @@ S4 = [[5, -3], [-3, 5]]
 
 
 def golden_instance() -> Instance:
-    tree = MatrixWeightedTree(4, 2, [
-        (0, 1, _int_weight(W1)),
-        (1, 2, _int_weight(W2)),
-        (1, 3, _int_weight(W3)),
-    ])
-    graph = MatrixWeightedGraph(4, 2, [
-        (0, 1, _int_weight(S1)),
-        (0, 2, _int_weight(S3)),
-        (1, 2, _int_weight(S2)),
-        (2, 3, _int_weight(S4)),
-    ])
-    return Instance(tree, graph)
+    tree = [W1, W2, W3]
+    graph = [S1, S3, S2, S4]
+    return Instance(
+        MatrixWeightedTree(4, 2, [(0, 1), (1, 2), (1, 3)], np.array(tree, dtype=float), tree),
+        MatrixWeightedGraph(4, 2, [(0, 1), (0, 2), (1, 2), (2, 3)],
+                            np.array(graph, dtype=float), graph))
 
 
 EXPECTED_D = [

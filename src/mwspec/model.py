@@ -1,6 +1,11 @@
 """Data model, validation, random generation, and JSON serialization for
 matrix-weighted trees and connected graphs.
 
+A graph keeps its m edges as arrays: the (m, 2) endpoints, the (m, s, s)
+stack of float weights and, for a rational graph, the (m, s, s) stack of
+their Fractions. Generators, parser and serializer make and read the stacks
+whole, and so do the operators that take a graph.
+
 Vertices are 0-based everywhere in memory; the JSON instance format is
 1-based to match the usual figure labeling, and the parser/serializer is the
 only place the offset is applied.
@@ -12,12 +17,13 @@ import hashlib
 import heapq
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import ConfigError, InstanceSyntaxError, SchemaError, ValidationError
-from .exact import format_rational, parse_rational, rat_is_pd, rat_matrix, rat_to_float
+from .exact import format_rational, parse_rational, rat_is_pd, rat_to_float
 from .kernels import adjacency, walk
 from .linalg import EIG_ZERO
 
@@ -39,60 +45,48 @@ class WeightProfile:
 DEFAULT_PROFILE = WeightProfile()
 
 
-class PDWeight:
-    """Symmetric positive definite edge weight of order s.
+class MatrixWeightedGraph:
+    """A graph on the vertices 0..n-1 whose m edges carry s x s weights.
 
-    Carries a float matrix always, and an exact Fraction payload (a
-    read-only `rat_matrix`) when the instance is rational.
+    `endpoints` is the (m, 2) integer array of edge ends, `weights` the
+    (m, s, s) float stack, edge k's weight at weights[k], and `exact` the
+    (m, s, s) object array of the weights' Fractions when the graph is
+    rational, else None. All three are read-only. The constructor checks
+    their shapes only; `validate` checks the rest.
     """
 
-    __slots__ = ("matrix", "exact")
+    __slots__ = ("n", "s", "endpoints", "weights", "exact")
 
-    def __init__(self, matrix: np.ndarray, exact=None):
-        m = np.asarray(matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ConfigError(f"weight must be square, got shape {m.shape}")
-        m.setflags(write=False)
-        self.matrix = m
-        self.exact = None
+    def __init__(self, n: int, s: int, endpoints, weights, exact=None):
+        endpoints = np.asarray(endpoints, dtype=int)
+        weights = np.asarray(weights, dtype=float)
+        if endpoints.ndim != 2 or endpoints.shape[1] != 2:
+            raise ConfigError(f"endpoints must have shape (m, 2), got {endpoints.shape}")
+        if weights.shape != (len(endpoints), s, s):
+            raise ConfigError(f"weights must have shape {(len(endpoints), s, s)}, "
+                              f"got {weights.shape}")
         if exact is not None:
-            self.exact = rat_matrix(exact)
-            self.exact.setflags(write=False)
-
-    @property
-    def order(self) -> int:
-        return self.matrix.shape[0]
-
-    def __eq__(self, other):
-        if not isinstance(other, PDWeight):
-            return NotImplemented
-        if (self.exact is None) != (other.exact is None):
-            return False
-        if self.exact is not None:
-            return bool(np.array_equal(self.exact, other.exact))
-        return np.array_equal(self.matrix, other.matrix)
-
-    def __repr__(self):
-        return f"PDWeight(order={self.order}, exact={self.exact is not None})"
-
-
-@dataclass
-class MatrixWeightedGraph:
-    n: int
-    s: int
-    edges: list[tuple[int, int, PDWeight]] = field(default_factory=list)
+            exact = np.asarray(exact, dtype=object)
+            if exact.shape != weights.shape:
+                raise ConfigError(f"exact weights must have shape {weights.shape}, "
+                                  f"got {exact.shape}")
+            exact = np.frompyfunc(Fraction, 1, 1)(exact)
+            exact.setflags(write=False)
+        endpoints.setflags(write=False)
+        weights.setflags(write=False)
+        self.n, self.s = n, s
+        self.endpoints, self.weights, self.exact = endpoints, weights, exact
 
     @property
     def is_exact(self) -> bool:
-        return all(w.exact is not None for _, _, w in self.edges)
+        return self.exact is not None
 
 
-@dataclass
 class MatrixWeightedTree(MatrixWeightedGraph):
-    pass
+    __slots__ = ()
 
 
-@dataclass
+@dataclass(eq=False)
 class Instance:
     tree: MatrixWeightedTree
     graph: MatrixWeightedGraph
@@ -107,7 +101,7 @@ class Instance:
 
     @property
     def is_exact(self) -> bool:
-        """Whether every weight of the tree and the graph is rational."""
+        """Whether the tree and the graph both carry exact weights."""
         return self.tree.is_exact and self.graph.is_exact
 
 
@@ -117,11 +111,15 @@ class ValidationResult:
     violations: list[str]
 
 
-def _connected(n: int, edges) -> bool:
-    if len(edges) < n - 1:      # before allocating n adjacency lists
+def _connected(n: int, endpoints: np.ndarray) -> bool:
+    if len(endpoints) < n - 1:      # before allocating n adjacency lists
         return False
-    adj = adjacency(n, [(u, v) for u, v, _ in edges])
+    adj = adjacency(n, endpoints.tolist())
     return sum(1 for _ in walk(adj, 0)) == n - 1
+
+
+def _symmetric(stack: np.ndarray) -> np.ndarray:
+    return (stack == stack.transpose(0, 2, 1)).all(axis=(1, 2))
 
 
 def validate(g: MatrixWeightedGraph, require_tree: bool = False) -> ValidationResult:
@@ -131,8 +129,27 @@ def validate(g: MatrixWeightedGraph, require_tree: bool = False) -> ValidationRe
         v.append(f"n must be >= 2, got {g.n}")
     if g.s < 1:
         v.append(f"s must be >= 1, got {g.s}")
+    w, exact = g.weights, g.exact
+    finite = np.isfinite(w).all(axis=(1, 2))
+    symmetric = _symmetric(w)
+    # one eigvalsh over the weights that reach it: ascending, so the min is
+    # the first eigenvalue (and +inf at s = 0)
+    lam_min = np.full(len(w), np.inf)
+    lam_min[finite & symmetric] = np.linalg.eigvalsh(w[finite & symmetric]).min(
+        axis=1, initial=np.inf)
+    # the float kernel runs on the rounding of an exact weight, which need
+    # only stay PD: a conditioning threshold would turn away exact instances
+    # that only the exact kernel can check
+    if exact is None:
+        bound = EIG_ZERO * np.maximum(1.0, np.abs(w).max(axis=(1, 2), initial=0.0))
+        what = "weight"
+    else:
+        bound, what = 0.0, "float rounding of weight"
+        exact_symmetric = _symmetric(exact).tolist()
+    finite, symmetric = finite.tolist(), symmetric.tolist()
+    not_pd = (lam_min <= bound).tolist()
     seen = set()
-    for u, w_, wt in g.edges:
+    for k, (u, w_) in enumerate(g.endpoints.tolist()):
         if not (0 <= u < g.n and 0 <= w_ < g.n):
             v.append(f"edge ({u},{w_}) out of range")
             continue
@@ -143,33 +160,21 @@ def validate(g: MatrixWeightedGraph, require_tree: bool = False) -> ValidationRe
         if key in seen:
             v.append(f"duplicate edge {key}")
         seen.add(key)
-        if wt.order != g.s:
-            v.append(f"edge {key}: weight order {wt.order} != s = {g.s}")
-            continue
-        m = wt.matrix
-        if wt.exact is not None and not np.array_equal(wt.exact, wt.exact.T):
+        if exact is not None and not exact_symmetric[k]:
             v.append(f"edge {key}: weight not symmetric")
-        elif wt.exact is not None and not rat_is_pd(wt.exact):
+        elif exact is not None and not rat_is_pd(exact[k]):
             v.append(f"edge {key}: weight not positive definite")
-        elif not np.all(np.isfinite(m)):
+        elif not finite[k]:
             v.append(f"edge {key}: weight has a non-finite entry")
-        elif not np.array_equal(m, m.T):
+        elif not symmetric[k]:
             v.append(f"edge {key}: weight not symmetric")
-        else:
-            lam_min = float(np.linalg.eigvalsh(m)[0])
-            scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-            # the float kernel runs on the rounding of an exact weight, which
-            # need only stay PD: a conditioning threshold would turn away
-            # exact instances that only the exact kernel can check
-            rounded = wt.exact is not None
-            if lam_min <= (0.0 if rounded else EIG_ZERO * scale):
-                what = "float rounding of weight" if rounded else "weight"
-                v.append(f"edge {key}: {what} not positive definite "
-                         f"(min eigenvalue {lam_min:.3e})")
+        elif not_pd[k]:
+            v.append(f"edge {key}: {what} not positive definite "
+                     f"(min eigenvalue {lam_min[k]:.3e})")
     if not v:
-        if require_tree and len(g.edges) != g.n - 1:
-            v.append(f"tree must have n-1 = {g.n - 1} edges, got {len(g.edges)}")
-        if not _connected(g.n, g.edges):
+        if require_tree and len(g.endpoints) != g.n - 1:
+            v.append(f"tree must have n-1 = {g.n - 1} edges, got {len(g.endpoints)}")
+        if not _connected(g.n, g.endpoints):
             v.append("graph is not connected")
     return ValidationResult(not v, v)
 
@@ -180,9 +185,9 @@ def validate(g: MatrixWeightedGraph, require_tree: bool = False) -> ValidationRe
 
 def random_pd_weights(
     count: int, s: int, rng: np.random.Generator, profile: WeightProfile = DEFAULT_PROFILE
-) -> list[PDWeight]:
-    """count weights Q diag(lam) Q', each with a random orthogonal Q and lam
-    uniform in the profile range.
+) -> np.ndarray:
+    """The (count, s, s) stack of weights Q diag(lam) Q', each with a random
+    orthogonal Q and lam uniform in the profile range.
 
     Each weight draws its lam and then its Gaussian for Q, in order, and the
     count Gaussians are factored as one stack: every weight has the bits of
@@ -204,21 +209,7 @@ def random_pd_weights(
     if not np.isfinite(w).all():
         raise ConfigError(f"weights with eigenvalues in [{profile.lam_lo}, "
                           f"{profile.lam_hi}] overflow the float range at s = {s}")
-    return [PDWeight(x) for x in w]
-
-
-def random_pd_weight(
-    s: int, rng: np.random.Generator, profile: WeightProfile = DEFAULT_PROFILE
-) -> PDWeight:
-    """One weight of `random_pd_weights`."""
-    return random_pd_weights(1, s, rng, profile)[0]
-
-
-def _random_rational_pd_weight(s: int, rng: np.random.Generator) -> PDWeight:
-    # M M' + I with small integer M is symmetric PD and exactly representable
-    m = rng.integers(-3, 4, size=(s, s))
-    w = m @ m.T + np.eye(s, dtype=np.int64) * int(rng.integers(1, 4))
-    return PDWeight(w.astype(float), w.tolist())
+    return w
 
 
 def _prufer_decode(seq: list[int], n: int) -> list[tuple[int, int]]:
@@ -240,15 +231,22 @@ def _prufer_decode(seq: list[int], n: int) -> list[tuple[int, int]]:
     return edges
 
 
-def _weight_maker(s: int, rng: np.random.Generator, profile: WeightProfile,
-                  rational: bool):
-    """A maker of PD weights that draws from rng: make(count) is a list."""
-    if rational:
-        if profile != DEFAULT_PROFILE:
-            raise ConfigError(f"rational weights take no eigenvalue range, got "
-                              f"[{profile.lam_lo}, {profile.lam_hi}]")
-        return lambda count: [_random_rational_pd_weight(s, rng) for _ in range(count)]
-    return lambda count: random_pd_weights(count, s, rng, profile)
+def _random_weights(count: int, s: int, rng: np.random.Generator, profile: WeightProfile,
+                    rational: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """count PD weights drawn from rng: the float stack, and the integer
+    stack when they are rational, else None."""
+    if not rational:
+        return random_pd_weights(count, s, rng, profile), None
+    if profile != DEFAULT_PROFILE:
+        raise ConfigError(f"rational weights take no eigenvalue range, got "
+                          f"[{profile.lam_lo}, {profile.lam_hi}]")
+    # M M' + cI with small integer M and c >= 1 is symmetric PD and exactly
+    # representable
+    w = np.empty((count, s, s), dtype=np.int64)
+    for k in range(count):
+        m = rng.integers(-3, 4, size=(s, s))
+        w[k] = m @ m.T + np.eye(s, dtype=np.int64) * int(rng.integers(1, 4))
+    return w.astype(float), w
 
 
 def _require_sizes(n: int, s: int, seed: int):
@@ -275,8 +273,8 @@ def random_tree(
     _require_sizes(n, s, seed)
     rng = np.random.default_rng(seed)
     edges = _tree_edges(n, rng)
-    weights = _weight_maker(s, rng, profile, rational)(len(edges))
-    return MatrixWeightedTree(n, s, [(u, v, w) for (u, v), w in zip(edges, weights)])
+    return MatrixWeightedTree(n, s, edges, *_random_weights(len(edges), s, rng, profile,
+                                                            rational))
 
 
 def random_connected_graph(
@@ -295,11 +293,10 @@ def random_connected_graph(
             f"extra_edges must be in [0, {max_extra}], got {extra_edges}"
         )
     rng = np.random.default_rng(seed)
-    tree = sorted(_tree_edges(n, rng))
+    t = np.array(sorted(_tree_edges(n, rng)))
     # pairs u < v in lexicographic order; row u starts at rank starts[u]
     us = np.arange(n)
     starts = us * (2 * n - us - 1) // 2
-    t = np.array(tree)
     tree_ranks = starts[t[:, 0]] + t[:, 1] - t[:, 0] - 1
     # pick the k-th non-tree pair without listing them: it has rank k plus
     # the number of tree pairs ranked before it
@@ -307,9 +304,9 @@ def random_connected_graph(
     ranks = picks + np.searchsorted(tree_ranks - us[:-1], picks, side="right")
     rows = np.searchsorted(starts, ranks, side="right") - 1
     cols = ranks - starts[rows] + rows + 1
-    topo = tree + list(zip(rows.tolist(), cols.tolist()))
-    weights = _weight_maker(s, rng, profile, rational)(len(topo))
-    return MatrixWeightedGraph(n, s, [(u, v, w) for (u, v), w in zip(topo, weights)])
+    endpoints = np.concatenate((t, np.column_stack((rows, cols))))
+    return MatrixWeightedGraph(n, s, endpoints, *_random_weights(len(endpoints), s, rng,
+                                                                 profile, rational))
 
 
 def random_instance(
@@ -332,41 +329,46 @@ _TOP_KEYS = {"n", "s", "scalar_kind", "tree", "graph"}
 _EDGE_KEYS = {"u", "v", "w"}
 
 
-def _weight_from_json(obj, s: int, kind: str) -> PDWeight:
+def _weight_from_json(obj, s: int, kind: str) -> list:
+    """The weight's rows: of Fractions when kind is rational, else of JSON numbers."""
     if not (isinstance(obj, list) and len(obj) == s
             and all(isinstance(r, list) and len(r) == s for r in obj)):
         raise SchemaError(f"weight must be an {s}x{s} array")
-    exact = None
     if kind == "rational":
         if not all(isinstance(x, str) for row in obj for x in row):
             raise SchemaError("rational entries must be strings like 'p/q'")
-        exact = rat_matrix([[parse_rational(x) for x in row] for row in obj])
-    elif not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                 for row in obj for x in row):
+        return [[parse_rational(x) for x in row] for row in obj]
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+               for row in obj for x in row):
         raise SchemaError("float entries must be JSON numbers")
-    try:
-        matrix = np.array(obj, dtype=float) if exact is None else rat_to_float(exact)
-    except OverflowError as exc:    # an integer or p/q beyond the float range
-        raise SchemaError(f"weight entry out of float range: {exc}") from exc
-    return PDWeight(matrix, exact)
+    return obj
 
 
 def _edges_from_json(obj, n: int, s: int, kind: str, where: str):
+    """The endpoints, the float weights and the exact weights (or None) of
+    the tree or the graph."""
     if not (isinstance(obj, dict) and set(obj) == {"edges"}):
         raise SchemaError(f"{where} must be an object with a single 'edges' field")
-    edges = []
     if not isinstance(obj["edges"], list):
         raise SchemaError(f"{where}.edges must be a list")
+    endpoints, weights = [], []
     for e in obj["edges"]:
         if not (isinstance(e, dict) and set(e) == _EDGE_KEYS):
             raise SchemaError(f"{where} edge must have exactly fields u, v, w")
         u, v = e["u"], e["v"]
-        if not (isinstance(u, int) and isinstance(v, int)):
+        if not (type(u) is int and type(v) is int):    # a bool is an int: true is not 1
             raise SchemaError("edge endpoints must be integers")
         if not (1 <= u < v <= n):
             raise SchemaError(f"edge endpoints must satisfy 1 <= u < v <= n, got ({u},{v})")
-        edges.append((u - 1, v - 1, _weight_from_json(e["w"], s, kind)))
-    return edges
+        endpoints.append((u - 1, v - 1))
+        weights.append(_weight_from_json(e["w"], s, kind))
+    shape = (len(weights), s, s)
+    exact = np.array(weights, dtype=object).reshape(shape) if kind == "rational" else None
+    try:
+        floats = np.array(weights, dtype=float) if exact is None else rat_to_float(exact)
+    except OverflowError as exc:    # an integer or p/q beyond the float range
+        raise SchemaError(f"weight entry out of float range: {exc}") from exc
+    return np.reshape(endpoints, (-1, 2)), floats.reshape(shape), exact
 
 
 def _reject_constant(name: str):
@@ -393,14 +395,14 @@ def parse_instance(text: str | bytes) -> Instance:
         missing = _TOP_KEYS - set(obj)
         raise SchemaError(f"unknown fields {sorted(unknown)}, missing {sorted(missing)}")
     n, s, kind = obj["n"], obj["s"], obj["scalar_kind"]
-    if not (isinstance(n, int) and n >= 2):
+    if not (type(n) is int and n >= 2):     # a bool is an int: true is not 1
         raise SchemaError(f"n must be an integer >= 2, got {n!r}")
-    if not (isinstance(s, int) and s >= 1):
+    if not (type(s) is int and s >= 1):
         raise SchemaError(f"s must be an integer >= 1, got {s!r}")
     if kind not in ("float", "rational"):
         raise SchemaError(f"scalar_kind must be 'float' or 'rational', got {kind!r}")
-    tree = MatrixWeightedTree(n, s, _edges_from_json(obj["tree"], n, s, kind, "tree"))
-    graph = MatrixWeightedGraph(n, s, _edges_from_json(obj["graph"], n, s, kind, "graph"))
+    tree = MatrixWeightedTree(n, s, *_edges_from_json(obj["tree"], n, s, kind, "tree"))
+    graph = MatrixWeightedGraph(n, s, *_edges_from_json(obj["graph"], n, s, kind, "graph"))
     for g, req in ((tree, True), (graph, False)):
         result = validate(g, require_tree=req)
         if not result.ok:
@@ -412,27 +414,23 @@ def _edge_template(s: int) -> str:
     """One edge of an instance file, as `json.dumps(indent=2)` lays it out,
     with %s for u, v and the s*s entries of w in row order."""
     row = "[\n" + ",\n".join([" " * 12 + "%s"] * s) + "\n" + " " * 10 + "]"
-    w = "[\n" + ",\n".join([" " * 10 + row] * s) + "\n" + " " * 8 + "]" if s else "[]"
+    w = "[\n" + ",\n".join([" " * 10 + row] * s) + "\n" + " " * 8 + "]"
     return '      {\n        "u": %s,\n        "v": %s,\n        "w": ' + w + "\n      }"
 
 
 def _edges_to_json(g: MatrixWeightedGraph, kind: str) -> str:
-    if not g.edges:
+    if not len(g.endpoints):
         return '{\n    "edges": []\n  }'
-    weights = [w for _, _, w in g.edges]
     if kind == "rational":
-        flat = [format_rational(x) for w in weights for x in w.exact.flat]
+        flat = [format_rational(x) for x in g.exact.flat]
     else:
-        flat = np.concatenate([w.matrix.ravel() for w in weights]).tolist()
+        flat = g.weights.ravel().tolist()
     # one call of json's C encoder renders every entry: its float repr, NaN
     # and Infinity, and its string escapes; no entry holds ", "
     items = json.dumps(flat)[1:-1].split(", ")
-    templates = {s: _edge_template(s) for s in {w.order for w in weights}}
-    edges, at = [], 0
-    for u, v, w in g.edges:
-        size = w.order * w.order
-        edges.append(templates[w.order] % (u + 1, v + 1, *items[at:at + size]))
-        at += size
+    template, size = _edge_template(g.s), g.s * g.s
+    edges = [template % (u + 1, v + 1, *items[k * size:(k + 1) * size])
+             for k, (u, v) in enumerate(g.endpoints.tolist())]
     return '{\n    "edges": [\n' + ",\n".join(edges) + "\n    ]\n  }"
 
 

@@ -52,18 +52,17 @@ class BlockMatrix:
         return self.array[(i - 1) * s:i * s, (j - 1) * s:j * s]
 
 
-def _weights(g: MatrixWeightedGraph, exact: bool = False) -> np.ndarray:
-    """The (m, s, s) stack of edge weights, in edge order: floats, or the
-    Fraction payloads."""
-    if not g.edges:
+def _require_edges(g: MatrixWeightedGraph):
+    if not len(g.endpoints):
         raise ConfigError(f"graph on {g.n} vertices has no edges")
-    return np.stack([w.exact if exact else w.matrix for _, _, w in g.edges])
 
 
 def _laplacian_blocks(g: MatrixWeightedGraph, weights: np.ndarray, inv):
     """L's nonzero blocks: -W^{-1} at (rows, cols), each edge both ways, and
-    the (n, s, s) diagonal blocks. inv inverts the (m, s, s) weight stack."""
-    uv = np.array([(u, v) for u, v, _ in g.edges])
+    the (n, s, s) diagonal blocks. inv inverts the (m, s, s) weight stack:
+    g.weights, or g.exact."""
+    _require_edges(g)
+    uv = g.endpoints
     vinv = inv(weights)
     vinv = np.repeat((vinv + vinv.transpose(0, 2, 1)) / 2, 2, axis=0)
     diag = np.zeros((g.n, g.s, g.s), dtype=vinv.dtype)
@@ -84,33 +83,34 @@ def _laplacian(g: MatrixWeightedGraph, weights: np.ndarray, inv) -> np.ndarray:
 def build_laplacian(g: MatrixWeightedGraph) -> BlockMatrix:
     """Block Laplacian: off-diagonal blocks -W_uv^{-1} on edges, diagonal
     blocks summing the inverted incident weights."""
-    return BlockMatrix(g.n, g.s, _laplacian(g, _weights(g), np.linalg.inv))
+    return BlockMatrix(g.n, g.s, _laplacian(g, g.weights, np.linalg.inv))
 
 
 def _distance(t: MatrixWeightedTree, weights: np.ndarray) -> np.ndarray:
-    return distance_fill(adjacency(t.n, [(u, v) for u, v, _ in t.edges]), weights, t.s)
+    _require_edges(t)
+    # Python ints: the fill indexes lists with them
+    return distance_fill(adjacency(t.n, t.endpoints.tolist()), weights, t.s)
 
 
 def build_distance_matrix(t: MatrixWeightedTree) -> BlockMatrix:
     """Tree distance matrix: block (i, j) sums the weights on the i-j path."""
-    return BlockMatrix(t.n, t.s, _distance(t, _weights(t)))
+    return BlockMatrix(t.n, t.s, _distance(t, t.weights))
 
 
 def structural_vectors(t: MatrixWeightedTree) -> np.ndarray:
     """tau: (n,) integers, tau_i = 2 - degree(i)."""
-    ends = [x for u, v, _ in t.edges for x in (u, v)]
-    return 2 - np.bincount(ends, minlength=t.n)
+    return 2 - np.bincount(t.endpoints.ravel(), minlength=t.n)
 
 
 def _closed_form(t: MatrixWeightedTree, weights, inv) -> np.ndarray:
     # no float constant: one would turn Fractions into floats. Delta is an
     # integer matrix and halving is exact in binary floating point, so the
     # float D^{-1} has the bits of -(1/2) L(T) + (1/2) Delta R^{-1} Delta'
+    rows, cols, off, diag = _laplacian_blocks(t, weights, inv)
     delta = np.kron(structural_vectors(t).reshape(-1, 1), np.eye(t.s, dtype=int))
     r_inv = inv(sum(weights)[None])[0]
     a = delta @ r_inv @ delta.T
     # a - L(T) on L(T)'s nonzero blocks only: x - 0 is x, sign of zero included
-    rows, cols, off, diag = _laplacian_blocks(t, weights, inv)
     blocks, ii = a.reshape(t.n, t.s, t.n, t.s), np.arange(t.n)
     blocks[rows, :, cols] -= off
     blocks[ii, :, ii] -= diag
@@ -127,7 +127,7 @@ def _closed_form(t: MatrixWeightedTree, weights, inv) -> np.ndarray:
 def distance_inverse_closed_form(t: MatrixWeightedTree) -> BlockMatrix:
     """D^{-1} = (Delta R^{-1} Delta' - L(T)) / 2."""
     try:
-        a = _closed_form(t, _weights(t), np.linalg.inv)
+        a = _closed_form(t, t.weights, np.linalg.inv)
     except np.linalg.LinAlgError as exc:  # unreachable for valid PD weights
         raise SingularMatrixError(f"singular weight sum or weight: {exc}") from exc
     return BlockMatrix(t.n, t.s, a)
@@ -165,14 +165,14 @@ def _rational_inverses(weights: np.ndarray) -> np.ndarray:
 
 def build_laplacian_exact(g: MatrixWeightedGraph) -> ex.RatMatrix:
     _require_exact(g)
-    return _laplacian(g, _weights(g, exact=True), _rational_inverses)
+    return _laplacian(g, g.exact, _rational_inverses)
 
 
 def build_distance_matrix_exact(t: MatrixWeightedTree) -> ex.RatMatrix:
     _require_exact(t)
-    return _distance(t, _weights(t, exact=True))
+    return _distance(t, t.exact)
 
 
 def distance_inverse_closed_form_exact(t: MatrixWeightedTree) -> ex.RatMatrix:
     _require_exact(t)
-    return _closed_form(t, _weights(t, exact=True), _rational_inverses)
+    return _closed_form(t, t.exact, _rational_inverses)

@@ -567,8 +567,7 @@ def _weight_spectrum_ill_conditioned(inst: Instance) -> bool:
     regime the relative eigenvalue-classification thresholds lose meaning
     (e.g. D^{-1} - beta*L collapses to ~1e-8 scale when all weights are ~1e8).
     """
-    eigs = np.linalg.eigvalsh(np.array(
-        [w.matrix for g in (inst.tree, inst.graph) for _, _, w in g.edges]))
+    eigs = np.linalg.eigvalsh(np.concatenate((inst.tree.weights, inst.graph.weights)))
     lo, hi = float(eigs[:, 0].min()), float(eigs[:, -1].max())
     return (hi / max(lo, 1e-300) > ILL_CONDITIONED_WEIGHT
             or hi > ILL_CONDITIONED_WEIGHT

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import os
 import re
 import shlex
+import stat
 from pathlib import Path
 
 import pytest
@@ -200,6 +202,21 @@ def test_unwritable_out_exits_three(tmp_path, capsys, subcommand):
         assert stdout == ""     # no hash of an instance that was not written
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=["022", "077", "002"])
+def test_outputs_get_the_mode_open_would_give_them(tmp_path, capsys, umask):
+    # written through a temporary file, yet not left at its 0600
+    inst_path, report_path = tmp_path / "inst.json", tmp_path / "report.json"
+    old = os.umask(umask)
+    try:
+        assert run(["gen", "--n", "3", "--out", str(inst_path)], capsys)[0] == 0
+        assert run(["verify", "--in", str(inst_path), "--beta", "1",
+                    "--out", str(report_path)], capsys)[0] == 0
+    finally:
+        os.umask(old)
+    for path in (inst_path, report_path):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+
+
 def test_verify_bad_instance_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     # not JSON, not UTF-8, and nested past Python's recursion limit
@@ -291,9 +308,11 @@ def test_verify_takes_no_threshold(tmp_path, capsys, flag):
 def test_readme_library_example_runs(capsys):
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     section = readme.split("## Library", 1)[1]
-    example = re.search(r"```python\n(.*?)```", section, re.S).group(1)
-    exec(compile(example, "README.md", "exec"), {})
-    assert "'failed': 0" in capsys.readouterr().out
+    examples = re.findall(r"```python\n(.*?)```", section, re.S)
+    assert len(examples) == 2      # the verifier, and a graph built by hand
+    for example in examples:
+        exec(compile(example, "README.md", "exec"), {})
+        assert "'failed': 0" in capsys.readouterr().out
 
 
 def test_usage_error_on_unknown_subcommand(capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from mwspec import kernels
 from mwspec.model import random_tree
-from mwspec.operators import _weights, build_distance_matrix
+from mwspec.operators import build_distance_matrix
 
 
 def test_walk_reaches_every_vertex_once_in_dfs_order():
@@ -106,7 +106,7 @@ def test_distance_fill_matches_the_per_root_walk(shape, n, s, exact):
 
 
 def _tree_input(t):
-    return kernels.adjacency(t.n, [(u, v) for u, v, _ in t.edges]), _weights(t, t.is_exact)
+    return kernels.adjacency(t.n, t.endpoints.tolist()), t.exact if t.is_exact else t.weights
 
 
 # the trees of the assemble-wide (n = 600, s = 2) and verify-large (n = 60

@@ -13,7 +13,6 @@ from mwspec.kernels import adjacency
 from mwspec.model import (
     MatrixWeightedGraph,
     MatrixWeightedTree,
-    PDWeight,
     random_instance,
     random_tree,
 )
@@ -41,14 +40,11 @@ def golden():
 
 
 def single_edge_tree(w, s=1):
-    return MatrixWeightedTree(2, s, [(0, 1, PDWeight(np.atleast_2d(w)))])
+    return MatrixWeightedTree(2, s, [(0, 1)], [np.atleast_2d(w)])
 
 
 def path_tree_3():
-    return MatrixWeightedTree(3, 1, [
-        (0, 1, PDWeight(np.array([[1.0]]))),
-        (1, 2, PDWeight(np.array([[1.0]]))),
-    ])
+    return MatrixWeightedTree(3, 1, [(0, 1), (1, 2)], np.ones((2, 1, 1)))
 
 
 # --- Laplacian ---------------------------------------------------------------
@@ -127,8 +123,8 @@ def test_structural_vectors_golden(golden):
 
 def test_structural_vectors_star():
     n = 6
-    edges = [(0, i, PDWeight(np.eye(1))) for i in range(1, n)]
-    tau = structural_vectors(MatrixWeightedTree(n, 1, edges))
+    edges = [(0, i) for i in range(1, n)]
+    tau = structural_vectors(MatrixWeightedTree(n, 1, edges, np.ones((n - 1, 1, 1))))
     assert tau[0] == 2 - (n - 1)
     assert all(tau[1:] == 1)
     assert tau.sum() == 2
@@ -272,7 +268,7 @@ def test_UtU():
                                    distance_inverse_closed_form])
 def test_constructors_reject_a_graph_with_no_edges(build):
     with pytest.raises(ConfigError, match="no edges"):
-        build(MatrixWeightedTree(3, 1, []))
+        build(MatrixWeightedTree(3, 1, np.zeros((0, 2), dtype=int), np.zeros((0, 1, 1))))
 
 
 def test_size_validation():
@@ -291,9 +287,7 @@ def test_permutation_equivariance():
     rng = np.random.default_rng(31)
     t = random_tree(6, 2, seed=13)
     perm = rng.permutation(6)
-    relabeled = MatrixWeightedTree(6, 2, [
-        (min(perm[u], perm[v]), max(perm[u], perm[v]), w) for u, v, w in t.edges
-    ])
+    relabeled = MatrixWeightedTree(6, 2, np.sort(perm[t.endpoints], axis=1), t.weights)
     p_block = np.kron(np.eye(6)[perm], np.eye(2))
     d = build_distance_matrix(t).array
     d_perm = build_distance_matrix(relabeled).array
@@ -318,9 +312,8 @@ def _per_edge_laplacian(n, s, edges, weights, inv):
 
 
 def _weighted(cls, n, s, edges, weights):
-    exact = weights[0].dtype == object
-    return cls(n, s, [(u, v, PDWeight(w, w if exact else None))
-                      for (u, v), w in zip(edges, weights)])
+    stack = np.stack(weights)
+    return cls(n, s, edges, stack.astype(float), stack if stack.dtype == object else None)
 
 
 def _assembly_case(shape, n, s, exact):
@@ -354,8 +347,8 @@ def test_laplacian_matches_the_per_edge_loop(shape, n, s, exact):
     inv = gauss_jordan_oracle if exact else np.linalg.inv
     build = build_laplacian_exact if exact else (lambda g: build_laplacian(g).array)
     for g in (tree, graph):
-        want = _per_edge_laplacian(n, s, [(u, v) for u, v, _ in g.edges],
-                                   [w.exact if exact else w.matrix for _, _, w in g.edges], inv)
+        want = _per_edge_laplacian(n, s, g.endpoints.tolist(),
+                                   g.exact if exact else g.weights, inv)
         _assert_identical(build(g), want, exact)
 
 
@@ -397,6 +390,6 @@ def test_closed_form_keeps_its_bits_and_one_dense_array_at_benchmark_size(seed):
         tracemalloc.stop()
     assert peak <= 1.25 * ns * ns * 8
     delta = np.kron(structural_vectors(tree).reshape(-1, 1), np.eye(2, dtype=int))
-    r_inv = np.linalg.inv(sum(w.matrix for _, _, w in tree.edges))
+    r_inv = np.linalg.inv(sum(tree.weights))
     a = (delta @ r_inv @ delta.T - build_laplacian(tree).array) / 2
     _assert_identical(got, (a + a.T) / 2, False)

@@ -6,7 +6,7 @@ import pytest
 from mwspec.errors import ConfigError, NonFiniteError, SingularPivotError
 from mwspec.golden import golden_instance
 from mwspec.linalg import Inertia, inertia_of
-from mwspec.model import MatrixWeightedTree, PDWeight, random_instance
+from mwspec.model import MatrixWeightedTree, random_instance
 from mwspec.operators import (
     BlockMatrix,
     build_distance_matrix,
@@ -125,7 +125,7 @@ def test_bordered_golden_inertia(golden_mats):
 
 
 def test_bordered_two_vertex_scalar():
-    t = MatrixWeightedTree(2, 1, [(0, 1, PDWeight(np.array([[1.0]])))])
+    t = MatrixWeightedTree(2, 1, [(0, 1)], np.ones((1, 1, 1)))
     pencil = perturbed_pencil(distance_inverse_closed_form(t), build_laplacian(t), 0.0)
     g = bordered(pencil.f)
     assert g.shape == (3, 3)

@@ -21,7 +21,6 @@ from mwspec.model import (
     Instance,
     MatrixWeightedGraph,
     MatrixWeightedTree,
-    PDWeight,
     WeightProfile,
     instance_hash,
     random_instance,
@@ -69,10 +68,8 @@ def test_preliminaries_golden_pass():
 def test_preliminaries_minimal_instance():
     from mwspec.model import Instance, MatrixWeightedGraph
 
-    w = lambda: PDWeight(np.array([[2.0]]))
-    tree = MatrixWeightedTree(2, 1, [(0, 1, w())])
-    graph = MatrixWeightedGraph(2, 1, [(0, 1, w())])
-    inst = Instance(tree, graph)
+    w = np.array([[[2.0]]])
+    inst = Instance(MatrixWeightedTree(2, 1, [(0, 1)], w), MatrixWeightedGraph(2, 1, [(0, 1)], w))
     checks = verify_preliminaries(build_matrices(inst))
     assert all(c.passed for c in checks)
 
@@ -407,21 +404,22 @@ THM_IDS = ("THM.i", "THM.ii", "THM.iii", "THM.iv", "THM.iv.haynsworth", "THM.v",
            "THM.vi", "THM.vi.gx")
 
 
-def _path3(tree_weight, graph_weight):
-    """Path 1-2-3 with s = 1; tree edges weigh tree_weight(), graph edges graph_weight()."""
-    tree = MatrixWeightedTree(3, 1, [(0, 1, tree_weight()), (1, 2, tree_weight())])
-    graph = MatrixWeightedGraph(3, 1, [(0, 1, graph_weight()), (1, 2, graph_weight())])
-    return Instance(tree, graph)
+def _path(n, tree_x, graph_x):
+    """Path 1-2-...-n with s = 1; tree edges weigh [[tree_x]], graph edges
+    [[graph_x]], exactly when they are Fractions."""
+    def weighted(cls, x):
+        exact = np.full((n - 1, 1, 1), x) if isinstance(x, Fraction) else None
+        return cls(n, 1, [(i, i + 1) for i in range(n - 1)], np.full((n - 1, 1, 1), float(x)),
+                   exact)
+    return Instance(weighted(MatrixWeightedTree, tree_x), weighted(MatrixWeightedGraph, graph_x))
 
 
 _TINY = Fraction(1, 10**308)
 
 
 @pytest.mark.parametrize("inst, mode", [
-    (_path3(lambda: PDWeight(np.array([[1e308]])),
-            lambda: PDWeight(np.array([[1.0]]))), "float"),
-    (_path3(lambda: PDWeight(np.array([[float(_TINY)]]), [[_TINY]]),
-            lambda: PDWeight(np.array([[1.0]]), [[1]])), "both"),
+    (_path(3, 1e308, 1.0), "float"),
+    (_path(3, _TINY, Fraction(1)), "both"),
 ], ids=["float-1e308", "rational-1e-308"])
 def test_unbuildable_pencil_fails_every_theorem_row(inst, mode, monkeypatch):
     """The report keeps one row per check id per beta even when the pencil
@@ -443,16 +441,11 @@ def test_unbuildable_pencil_fails_every_theorem_row(inst, mode, monkeypatch):
     assert all(not c.passed and "error" in c.evidence for c in thm)
 
 
-_HUGE = lambda: PDWeight(np.array([[1e308]]))
-_TINY_WEIGHT = lambda: PDWeight(np.array([[float(_TINY)]]), [[_TINY]])
-
-
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("inst", [
-    Instance(MatrixWeightedTree(2, 1, [(0, 1, _HUGE())]),
-             MatrixWeightedGraph(2, 1, [(0, 1, _HUGE())])),
-    _path3(_HUGE, _HUGE),
-    _path3(_TINY_WEIGHT, _TINY_WEIGHT),
+    _path(2, 1e308, 1e308),
+    _path(3, 1e308, 1e308),
+    _path(3, _TINY, _TINY),
 ], ids=["float-2-vertex-1e308", "float-3-vertex-1e308", "rational-3-vertex-1e-308"])
 def test_stages_read_an_overflowing_bundle_as_non_finite_failures(inst):
     """build_matrices assembles an instance whose float operators overflow

@@ -51,7 +51,6 @@ from mwspec.model import (
     Instance,
     MatrixWeightedGraph,
     MatrixWeightedTree,
-    PDWeight,
     WeightProfile,
     random_instance,
 )
@@ -66,18 +65,14 @@ FLOAT_CELLS = ((2, 1), (3, 2), (5, 3), (8, 2), (12, 4))
 RATIONAL_CASES = ((3, 1, 0), (4, 2, 1), (5, 2, 2), (6, 3, 3), (8, 2, 4))   # (n, s, seed)
 
 
-def _path(n: int, weight) -> Instance:
-    """Path 1-2-...-n, s = 1; every tree and graph edge weighs weight()."""
-    edges = lambda: [(i, i + 1, weight()) for i in range(n - 1)]
-    return Instance(MatrixWeightedTree(n, 1, edges()), MatrixWeightedGraph(n, 1, edges()))
-
-
-def _float(x: float):
-    return lambda: PDWeight(np.array([[x]]))
-
-
-def _rational(x: Fraction):
-    return lambda: PDWeight(np.array([[float(x)]]), [[x]])
+def _path(n: int, x: float | Fraction) -> Instance:
+    """Path 1-2-...-n, s = 1; every tree and graph edge weighs [[x]], exactly
+    when x is a Fraction."""
+    uv = [(i, i + 1) for i in range(n - 1)]
+    weights = np.full((n - 1, 1, 1), float(x))
+    exact = np.full((n - 1, 1, 1), x) if isinstance(x, Fraction) else None
+    return Instance(MatrixWeightedTree(n, 1, uv, weights, exact),
+                    MatrixWeightedGraph(n, 1, uv, weights, exact))
 
 
 def reports():
@@ -94,12 +89,11 @@ def reports():
     yield from run_campaign(CampaignConfig(count=20, seed=5))
     yield from run_campaign(CampaignConfig(count=5, seed=13, n_range=(4, 8), s_range=(2, 3),
                                            profile=WeightProfile(1e-8, 1e8)))
-    yield verify_instance(_path(2, _float(1e308)), betas)
-    yield verify_instance(_path(3, _float(1e308)), betas)
+    yield verify_instance(_path(2, 1e308), betas)
+    yield verify_instance(_path(3, 1e308), betas)
     for digits in (308, 300):
-        yield verify_instance(_path(3, _rational(Fraction(1, 10**digits))), betas,
-                              kernel_mode="both")
-    yield verify_instance(_path(3, _float(1.0)), [1e300])
+        yield verify_instance(_path(3, Fraction(1, 10**digits)), betas, kernel_mode="both")
+    yield verify_instance(_path(3, 1.0), [1e300])
     yield verify_instance(golden_instance(), betas, corrupt=(1, 3, 1.1))
     yield verify_instance(random_instance(6, 2, 3, 2), [3e6, 1e7, 1e10])
 
