@@ -47,10 +47,6 @@ def parse_rational(text: str) -> Fraction:
     return f
 
 
-def format_rational(f: Fraction) -> str:
-    return str(f)       # "p/q", or "p" when the denominator is 1
-
-
 def rat_matrix(rows) -> RatMatrix:
     """Object array of Fractions from rows of Python ints, floats or Fractions."""
     return np.array([[Fraction(x) for x in row] for row in rows], dtype=object)
@@ -200,3 +196,10 @@ def rat_is_pd(a) -> bool:
 def rat_to_float(a) -> np.ndarray:
     # float(Fraction) divides numerator by denominator, correctly rounded
     return np.asarray(a, dtype=object).astype(float)
+
+
+def rel_error(x: np.ndarray, a) -> float:
+    """max |x - a'| / max |a'| of a float matrix x against the exact a, a' the
+    correctly rounded a: how far a float route lands from the exact one."""
+    want = rat_to_float(a)
+    return float(np.abs(x - want).max()) / float(np.abs(want).max())

@@ -14,9 +14,9 @@ import numpy as np
 
 from . import exact as ex
 from .exact import parse_rational, rat_matrix
-from .linalg import Inertia, inertia_of
+from .linalg import REL_RESIDUAL, Inertia, inertia_of
 from .model import Instance, MatrixWeightedGraph, MatrixWeightedTree
-from .verifier import build_matrices
+from .verifier import build_matrices, verify_exact_consistency
 
 
 W1 = [[8, 6], [6, 5]]
@@ -109,16 +109,14 @@ def _compare_exact(name: str, got: ex.RatMatrix, want: ex.RatMatrix,
     bad = np.argwhere(got != want)
     if len(bad):
         i, j = bad[0]
-        mismatches.append(
-            f"{name}[{i + 1},{j + 1}]: expected {ex.format_rational(want[i, j])}, "
-            f"got {ex.format_rational(got[i, j])}"
-        )
+        mismatches.append(f"{name}[{i + 1},{j + 1}]: expected {want[i, j]}, "
+                          f"got {got[i, j]}")
 
 
 def run_golden() -> GoldenResult:
     """Reproduce the worked example: D, L, and F(1) = (D^{-1} - L)^{-1}, as
-    bit-exact rationals, and the float pipeline against the frozen rationals
-    at 1e-9 relative."""
+    bit-exact rationals, and the float pipeline against them within
+    REL_RESIDUAL relative: float F(1) is EXACT-CONSISTENCY at beta = 1."""
     inst = golden_instance()
     m = build_matrices(inst)
     mismatches: list[str] = []
@@ -130,16 +128,13 @@ def run_golden() -> GoldenResult:
     want_d = np.array(EXPECTED_D, dtype=float)
     if not np.array_equal(m.d.array, want_d):
         mismatches.append("D (float): integer entries not reproduced exactly")
-    want_l = ex.rat_to_float(expected_l())
-    err = np.abs(m.l.array - want_l).max()
-    if err > 1e-9 * np.abs(want_l).max():
-        mismatches.append(f"L (float): max abs error {err:.3e}")
-    f = m.pencil(1.0).f.array
-    want_f = ex.rat_to_float(expected_f())
-    rel = np.abs(f - want_f).max() / np.abs(want_f).max()
-    if rel > 1e-9:
-        mismatches.append(f"F (float): max relative error {rel:.3e}")
-    got_in = inertia_of(f)
+    rel = ex.rel_error(m.l.array, expected_l())
+    if rel > REL_RESIDUAL:
+        mismatches.append(f"L (float): max relative error {rel:.3e}")
+    check = verify_exact_consistency(m, 1.0)
+    if not check.passed:
+        mismatches.append(f"F (float): {check.check_id} fails, {check.evidence}")
+    got_in = inertia_of(m.pencil(1.0).f.array)
     if got_in != EXPECTED_INERTIA:
         mismatches.append(
             f"inertia: expected {tuple(EXPECTED_INERTIA)}, got {tuple(got_in)}"

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError, InstanceSyntaxError, SchemaError, ValidationError
-from .exact import format_rational, parse_rational, rat_is_pd, rat_to_float
+from .exact import parse_rational, rat_is_pd, rat_to_float
 from .kernels import adjacency, walk
 from .linalg import EIG_ZERO
 
@@ -338,8 +338,8 @@ def _weight_from_json(obj, s: int, kind: str) -> list:
         if not all(isinstance(x, str) for row in obj for x in row):
             raise SchemaError("rational entries must be strings like 'p/q'")
         return [[parse_rational(x) for x in row] for row in obj]
-    if not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-               for row in obj for x in row):
+    # a bool's type is bool, not int: true is not a number here
+    if not all(type(x) in (int, float) for row in obj for x in row):
         raise SchemaError("float entries must be JSON numbers")
     return obj
 
@@ -422,7 +422,7 @@ def _edges_to_json(g: MatrixWeightedGraph, kind: str) -> str:
     if not len(g.endpoints):
         return '{\n    "edges": []\n  }'
     if kind == "rational":
-        flat = [format_rational(x) for x in g.exact.flat]
+        flat = [str(x) for x in g.exact.flat]     # "p/q", or "p" for an integer
     else:
         flat = g.weights.ravel().tolist()
     # one call of json's C encoder renders every entry: its float repr, NaN

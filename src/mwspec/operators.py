@@ -31,7 +31,7 @@ from .model import MatrixWeightedGraph, MatrixWeightedTree
 
 
 class BlockMatrix:
-    """ns x ns matrix with 1-based s x s block accessors."""
+    """Read-only ns x ns float array of n x n blocks, each s x s."""
 
     __slots__ = ("n", "s", "array")
 
@@ -43,13 +43,6 @@ class BlockMatrix:
         self.n = n
         self.s = s
         self.array = array
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        """s x s block at 1-based block position (i, j)."""
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise IndexError(f"block index ({i},{j}) out of range for n={self.n}")
-        s = self.s
-        return self.array[(i - 1) * s:i * s, (j - 1) * s:j * s]
 
 
 def _require_edges(g: MatrixWeightedGraph):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, MwspecError, NonFiniteError
-from .exact import PerturbedInverse, rat_matrix, rat_to_float
+from .exact import PerturbedInverse, rat_matrix, rel_error
 from .linalg import (
     EIG_ZERO,
     NONZERO_FLOOR,
@@ -52,7 +52,6 @@ from .perturbation import (
 )
 
 ILL_CONDITIONED_WEIGHT = 1e6
-EXACT_REL_ERROR = 1e-12      # float F against the exact rational F
 DEFAULT_BETAS = (0.0, 0.5, 1.0, 10.0)
 
 
@@ -512,14 +511,12 @@ def verify_fiedler_markham(mats: InstanceMatrices, beta: float) -> CheckResult:
 
 
 def verify_exact_consistency(mats: InstanceMatrices, beta: float) -> CheckResult:
-    """Float-kernel F against the exact rational kernel, within
-    EXACT_REL_ERROR relative to the largest entry."""
+    """Float-kernel F against the exact rational kernel, within REL_RESIDUAL
+    relative to the largest entry."""
 
     def body():
-        f = mats.pencil(beta).f
-        f_x = rat_to_float(mats.exact_f(beta))
-        rel = float(np.abs(f.array - f_x).max()) / float(np.abs(f_x).max())
-        return rel <= EXACT_REL_ERROR, {"rel_error": rel}
+        rel = rel_error(mats.pencil(beta).f.array, mats.exact_f(beta))
+        return rel <= REL_RESIDUAL, {"rel_error": rel}
 
     return _guard("EXACT-CONSISTENCY", beta, body)
 

@@ -73,7 +73,20 @@ def test_run_golden_detects_tampering(monkeypatch):
     result = run_golden()
     assert not result.ok
     assert "F[1,1]" in result.mismatches[0]
-    assert any(line.startswith("F (float)") for line in result.mismatches)
+    # the float F(1) is held to the exact route, not to the frozen rows
+    assert not any(line.startswith("F (float)") for line in result.mismatches)
+
+
+def test_run_golden_detects_a_float_fault(monkeypatch):
+    # a float closed form off by 1e-6 leaves every exact comparison as it is
+    from mwspec import operators
+
+    closed_form = operators._closed_form
+    monkeypatch.setattr(operators, "_closed_form",
+                        lambda *a: (1 + 1e-6) * closed_form(*a))
+    result = run_golden()
+    assert [line.split(":")[0] for line in result.mismatches] == ["F (float)"]
+    assert "EXACT-CONSISTENCY" in result.mismatches[0]
 
 
 def test_float_mode_relative_error_bound():

@@ -487,7 +487,7 @@ def _json_dumps_instance(inst):
 
     def weight(g, k):
         if kind == "rational":
-            return [[model.format_rational(x) for x in row] for row in g.exact[k]]
+            return [[str(x) for x in row] for row in g.exact[k]]
         return [[float(x) for x in row] for row in g.weights[k]]
 
     def edges(g):

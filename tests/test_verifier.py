@@ -51,6 +51,7 @@ from mwspec.verifier import (
     verify_preliminaries,
     verify_theorem,
 )
+from test_operators import block
 
 
 def by_id(checks, cid):
@@ -160,13 +161,13 @@ def test_sample_takes_the_block_nearest_its_zero_threshold():
     mats = build_matrices(inst)
     pencil = perturbed_pencil(mats.d_inv, mats.l, 1.0)
     f, k = pencil.f.array.copy(), 3
-    least = [np.linalg.eigvalsh(pencil.f.block(i, i))[0] for i in range(1, n + 1)]
+    least = [np.linalg.eigvalsh(block(pencil.f, i, i))[0] for i in range(1, n + 1)]
     a = 1e3 * max(least)
     q = np.linalg.qr(np.arange(1.0, s * s + 1).reshape(s, s) + np.eye(s))[0]
     f[(k - 1) * s:k * s, (k - 1) * s:k * s] = (q * [a, 1e10 * a]) @ q.T
     tampered = PerturbedPencil(pencil.p, BlockMatrix(n, s, f))
-    assert inertia_of_spectrum(np.linalg.eigvalsh(tampered.f.block(k, k))).n_zero == 1
-    new_least = [np.linalg.eigvalsh(tampered.f.block(i, i))[0] for i in range(2, n + 1)]
+    assert inertia_of_spectrum(np.linalg.eigvalsh(block(tampered.f, k, k))).n_zero == 1
+    new_least = [np.linalg.eigvalsh(block(tampered.f, i, i))[0] for i in range(2, n + 1)]
     assert 2 + int(np.argmin(new_least)) != k
     mats.memo(("pencil", 1.0), lambda: tampered)
     thm_iii = by_id(verify_theorem(mats, 1.0), "THM.iii")[0]
@@ -293,17 +294,32 @@ def test_gx_vectors_are_drawn_once_per_instance(monkeypatch):
     assert seeds == [int(instance_hash(inst)[:8], 16)]
 
 
-def test_exact_consistency_sees_a_wrong_closed_form(monkeypatch):
+@pytest.mark.parametrize("factor", [2.0, 1 + 1e-6])
+def test_exact_consistency_sees_a_wrong_closed_form(monkeypatch, factor):
     """The exact F is built from D and L, not from the closed-form D^{-1}:
     a closed form that is wrong in both kernels fails EXACT-CONSISTENCY at
-    every beta, where inverting the same wrong body on both sides passed."""
+    every beta, where inverting the same wrong body on both sides passed,
+    and P2. Off by 1e-6, it is still far above the bound on float error."""
     closed_form = operators._closed_form
-    monkeypatch.setattr(operators, "_closed_form", lambda *a: 2 * closed_form(*a))
+    monkeypatch.setattr(operators, "_closed_form", lambda *a: factor * closed_form(*a))
     inst = random_instance(4, 2, seed=6, extra_edges=1, rational=True)
     report = verify_instance(inst, list(DEFAULT_BETAS), kernel_mode="both")
     rows = by_id(report.checks, "EXACT-CONSISTENCY")
     assert [c.beta for c in rows] == list(DEFAULT_BETAS)
-    assert not any(c.passed for c in rows)
+    assert not any(c.passed or c.warning for c in rows)
+    assert not by_id(report.checks, "P2")[0].passed
+
+
+@pytest.mark.parametrize("make, beta", [
+    (golden_instance, 100.0),
+    (golden_instance, 1000.0),
+    (lambda: random_instance(24, 2, 0, 24, rational=True), 10.0),
+], ids=["golden-100", "golden-1000", "random-24x2-10"])
+def test_exact_consistency_passes_as_p_conditioning_grows(make, beta):
+    """The float F's error grows with the conditioning of P(beta): on these
+    valid instances it exceeds 1e-12, and passes the REL_RESIDUAL bound."""
+    row = verify_exact_consistency(build_matrices(make()), beta)
+    assert row.passed, row.evidence
 
 
 def test_exact_mode_builds_no_exact_closed_form(monkeypatch):
@@ -516,7 +532,7 @@ def test_shared_spectra_match_direct_route(n, s, seed, beta):
     # nearest its zero threshold in ratio (at beta = 0 every F_ii = D_ii is
     # zero, so the first of the others)
     def nearness(i):
-        w = np.abs(np.linalg.eigvalsh(pencil.f.block(i, i)))
+        w = np.abs(np.linalg.eigvalsh(block(pencil.f, i, i)))
         t = EIG_ZERO * max(1.0, w.max())
         return max(min(x, t) / max(x, t) for x in w)
     sampled = [1, max(range(2, n + 1), key=nearness) if beta else 2]
@@ -528,9 +544,9 @@ def test_shared_spectra_match_direct_route(n, s, seed, beta):
     nullity_of = lambda q: min(q.shape) - rank_of(q)
     assert blocks.inertia[:, 1].tolist() == [nullity_of(q) for q in sub_p]
     mismatches = [{"i": i, "nullity_sub": nullity_of(q),
-                   "nullity_block": nullity_of(pencil.f.block(i, i))}
+                   "nullity_block": nullity_of(block(pencil.f, i, i))}
                   for i, q in enumerate(sub_p, start=1)
-                  if nullity_of(q) != nullity_of(pencil.f.block(i, i))]
+                  if nullity_of(q) != nullity_of(block(pencil.f, i, i))]
     assert fm.evidence["mismatches"] == mismatches
     assert fm.evidence["dinv_nullities"] == [nullity_of(q) for q in sub_d]
     assert fm.evidence["sampled"] == {"beta": sampled, "dinv": [1, 2]}
@@ -554,7 +570,7 @@ def test_shared_spectra_match_direct_route(n, s, seed, beta):
     # THM.vi: one quadratic-form test per block
     f = pencil.f
     bad = [[i, j] for i in range(1, n + 1) for j in range(1, n + 1)
-           if not is_pd_quadratic_form(f.block(i, j))]
+           if not is_pd_quadratic_form(block(f, i, j))]
     assert by_id(checks, "THM.vi")[0].evidence["non_pd_blocks"] == bad
 
     # THM.vi.gx: one G_x and one inertia per vector, seeded by the instance hash
