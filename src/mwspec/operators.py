@@ -31,13 +31,14 @@ from .model import MatrixWeightedGraph, MatrixWeightedTree
 
 
 class BlockMatrix:
-    """Read-only ns x ns float array of n x n blocks, each s x s."""
+    """Read-only ns x ns float array of n x n blocks, each s x s, or a stack
+    (k, ns, ns) of them."""
 
     __slots__ = ("n", "s", "array")
 
     def __init__(self, n: int, s: int, array: np.ndarray):
         array = np.asarray(array, dtype=float)
-        if array.shape != (n * s, n * s):
+        if array.ndim not in (2, 3) or array.shape[-2:] != (n * s, n * s):
             raise ConfigError(f"expected shape {(n * s, n * s)}, got {array.shape}")
         array.setflags(write=False)
         self.n = n

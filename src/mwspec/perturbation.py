@@ -3,7 +3,10 @@ bordered matrix [[F, U], [U', 0]], Schur complements with the Haynsworth
 inertia check, and the scalar compression G_x.
 
 These are the objects the verifier exercises; each is usable on its own so
-the individual proof steps can be tested independently.
+the individual proof steps can be tested independently. The pencil, the
+bordered matrix, the Haynsworth check and G_x also take a stack: k betas, or
+a BlockMatrix of k matrices, give k results from one numpy call per step,
+each member with the bits it has alone.
 """
 
 from __future__ import annotations
@@ -31,68 +34,81 @@ def require_beta(beta: float):
         raise ConfigError(f"beta must be finite and >= 0, got {beta}")
 
 
-def perturbed_pencil(d_inv: BlockMatrix, l: BlockMatrix, beta: float) -> PerturbedPencil:
-    """P = D^{-1} - beta L and F = P^{-1}, with an inversion residual check.
+def perturbed_pencil(d_inv: BlockMatrix, l: BlockMatrix, beta) -> PerturbedPencil:
+    """P = D^{-1} - beta L and F = P^{-1}, with an inversion residual check;
+    a sequence of k betas gives the (k, ns, ns) stacks of both from one solve.
 
     Nonsingularity is guaranteed for exact data and beta >= 0, so a Singular
     failure here signals conditioning trouble in the inputs; a P or F that
-    overflowed raises NonFiniteError. P is not averaged: D^{-1} and L, and so
-    P, are bitwise symmetric by construction.
+    overflowed raises NonFiniteError. In a stack, one such member fails the
+    whole call. P is not averaged: D^{-1} and L, and so P, are bitwise
+    symmetric by construction.
     """
     if (d_inv.n, d_inv.s) != (l.n, l.s):
         raise ConfigError(f"block shapes differ: ({d_inv.n},{d_inv.s}) vs ({l.n},{l.s})")
-    require_beta(beta)
-    p = d_inv.array - beta * l.array
-    dim = p.shape[0]
+    betas = np.asarray(beta, dtype=float)
+    for b in betas.flat:
+        require_beta(b)
+    p = d_inv.array - betas[..., None, None] * l.array
+    dim = p.shape[-1]
     try:
         f = np.linalg.solve(p, np.eye(dim))
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"pencil numerically singular: {exc}") from exc
-    f = (f + f.T) / 2.0
-    residual = float(np.abs(p @ f - np.eye(dim)).max())
-    bound = REL_RESIDUAL * max(1.0, float(np.abs(p).max()))
-    if not (math.isfinite(residual) and math.isfinite(bound)):
+    f = (f + f.swapaxes(-1, -2)) / 2.0
+    residual = np.abs(p @ f - np.eye(dim)).max(axis=(-2, -1))
+    bound = REL_RESIDUAL * np.maximum(1.0, np.abs(p).max(axis=(-2, -1)))
+    if not (np.all(np.isfinite(residual)) and np.all(np.isfinite(bound))):
         raise NonFiniteError("pencil or its inverse has non-finite entries")
-    if residual > bound:
+    bad = np.flatnonzero(residual > bound)
+    if bad.size:
         raise SingularMatrixError(
-            f"inversion residual {residual:.3e} exceeds tolerance"
+            f"inversion residual {residual.flat[bad[0]]:.3e} exceeds tolerance"
         )
     return PerturbedPencil(BlockMatrix(d_inv.n, d_inv.s, p),
                            BlockMatrix(d_inv.n, d_inv.s, f))
 
 
-def principal_block_submatrix(a: BlockMatrix, idx: Sequence[int]) -> BlockMatrix:
-    """Keep the blocks in idx x idx (1-based block indices, order preserved)."""
-    idx = list(idx)
-    if not idx:
+def principal_block_submatrix(a: BlockMatrix, idx) -> BlockMatrix:
+    """Keep the blocks in idx x idx (1-based block indices, order preserved),
+    in each member of a stack alike. A sequence of r index sets of one length
+    gives the stack (r, ...) of the submatrices of one matrix, from one
+    gather."""
+    idx = np.asarray(idx)
+    if not idx.size:
         raise ConfigError("index set must be nonempty")
-    if len(set(idx)) != len(idx):
-        raise ConfigError(f"duplicate block indices in {idx}")
-    if any(not (1 <= i <= a.n) for i in idx):
-        raise ConfigError(f"block indices {idx} out of range for n={a.n}")
+    for one in np.atleast_2d(idx).tolist():
+        if len(set(one)) != len(one):
+            raise ConfigError(f"duplicate block indices in {one}")
+        if any(not (1 <= i <= a.n) for i in one):
+            raise ConfigError(f"block indices {one} out of range for n={a.n}")
     s = a.s
-    rows = ((np.asarray(idx) - 1)[:, None] * s + np.arange(s)).ravel()
-    return BlockMatrix(len(idx), s, a.array[np.ix_(rows, rows)])
+    rows = ((idx - 1)[..., None] * s + np.arange(s)).reshape(*idx.shape[:-1], -1)
+    return BlockMatrix(idx.shape[-1], s, a.array[..., rows[..., :, None], rows[..., None, :]])
 
 
 def bordered(f: BlockMatrix) -> np.ndarray:
     """(ns+s) x (ns+s) symmetric matrix [[F, U], [U', 0]], written into one
-    array: U = e (x) I_s goes in as n identity blocks, built in place."""
+    array, or the (k, ns+s, ns+s) stack of a stack F: U = e (x) I_s goes in
+    as n identity blocks, built in place."""
     n, s = f.n, f.s
     ns = n * s
-    g = np.zeros((ns + s, ns + s))
-    g[:ns, :ns] = f.array
-    g[:ns, ns:].reshape(n, s, s)[:] = np.eye(s)     # splitting rows: a view
-    g[ns:, :ns] = g[:ns, ns:].T
+    lead = f.array.shape[:-2]
+    g = np.zeros((*lead, ns + s, ns + s))
+    g[..., :ns, :ns] = f.array
+    g[..., :ns, ns:].reshape(*lead, n, s, s)[:] = np.eye(s)     # splitting rows: a view
+    g[..., ns:, :ns] = g[..., :ns, ns:].swapaxes(-1, -2)
     return g
 
 
 def schur_complement(m: np.ndarray, k: int) -> np.ndarray:
-    """M/M11 = M22 - M21 M11^{-1} M12 for the leading split M11 = M[:k, :k]."""
+    """M/M11 = M22 - M21 M11^{-1} M12 for the leading split M11 = M[:k, :k],
+    or the stack of them for a stack M (..., m, m)."""
     m = np.asarray(m, dtype=float)
-    if not 0 < k < m.shape[0]:
-        raise ConfigError(f"leading split {k} out of range for dim {m.shape[0]}")
-    m11, m12, m21, m22 = m[:k, :k], m[:k, k:], m[k:, :k], m[k:, k:]
+    if not 0 < k < m.shape[-1]:
+        raise ConfigError(f"leading split {k} out of range for dim {m.shape[-1]}")
+    m11, m12 = m[..., :k, :k], m[..., :k, k:]
+    m21, m22 = m[..., k:, :k], m[..., k:, k:]
     try:
         x = np.linalg.solve(m11, m12)
     except np.linalg.LinAlgError as exc:
@@ -113,26 +129,29 @@ def haynsworth_check(m: np.ndarray, k: int, pivot_inertia: Inertia
     In(F) = In(P). In(M) and In(M/M11) are measured.
     Returns (In(M), In(M11) + In(M/M11), whether they agree, M/M11), the
     Schur complement averaged with its transpose, so symmetric bit for bit.
+    A stack M (k, m, m) with an Inertia of (k,) counts gives the inertias as
+    (k,) counts, a (k,) bool array and the (k, ...) Schur complements.
     """
     m = np.asarray(m, dtype=float)
     schur = schur_complement(m, k)
-    schur = (schur + schur.T) / 2.0
+    schur = (schur + schur.swapaxes(-1, -2)) / 2.0
     lhs = inertia_of(m)
     in_schur = inertia_of(schur)
     rhs = Inertia(*(a + b for a, b in zip(pivot_inertia, in_schur)))
-    return lhs, rhs, lhs == rhs, schur
+    agree = np.all(np.equal(lhs, rhs), axis=0)
+    return lhs, rhs, bool(agree) if agree.ndim == 0 else agree, schur
 
 
 def gx_matrix(a: BlockMatrix, x: np.ndarray) -> np.ndarray:
     """n x n compression [x' A_ij x] of a block matrix by a nonzero s-vector;
-    a stack of vectors (..., s) gives the stack of compressions (..., n, n)."""
+    a stack of vectors (..., s) gives the stack of compressions (..., n, n),
+    and a stack A (k, ns, ns) one such result per member, (k, ..., n, n)."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 or x.shape[-1] != a.s:
         raise ConfigError(f"x must have length s={a.s}, got {x.shape}")
     if not np.all(np.any(x != 0, axis=-1)):
         raise ConfigError("x must be nonzero")
     n, s = a.n, a.s
-    # one pass: (I_n (x) x)' A (I_n (x) x)
-    xa = a.array.reshape(n, s, n, s)
-    return np.einsum("...p,ipjq,...q->...ij", x, xa, x)
-
+    # one pass: (I_n (x) x)' A (I_n (x) x); a member of A broadcasts over x
+    xa = a.array.reshape(*a.array.shape[:-2], *(1,) * (x.ndim - 1), n, s, n, s)
+    return np.einsum("...p,...ipjq,...q->...ij", x, xa, x)

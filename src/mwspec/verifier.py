@@ -139,10 +139,34 @@ def _rel(x: np.ndarray, ref: float) -> float:
 
 def _null_compress(x: np.ndarray, n: int, s: int) -> np.ndarray:
     """B'XB, B = [(e_i - e_n) (x) I_s] (i < n) a basis of ker J, as blocks
-    (X_ij - X_nj) - (X_in - X_nn): in that order, the bits of (B'X)B."""
-    xb = x.reshape(n, s, n, s)
-    btx = xb[:-1] - xb[-1:]
-    return (btx[:, :, :-1] - btx[:, :, -1:]).reshape((n - 1) * s, (n - 1) * s)
+    (X_ij - X_nj) - (X_in - X_nn): in that order, the bits of (B'X)B. A stack
+    X (k, ns, ns) gives the stack of compressions."""
+    lead = x.shape[:-2]
+    xb = x.reshape(*lead, n, s, n, s)
+    btx = xb[..., :-1, :, :, :] - xb[..., -1:, :, :, :]
+    return (btx[..., :-1, :] - btx[..., -1:, :]).reshape(*lead, (n - 1) * s, (n - 1) * s)
+
+
+# A stacked call takes as many betas as fit in this many bytes of its input,
+# and at least one. Stacks pay off at the small orders where numpy's cost per
+# call outweighs LAPACK's work; where it does not, each beta is a stack of its
+# own and needs only one beta's transient memory.
+STACK_BYTES = 1 << 18
+
+
+def _stack(arrays) -> np.ndarray:
+    """(k, ...) array of k equal-shape arrays; a lone one is viewed, not copied."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _members(inert: Inertia) -> list[Inertia]:
+    """The Inertia of each member of a stack's (k,) counts, in Python ints."""
+    return [Inertia(*map(int, c)) for c in zip(*inert)]
+
+
+def _deleted(n: int, vertices) -> list[list[int]]:
+    """alpha' = all blocks but i, for each 1-based vertex i in vertices."""
+    return [[k for k in range(1, n + 1) if k != i] for i in vertices]
 
 
 @dataclass(frozen=True)
@@ -169,12 +193,13 @@ class DeletedBlocks:
         return len(self.inertia) - len(self.sampled)
 
 
-def _nearest_zero_threshold(w: np.ndarray) -> int:
-    """Row of the stack of spectra w with the value nearest, in ratio, to its
-    row's zero threshold: the block whose zero count is likeliest to differ
-    from what a decomposition at another scale would count."""
-    a, t = np.abs(w), zero_threshold(w)[:, None]
-    return int(np.argmax((np.minimum(a, t) / np.maximum(a, t)).max(axis=-1)))
+def _nearest_zero_threshold(w: np.ndarray) -> np.ndarray:
+    """For a stack (k, n, s) of spectra, the row of each member with the value
+    nearest, in ratio, to its row's zero threshold: the block whose zero count
+    is likeliest to differ from what a decomposition at another scale would
+    count."""
+    a, t = np.abs(w), zero_threshold(w)[..., None]
+    return np.argmax((np.minimum(a, t) / np.maximum(a, t)).max(axis=-1), axis=-1)
 
 
 @dataclass
@@ -182,10 +207,18 @@ class InstanceMatrices:
     """Everything downstream checks need, built once per instance: the
     instance itself and its float operators.
 
-    Objects that several checks read (the pencil, its spectra and the
-    Haynsworth split of each beta, the exact F(beta), THM.vi.gx's vectors,
-    the instance hash) are built on first use and kept in `_memo` under a
-    name and beta, together with the error that building one raised.
+    Objects that several checks read are built on first use and kept in
+    `_memo` under a name, or a name and beta, together with the error that
+    building one raised: the instance hash, U'D^{-1}U, the exact operators
+    and F(beta), THM.vi.gx's vectors, and per beta the pencil and every
+    spectrum, scale and inertia the theorem checks read.
+
+    `verify_instance` records its distinct betas under "betas". A per-beta
+    object is then built for every recorded beta at once, on first use: one
+    stack (k, m, m) and one numpy call per step, and at most STACK_BYTES of
+    input per call. A beta that was not recorded is a stack of one. A stack
+    whose build raises is redone beta by beta, as stacks of one, so a bad
+    beta fails only its own rows, with the error it raises alone.
     """
 
     inst: Instance
@@ -206,47 +239,113 @@ class InstanceMatrices:
     def memo(self, key, make):
         """make(), computed once per key; a raised error is kept and re-raised."""
         if key not in self._memo:
-            try:
-                self._memo[key] = make()
-            except _FAILURES as exc:
-                self._memo[key] = exc
+            self._keep(key, make)
         if isinstance(self._memo[key], Exception):
             raise self._memo[key]
         return self._memo[key]
 
+    def _keep(self, key, make):
+        """Keep make() under key, or the error it raised."""
+        try:
+            self._memo[key] = make()
+        except _FAILURES as exc:
+            self._memo[key] = exc
+
+    def _stacked(self, name: str, beta: float, make, positive: bool = False):
+        """The memo entry (name, beta). make(bs) returns one value per beta of
+        bs; on a miss it fills the entry of every recorded beta that lacks
+        one (every recorded beta > 0 when positive), or of beta alone when
+        beta was not recorded."""
+        if (name, beta) not in self._memo:
+            todo = [b for b in self._memo.get("betas", ())
+                    if (name, b) not in self._memo and (b or not positive)]
+            if beta not in todo:
+                todo = [beta]
+            n, s = self.n, self.s
+            # the largest input per beta: the bordered matrix, the two
+            # sampled deleted blocks or THM.vi.gx's s + 10 compressions
+            member = 8 * max((n * s + s) ** 2, 2 * ((n - 1) * s) ** 2, (s + 10) * n * n)
+            size = max(1, STACK_BYTES // member)
+            for i in range(0, len(todo), size):
+                bs = todo[i:i + size]
+                if len(bs) > 1:
+                    try:
+                        self._memo.update(zip([(name, b) for b in bs], make(bs)))
+                        continue
+                    except _FAILURES:
+                        pass     # redone beta by beta below
+                for b in bs:
+                    self._keep((name, b), lambda b=b: make([b])[0])
+        return self.memo((name, beta), lambda: make([beta])[0])
+
     def instance_hash(self) -> str:
         return self.memo("instance_hash", lambda: instance_hash(self.inst))
 
+    def udu(self) -> np.ndarray:
+        """U'D^{-1}U = 2R^{-1}: COR2.8's matrix, and minus the Schur complement
+        of F in the bordered matrix at every beta."""
+        return self.memo("udu", lambda: self.u.T @ self.d_inv.array @ self.u)
+
     def pencil(self, beta: float) -> PerturbedPencil:
-        return self.memo(("pencil", beta),
-                         lambda: perturbed_pencil(self.d_inv, self.l, beta))
+        def make(bs):
+            n, s = self.n, self.s
+            pencil = perturbed_pencil(self.d_inv, self.l, bs)
+            return [PerturbedPencil(BlockMatrix(n, s, p), BlockMatrix(n, s, f))
+                    for p, f in zip(pencil.p.array, pencil.f.array)]
+
+        return self._stacked("pencil", beta, make)
+
+    def _f(self, bs) -> BlockMatrix:
+        """The stack of F(beta) over the betas bs."""
+        return BlockMatrix(self.n, self.s, _stack([self.pencil(b).f.array for b in bs]))
 
     def p(self, beta: float) -> BlockMatrix:
         """P(beta); P(0) is D^{-1} itself, bit for bit, and needs no inverse."""
         return self.pencil(beta).p if beta else self.d_inv
 
+    def scales(self, beta: float) -> tuple[float, float]:
+        """max(1, max|P|) and max(1, max|F|) at beta: the theorem checks'
+        threshold scales."""
+        def make(bs):
+            top = lambda a: np.maximum(1.0, np.abs(_stack(a)).max(axis=(1, 2))).tolist()
+            pencils = [self.pencil(b) for b in bs]
+            return list(zip(top([c.p.array for c in pencils]),
+                            top([c.f.array for c in pencils])))
+
+        return self._stacked("scales", beta, make)
+
     def p_spectrum(self, beta: float) -> np.ndarray:
         """Ascending eigenvalues of P(beta); at beta = 0 no pencil is built."""
-        return self.memo(("p_eigs", beta),
-                         lambda: sym_eigvals(self.p(beta).array))
+        return self._stacked("p_eigs", beta, lambda bs: sym_eigvals(
+            _stack([self.p(b).array for b in bs])))
+
+    def p_inertia(self, beta: float) -> Inertia:
+        """In(P(beta)), counted on its spectrum."""
+        return self._stacked("p_inertia", beta, lambda bs: _members(
+            inertia_of_spectrum(_stack([self.p_spectrum(b) for b in bs]))))
 
     def block_spectra(self, beta: float) -> np.ndarray:
         """(n, s): ascending eigenvalues of each diagonal block F_ii of F(beta)."""
-        def make():
+        def make(bs):
             n, s = self.n, self.s
-            f = self.pencil(beta).f.array.reshape(n, s, n, s)
-            return sym_eigvals(f[np.arange(n), :, np.arange(n), :])
+            f = self._f(bs).array.reshape(len(bs), n, s, n, s)
+            i = np.arange(n)
+            return sym_eigvals(f[:, i, :, i, :].swapaxes(0, 1))
 
-        return self.memo(("block_eigs", beta), make)
+        return self._stacked("block_eigs", beta, make)
+
+    def block_inertia(self, beta: float) -> Inertia:
+        """In(F_ii) of every diagonal block of F(beta), as (n,) counts."""
+        return self._stacked("block_inertia", beta, lambda bs: [Inertia(*c) for c in zip(
+            *inertia_of_spectrum(_stack([self.block_spectra(b) for b in bs])))])
 
     def deleted_spectra(self, beta: float, vertices) -> np.ndarray:
         """The direct route: row k holds the ascending eigenvalues of P(alpha')
-        for alpha' = all blocks but vertices[k] (1-based), one eigvalsh of an
-        (n-1)s submatrix each."""
+        for alpha' = all blocks but vertices[k] (1-based), from one eigvalsh
+        over the (n-1)s submatrices."""
         p = self.p(beta)
-        blocks = range(1, p.n + 1)
-        return np.array([sym_eigvals(principal_block_submatrix(
-            p, [k for k in blocks if k != i]).array) for i in vertices])
+        return sym_eigvals(np.stack([principal_block_submatrix(p, rest).array
+                                     for rest in _deleted(p.n, vertices)]))
 
     def deleted_blocks(self, beta: float) -> DeletedBlocks:
         """In(P(alpha'_i)) for every vertex i, P = P(beta), from In(P) and the
@@ -260,37 +359,83 @@ class InstanceMatrices:
         1 and, of the others, the vertex whose F_ii has an eigenvalue nearest
         its zero threshold (where the two counts split first) are decomposed
         directly, as an independent sample of the derived counts; the other
-        n - 2 counts are inferred.
+        n - 2 counts are inferred. The samples of a stack share one eigvalsh.
         """
-        def make():
+        def make(bs):
             n, s = self.n, self.s
-            p_in = inertia_of_spectrum(self.p_spectrum(beta))
-            f_eigs = self.block_spectra(beta) if beta else np.zeros((n, s))
-            f_in = inertia_of_spectrum(f_eigs)
+            p_in = np.transpose([self.p_inertia(b) for b in bs])[..., None]   # (3, k, 1)
+            f_eigs = _stack([self.block_spectra(b) if b else np.zeros((n, s)) for b in bs])
+            f_in = inertia_of_spectrum(f_eigs)                                 # (k, n) counts
             nu = f_in.n_zero
-            inertia = np.column_stack([p_in.n_minus - f_in.n_minus - nu, nu,
-                                       p_in.n_plus - f_in.n_plus - nu])
-            route = "direct"
-            if not p_in.n_zero and inertia.min() >= 0:
-                sampled = [1, 2 + _nearest_zero_threshold(f_eigs[1:])]
-                spectra = self.deleted_spectra(beta, sampled)
-                measured = np.transpose(inertia_of_spectrum(spectra))
-                if np.array_equal(measured, inertia[np.subtract(sampled, 1)]):
-                    return DeletedBlocks(inertia, "derived", sampled, spectra[:, -1])
-                route = "contradicted"
+            inertia = np.stack([p_in[0] - f_in.n_minus - nu, nu,
+                                p_in[2] - f_in.n_plus - nu], axis=-1)         # (k, n, 3)
+            sample = np.flatnonzero((p_in[1, :, 0] == 0) & (inertia.min(axis=(1, 2)) >= 0))
+            out = {}
+            if sample.size:
+                sampled = np.column_stack([np.ones_like(sample),
+                                           2 + _nearest_zero_threshold(f_eigs[sample, 1:])])
+                # (len(sample), 2, (n-1)s): one gather per beta, one eigvalsh
+                spectra = sym_eigvals(_stack([
+                    principal_block_submatrix(self.p(bs[j]), _deleted(n, v)).array
+                    for j, v in zip(sample, sampled)]))
+                measured = np.stack(inertia_of_spectrum(spectra), axis=-1)
+                agree = np.all(measured == inertia[sample[:, None], sampled - 1], axis=(1, 2))
+                out = {j: DeletedBlocks(inertia[j], "derived", v.tolist(), w[:, -1])
+                       for j, v, w, ok in zip(sample, sampled, spectra, agree) if ok}
             every = list(range(1, n + 1))
-            spectra = self.deleted_spectra(beta, every)
-            return DeletedBlocks(np.transpose(inertia_of_spectrum(spectra)), route,
-                                 every, spectra[:, -1])
+            for j in range(len(bs)):
+                if j not in out:
+                    spectra = self.deleted_spectra(bs[j], every)
+                    out[j] = DeletedBlocks(np.transpose(inertia_of_spectrum(spectra)),
+                                           "contradicted" if j in sample else "direct",
+                                           every, spectra[:, -1])
+            return [out[j] for j in range(len(bs))]
 
-        return self.memo(("deleted", beta), make)
+        return self._stacked("deleted", beta, make)
 
     def haynsworth(self, beta: float) -> tuple[Inertia, Inertia, bool, np.ndarray]:
         """The Haynsworth split of [[F, U], [U', 0]] at the pivot F = P^{-1}:
         F is congruent to P, so In(F) is read from P's spectrum."""
-        return self.memo(("haynsworth", beta), lambda: haynsworth_check(
-            bordered(self.pencil(beta).f), self.n * self.s,
-            inertia_of_spectrum(self.p_spectrum(beta))))
+        def make(bs):
+            g = bordered(self._f(bs))
+            pivot = Inertia(*np.transpose([self.p_inertia(b) for b in bs]))
+            lhs, rhs, ok, schur = haynsworth_check(g, self.n * self.s, pivot)
+            return list(zip(_members(lhs), _members(rhs), ok.tolist(), schur))
+
+        return self._stacked("haynsworth", beta, make)
+
+    def bfb_max_eig(self, beta: float) -> float:
+        """The largest eigenvalue of B'F(beta)B, B a basis of ker J (THM.v)."""
+        return self._stacked("bfb_max_eig", beta, lambda bs: sym_eigvals(
+            _null_compress(self._f(bs).array, self.n, self.s))[:, -1].tolist())
+
+    def block_pd(self, beta: float) -> np.ndarray:
+        """(n, n) bools, row-major in (i, j): whether the quadratic form of
+        each block F_ij of F(beta) is positive definite (THM.vi)."""
+        def make(bs):
+            n, s = self.n, self.s
+            f = self._f(bs).array.reshape(len(bs), n, s, n, s)
+            return is_pd_quadratic_form(f.swapaxes(2, 3))
+
+        return self._stacked("block_pd", beta, make, positive=True)
+
+    def gx_spectra(self, beta: float) -> tuple[bool, float]:
+        """THM.vi.gx's compressions G_x of F(beta), for the s unit vectors and
+        10 random unit vectors seeded by the instance hash: whether each has
+        inertia (n - 1, 0, 1) and a positive diagonal, and the least magnitude
+        of an off-diagonal entry of any of them."""
+        def make(bs):
+            n = self.n
+            xs = self.memo("gx_vectors",
+                           lambda: _gx_vectors(self.s, int(self.instance_hash()[:8], 16)))
+            gx = gx_matrix(self._f(bs), xs)                  # (k, s + 10, n, n)
+            inert = np.stack(inertia_of_spectrum(sym_eigvals(gx)), axis=-1)
+            shaped = (np.all(inert == (n - 1, 0, 1), axis=(1, 2))
+                      & ~np.any(np.diagonal(gx, axis1=-2, axis2=-1) <= 0, axis=(1, 2)))
+            off = np.abs(gx[..., ~np.eye(n, dtype=bool)])
+            return list(zip(shaped.tolist(), off.min(axis=(1, 2), initial=np.inf).tolist()))
+
+        return self._stacked("gx", beta, make, positive=True)
 
     def exact_operators(self) -> tuple[np.ndarray, np.ndarray]:
         """The path-sum D and L in exact rationals (a rational instance)."""
@@ -377,8 +522,7 @@ def verify_preliminaries(mats: InstanceMatrices) -> list[CheckResult]:
         return res <= NONZERO_FLOOR, {"jl_residual": res}
 
     def cor28():
-        udu = mats.u.T @ d_inv @ mats.u
-        min_eig = float(sym_eigvals(udu)[0])
+        min_eig = float(sym_eigvals(mats.udu())[0])
         return min_eig > EIG_ZERO, {"min_eig": min_eig}
 
     for cid, fn in (("P1", p1), ("P2", p2), ("P3", p3), ("P4", p4),
@@ -398,12 +542,11 @@ def verify_theorem(mats: InstanceMatrices, beta: float) -> list[CheckResult]:
     n, s = mats.n, mats.s
     # every body builds what it reads on first use, inside its own guard, so
     # a pencil that cannot be built fails each check of this beta
-    pencil = lambda: mats.pencil(beta)
-    p_scale = lambda: max(1.0, float(np.abs(pencil().p.array).max()))
-    f_scale = lambda: max(1.0, float(np.abs(pencil().f.array).max()))
+    p_scale = lambda: mats.scales(beta)[0]
+    f_scale = lambda: mats.scales(beta)[1]
 
     def p_eigs():
-        pencil()     # P(0) = D^{-1} needs no inverse, but the theorem does
+        mats.pencil(beta)     # P(0) = D^{-1} needs no inverse, but the theorem does
         return mats.p_spectrum(beta)
 
     def thm_i():
@@ -411,7 +554,8 @@ def verify_theorem(mats: InstanceMatrices, beta: float) -> list[CheckResult]:
         return min_abs > EIG_ZERO * p_scale(), {"min_abs_eig": min_abs}
 
     def thm_ii():
-        inert = inertia_of_spectrum(p_eigs())
+        p_eigs()
+        inert = mats.p_inertia(beta)
         return inert == (n * s - s, 0, s), {"inertia": list(inert)}
 
     def thm_iii():
@@ -437,15 +581,15 @@ def verify_theorem(mats: InstanceMatrices, beta: float) -> list[CheckResult]:
 
     def thm_iv_haynsworth():
         lhs, rhs, ok, gf = mats.haynsworth(beta)
-        target = -mats.u.T @ mats.d_inv.array @ mats.u
-        res = _rel(gf - target, max(1.0, float(np.abs(target).max())))
+        # the Schur complement is -U'D^{-1}U at every beta
+        udu = mats.udu()
+        res = _rel(gf + udu, max(1.0, float(np.abs(udu).max())))
         return ok and res <= REL_RESIDUAL, {
             "lhs": list(lhs), "rhs": list(rhs), "schur_residual": res,
         }
 
     def thm_v():
-        bfb = _null_compress(pencil().f.array, n, s)
-        max_eig = float(sym_eigvals(bfb)[-1])
+        max_eig = mats.bfb_max_eig(beta)
         return max_eig <= EIG_ZERO * f_scale(), {"max_eig": max_eig}
 
     checks = [_guard(cid, beta, fn) for cid, fn in (
@@ -459,24 +603,14 @@ def verify_theorem(mats: InstanceMatrices, beta: float) -> list[CheckResult]:
                          for cid in ("THM.vi", "THM.vi.gx")]
 
     def thm_vi():
-        # the (n, n, s, s) stack of blocks F_ij, row-major in (i, j)
-        f = pencil().f
-        pd = is_pd_quadratic_form(f.array.reshape(n, s, n, s).swapaxes(1, 2))
-        bad = (np.argwhere(~pd) + 1).tolist()
+        bad = (np.argwhere(~mats.block_pd(beta)) + 1).tolist()
         return not bad, {"non_pd_blocks": bad}
 
     def thm_vi_gx():
         floor = NONZERO_FLOOR * f_scale()
-        xs = mats.memo("gx_vectors",
-                       lambda: _gx_vectors(s, int(mats.instance_hash()[:8], 16)))
-        gx = gx_matrix(pencil().f, xs)
-        inert = inertia_of_spectrum(sym_eigvals(gx))
-        off = np.abs(gx[:, ~np.eye(n, dtype=bool)])
-        worst_offdiag = float(off.min(initial=np.inf))
-        ok = (np.all(np.transpose(inert) == (n - 1, 0, 1))
-              and not np.any(np.diagonal(gx, axis1=1, axis2=2) <= 0)
-              and worst_offdiag > floor)
-        return ok, {"min_offdiag": worst_offdiag, "floor": floor}
+        shaped, worst_offdiag = mats.gx_spectra(beta)
+        return shaped and worst_offdiag > floor, {"min_offdiag": worst_offdiag,
+                                                  "floor": floor}
 
     return checks + [_guard("THM.vi", beta, thm_vi), _guard("THM.vi.gx", beta, thm_vi_gx)]
 
@@ -495,7 +629,7 @@ def verify_fiedler_markham(mats: InstanceMatrices, beta: float) -> CheckResult:
     """
 
     def body():
-        null_blocks = inertia_of_spectrum(mats.block_spectra(beta)).n_zero.tolist()
+        null_blocks = mats.block_inertia(beta).n_zero.tolist()
         rows = {"beta": mats.deleted_blocks(beta), "dinv": mats.deleted_blocks(0.0)}
         null_subs = rows["beta"].inertia[:, 1].tolist()
         mismatches = [{"i": i, "nullity_sub": q, "nullity_block": b}
@@ -537,6 +671,8 @@ def verify_instance(
         require_beta(beta)
     start = time.perf_counter()
     mats = build_matrices(inst, corrupt)
+    # the per-beta objects are built for all of them at once, on first use
+    mats.memo("betas", lambda: list(dict.fromkeys(betas)))
     checks = verify_preliminaries(mats)
     for beta in betas:
         checks.extend(verify_theorem(mats, beta))

@@ -164,6 +164,25 @@ def test_sym_eigen_stack_matches_one_matrix_at_a_time():
     assert list(inertia_of_spectrum(w[1])) == [1, 2, 2]
 
 
+@pytest.mark.parametrize("m", [1, 2, 8, 48, 243])
+def test_stacked_numpy_calls_keep_each_members_bits(m):
+    """The verifier's per-beta stacks rest on this: numpy's solve, eigvalsh
+    and matmul give each member of a stack the bits it gets alone, also on
+    the sliced views a Schur complement multiplies."""
+    rng = np.random.default_rng(m)
+    a = rng.standard_normal((3, m, m))
+    a = (a + a.swapaxes(1, 2)) / 2.0 + m * np.eye(m)
+    b = rng.standard_normal((3, m, m))
+    h = (m + 1) // 2
+    x, w = np.linalg.solve(a, np.eye(m)), np.linalg.eigvalsh(a)
+    ab, cut = a @ b, a[:, h:, :h] @ b[:, :h, h:]
+    for k in range(3):
+        assert np.array_equal(x[k], np.linalg.solve(a[k], np.eye(m)))
+        assert np.array_equal(w[k], np.linalg.eigvalsh(a[k]))
+        assert np.array_equal(ab[k], a[k] @ b[k])
+        assert np.array_equal(cut[k], a[k, h:, :h] @ b[k, :h, h:])
+
+
 def test_sym_eigen_passes_a_symmetric_matrix_on_as_it_is(monkeypatch):
     rng = np.random.default_rng(33)
     a = rng.standard_normal((6, 6))

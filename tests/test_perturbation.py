@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from mwspec.errors import ConfigError, NonFiniteError, SingularPivotError
+from mwspec.errors import (
+    ConfigError,
+    NonFiniteError,
+    SingularMatrixError,
+    SingularPivotError,
+)
 from mwspec.golden import golden_instance
 from mwspec.linalg import Inertia, inertia_of
 from mwspec.model import MatrixWeightedTree, random_instance
@@ -227,6 +232,44 @@ def test_haynsworth_random_symmetric():
         m = (m + m.T) / 2.0 + np.eye(12)  # keep the pivot comfortably nonsingular
         _, _, ok, _ = haynsworth_check(m, 5, inertia_of(m[:5, :5]))
         assert ok
+
+
+def test_stacked_pencil_and_split_give_each_member_its_bits_alone():
+    inst = random_instance(6, 2, seed=8, extra_edges=4)
+    d_inv, l = distance_inverse_closed_form(inst.tree), build_laplacian(inst.graph)
+    betas = [0.0, 0.5, 3.0]
+    stack = perturbed_pencil(d_inv, l, betas)
+    assert stack.p.array.shape == stack.f.array.shape == (3, 12, 12)
+    alone = [perturbed_pencil(d_inv, l, beta) for beta in betas]
+    pivots = [inertia_of(one.p.array) for one in alone]
+    g = bordered(stack.f)
+    lhs, rhs, ok, schur = haynsworth_check(g, 12, Inertia(*np.transpose(pivots)))
+    assert ok.tolist() == [True] * 3
+    xs = np.random.default_rng(3).standard_normal((4, 2))
+    gx = gx_matrix(stack.f, xs)
+    assert gx.shape == (3, 4, 6, 6)
+    sub = principal_block_submatrix(stack.p, [1, 4, 6]).array
+    for k, (one, pivot) in enumerate(zip(alone, pivots)):
+        assert np.array_equal(stack.p.array[k], one.p.array)
+        assert np.array_equal(stack.f.array[k], one.f.array)
+        assert np.array_equal(g[k], bordered(one.f))
+        l1, r1, ok1, s1 = haynsworth_check(bordered(one.f), 12, pivot)
+        assert ([lhs[i][k] for i in range(3)], [rhs[i][k] for i in range(3)]) == (
+            list(l1), list(r1))
+        assert ok1 is True and np.array_equal(schur[k], s1)
+        assert np.array_equal(gx[k], gx_matrix(one.f, xs))
+        assert np.array_equal(sub[k], principal_block_submatrix(one.p, [1, 4, 6]).array)
+
+
+def test_stacked_pencil_fails_whole_on_one_bad_member():
+    # at beta = 1e300 the unit path's pencil is numerically singular
+    w = np.ones((2, 1, 1))
+    tree = MatrixWeightedTree(3, 1, [(0, 1), (1, 2)], w)
+    d_inv, l = distance_inverse_closed_form(tree), build_laplacian(tree)
+    perturbed_pencil(d_inv, l, [0.0, 1.0])
+    for betas in ([1e300], [0.0, 1e300, 1.0]):
+        with pytest.raises(SingularMatrixError, match="pencil numerically singular"):
+            perturbed_pencil(d_inv, l, betas)
 
 
 # --- G_x ---------------------------------------------------------------------

@@ -238,13 +238,17 @@ def test_fiedler_markham_golden():
     assert check.evidence["dinv_nullities"] == [2, 2, 2, 2]
 
 
-@pytest.mark.parametrize("inst, mode", [(golden_instance(), "both"),
-                                        (random_instance(6, 2, 42, 2), "float")],
-                         ids=["golden", "random-6x2"])
-def test_stages_alone_give_verify_instance_rows(inst, mode):
+@pytest.mark.parametrize("inst, mode, betas", [
+    (golden_instance(), "both", DEFAULT_BETAS),
+    (random_instance(6, 2, 42, 2), "float", DEFAULT_BETAS),
+    (random_instance(12, 4, 11211, 30), "float", [*DEFAULT_BETAS, 0.37]),
+], ids=["golden", "random-6x2", "random-12x4-5-betas"])
+def test_stages_alone_give_verify_instance_rows(inst, mode, betas):
     """The bundle is the stages' one input: run one by one on it, they give
-    every row verify_instance reports, evidence included."""
-    betas = list(DEFAULT_BETAS)
+    every row verify_instance reports, evidence included. Alone, each stage
+    builds its beta's objects as stacks of one; verify_instance builds them
+    for all its betas as one stack."""
+    betas = list(betas)
     mats = build_matrices(inst)
     rows = verify_preliminaries(mats)
     for beta in betas:
@@ -254,6 +258,55 @@ def test_stages_alone_give_verify_instance_rows(inst, mode):
     report = verify_instance(inst, betas, kernel_mode=mode)
     assert [c.to_json() for c in rows] == [c.to_json() for c in report.checks]
     assert report.instance_hash == instance_hash(inst)
+
+
+def test_one_bad_beta_fails_only_its_own_rows():
+    """At beta = 1e300 the unit path's pencil solve raises. In one stack with
+    beta 0 and 1 it fails only its own rows, with the error it raises alone:
+    each beta's rows are those of a verify at the good or the bad beta alone."""
+    inst = _path(3, 1.0, 1.0)
+    rows = lambda betas: [c.to_json() for c in verify_instance(inst, betas).checks]
+    good, bad = rows([0.0, 1.0]), rows([1e300])
+    assert rows([0.0, 1.0, 1e300]) == good + bad[6:]
+    assert all(not c["pass"] for c in bad[6:])
+    assert all(c["evidence"]["error"].startswith(
+        "SingularMatrixError: pencil numerically singular") for c in bad[6:])
+    assert all(c["pass"] for c in good)
+
+
+def _linalg_calls(monkeypatch, inst, betas) -> Counter:
+    calls = Counter()
+    for name in ("eigvalsh", "solve"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, real=real, name=name:
+                            calls.update([name]) or real(*a))
+    try:
+        assert verify_instance(inst, betas).ok
+    finally:
+        monkeypatch.undo()
+    return calls
+
+
+def test_a_verify_decomposes_each_kind_once_for_all_its_betas(monkeypatch):
+    """Every per-beta step is one numpy call over the stack of all betas, so
+    5 betas make as many eigvalsh and solve calls as 1, and a repeated beta
+    shares one member of the stack."""
+    inst = random_instance(8, 2, seed=5, extra_edges=6)
+    one = _linalg_calls(monkeypatch, inst, [1.0])
+    assert one == _linalg_calls(monkeypatch, inst, [0.5, 1.0, 2.0, 10.0, 0.25])
+    assert one == _linalg_calls(monkeypatch, inst, [1.0, 10.0, 1.0, 10.0])
+
+
+def test_stack_budget_splits_stacks_without_changing_a_row(monkeypatch):
+    inst = random_instance(5, 2, seed=4, extra_edges=2)
+    betas = [*DEFAULT_BETAS, 3.0]
+    whole = [c.to_json() for c in verify_instance(inst, betas).checks]
+    calls = []
+    monkeypatch.setattr(verifier, "perturbed_pencil",
+                        lambda *a: calls.append(list(a[2])) or perturbed_pencil(*a))
+    monkeypatch.setattr(verifier, "STACK_BYTES", 1)      # one beta per stack
+    assert [c.to_json() for c in verify_instance(inst, betas).checks] == whole
+    assert calls == [[beta] for beta in betas]
 
 
 def test_verify_instance_report_shape():
@@ -439,13 +492,14 @@ _TINY = Fraction(1, 10**308)
 ], ids=["float-1e308", "rational-1e-308"])
 def test_unbuildable_pencil_fails_every_theorem_row(inst, mode, monkeypatch):
     """The report keeps one row per check id per beta even when the pencil
-    cannot be built: each theorem check fails on its own, with the error,
-    and the pencil is attempted once per beta, as for a valid instance."""
+    cannot be built: each theorem check fails on its own, with the error.
+    The pencils are attempted once as a stack of both betas; that raises, so
+    each beta is attempted once more, alone, and never again."""
     calls = []
     monkeypatch.setattr(verifier, "perturbed_pencil",
-                        lambda *a: calls.append(a[2]) or perturbed_pencil(*a))
+                        lambda *a: calls.append(list(a[2])) or perturbed_pencil(*a))
     report = verify_instance(inst, [0.0, 1.0], kernel_mode=mode)
-    assert calls == [0.0, 1.0]
+    assert calls == [[0.0, 1.0], [0.0], [1.0]]
     per_beta = [*THM_IDS, "FM-nullity"] + (["EXACT-CONSISTENCY"] if mode == "both" else [])
     expected = Counter([(cid, None, False) for cid in
                         ("P1", "P2", "P3", "P4", "COL-SPACE", "COR2.8")]

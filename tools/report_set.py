@@ -1,4 +1,4 @@
-"""Print the verdict-comparison set: 70 verification reports, one sort-keyed
+"""Print the verdict-comparison set: 71 verification reports, one sort-keyed
 JSON line each, `VerificationReport.to_json()` without `wall_time`.
 
 Two checkouts verify the same instances bit for bit exactly when their
@@ -28,7 +28,10 @@ The set, in print order:
     ill-conditioned enough for theorem checks to fail;
   - the golden instance in mode both at beta 100 and 1000, where the float
     F(beta) is 1.0e-12 and 1.8e-11 from the exact one, relative to its
-    largest entry.
+    largest entry;
+  - the float 3-vertex path of unit weights at beta 0, 1 and 1e300: the
+    per-beta objects of one verify are built as one stack, and the pencil
+    solve that raises at 1e300 must fail only that beta's rows.
 
 A report added to the end of the set leaves the earlier lines as they were,
 so `head` of a longer set still compares with a shorter one.
@@ -100,6 +103,7 @@ def reports():
     yield verify_instance(golden_instance(), betas, corrupt=(1, 3, 1.1))
     yield verify_instance(random_instance(6, 2, 3, 2), [3e6, 1e7, 1e10])
     yield verify_instance(golden_instance(), [100.0, 1000.0], kernel_mode="both")
+    yield verify_instance(_path(3, 1.0), [0.0, 1.0, 1e300])
 
 
 def main():
