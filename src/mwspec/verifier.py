@@ -339,13 +339,13 @@ class InstanceMatrices:
         return self._stacked("block_inertia", beta, lambda bs: [Inertia(*c) for c in zip(
             *inertia_of_spectrum(_stack([self.block_spectra(b) for b in bs])))])
 
-    def deleted_spectra(self, beta: float, vertices) -> np.ndarray:
-        """The direct route: row k holds the ascending eigenvalues of P(alpha')
-        for alpha' = all blocks but vertices[k] (1-based), from one eigvalsh
-        over the (n-1)s submatrices."""
+    def deleted_spectra(self, beta: float) -> np.ndarray:
+        """The direct route: row i - 1 holds the ascending eigenvalues of
+        P(alpha') for alpha' = all blocks but vertex i, one eigvalsh of an
+        (n-1)s submatrix each, so it needs one submatrix's memory at a time."""
         p = self.p(beta)
-        return sym_eigvals(np.stack([principal_block_submatrix(p, rest).array
-                                     for rest in _deleted(p.n, vertices)]))
+        return np.array([sym_eigvals(principal_block_submatrix(p, rest).array)
+                         for rest in _deleted(p.n, range(1, p.n + 1))])
 
     def deleted_blocks(self, beta: float) -> DeletedBlocks:
         """In(P(alpha'_i)) for every vertex i, P = P(beta), from In(P) and the
@@ -382,13 +382,12 @@ class InstanceMatrices:
                 agree = np.all(measured == inertia[sample[:, None], sampled - 1], axis=(1, 2))
                 out = {j: DeletedBlocks(inertia[j], "derived", v.tolist(), w[:, -1])
                        for j, v, w, ok in zip(sample, sampled, spectra, agree) if ok}
-            every = list(range(1, n + 1))
             for j in range(len(bs)):
                 if j not in out:
-                    spectra = self.deleted_spectra(bs[j], every)
+                    spectra = self.deleted_spectra(bs[j])
                     out[j] = DeletedBlocks(np.transpose(inertia_of_spectrum(spectra)),
                                            "contradicted" if j in sample else "direct",
-                                           every, spectra[:, -1])
+                                           list(range(1, n + 1)), spectra[:, -1])
             return [out[j] for j in range(len(bs))]
 
         return self._stacked("deleted", beta, make)

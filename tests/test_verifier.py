@@ -230,6 +230,31 @@ def test_singular_pencil_takes_the_direct_route(monkeypatch):
                               < -EIG_ZERO * max(1.0, np.abs(p).max()))
 
 
+def test_direct_route_keeps_each_eigvalsh_input_within_the_stack_budget(monkeypatch):
+    # n submatrices together exceed STACK_BYTES: the direct route at the
+    # singular beta decomposes them one at a time, while the sampled route at
+    # the other recorded beta shares the budgeted stack
+    inst = random_instance(30, 3, seed=2, extra_edges=10)
+    n, s = inst.n, inst.s
+    sub = 8 * ((n - 1) * s) ** 2
+    assert n * sub > verifier.STACK_BYTES
+    mats = build_matrices(inst)
+    pencil = perturbed_pencil(mats.d_inv, mats.l, 1.0)
+    w, v = np.linalg.eigh(pencil.p.array)
+    k = int(np.argmin(np.abs(w)))
+    p = pencil.p.array - w[k] * np.outer(v[:, k], v[:, k])
+    mats.memo(("pencil", 1.0), lambda: PerturbedPencil(BlockMatrix(n, s, p), pencil.f))
+    mats.memo("betas", lambda: [0.5, 1.0])
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a, *r, **kw: sizes.append(a.nbytes) or eigvalsh(a, *r, **kw))
+    assert mats.deleted_blocks(1.0).route == "direct"
+    assert mats.deleted_blocks(0.5).route == "derived"
+    assert max(sizes) <= max(verifier.STACK_BYTES, 2 * sub)
+    assert sizes.count(sub) >= n
+
+
 def test_fiedler_markham_golden():
     inst = golden_instance()
     check = verify_fiedler_markham(build_matrices(inst), 1.0)
