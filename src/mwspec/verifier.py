@@ -314,38 +314,35 @@ class InstanceMatrices:
 
         return self._stacked("scales", beta, make)
 
-    def p_spectrum(self, beta: float) -> np.ndarray:
-        """Ascending eigenvalues of P(beta); at beta = 0 no pencil is built."""
-        return self._stacked("p_eigs", beta, lambda bs: sym_eigvals(
-            _stack([self.p(b).array for b in bs])))
+    def p_eigs(self, beta: float) -> tuple[np.ndarray, Inertia]:
+        """Ascending eigenvalues of P(beta) and In(P(beta)) counted on them;
+        at beta = 0 no pencil is built."""
+        def make(bs):
+            w = sym_eigvals(_stack([self.p(b).array for b in bs]))
+            return list(zip(w, _members(inertia_of_spectrum(w))))
 
-    def p_inertia(self, beta: float) -> Inertia:
-        """In(P(beta)), counted on its spectrum."""
-        return self._stacked("p_inertia", beta, lambda bs: _members(
-            inertia_of_spectrum(_stack([self.p_spectrum(b) for b in bs]))))
+        return self._stacked("p_eigs", beta, make)
 
-    def block_spectra(self, beta: float) -> np.ndarray:
-        """(n, s): ascending eigenvalues of each diagonal block F_ii of F(beta)."""
+    def block_eigs(self, beta: float) -> tuple[np.ndarray, Inertia]:
+        """(n, s): ascending eigenvalues of each diagonal block F_ii of
+        F(beta), and In(F_ii) as (n,) counts. F(0) = D, whose diagonal blocks
+        are exactly zero: the distance fill never writes them, and
+        build_matrices refuses a corruption that leaves an entry unchanged.
+        So at beta = 0 nothing is decomposed and F(0) is not read; a D that
+        is not finite raises NonFiniteError."""
         def make(bs):
             n, s = self.n, self.s
             f = self._f(bs).array.reshape(len(bs), n, s, n, s)
             i = np.arange(n)
-            return sym_eigvals(f[:, i, :, i, :].swapaxes(0, 1))
+            w = sym_eigvals(f[:, i, :, i, :].swapaxes(0, 1))
+            return list(zip(w, [Inertia(*c) for c in zip(*inertia_of_spectrum(w))]))
 
-        return self._stacked("block_eigs", beta, make)
-
-    def block_inertia(self, beta: float) -> Inertia:
-        """In(F_ii) of every diagonal block of F(beta), as (n,) counts."""
-        return self._stacked("block_inertia", beta, lambda bs: [Inertia(*c) for c in zip(
-            *inertia_of_spectrum(_stack([self.block_spectra(b) for b in bs])))])
-
-    def deleted_spectra(self, beta: float) -> np.ndarray:
-        """The direct route: row i - 1 holds the ascending eigenvalues of
-        P(alpha') for alpha' = all blocks but vertex i, one eigvalsh of an
-        (n-1)s submatrix each, so it needs one submatrix's memory at a time."""
-        p = self.p(beta)
-        return np.array([sym_eigvals(principal_block_submatrix(p, rest).array)
-                         for rest in _deleted(p.n, range(1, p.n + 1))])
+        if beta:
+            return self._stacked("block_eigs", beta, make, positive=True)
+        if not np.all(np.isfinite(self.d.array)):
+            raise NonFiniteError("D has non-finite entries")
+        w = np.zeros((self.n, self.s))
+        return w, inertia_of_spectrum(w)
 
     def deleted_blocks(self, beta: float) -> DeletedBlocks:
         """In(P(alpha'_i)) for every vertex i, P = P(beta), from In(P) and the
@@ -354,21 +351,22 @@ class InstanceMatrices:
         Haynsworth inertia additivity with the Fiedler-Markham nullity
         theorem gives, for a nonsingular P and nu = n_0(F_ii),
         n_-(P(alpha')) = n_-(P) - n_-(F_ii) - nu, n_0 = nu and
-        n_+ = n_+(P) - n_+(F_ii) - nu. At beta = 0, F = D, whose diagonal
-        blocks are exactly zero, so nu = s there, and F(0) is not read. Vertex
-        1 and, of the others, the vertex whose F_ii has an eigenvalue nearest
-        its zero threshold (where the two counts split first) are decomposed
-        directly, as an independent sample of the derived counts; the other
-        n - 2 counts are inferred. The samples of a stack share one eigvalsh.
+        n_+ = n_+(P) - n_+(F_ii) - nu. Vertex 1 and, of the others, the
+        vertex whose F_ii has an eigenvalue nearest its zero threshold (where
+        the two counts split first) are decomposed directly, as an
+        independent sample of the derived counts; the other n - 2 counts are
+        inferred. The samples of a stack share one eigvalsh. The direct route
+        decomposes one (n-1)s submatrix at a time, so it needs one
+        submatrix's memory at a time.
         """
         def make(bs):
             n, s = self.n, self.s
-            p_in = np.transpose([self.p_inertia(b) for b in bs])[..., None]   # (3, k, 1)
-            f_eigs = _stack([self.block_spectra(b) if b else np.zeros((n, s)) for b in bs])
-            f_in = inertia_of_spectrum(f_eigs)                                 # (k, n) counts
-            nu = f_in.n_zero
-            inertia = np.stack([p_in[0] - f_in.n_minus - nu, nu,
-                                p_in[2] - f_in.n_plus - nu], axis=-1)         # (k, n, 3)
+            p_in = np.transpose([self.p_eigs(b)[1] for b in bs])[..., None]   # (3, k, 1)
+            f_eigs, f_in = zip(*(self.block_eigs(b) for b in bs))
+            f_eigs, f_in = _stack(f_eigs), np.array(f_in)                     # (k, n, s), (k, 3, n)
+            nu = f_in[:, 1]
+            inertia = np.stack([p_in[0] - f_in[:, 0] - nu, nu,
+                                p_in[2] - f_in[:, 2] - nu], axis=-1)         # (k, n, 3)
             sample = np.flatnonzero((p_in[1, :, 0] == 0) & (inertia.min(axis=(1, 2)) >= 0))
             out = {}
             if sample.size:
@@ -384,7 +382,9 @@ class InstanceMatrices:
                        for j, v, w, ok in zip(sample, sampled, spectra, agree) if ok}
             for j in range(len(bs)):
                 if j not in out:
-                    spectra = self.deleted_spectra(bs[j])
+                    p = self.p(bs[j])
+                    spectra = np.array([sym_eigvals(principal_block_submatrix(p, rest).array)
+                                        for rest in _deleted(n, range(1, n + 1))])
                     out[j] = DeletedBlocks(np.transpose(inertia_of_spectrum(spectra)),
                                            "contradicted" if j in sample else "direct",
                                            list(range(1, n + 1)), spectra[:, -1])
@@ -397,7 +397,7 @@ class InstanceMatrices:
         F is congruent to P, so In(F) is read from P's spectrum."""
         def make(bs):
             g = bordered(self._f(bs))
-            pivot = Inertia(*np.transpose([self.p_inertia(b) for b in bs]))
+            pivot = Inertia(*np.transpose([self.p_eigs(b)[1] for b in bs]))
             lhs, rhs, ok, schur = haynsworth_check(g, self.n * self.s, pivot)
             return list(zip(_members(lhs), _members(rhs), ok.tolist(), schur))
 
@@ -546,15 +546,14 @@ def verify_theorem(mats: InstanceMatrices, beta: float) -> list[CheckResult]:
 
     def p_eigs():
         mats.pencil(beta)     # P(0) = D^{-1} needs no inverse, but the theorem does
-        return mats.p_spectrum(beta)
+        return mats.p_eigs(beta)
 
     def thm_i():
-        min_abs = float(np.abs(p_eigs()).min())
+        min_abs = float(np.abs(p_eigs()[0]).min())
         return min_abs > EIG_ZERO * p_scale(), {"min_abs_eig": min_abs}
 
     def thm_ii():
-        p_eigs()
-        inert = mats.p_inertia(beta)
+        inert = p_eigs()[1]
         return inert == (n * s - s, 0, s), {"inertia": list(inert)}
 
     def thm_iii():
@@ -628,7 +627,7 @@ def verify_fiedler_markham(mats: InstanceMatrices, beta: float) -> CheckResult:
     """
 
     def body():
-        null_blocks = mats.block_inertia(beta).n_zero.tolist()
+        null_blocks = mats.block_eigs(beta)[1].n_zero.tolist()
         rows = {"beta": mats.deleted_blocks(beta), "dinv": mats.deleted_blocks(0.0)}
         null_subs = rows["beta"].inertia[:, 1].tolist()
         mismatches = [{"i": i, "nullity_sub": q, "nullity_block": b}

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -15,7 +16,6 @@ from mwspec.linalg import (
     inertia_of,
     inertia_of_spectrum,
     is_pd_quadratic_form,
-    rank_of,
 )
 from mwspec.model import (
     Instance,
@@ -181,7 +181,8 @@ def test_sample_takes_the_block_nearest_its_zero_threshold():
 
 
 def test_fiedler_markham_reads_d_inverse_at_beta_zero():
-    # the beta = 0 row of FM needs no inverse of P(0) = D^{-1}
+    # FM needs no inverse of P(0) = D^{-1}: F(0) = D, whose diagonal blocks
+    # are exactly zero, so neither its dinv row nor its beta = 0 row reads it
     inst = golden_instance()
     mats = build_matrices(inst)
 
@@ -193,7 +194,27 @@ def test_fiedler_markham_reads_d_inverse_at_beta_zero():
     check = verify_fiedler_markham(mats, 1.0)
     assert check.passed
     assert check.evidence["dinv_nullities"] == [2, 2, 2, 2]
-    assert not verify_fiedler_markham(mats, 0.0).passed
+    at_zero = verify_fiedler_markham(mats, 0.0)
+    assert at_zero.passed
+    assert at_zero.evidence["mismatches"] == []
+    assert at_zero.evidence["dinv_nullities"] == [2, 2, 2, 2]
+
+
+def test_fiedler_markham_at_beta_zero_survives_round_off():
+    """FM-nullity at beta = 0 holds under a symmetric relative noise of at
+    most 1e-13 on D^{-1} and L: the blocks of F(0) = D are exactly zero,
+    not the round-off of an inverse of D^{-1}."""
+    mats = build_matrices(random_instance(60, 3, 1060, 60))
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+
+        def noisy(a):
+            r = rng.uniform(-1.0, 1.0, a.array.shape)
+            return BlockMatrix(a.n, a.s, a.array * (1.0 + 1e-13 * (r + r.T) / 2.0))
+
+        perturbed = dataclasses.replace(mats, d_inv=noisy(mats.d_inv), l=noisy(mats.l))
+        check = verify_fiedler_markham(perturbed, 0.0)
+        assert check.passed, (seed, check.evidence)
 
 
 def test_singular_pencil_takes_the_direct_route(monkeypatch):
@@ -537,25 +558,29 @@ def test_unbuildable_pencil_fails_every_theorem_row(inst, mode, monkeypatch):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("inst", [
-    _path(2, 1e308, 1e308),
-    _path(3, 1e308, 1e308),
-    _path(3, _TINY, _TINY),
+@pytest.mark.parametrize("inst, fm_passes", [
+    (_path(2, 1e308, 1e308), True),
+    (_path(3, 1e308, 1e308), False),
+    (_path(3, _TINY, _TINY), False),
 ], ids=["float-2-vertex-1e308", "float-3-vertex-1e308", "rational-3-vertex-1e-308"])
-def test_stages_read_an_overflowing_bundle_as_non_finite_failures(inst):
+def test_stages_read_an_overflowing_bundle_as_non_finite_failures(inst, fm_passes):
     """build_matrices assembles an instance whose float operators overflow
     without a numpy RuntimeWarning, and each stage run on its bundle returns
     failing rows marked non_finite (at beta = 0 every unskipped theorem row
-    is one), not a warning and not a traceback."""
+    is one), not a warning and not a traceback. FM-nullity at beta = 0 reads
+    only D^{-1} and the zero blocks of F(0) = D: on the 2-vertex path D is
+    finite and every D^{-1}(alpha') is [0], of nullity s, so that row passes."""
     mats = build_matrices(inst)
     prelim = verify_preliminaries(mats)
     theorem = verify_theorem(mats, 0.0)
-    per_beta = [verify_fiedler_markham(mats, 0.0)]
+    fm = verify_fiedler_markham(mats, 0.0)
+    per_beta = [] if fm_passes else [fm]
     if inst.is_exact:
         per_beta.append(verify_exact_consistency(mats, 0.0))
     non_finite = lambda c: not c.passed and c.evidence.get("non_finite")
     assert any(non_finite(c) for c in prelim)
     assert all(non_finite(c) for c in theorem + per_beta if not c.skipped)
+    assert fm.passed == fm_passes
 
 
 def test_verify_instance_reads_eigenvectors_only_for_the_pseudoinverse(monkeypatch):
@@ -620,7 +645,8 @@ def test_shared_spectra_match_direct_route(n, s, seed, beta):
                                 "sampled": sampled, "inferred": n - 2, "route": "derived"}
 
     # FM-nullity: the derived zero counts against the SVD route
-    nullity_of = lambda q: min(q.shape) - rank_of(q)
+    nullity_of = lambda q: min(q.shape) - inertia_of_spectrum(
+        np.linalg.svd(q, compute_uv=False)).n_plus
     assert blocks.inertia[:, 1].tolist() == [nullity_of(q) for q in sub_p]
     mismatches = [{"i": i, "nullity_sub": nullity_of(q),
                    "nullity_block": nullity_of(block(pencil.f, i, i))}
@@ -636,7 +662,7 @@ def test_shared_spectra_match_direct_route(n, s, seed, beta):
         inertia_of(bordered(pencil.f)))
     # THM.iv.haynsworth reads its pivot's inertia In(F) off P's spectrum
     # (F = P^{-1} is congruent to P); it agrees with In(F) measured
-    assert inertia_of_spectrum(mats.p_spectrum(beta)) == inertia_of(pencil.f.array)
+    assert mats.p_eigs(beta)[1] == inertia_of(pencil.f.array)
     _, rhs, _, _ = haynsworth_check(bordered(pencil.f), n * s, inertia_of(pencil.f.array))
     assert by_id(checks, "THM.iv.haynsworth")[0].evidence["rhs"] == list(rhs)
     assert by_id(checks, "THM.ii")[0].evidence["inertia"] == list(inertia_of(pencil.p.array))
