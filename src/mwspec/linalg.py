@@ -49,22 +49,28 @@ def _as_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _sym_decompose(decompose, a: np.ndarray):
-    """decompose((A + A')/2) for a symmetric matrix A, or for each matrix of a
-    stack (..., m, m), each held to the asymmetry bound at its own scale. A
-    bitwise symmetric A is its own average and is passed on as it is. An
-    eigenvalue that comes back non-finite raises NonFiniteError."""
-    a = _as_square(a)
+def sym_part(a: np.ndarray) -> np.ndarray:
+    """(A + A')/2 for a symmetric matrix A, or for each matrix of a stack
+    (..., m, m), each held to the asymmetry bound at its own scale. A bitwise
+    symmetric A is its own average and is returned as it is."""
     at = a.swapaxes(-1, -2)
-    if not np.array_equal(a, at):
-        scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
-        asym = np.abs(a - at).max(axis=(-2, -1), initial=0.0)
-        bad = np.flatnonzero(asym > REL_RESIDUAL * scale)
-        if bad.size:
-            k = bad[0]     # the first offending matrix of a stack
-            raise NotSymmetricError(f"asymmetry {asym.flat[k]:.3e} exceeds "
-                                    f"{REL_RESIDUAL:.1e} * {scale.flat[k]:.3e}")
-        a = (a + at) / 2.0
+    if np.array_equal(a, at):
+        return a
+    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
+    asym = np.abs(a - at).max(axis=(-2, -1), initial=0.0)
+    bad = np.flatnonzero(asym > REL_RESIDUAL * scale)
+    if bad.size:
+        k = bad[0]     # the first offending matrix of a stack
+        raise NotSymmetricError(f"asymmetry {asym.flat[k]:.3e} exceeds "
+                                f"{REL_RESIDUAL:.1e} * {scale.flat[k]:.3e}")
+    return (a + at) / 2.0
+
+
+def _sym_decompose(decompose, a: np.ndarray):
+    """decompose(sym_part(A)) for a symmetric matrix A, or for each matrix of
+    a stack (..., m, m). An eigenvalue that comes back non-finite raises
+    NonFiniteError."""
+    a = sym_part(_as_square(a))
     try:
         out = decompose(a)
     except np.linalg.LinAlgError as exc:
@@ -118,17 +124,58 @@ def pinv_psd(a: np.ndarray) -> np.ndarray:
     return (v * inv_w) @ v.T
 
 
+def certificate_shift(scale, side: int = 1):
+    """The shift c of a Cholesky certificate for a sign claim about the
+    eigenvalues of A: lambda > EIG_ZERO * scale (side 1) or
+    lambda >= -EIG_ZERO * scale (side -1). It is that threshold moved by half
+    of EIG_ZERO * scale toward the passing side, so a certificate never
+    passes a matrix that the spectrum fails.
+
+    Cholesky is backward stable: a factorization of A - cI that completes
+    is exact for A - cI + E with |E| = O(m u |A|), u the unit round-off
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10). That
+    rounding is far below the margin EIG_ZERO * scale / 2 at every order m
+    this package builds, so it cannot carry an eigenvalue back across the
+    threshold; the spectrum itself is only accurate to O(u |A|), so a
+    certified matrix reads the same verdict on its spectrum. The margin is a
+    fixed fraction of the threshold, not a proven bound."""
+    return (side + 0.5) * EIG_ZERO * scale
+
+
+def cholesky_certifies(a: np.ndarray, shift) -> bool:
+    """Whether np.linalg.cholesky(A - shift I) completes, with finite
+    factors, on a symmetric A or on every member of a stack (k, m, m), whose
+    shift may be a (k,) array: then each member's eigenvalues all exceed its
+    shift. A must be a fresh writable array: the shift is subtracted from its
+    diagonal in place. Never raises: a non-finite entry or shift, an overflow
+    or a failed factorization means "not certified"."""
+    a = np.ascontiguousarray(a, dtype=float)     # so that the reshape below is a view
+    m = a.shape[-1]
+    try:
+        with np.errstate(all="ignore"):
+            a.reshape(*a.shape[:-2], m * m)[..., ::m + 1] -= np.asarray(shift)[..., None]
+            return bool(np.all(np.isfinite(a))
+                        and np.all(np.isfinite(np.linalg.cholesky(a))))
+    except np.linalg.LinAlgError:
+        return False
+
+
 def is_pd_quadratic_form(a: np.ndarray) -> bool | np.ndarray:
     """True iff x'Ax > 0 for every nonzero x.
 
     Equivalent to positive definiteness of the symmetric part (A + A')/2;
     A itself need not be symmetric. A stack (..., m, m) gives a bool array
-    of the leading shape, one verdict per matrix.
+    of the leading shape, one verdict per matrix. One Cholesky certificate
+    decides a matrix, or a whole stack, that passes; the spectrum decides
+    the rest.
     """
     a = _as_square(a)
-    w = sym_eigvals((a + a.swapaxes(-1, -2)) / 2.0)
     scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
-    ok = w[..., 0] > EIG_ZERO * scale
+    sym = lambda: (a + a.swapaxes(-1, -2)) / 2.0
+    if cholesky_certifies(sym(), certificate_shift(scale)):
+        ok = np.ones(a.shape[:-2], dtype=bool)
+    else:
+        ok = sym_eigvals(sym())[..., 0] > EIG_ZERO * scale
     return bool(ok) if ok.ndim == 0 else ok
 
 

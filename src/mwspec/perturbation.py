@@ -152,6 +152,14 @@ def gx_matrix(a: BlockMatrix, x: np.ndarray) -> np.ndarray:
     if not np.all(np.any(x != 0, axis=-1)):
         raise ConfigError("x must be nonzero")
     n, s = a.n, a.s
-    # one pass: (I_n (x) x)' A (I_n (x) x); a member of A broadcasts over x
-    xa = a.array.reshape(*a.array.shape[:-2], *(1,) * (x.ndim - 1), n, s, n, s)
-    return np.einsum("...p,...ipjq,...q->...ij", x, xa, x)
+    lead = a.array.shape[:-2]
+    xs = x.reshape(-1, s)
+    # (I_n (x) x)' A (I_n (x) x): one matmul sums over the column component
+    # q for every vector at once, then a small einsum over the row component
+    # p. A lone vector goes in twice: numpy hands a one-column product to
+    # gemv, whose sums round otherwise than gemm's, and a vector keeps the
+    # bits it has in a stack
+    cols = xs if len(xs) > 1 else np.concatenate([xs, xs])
+    y = (a.array.reshape(*lead, n * s * n, s) @ cols.T).reshape(*lead, n, s, n, len(cols))
+    g = np.einsum("vp,...ipjv->...vij", xs, y[..., :len(xs)])
+    return g.reshape(*lead, *x.shape[:-1], n, n)

@@ -16,18 +16,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, MwspecError, NonFiniteError
+from .errors import ConfigError, MwspecError, NonFiniteError, NotSymmetricError
 from .exact import PerturbedInverse, rat_matrix, rel_error
 from .linalg import (
     EIG_ZERO,
     NONZERO_FLOOR,
     REL_RESIDUAL,
     Inertia,
+    certificate_shift,
+    cholesky_certifies,
     inertia_of,
     inertia_of_spectrum,
     is_pd_quadratic_form,
     rank_of,
     sym_eigvals,
+    sym_part,
     zero_threshold,
 )
 from .model import Instance, WeightProfile, instance_hash, random_instance
@@ -147,6 +150,40 @@ def _null_compress(x: np.ndarray, n: int, s: int) -> np.ndarray:
     return (btx[..., :-1, :] - btx[..., -1:, :]).reshape(*lead, (n - 1) * s, (n - 1) * s)
 
 
+def _norm_shift(x: np.ndarray):
+    """certificate_shift at the scale max(1, ||X||_inf) of X, or of each
+    member of a stack: ||X||_inf bounds X's spectral radius, so the shift
+    exceeds inertia_of_spectrum's zero threshold and every threshold scaled
+    by max(1, max|X|). A row sum that overflows gives an infinite shift,
+    which certifies nothing."""
+    with np.errstate(over="ignore"):
+        return certificate_shift(np.maximum(1.0, np.abs(x).sum(axis=-1).max(axis=-1)))
+
+
+def _certified_split(x: np.ndarray, n: int, s: int):
+    """The shift c when one Cholesky certificate shows that every eigenvalue
+    of the symmetric X (or of every member of a stack, then c is a (k,)
+    array) lies at least c from zero and In(X) = (ns - s, 0, s); None when
+    it does not.
+
+    B'B = (I + J) (x) I_s has largest eigenvalue n and U'U = nI, so by
+    Courant-Fischer -B'XB - ncI > 0 gives ns - s eigenvalues of X below -c,
+    and U'XU - ncI > 0 gives s above c. An X that fails the asymmetry bound
+    is not certified; one within it is certified by its symmetric part, the
+    matrix its spectrum would be taken of."""
+    with np.errstate(all="ignore"):
+        try:
+            x = sym_part(x)
+        except NotSymmetricError:
+            return None
+        c = _norm_shift(x)
+        btxb = _null_compress(x, n, s)
+        np.negative(btxb, out=btxb)
+        utxu = x.reshape(*x.shape[:-2], n, s, n, s).sum(axis=(-4, -2))
+    ok = cholesky_certifies(btxb, n * c) and cholesky_certifies(utxu, n * c)
+    return c if ok else None
+
+
 # A stacked call takes as many betas as fit in this many bytes of its input,
 # and at least one. Stacks pay off at the small orders where numpy's cost per
 # call outweighs LAPACK's work; where it does not, each beta is a stack of its
@@ -179,13 +216,16 @@ class DeletedBlocks:
     "contradicted" (a sampled inertia differs from the derived one); on the
     last two every vertex is decomposed directly. On the derived route the
     inertias of the n - 2 vertices outside the sample are inferred, not
-    measured.
+    measured. At beta > 0, when every derived inertia is ((n-1)s, 0, 0), one
+    Cholesky certificate may measure the sample instead: sampled_max is then
+    None and max_bound a bound that every sampled eigenvalue lies below.
     """
 
     inertia: np.ndarray          # (n, 3): n_minus, n_zero, n_plus per vertex
     route: str
     sampled: list[int]           # the 1-based vertices decomposed directly
-    sampled_max: np.ndarray      # (len(sampled),)
+    sampled_max: np.ndarray | None   # (len(sampled),)
+    max_bound: float | None = None
 
     @property
     def inferred(self) -> int:
@@ -314,12 +354,19 @@ class InstanceMatrices:
 
         return self._stacked("scales", beta, make)
 
-    def p_eigs(self, beta: float) -> tuple[np.ndarray, Inertia]:
-        """Ascending eigenvalues of P(beta) and In(P(beta)) counted on them;
-        at beta = 0 no pencil is built."""
+    def p_eigs(self, beta: float) -> tuple[np.ndarray | None, Inertia, float | None]:
+        """Ascending eigenvalues of P(beta), In(P(beta)) counted on them and
+        None; or, when one Cholesky certificate shows In(P) = (ns - s, 0, s)
+        with every |eigenvalue| above a bound c, None, that inertia and c.
+        At beta = 0 no pencil is built."""
         def make(bs):
-            w = sym_eigvals(_stack([self.p(b).array for b in bs]))
-            return list(zip(w, _members(inertia_of_spectrum(w))))
+            p = _stack([self.p(b).array for b in bs])
+            c = _certified_split(p, self.n, self.s)
+            if c is not None:
+                inert = Inertia(self.n * self.s - self.s, 0, self.s)
+                return [(None, inert, ck) for ck in c.tolist()]
+            w = sym_eigvals(p)
+            return [(wk, inert, None) for wk, inert in zip(w, _members(inertia_of_spectrum(w)))]
 
         return self._stacked("p_eigs", beta, make)
 
@@ -372,14 +419,28 @@ class InstanceMatrices:
             if sample.size:
                 sampled = np.column_stack([np.ones_like(sample),
                                            2 + _nearest_zero_threshold(f_eigs[sample, 1:])])
-                # (len(sample), 2, (n-1)s): one gather per beta, one eigvalsh
-                spectra = sym_eigvals(_stack([
+                # (len(rows), 2, (n-1)s): one gather per beta, one call
+                gather = lambda rows: _stack([
                     principal_block_submatrix(self.p(bs[j]), _deleted(n, v)).array
-                    for j, v in zip(sample, sampled)]))
-                measured = np.stack(inertia_of_spectrum(spectra), axis=-1)
-                agree = np.all(measured == inertia[sample[:, None], sampled - 1], axis=(1, 2))
-                out = {j: DeletedBlocks(inertia[j], "derived", v.tolist(), w[:, -1])
-                       for j, v, w, ok in zip(sample, sampled, spectra, agree) if ok}
+                    for j, v in rows])
+                # every derived inertia ((n-1)s, 0, 0) at beta > 0: -P(alpha')
+                # above the shift certifies the samples of all such betas
+                sure = [(j, v) for j, v in zip(sample, sampled)
+                        if bs[j] and np.all(inertia[j] == ((n - 1) * s, 0, 0))]
+                if sure:
+                    neg = -gather(sure)
+                    c = np.array([_norm_shift(self.p(bs[j]).array) for j, _ in sure])
+                    if cholesky_certifies(neg, c[:, None]):
+                        out = {j: DeletedBlocks(inertia[j], "derived", v.tolist(), None, -ck)
+                               for (j, v), ck in zip(sure, c.tolist())}
+                rest = [(j, v) for j, v in zip(sample, sampled) if j not in out]
+                if rest:
+                    spectra = sym_eigvals(gather(rest))
+                    measured = np.stack(inertia_of_spectrum(spectra), axis=-1)
+                    agree = [np.array_equal(m, inertia[j, v - 1])
+                             for (j, v), m in zip(rest, measured)]
+                    out.update({j: DeletedBlocks(inertia[j], "derived", v.tolist(), w[:, -1])
+                                for (j, v), w, ok in zip(rest, spectra, agree) if ok})
             for j in range(len(bs)):
                 if j not in out:
                     p = self.p(bs[j])
@@ -403,10 +464,21 @@ class InstanceMatrices:
 
         return self._stacked("haynsworth", beta, make)
 
-    def bfb_max_eig(self, beta: float) -> float:
-        """The largest eigenvalue of B'F(beta)B, B a basis of ker J (THM.v)."""
-        return self._stacked("bfb_max_eig", beta, lambda bs: sym_eigvals(
-            _null_compress(self._f(bs).array, self.n, self.s))[:, -1].tolist())
+    def bfb_max_eig(self, beta: float) -> tuple[float, bool]:
+        """The largest eigenvalue of B'F(beta)B, B a basis of ker J (THM.v),
+        and False; or, when one Cholesky certificate shows B'FB below
+        EIG_ZERO * max(1, max|F|) / 2, that bound and True."""
+        def make(bs):
+            f = self._f(bs).array
+            shift = certificate_shift(np.array([self.scales(b)[1] for b in bs]), side=-1)
+            neg = _null_compress(f, self.n, self.s)
+            np.negative(neg, out=neg)
+            if cholesky_certifies(neg, shift):
+                return [(-c, True) for c in shift.tolist()]
+            w = sym_eigvals(_null_compress(f, self.n, self.s))
+            return [(top, False) for top in w[:, -1].tolist()]
+
+        return self._stacked("bfb_max_eig", beta, make)
 
     def block_pd(self, beta: float) -> np.ndarray:
         """(n, n) bools, row-major in (i, j): whether the quadratic form of
@@ -428,9 +500,11 @@ class InstanceMatrices:
             xs = self.memo("gx_vectors",
                            lambda: _gx_vectors(self.s, int(self.instance_hash()[:8], 16)))
             gx = gx_matrix(self._f(bs), xs)                  # (k, s + 10, n, n)
-            inert = np.stack(inertia_of_spectrum(sym_eigvals(gx)), axis=-1)
-            shaped = (np.all(inert == (n - 1, 0, 1), axis=(1, 2))
-                      & ~np.any(np.diagonal(gx, axis1=-2, axis2=-1) <= 0, axis=(1, 2)))
+            # In(G_x) = (n - 1, 0, 1) for every G_x of the stack, or per beta
+            split = _certified_split(gx, n, 1) is not None or np.all(
+                np.stack(inertia_of_spectrum(sym_eigvals(gx)), axis=-1) == (n - 1, 0, 1),
+                axis=(1, 2))
+            shaped = split & ~np.any(np.diagonal(gx, axis1=-2, axis2=-1) <= 0, axis=(1, 2))
             off = np.abs(gx[..., ~np.eye(n, dtype=bool)])
             return list(zip(shaped.tolist(), off.min(axis=(1, 2), initial=np.inf).tolist()))
 
@@ -499,6 +573,11 @@ def verify_preliminaries(mats: InstanceMatrices) -> list[CheckResult]:
         return res <= REL_RESIDUAL, {"residual": res}
 
     def p3():
+        c = _certified_split(d, n, s)
+        if c is not None:
+            bound = -n * c
+            return bound < -EIG_ZERO * d_scale, {
+                "inertia": [n * s - s, 0, s], "btdb_max_eig_bound": bound}
         inert = inertia_of(d)
         btdb = _null_compress(d, n, s)
         max_eig = float(sym_eigvals(btdb)[-1])
@@ -507,6 +586,11 @@ def verify_preliminaries(mats: InstanceMatrices) -> list[CheckResult]:
         return ok, {"inertia": list(inert), "btdb_max_eig": max_eig}
 
     def p4():
+        bound = certificate_shift(l_scale, side=-1)
+        if cholesky_certifies(l.copy(), bound):
+            lu, rank = _rel(l @ mats.u, l_scale), rank_of(l)
+            if lu <= NONZERO_FLOOR and rank == n * s - s:
+                return True, {"min_eig_bound": bound, "lu_residual": lu, "rank": rank}
         min_eig = float(sym_eigvals(l)[0])
         lu = _rel(l @ mats.u, l_scale)
         rank = rank_of(l)
@@ -549,7 +633,10 @@ def verify_theorem(mats: InstanceMatrices, beta: float) -> list[CheckResult]:
         return mats.p_eigs(beta)
 
     def thm_i():
-        min_abs = float(np.abs(p_eigs()[0]).min())
+        w, _, bound = p_eigs()
+        if w is None:
+            return bound > EIG_ZERO * p_scale(), {"min_abs_eig_bound": bound}
+        min_abs = float(np.abs(w).min())
         return min_abs > EIG_ZERO * p_scale(), {"min_abs_eig": min_abs}
 
     def thm_ii():
@@ -563,6 +650,11 @@ def verify_theorem(mats: InstanceMatrices, beta: float) -> list[CheckResult]:
         # that bound, and every derived inertia is the one it implies.
         bound = EIG_ZERO * p_scale()
         blocks = mats.deleted_blocks(beta)
+        if blocks.sampled_max is None:
+            # certified: beta > 0 and every derived inertia ((n-1)s, 0, 0)
+            return blocks.max_bound < -bound, {
+                "max_eig_sampled_bound": blocks.max_bound, "sampled": blocks.sampled,
+                "inferred": blocks.inferred, "route": blocks.route}
         worst = float(blocks.sampled_max.max())
         ok = worst < -bound if beta > 0 else worst <= bound
         if blocks.route == "derived":
@@ -587,8 +679,9 @@ def verify_theorem(mats: InstanceMatrices, beta: float) -> list[CheckResult]:
         }
 
     def thm_v():
-        max_eig = mats.bfb_max_eig(beta)
-        return max_eig <= EIG_ZERO * f_scale(), {"max_eig": max_eig}
+        max_eig, certified = mats.bfb_max_eig(beta)
+        key = "max_eig_bound" if certified else "max_eig"
+        return max_eig <= EIG_ZERO * f_scale(), {key: max_eig}
 
     checks = [_guard(cid, beta, fn) for cid, fn in (
         ("THM.i", thm_i), ("THM.ii", thm_ii), ("THM.iii", thm_iii), ("THM.iv", thm_iv),

@@ -13,6 +13,9 @@ from mwspec.errors import (
     NotSymmetricError,
 )
 from mwspec.linalg import (
+    EIG_ZERO,
+    certificate_shift,
+    cholesky_certifies,
     inertia_of,
     inertia_of_spectrum,
     is_pd_quadratic_form,
@@ -227,3 +230,96 @@ def test_rank_of_J():
     j = np.kron(np.ones((4, 4)), np.eye(2))
     assert rank_of(j) == 2
 
+
+
+# --- Cholesky certificates ---------------------------------------------------
+
+
+def test_certificate_shift_moves_the_threshold_half_way_to_the_passing_side():
+    assert certificate_shift(2.0) == 1.5 * EIG_ZERO * 2.0        # lambda > t
+    assert certificate_shift(2.0, side=-1) == -0.5 * EIG_ZERO * 2.0   # lambda >= -t
+    assert certificate_shift(np.array([1.0, 4.0])).tolist() == [
+        1.5 * EIG_ZERO, 6.0 * EIG_ZERO]
+
+
+def test_cholesky_certifies_shifts_in_place():
+    a = np.diag([3.0, 2.0, 5.0])
+    assert cholesky_certifies(a, 1.0)
+    assert a.tolist() == np.diag([2.0, 1.0, 4.0]).tolist()
+    assert not cholesky_certifies(np.diag([3.0, 2.0, 5.0]), 2.0)
+    # a stack takes one shift per member
+    stack = np.stack([np.eye(2), 4.0 * np.eye(2)])
+    assert cholesky_certifies(stack.copy(), np.array([0.5, 3.5]))
+    assert not cholesky_certifies(stack.copy(), np.array([0.5, 4.0]))
+
+
+def test_cholesky_certificate_fails_a_stack_on_one_bad_member():
+    rng = np.random.default_rng(34)
+    q = np.linalg.qr(rng.standard_normal((5, 4, 4)))[0]
+    w = rng.uniform(1.0, 10.0, (5, 4))
+    w[3, 2] = -0.5                       # one indefinite member
+    stack = (q * w[:, None, :]) @ q.swapaxes(1, 2)
+    alone = [cholesky_certifies(a.copy(), 0.0) for a in stack]
+    assert alone == [True, True, True, False, True]
+    assert not cholesky_certifies(stack.copy(), 0.0)
+    assert cholesky_certifies(np.delete(stack, 3, axis=0), 0.0)
+
+
+@pytest.mark.parametrize("a, shift", [
+    (np.array([[1.0, np.inf], [np.inf, 1.0]]), 0.0),
+    (np.array([[np.nan, 0.0], [0.0, 1.0]]), 0.0),
+    (np.eye(2), np.inf),
+    (np.eye(2), np.nan),
+    (np.diag([1e308, 1e308]), -1e308),                  # the shifted diagonal overflows
+    (np.array([[1e-300, 1e10], [1e10, 1.0]]), 0.0),     # the factor overflows
+    (np.full((3, 3), np.finfo(float).max), 0.0),
+    (np.eye(3)[None].repeat(2, axis=0), np.array([0.0, np.inf])),
+], ids=["inf", "nan", "inf-shift", "nan-shift", "shift-overflow", "factor-overflow",
+        "max-float", "stack-inf-shift"])
+def test_cholesky_certificate_never_raises(a, shift):
+    with np.errstate(all="raise"):
+        assert cholesky_certifies(a.copy(), shift) is False
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(1, 7), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       ratio=st.floats(-3.0, 3.0), bad=st.integers(0, 3), exponent=st.integers(-60, 60),
+       side=st.sampled_from([1, -1]))
+def test_certificate_never_passes_what_the_spectrum_fails(m, k, seed, ratio, bad, exponent,
+                                                          side):
+    """For the claim lambda_min > EIG_ZERO * scale (side 1, THM.vi's) or
+    lambda_min >= -EIG_ZERO * scale (side -1, P4's and THM.v's), scale =
+    max(1, max|A|): a matrix, or every member of a stack, that the
+    certificate passes also passes on its spectrum. One member of each stack
+    has its least eigenvalue within a few thresholds of the claim's, and the
+    whole stack is scaled by 2^exponent."""
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((k, m, m)))[0]
+    w = rng.uniform(1.0, 10.0, (k, m))
+    w[bad % k, 0] = ratio * EIG_ZERO * 10.0
+    a = (q * w[:, None, :]) @ q.swapaxes(1, 2)
+    a = (a + a.swapaxes(1, 2)) / 2.0 * 2.0 ** exponent
+    scale = np.maximum(1.0, np.abs(a).max(axis=(1, 2)))
+    least = np.linalg.eigvalsh(a)[:, 0]
+    passes = least > EIG_ZERO * scale if side == 1 else least >= -EIG_ZERO * scale
+    shift = certificate_shift(scale, side)
+    if cholesky_certifies(a.copy(), shift):
+        assert passes.all()
+    for member, ok, c in zip(a, passes, shift):
+        if cholesky_certifies(member.copy(), c):
+            assert ok
+
+
+def test_quadratic_form_between_the_threshold_and_its_shift_reads_the_spectrum(monkeypatch):
+    # lambda_min = 1.2e-9: above the threshold 1e-9, below the shift 1.5e-9,
+    # so the certificate fails and the spectrum decides, as without it
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    assert is_pd_quadratic_form(np.diag([1.0, 1.0, 1.2e-9]))
+    assert not is_pd_quadratic_form(np.diag([1.0, 1.0, 0.9e-9]))
+    assert len(calls) == 2
+    assert is_pd_quadratic_form(np.diag([1.0, 1.0, 1.6e-9]))     # certified
+    stack = np.stack([np.eye(3), np.diag([1.0, 1.0, 1.2e-9]), np.diag([1.0, 1.0, 0.9e-9])])
+    assert is_pd_quadratic_form(stack).tolist() == [True, True, False]
+    assert len(calls) == 3

@@ -34,7 +34,7 @@ from mwspec.perturbation import (
     perturbed_pencil,
     principal_block_submatrix,
 )
-from mwspec import operators, verifier
+from mwspec import linalg, operators, verifier
 from mwspec.verifier import (
     DEFAULT_BETAS,
     CampaignConfig,
@@ -640,9 +640,16 @@ def test_shared_spectra_match_direct_route(n, s, seed, beta):
         t = EIG_ZERO * max(1.0, w.max())
         return max(min(x, t) / max(x, t) for x in w)
     sampled = [1, max(range(2, n + 1), key=nearness) if beta else 2]
+    # at beta > 0 a Cholesky certificate bounds the sampled eigenvalues: the
+    # bound lies above every one the direct route measures
     thm_iii = by_id(checks, "THM.iii")[0]
-    assert thm_iii.evidence == {"max_eig_sampled": max(direct[i - 1][-1] for i in sampled),
-                                "sampled": sampled, "inferred": n - 2, "route": "derived"}
+    evidence = dict(thm_iii.evidence)
+    worst = max(direct[i - 1][-1] for i in sampled)
+    if beta:
+        assert evidence.pop("max_eig_sampled_bound") > worst
+    else:
+        assert evidence.pop("max_eig_sampled") == worst
+    assert evidence == {"sampled": sampled, "inferred": n - 2, "route": "derived"}
 
     # FM-nullity: the derived zero counts against the SVD route
     nullity_of = lambda q: min(q.shape) - inertia_of_spectrum(
@@ -690,3 +697,89 @@ def test_shared_spectra_match_direct_route(n, s, seed, beta):
     gx_check = by_id(checks, "THM.vi.gx")[0]
     assert gx_check.evidence["min_offdiag"] == worst
     assert gx_check.passed == ok
+
+
+# --- Cholesky certificates ---------------------------------------------------
+
+# the evidence key of a certified row, the spectrum's key it stands for, and
+# whether the true value lies above the bound ("min") or below it ("max")
+_BOUND_KEYS = {
+    "btdb_max_eig_bound": ("btdb_max_eig", "max"),       # P3
+    "min_eig_bound": ("min_eig", "min"),                 # P4
+    "min_abs_eig_bound": ("min_abs_eig", "min"),         # THM.i
+    "max_eig_sampled_bound": ("max_eig_sampled", "max"),  # THM.iii
+    "max_eig_bound": ("max_eig", "max"),                 # THM.v
+}
+
+
+@pytest.mark.parametrize("inst, betas, corrupt", [
+    (golden_instance(), list(DEFAULT_BETAS), (1, 3, 1.1)),
+    (random_instance(6, 2, 3, 2), [3e6, 1e7, 1e10], None),
+    (random_instance(12, 4, 11211, 30), [*DEFAULT_BETAS, 0.37], None),
+    (random_instance(7, 3, 5, 4, profile=WeightProfile(1e-8, 1e8)), list(DEFAULT_BETAS), None),
+    (_path(3, 1e308, 1e308), list(DEFAULT_BETAS), None),
+], ids=["corrupt-golden", "large-beta", "random-12x4", "wide-profile", "float-1e308"])
+def test_certificates_keep_every_verdict_and_every_failing_rows_evidence(
+        monkeypatch, inst, betas, corrupt):
+    """With every certificate failing, each check runs its spectrum body
+    alone, as before certificates. Against that run, every row keeps its
+    flags, every failing row its evidence byte for byte, and a certified row
+    reports its bound under its own key, on the passing side of the value
+    the spectrum measures."""
+    certified = verify_instance(inst, betas, corrupt=corrupt).checks
+    for module in (linalg, verifier):
+        monkeypatch.setattr(module, "cholesky_certifies", lambda a, shift: False)
+    spectrum = verify_instance(inst, betas, corrupt=corrupt).checks
+    assert len(certified) == len(spectrum)
+    for c, o in zip(certified, spectrum):
+        flags = lambda r: (r.check_id, r.beta, r.passed, r.skipped, r.warning)
+        assert flags(c) == flags(o)
+        if not c.passed:
+            assert json.dumps(c.evidence) == json.dumps(o.evidence), (c.check_id, c.beta)
+            continue
+        assert [_BOUND_KEYS.get(k, (k,))[0] for k in c.evidence] == list(o.evidence)
+        for key, value in c.evidence.items():
+            if key in _BOUND_KEYS:
+                name, side = _BOUND_KEYS[key]
+                assert value < o.evidence[name] if side == "min" else value > o.evidence[name]
+            else:
+                assert value == o.evidence[key], (c.check_id, c.beta, key)
+
+
+def test_certificates_decide_every_sign_claim_of_a_valid_instance():
+    report = verify_instance(random_instance(12, 4, 11211, 30), [*DEFAULT_BETAS, 0.37])
+    bounded = {(c.check_id, c.beta) for c in report.checks
+               if any(k in _BOUND_KEYS for k in c.evidence)}
+    betas = [*DEFAULT_BETAS, 0.37]
+    assert bounded == ({("P3", None), ("P4", None)}
+                       | {(cid, b) for b in betas for cid in ("THM.i", "THM.v")}
+                       | {("THM.iii", b) for b in betas if b})
+
+
+def test_an_eigenvalue_between_the_threshold_and_the_shift_reads_the_spectrum():
+    """P(1) of the golden instance with its eigenvalue nearest zero moved to
+    1.2 thresholds: THM.i passes, since the spectrum puts min|lambda| above
+    EIG_ZERO * max(1, max|P|), but the certificate's shift lies beyond it,
+    so the row reports the spectrum's value, as without certificates."""
+    inst = golden_instance()
+    n, s = inst.n, inst.s
+    mats = build_matrices(inst)
+    pencil = perturbed_pencil(mats.d_inv, mats.l, 1.0)
+    w, v = np.linalg.eigh(pencil.p.array)
+    k = int(np.argmin(np.abs(w)))
+    sign = np.sign(w[k])
+    w[k] = 0.0
+    p = (v * w) @ v.T
+    scale = max(1.0, float(np.abs(p).max()))
+    p += sign * 1.2 * EIG_ZERO * scale * np.outer(v[:, k], v[:, k])
+    p = (p + p.T) / 2.0
+    mats.memo(("pencil", 1.0), lambda: PerturbedPencil(BlockMatrix(n, s, p), pencil.f))
+    thm = verify_theorem(mats, 1.0)
+    spectrum = np.linalg.eigvalsh(p)
+    min_abs = float(np.abs(spectrum).min())
+    p_scale = max(1.0, float(np.abs(p).max()))
+    assert EIG_ZERO * p_scale < min_abs < 1.5 * EIG_ZERO * p_scale
+    thm_i = by_id(thm, "THM.i")[0]
+    assert thm_i.passed and thm_i.evidence == {"min_abs_eig": min_abs}
+    assert mats.p_eigs(1.0)[2] is None
+    assert by_id(thm, "THM.ii")[0].evidence == {"inertia": list(inertia_of_spectrum(spectrum))}
