@@ -217,15 +217,15 @@ class DeletedBlocks:
     last two every vertex is decomposed directly. On the derived route the
     inertias of the n - 2 vertices outside the sample are inferred, not
     measured. At beta > 0, when every derived inertia is ((n-1)s, 0, 0), one
-    Cholesky certificate may measure the sample instead: sampled_max is then
-    None and max_bound a bound that every sampled eigenvalue lies below.
+    Cholesky certificate may measure the sample instead: sampled_max then
+    holds a bound that each sampled largest eigenvalue lies below.
     """
 
     inertia: np.ndarray          # (n, 3): n_minus, n_zero, n_plus per vertex
     route: str
-    sampled: list[int]           # the 1-based vertices decomposed directly
-    sampled_max: np.ndarray | None   # (len(sampled),)
-    max_bound: float | None = None
+    sampled: list[int]           # the 1-based vertices measured directly
+    sampled_max: np.ndarray      # (len(sampled),)
+    certified: bool = False
 
     @property
     def inferred(self) -> int:
@@ -402,7 +402,9 @@ class InstanceMatrices:
         vertex whose F_ii has an eigenvalue nearest its zero threshold (where
         the two counts split first) are decomposed directly, as an
         independent sample of the derived counts; the other n - 2 counts are
-        inferred. The samples of a stack share one eigvalsh. The direct route
+        inferred. The samples of a stack share one eigvalsh; at beta > 0, when
+        every derived inertia is ((n-1)s, 0, 0), one Cholesky of the shifted
+        -P(alpha') may certify them instead (DeletedBlocks). The direct route
         decomposes one (n-1)s submatrix at a time, so it needs one
         submatrix's memory at a time.
         """
@@ -431,16 +433,17 @@ class InstanceMatrices:
                     neg = -gather(sure)
                     c = np.array([_norm_shift(self.p(bs[j]).array) for j, _ in sure])
                     if cholesky_certifies(neg, c[:, None]):
-                        out = {j: DeletedBlocks(inertia[j], "derived", v.tolist(), None, -ck)
-                               for (j, v), ck in zip(sure, c.tolist())}
-                rest = [(j, v) for j, v in zip(sample, sampled) if j not in out]
-                if rest:
-                    spectra = sym_eigvals(gather(rest))
+                        out = {j: DeletedBlocks(inertia[j], "derived", v.tolist(),
+                                                np.full(len(v), -ck), certified=True)
+                               for (j, v), ck in zip(sure, c)}
+                decompose = [(j, v) for j, v in zip(sample, sampled) if j not in out]
+                if decompose:
+                    spectra = sym_eigvals(gather(decompose))
                     measured = np.stack(inertia_of_spectrum(spectra), axis=-1)
                     agree = [np.array_equal(m, inertia[j, v - 1])
-                             for (j, v), m in zip(rest, measured)]
+                             for (j, v), m in zip(decompose, measured)]
                     out.update({j: DeletedBlocks(inertia[j], "derived", v.tolist(), w[:, -1])
-                                for (j, v), w, ok in zip(rest, spectra, agree) if ok})
+                                for (j, v), w, ok in zip(decompose, spectra, agree) if ok})
             for j in range(len(bs)):
                 if j not in out:
                     p = self.p(bs[j])
@@ -574,16 +577,15 @@ def verify_preliminaries(mats: InstanceMatrices) -> list[CheckResult]:
 
     def p3():
         c = _certified_split(d, n, s)
-        if c is not None:
-            bound = -n * c
-            return bound < -EIG_ZERO * d_scale, {
-                "inertia": [n * s - s, 0, s], "btdb_max_eig_bound": bound}
-        inert = inertia_of(d)
-        btdb = _null_compress(d, n, s)
-        max_eig = float(sym_eigvals(btdb)[-1])
+        if c is None:
+            inert = inertia_of(d)
+            btdb = _null_compress(d, n, s)
+            max_eig, key = float(sym_eigvals(btdb)[-1]), "btdb_max_eig"
+        else:
+            inert, max_eig, key = Inertia(n * s - s, 0, s), float(-n * c), "btdb_max_eig_bound"
         ok = (inert == (n * s - s, 0, s)
               and max_eig < -EIG_ZERO * d_scale)
-        return ok, {"inertia": list(inert), "btdb_max_eig": max_eig}
+        return ok, {"inertia": list(inert), key: max_eig}
 
     def p4():
         bound = certificate_shift(l_scale, side=-1)
@@ -635,9 +637,10 @@ def verify_theorem(mats: InstanceMatrices, beta: float) -> list[CheckResult]:
     def thm_i():
         w, _, bound = p_eigs()
         if w is None:
-            return bound > EIG_ZERO * p_scale(), {"min_abs_eig_bound": bound}
-        min_abs = float(np.abs(w).min())
-        return min_abs > EIG_ZERO * p_scale(), {"min_abs_eig": min_abs}
+            min_abs, key = bound, "min_abs_eig_bound"
+        else:
+            min_abs, key = float(np.abs(w).min()), "min_abs_eig"
+        return min_abs > EIG_ZERO * p_scale(), {key: min_abs}
 
     def thm_ii():
         inert = p_eigs()[1]
@@ -650,18 +653,14 @@ def verify_theorem(mats: InstanceMatrices, beta: float) -> list[CheckResult]:
         # that bound, and every derived inertia is the one it implies.
         bound = EIG_ZERO * p_scale()
         blocks = mats.deleted_blocks(beta)
-        if blocks.sampled_max is None:
-            # certified: beta > 0 and every derived inertia ((n-1)s, 0, 0)
-            return blocks.max_bound < -bound, {
-                "max_eig_sampled_bound": blocks.max_bound, "sampled": blocks.sampled,
-                "inferred": blocks.inferred, "route": blocks.route}
         worst = float(blocks.sampled_max.max())
         ok = worst < -bound if beta > 0 else worst <= bound
         if blocks.route == "derived":
             target = ((n - 1) * s, 0, 0) if beta > 0 else ((n - 2) * s, s, 0)
             ok = ok and np.all(blocks.inertia == target)
+        key = "max_eig_sampled_bound" if blocks.certified else "max_eig_sampled"
         return ok and blocks.route != "contradicted", {
-            "max_eig_sampled": worst, "sampled": blocks.sampled,
+            key: worst, "sampled": blocks.sampled,
             "inferred": blocks.inferred, "route": blocks.route}
 
     def thm_iv():
