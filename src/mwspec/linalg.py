@@ -142,22 +142,51 @@ def certificate_shift(scale, side: int = 1):
     return (side + 0.5) * EIG_ZERO * scale
 
 
-def cholesky_certifies(a: np.ndarray, shift) -> bool:
-    """Whether np.linalg.cholesky(A - shift I) completes, with finite
-    factors, on a symmetric A or on every member of a stack (k, m, m), whose
-    shift may be a (k,) array: then each member's eigenvalues all exceed its
-    shift. A must be a fresh writable array: the shift is subtracted from its
-    diagonal in place. Never raises: a non-finite entry or shift, an overflow
-    or a failed factorization means "not certified"."""
-    a = np.ascontiguousarray(a, dtype=float)     # so that the reshape below is a view
-    m = a.shape[-1]
-    try:
-        with np.errstate(all="ignore"):
-            a.reshape(*a.shape[:-2], m * m)[..., ::m + 1] -= np.asarray(shift)[..., None]
-            return bool(np.all(np.isfinite(a))
-                        and np.all(np.isfinite(np.linalg.cholesky(a))))
-    except np.linalg.LinAlgError:
-        return False
+class Bound(float):
+    """A value that a Cholesky certificate proves the claimed eigenvalue to lie
+    beyond, on the passing side; a check reports it under its key + "_bound"."""
+
+
+def certify(certificates, x: np.ndarray, *more):
+    """Decide a sign claim about each member of a symmetric stack x
+    (..., m, m), or about x alone, by Cholesky certificates (A, c): A a stack
+    of x's leading shape, c a shift per member or one for all. A member is
+    certified when there are certificates and np.linalg.cholesky(A - cI)
+    completes with finite factors on its member of each A, whose eigenvalues
+    then all exceed its c. Each certificate factors the members still in
+    question as one stack, and each alone only when that fails, so every
+    member gets the verdict it gets alone. A member with a non-finite shift
+    is not factored; only sym_eigvals raises; A's diagonal is shifted in
+    place. Returns the bool verdicts, then the ascending spectra (j, m) of
+    the j members left, in order, of x and of the stack each function of
+    `more` builds, called only when a member is left (else None)."""
+    ok = np.full(x.shape[:-2], bool(certificates))
+
+    def holds(a):
+        try:
+            return bool(np.isfinite(a).all() and np.isfinite(np.linalg.cholesky(a)).all())
+        except np.linalg.LinAlgError:
+            return False
+
+    with np.errstate(all="ignore"):
+        for a, shift in certificates:
+            shift = np.asarray(shift, dtype=float)
+            ok &= np.isfinite(shift)
+            if not ok.all():
+                if not ok.any():
+                    break
+                a, shift = a[ok], np.broadcast_to(shift, ok.shape)[ok]
+            a = np.ascontiguousarray(a, dtype=float)      # so that the reshape below is a view
+            m = a.shape[-1]
+            a.reshape(*a.shape[:-2], m * m)[..., ::m + 1] -= shift[..., None]
+            a = a.reshape(-1, m, m)
+            if not holds(a):
+                ok[ok] = [holds(b) for b in a]
+    if ok.all():
+        return (ok, np.empty((0, x.shape[-1])), *(None for _ in more))
+    # the members left; all of them, as a view, when none is certified
+    left = (lambda y: y[~ok]) if ok.any() else (lambda y: y.reshape(-1, *y.shape[-2:]))
+    return (ok, sym_eigvals(left(x)), *(sym_eigvals(left(build())) for build in more))
 
 
 def is_pd_quadratic_form(a: np.ndarray) -> bool | np.ndarray:
@@ -165,17 +194,14 @@ def is_pd_quadratic_form(a: np.ndarray) -> bool | np.ndarray:
 
     Equivalent to positive definiteness of the symmetric part (A + A')/2;
     A itself need not be symmetric. A stack (..., m, m) gives a bool array
-    of the leading shape, one verdict per matrix. One Cholesky certificate
-    decides a matrix, or a whole stack, that passes; the spectrum decides
-    the rest.
+    of the leading shape, one verdict per matrix. A Cholesky certificate
+    decides each matrix that passes; the spectrum decides the rest.
     """
     a = _as_square(a)
-    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
-    sym = lambda: (a + a.swapaxes(-1, -2)) / 2.0
-    if cholesky_certifies(sym(), certificate_shift(scale)):
-        ok = np.ones(a.shape[:-2], dtype=bool)
-    else:
-        ok = sym_eigvals(sym())[..., 0] > EIG_ZERO * scale
+    scale = np.asarray(np.maximum(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0)))
+    sym = (a + a.swapaxes(-1, -2)) / 2.0
+    ok, w = certify([(sym.copy(), certificate_shift(scale))], sym)
+    ok[~ok] = w[:, 0] > EIG_ZERO * scale[~ok]
     return bool(ok) if ok.ndim == 0 else ok
 
 

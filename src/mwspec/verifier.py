@@ -22,10 +22,10 @@ from .linalg import (
     EIG_ZERO,
     NONZERO_FLOOR,
     REL_RESIDUAL,
+    Bound,
     Inertia,
     certificate_shift,
-    cholesky_certifies,
-    inertia_of,
+    certify,
     inertia_of_spectrum,
     is_pd_quadratic_form,
     rank_of,
@@ -124,7 +124,8 @@ _FAILURES = (MwspecError, FloatingPointError)
 
 
 def _guard(check_id: str, beta, fn) -> CheckResult:
-    """Run a check body; any package error becomes a failing result."""
+    """Run a check body; any package error becomes a failing result. A Bound
+    in the evidence is reported as a float under its key + "_bound"."""
     try:
         with _strict():
             passed, evidence = fn()
@@ -133,6 +134,11 @@ def _guard(check_id: str, beta, fn) -> CheckResult:
         if isinstance(exc, (NonFiniteError, FloatingPointError)):
             evidence["non_finite"] = True     # no verdict: never a warning
         return CheckResult(check_id, False, beta, evidence=evidence)
+    for v in evidence.values():
+        if isinstance(v, Bound):
+            evidence = dict((k + "_bound", float(v)) if isinstance(v, Bound) else (k, v)
+                            for k, v in evidence.items())
+            break
     return CheckResult(check_id, bool(passed), beta, evidence=evidence)
 
 
@@ -150,38 +156,33 @@ def _null_compress(x: np.ndarray, n: int, s: int) -> np.ndarray:
     return (btx[..., :-1, :] - btx[..., -1:, :]).reshape(*lead, (n - 1) * s, (n - 1) * s)
 
 
-def _norm_shift(x: np.ndarray):
-    """certificate_shift at the scale max(1, ||X||_inf) of X, or of each
-    member of a stack: ||X||_inf bounds X's spectral radius, so the shift
-    exceeds inertia_of_spectrum's zero threshold and every threshold scaled
-    by max(1, max|X|). A row sum that overflows gives an infinite shift,
-    which certifies nothing."""
-    with np.errstate(over="ignore"):
-        return certificate_shift(np.maximum(1.0, np.abs(x).sum(axis=-1).max(axis=-1)))
-
-
-def _certified_split(x: np.ndarray, n: int, s: int):
-    """The shift c when one Cholesky certificate shows that every eigenvalue
-    of the symmetric X (or of every member of a stack, then c is a (k,)
-    array) lies at least c from zero and In(X) = (ns - s, 0, s); None when
-    it does not.
-
-    B'B = (I + J) (x) I_s has largest eigenvalue n and U'U = nI, so by
-    Courant-Fischer -B'XB - ncI > 0 gives ns - s eigenvalues of X below -c,
-    and U'XU - ncI > 0 gives s above c. An X that fails the asymmetry bound
-    is not certified; one within it is certified by its symmetric part, the
-    matrix its spectrum would be taken of."""
+def _split(x: np.ndarray, n: int, s: int):
+    """The shift c of the symmetric X, or one per member of a stack, and the
+    two certificates that together show In(X) = (ns - s, 0, s) with every
+    eigenvalue at least c from zero: B'B = (I + J) (x) I_s has largest
+    eigenvalue n and U'U = nI, so by Courant-Fischer -B'XB - ncI > 0 gives
+    ns - s eigenvalues of X below -c, and U'XU - ncI > 0 gives s above c.
+    c is certificate_shift at max(1, ||X||_inf), which bounds X's spectral
+    radius, so c exceeds every threshold scaled by max(1, max|X|); it is
+    infinite where a row sum overflows. An X within the asymmetry bound is
+    certified by its symmetric part, whose spectrum is taken; a stack with
+    one beyond it gets no certificate."""
     with np.errstate(all="ignore"):
         try:
             x = sym_part(x)
         except NotSymmetricError:
-            return None
-        c = _norm_shift(x)
-        btxb = _null_compress(x, n, s)
-        np.negative(btxb, out=btxb)
-        utxu = x.reshape(*x.shape[:-2], n, s, n, s).sum(axis=(-4, -2))
-    ok = cholesky_certifies(btxb, n * c) and cholesky_certifies(utxu, n * c)
-    return c if ok else None
+            return np.full(x.shape[:-2], np.inf), []
+        c = certificate_shift(np.maximum(1.0, np.abs(x).sum(axis=-1).max(axis=-1)))
+        return c, [(-_null_compress(x, n, s), n * c),
+                   (x.reshape(*x.shape[:-2], n, s, n, s).sum(axis=(-4, -2)), n * c)]
+
+
+def _bounded(ok: np.ndarray, bounds: np.ndarray, measured: np.ndarray) -> list:
+    """Per member of a stack, in member order: its bound as a Bound where
+    certified, else the next measured value."""
+    measured = iter(measured.tolist())
+    return [Bound(b) if k else next(measured)
+            for k, b in zip(ok.ravel().tolist(), np.ravel(bounds).tolist())]
 
 
 # A stacked call takes as many betas as fit in this many bytes of its input,
@@ -216,16 +217,15 @@ class DeletedBlocks:
     "contradicted" (a sampled inertia differs from the derived one); on the
     last two every vertex is decomposed directly. On the derived route the
     inertias of the n - 2 vertices outside the sample are inferred, not
-    measured. At beta > 0, when every derived inertia is ((n-1)s, 0, 0), one
-    Cholesky certificate may measure the sample instead: sampled_max then
-    holds a bound that each sampled largest eigenvalue lies below.
+    measured. At beta > 0, when every derived inertia is ((n-1)s, 0, 0), a
+    Cholesky certificate may measure a sampled submatrix instead: its entry
+    of sampled_max is then a Bound that its largest eigenvalue lies below.
     """
 
     inertia: np.ndarray          # (n, 3): n_minus, n_zero, n_plus per vertex
     route: str
     sampled: list[int]           # the 1-based vertices measured directly
-    sampled_max: np.ndarray      # (len(sampled),)
-    certified: bool = False
+    sampled_max: list[float]     # per sampled vertex
 
     @property
     def inferred(self) -> int:
@@ -354,19 +354,19 @@ class InstanceMatrices:
 
         return self._stacked("scales", beta, make)
 
-    def p_eigs(self, beta: float) -> tuple[np.ndarray | None, Inertia, float | None]:
-        """Ascending eigenvalues of P(beta), In(P(beta)) counted on them and
-        None; or, when one Cholesky certificate shows In(P) = (ns - s, 0, s)
-        with every |eigenvalue| above a bound c, None, that inertia and c.
-        At beta = 0 no pencil is built."""
+    def p_eigs(self, beta: float) -> tuple[float, Inertia, float]:
+        """min |eigenvalue| of P(beta) and In(P(beta)), read off P's
+        spectrum; or, when the split certificate (_split) shows
+        In(P) = (ns - s, 0, s), the Bound c and that inertia. Then the shift
+        c of P's certificates. At beta = 0 no pencil is built."""
         def make(bs):
+            n, s = self.n, self.s
             p = _stack([self.p(b).array for b in bs])
-            c = _certified_split(p, self.n, self.s)
-            if c is not None:
-                inert = Inertia(self.n * self.s - self.s, 0, self.s)
-                return [(None, inert, ck) for ck in c.tolist()]
-            w = sym_eigvals(p)
-            return [(wk, inert, None) for wk, inert in zip(w, _members(inertia_of_spectrum(w)))]
+            c, split = _split(p, n, s)
+            ok, w = certify(split, p)
+            inert = map(inertia_of_spectrum, w)
+            return [(v, Inertia(n * s - s, 0, s) if isinstance(v, Bound) else next(inert), ck)
+                    for v, ck in zip(_bounded(ok, c, np.abs(w).min(axis=-1)), c.tolist())]
 
         return self._stacked("p_eigs", beta, make)
 
@@ -402,15 +402,15 @@ class InstanceMatrices:
         vertex whose F_ii has an eigenvalue nearest its zero threshold (where
         the two counts split first) are decomposed directly, as an
         independent sample of the derived counts; the other n - 2 counts are
-        inferred. The samples of a stack share one eigvalsh; at beta > 0, when
-        every derived inertia is ((n-1)s, 0, 0), one Cholesky of the shifted
-        -P(alpha') may certify them instead (DeletedBlocks). The direct route
+        inferred. The samples of a stack share one certify call, which at
+        beta > 0 may certify them (DeletedBlocks). The direct route
         decomposes one (n-1)s submatrix at a time, so it needs one
         submatrix's memory at a time.
         """
         def make(bs):
             n, s = self.n, self.s
-            p_in = np.transpose([self.p_eigs(b)[1] for b in bs])[..., None]   # (3, k, 1)
+            p_eigs = [self.p_eigs(b) for b in bs]
+            p_in = np.transpose([e[1] for e in p_eigs])[..., None]           # (3, k, 1)
             f_eigs, f_in = zip(*(self.block_eigs(b) for b in bs))
             f_eigs, f_in = _stack(f_eigs), np.array(f_in)                     # (k, n, s), (k, 3, n)
             nu = f_in[:, 1]
@@ -421,29 +421,19 @@ class InstanceMatrices:
             if sample.size:
                 sampled = np.column_stack([np.ones_like(sample),
                                            2 + _nearest_zero_threshold(f_eigs[sample, 1:])])
-                # (len(rows), 2, (n-1)s): one gather per beta, one call
-                gather = lambda rows: _stack([
-                    principal_block_submatrix(self.p(bs[j]), _deleted(n, v)).array
-                    for j, v in rows])
-                # every derived inertia ((n-1)s, 0, 0) at beta > 0: -P(alpha')
-                # above the shift certifies the samples of all such betas
-                sure = [(j, v) for j, v in zip(sample, sampled)
-                        if bs[j] and np.all(inertia[j] == ((n - 1) * s, 0, 0))]
-                if sure:
-                    neg = -gather(sure)
-                    c = np.array([_norm_shift(self.p(bs[j]).array) for j, _ in sure])
-                    if cholesky_certifies(neg, c[:, None]):
-                        out = {j: DeletedBlocks(inertia[j], "derived", v.tolist(),
-                                                np.full(len(v), -ck), certified=True)
-                               for (j, v), ck in zip(sure, c)}
-                decompose = [(j, v) for j, v in zip(sample, sampled) if j not in out]
-                if decompose:
-                    spectra = sym_eigvals(gather(decompose))
-                    measured = np.stack(inertia_of_spectrum(spectra), axis=-1)
-                    agree = [np.array_equal(m, inertia[j, v - 1])
-                             for (j, v), m in zip(decompose, measured)]
-                    out.update({j: DeletedBlocks(inertia[j], "derived", v.tolist(), w[:, -1])
-                                for (j, v), w, ok in zip(decompose, spectra, agree) if ok})
+                # (len(sample), 2, (n-1)s, (n-1)s): one gather per beta
+                subs = _stack([principal_block_submatrix(self.p(bs[j]), _deleted(n, v)).array
+                               for j, v in zip(sample, sampled)])
+                # -P(alpha') above P's shift c where ((n-1)s, 0, 0) is derived
+                c = np.array([p_eigs[j][2] if bs[j] and np.all(inertia[j] == ((n - 1) * s, 0, 0))
+                              else np.inf for j in sample])
+                ok, w = certify([(-subs, c[:, None])] if np.isfinite(c).any() else [], subs)
+                agree = ok.copy()
+                agree[~ok] = np.all(np.stack(inertia_of_spectrum(w), axis=-1)
+                                    == inertia[sample[:, None], sampled - 1][~ok], axis=-1)
+                tops = _bounded(ok, np.broadcast_to(-c[:, None], ok.shape), w[:, -1])
+                out = {j: DeletedBlocks(inertia[j], "derived", v.tolist(), tops[2 * i:2 * i + 2])
+                       for i, (j, v) in enumerate(zip(sample, sampled)) if agree[i].all()}
             for j in range(len(bs)):
                 if j not in out:
                     p = self.p(bs[j])
@@ -451,7 +441,7 @@ class InstanceMatrices:
                                         for rest in _deleted(n, range(1, n + 1))])
                     out[j] = DeletedBlocks(np.transpose(inertia_of_spectrum(spectra)),
                                            "contradicted" if j in sample else "direct",
-                                           list(range(1, n + 1)), spectra[:, -1])
+                                           list(range(1, n + 1)), spectra[:, -1].tolist())
             return [out[j] for j in range(len(bs))]
 
         return self._stacked("deleted", beta, make)
@@ -467,19 +457,15 @@ class InstanceMatrices:
 
         return self._stacked("haynsworth", beta, make)
 
-    def bfb_max_eig(self, beta: float) -> tuple[float, bool]:
-        """The largest eigenvalue of B'F(beta)B, B a basis of ker J (THM.v),
-        and False; or, when one Cholesky certificate shows B'FB below
-        EIG_ZERO * max(1, max|F|) / 2, that bound and True."""
+    def bfb_max_eig(self, beta: float) -> float:
+        """The largest eigenvalue of B'F(beta)B, B a basis of ker J (THM.v);
+        or, when a Cholesky certificate shows B'FB below
+        EIG_ZERO * max(1, max|F|) / 2, that Bound."""
         def make(bs):
-            f = self._f(bs).array
+            bfb = _null_compress(self._f(bs).array, self.n, self.s)
             shift = certificate_shift(np.array([self.scales(b)[1] for b in bs]), side=-1)
-            neg = _null_compress(f, self.n, self.s)
-            np.negative(neg, out=neg)
-            if cholesky_certifies(neg, shift):
-                return [(-c, True) for c in shift.tolist()]
-            w = sym_eigvals(_null_compress(f, self.n, self.s))
-            return [(top, False) for top in w[:, -1].tolist()]
+            ok, w = certify([(-bfb, shift)], bfb)
+            return _bounded(ok, -shift, w[:, -1])
 
         return self._stacked("bfb_max_eig", beta, make)
 
@@ -503,11 +489,10 @@ class InstanceMatrices:
             xs = self.memo("gx_vectors",
                            lambda: _gx_vectors(self.s, int(self.instance_hash()[:8], 16)))
             gx = gx_matrix(self._f(bs), xs)                  # (k, s + 10, n, n)
-            # In(G_x) = (n - 1, 0, 1) for every G_x of the stack, or per beta
-            split = _certified_split(gx, n, 1) is not None or np.all(
-                np.stack(inertia_of_spectrum(sym_eigvals(gx)), axis=-1) == (n - 1, 0, 1),
-                axis=(1, 2))
-            shaped = split & ~np.any(np.diagonal(gx, axis1=-2, axis2=-1) <= 0, axis=(1, 2))
+            split, w = certify(_split(gx, n, 1)[1], gx)     # In(G_x) = (n - 1, 0, 1)
+            split[~split] = [inertia_of_spectrum(wk) == (n - 1, 0, 1) for wk in w]
+            shaped = (split.all(axis=1)
+                      & ~np.any(np.diagonal(gx, axis1=-2, axis2=-1) <= 0, axis=(1, 2)))
             off = np.abs(gx[..., ~np.eye(n, dtype=bool)])
             return list(zip(shaped.tolist(), off.min(axis=(1, 2), initial=np.inf).tolist()))
 
@@ -576,30 +561,23 @@ def verify_preliminaries(mats: InstanceMatrices) -> list[CheckResult]:
         return res <= REL_RESIDUAL, {"residual": res}
 
     def p3():
-        c = _certified_split(d, n, s)
-        if c is None:
-            inert = inertia_of(d)
-            btdb = _null_compress(d, n, s)
-            max_eig, key = float(sym_eigvals(btdb)[-1]), "btdb_max_eig"
-        else:
-            inert, max_eig, key = Inertia(n * s - s, 0, s), float(-n * c), "btdb_max_eig_bound"
-        ok = (inert == (n * s - s, 0, s)
-              and max_eig < -EIG_ZERO * d_scale)
-        return ok, {"inertia": list(inert), key: max_eig}
+        # by the split, else on the spectra of D and then of B'DB, built only then
+        c, split = _split(d, n, s)
+        ok, w, w_btdb = certify(split, d, lambda: _null_compress(d, n, s))
+        inert = Inertia(n * s - s, 0, s) if ok else inertia_of_spectrum(w[0])
+        max_eig = Bound(-n * c) if ok else float(w_btdb[0, -1])
+        ok = inert == (n * s - s, 0, s) and max_eig < -EIG_ZERO * d_scale
+        return ok, {"inertia": list(inert), "btdb_max_eig": max_eig}
 
     def p4():
+        rank, lu = rank_of(l), _rel(l @ mats.u, l_scale)
+        clauses = lu <= NONZERO_FLOOR and rank == n * s - s
+        # a row that fails another clause reads L's least eigenvalue
         bound = certificate_shift(l_scale, side=-1)
-        if cholesky_certifies(l.copy(), bound):
-            lu, rank = _rel(l @ mats.u, l_scale), rank_of(l)
-            if lu <= NONZERO_FLOOR and rank == n * s - s:
-                return True, {"min_eig_bound": bound, "lu_residual": lu, "rank": rank}
-        min_eig = float(sym_eigvals(l)[0])
-        lu = _rel(l @ mats.u, l_scale)
-        rank = rank_of(l)
-        ok = (min_eig >= -EIG_ZERO * l_scale
-              and lu <= NONZERO_FLOOR
-              and rank == n * s - s)
-        return ok, {"min_eig": min_eig, "lu_residual": lu, "rank": rank}
+        ok, w = certify([(l.copy(), bound)] if clauses else [], l)
+        min_eig = Bound(bound) if ok else float(w[0, 0])
+        return min_eig >= -EIG_ZERO * l_scale and clauses, {
+            "min_eig": min_eig, "lu_residual": lu, "rank": rank}
 
     def col_space():
         # every block row of JL = U U'L is U'L
@@ -635,12 +613,8 @@ def verify_theorem(mats: InstanceMatrices, beta: float) -> list[CheckResult]:
         return mats.p_eigs(beta)
 
     def thm_i():
-        w, _, bound = p_eigs()
-        if w is None:
-            min_abs, key = bound, "min_abs_eig_bound"
-        else:
-            min_abs, key = float(np.abs(w).min()), "min_abs_eig"
-        return min_abs > EIG_ZERO * p_scale(), {key: min_abs}
+        min_abs = p_eigs()[0]
+        return min_abs > EIG_ZERO * p_scale(), {"min_abs_eig": min_abs}
 
     def thm_ii():
         inert = p_eigs()[1]
@@ -653,14 +627,13 @@ def verify_theorem(mats: InstanceMatrices, beta: float) -> list[CheckResult]:
         # that bound, and every derived inertia is the one it implies.
         bound = EIG_ZERO * p_scale()
         blocks = mats.deleted_blocks(beta)
-        worst = float(blocks.sampled_max.max())
+        worst = max(blocks.sampled_max)
         ok = worst < -bound if beta > 0 else worst <= bound
         if blocks.route == "derived":
             target = ((n - 1) * s, 0, 0) if beta > 0 else ((n - 2) * s, s, 0)
             ok = ok and np.all(blocks.inertia == target)
-        key = "max_eig_sampled_bound" if blocks.certified else "max_eig_sampled"
         return ok and blocks.route != "contradicted", {
-            key: worst, "sampled": blocks.sampled,
+            "max_eig_sampled": worst, "sampled": blocks.sampled,
             "inferred": blocks.inferred, "route": blocks.route}
 
     def thm_iv():
@@ -678,9 +651,8 @@ def verify_theorem(mats: InstanceMatrices, beta: float) -> list[CheckResult]:
         }
 
     def thm_v():
-        max_eig, certified = mats.bfb_max_eig(beta)
-        key = "max_eig_bound" if certified else "max_eig"
-        return max_eig <= EIG_ZERO * f_scale(), {key: max_eig}
+        max_eig = mats.bfb_max_eig(beta)
+        return max_eig <= EIG_ZERO * f_scale(), {"max_eig": max_eig}
 
     checks = [_guard(cid, beta, fn) for cid, fn in (
         ("THM.i", thm_i), ("THM.ii", thm_ii), ("THM.iii", thm_iii), ("THM.iv", thm_iv),

@@ -12,7 +12,7 @@ from collections import Counter, defaultdict
 from pathlib import Path
 
 LEDGER = Path(__file__).with_name("verdict_ledger.txt")
-REPORT_SET = Path(__file__).resolve().parents[1] / "tools" / "report_set.py"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
 def read_ledger():
@@ -30,10 +30,16 @@ def read_ledger():
     return reasons, lines
 
 
+def tool(name: str):
+    """The module of tools/<name>.py."""
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def report_rows():
-    spec = importlib.util.spec_from_file_location("report_set", REPORT_SET)
-    report_set = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(report_set)
+    report_set = tool("report_set")
     return {k: [(c.check_id, c.beta, c.passed, c.skipped, c.warning) for c in r.checks]
             for k, r in enumerate(report_set.reports(), start=1)}
 
@@ -58,3 +64,17 @@ def test_report_set_verdicts_match_the_ledger():
     wrong = Counter(reason for rows in lines.values() for _, _, reason in rows
                     if reason != "-")
     print(f"{sum(wrong.values())} known-wrong rows: {dict(wrong)}")
+
+
+def test_every_row_that_noise_flips_is_marked_near():
+    """tools/ledger_near.py's noise draws at its default seeds 0-4: a row
+    whose verdict any of them flips is marked `near` in the ledger."""
+    _, lines = read_ledger()
+    flipped = 0
+    for k, line in enumerate(tool("ledger_near").flips(0, 4), start=1):
+        assert len(line) == len(lines[k])
+        unmarked = [(row, count) for (row, count), (_, near, _) in zip(line, lines[k])
+                    if count and not near]
+        assert not unmarked, f"report line {k}: flipped rows not marked near {unmarked}"
+        flipped += sum(1 for _, count in line if count)
+    assert flipped     # the draws do reach the verdicts

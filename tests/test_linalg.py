@@ -14,8 +14,9 @@ from mwspec.errors import (
 )
 from mwspec.linalg import (
     EIG_ZERO,
+    Bound,
     certificate_shift,
-    cholesky_certifies,
+    certify,
     inertia_of,
     inertia_of_spectrum,
     is_pd_quadratic_form,
@@ -242,27 +243,58 @@ def test_certificate_shift_moves_the_threshold_half_way_to_the_passing_side():
         1.5 * EIG_ZERO, 6.0 * EIG_ZERO]
 
 
-def test_cholesky_certifies_shifts_in_place():
-    a = np.diag([3.0, 2.0, 5.0])
-    assert cholesky_certifies(a, 1.0)
+def test_certify_shifts_in_place_and_decomposes_only_the_rest():
+    x = np.diag([3.0, 2.0, 5.0])
+    a = x.copy()
+    ok, w = certify([(a, 1.0)], x)
+    assert ok.shape == () and ok and w.shape == (0, 3)
     assert a.tolist() == np.diag([2.0, 1.0, 4.0]).tolist()
-    assert not cholesky_certifies(np.diag([3.0, 2.0, 5.0]), 2.0)
-    # a stack takes one shift per member
+    ok, w = certify([(x.copy(), 2.0)], x)
+    assert not ok and w.tolist() == [[2.0, 3.0, 5.0]]
+    # no certificate certifies nothing
+    ok, w = certify([], x)
+    assert not ok and w.tolist() == [[2.0, 3.0, 5.0]]
+    # a stack takes one shift per member; a certificate's matrices may have
+    # another order than x's
     stack = np.stack([np.eye(2), 4.0 * np.eye(2)])
-    assert cholesky_certifies(stack.copy(), np.array([0.5, 3.5]))
-    assert not cholesky_certifies(stack.copy(), np.array([0.5, 4.0]))
+    ok, _ = certify([(stack.copy(), np.array([0.5, 3.5]))], stack)
+    assert ok.tolist() == [True, True]
+    ok, w = certify([(stack.copy(), np.array([0.5, 4.0]))], stack)
+    assert ok.tolist() == [True, False] and w.tolist() == [[4.0, 4.0]]
+    small = stack[:, :1, :1]
+    ok, w = certify([(small.copy(), 0.5), (-small, -5.0)], stack)
+    assert ok.tolist() == [True, True]
+    ok, w, built = certify([(small.copy(), 0.5), (-small, -2.0)], stack, lambda: small)
+    assert ok.tolist() == [True, False] and w.tolist() == [[4.0, 4.0]]
+    assert built.tolist() == [[4.0]]
+    # a function of `more` is not called when every member is certified
+    assert certify([(x.copy(), 1.0)], x, lambda: 1 / 0)[2] is None
+    assert issubclass(Bound, float) and Bound(2.5) == 2.5
 
 
-def test_cholesky_certificate_fails_a_stack_on_one_bad_member():
+def test_certify_gives_each_member_of_a_stack_its_verdict_alone():
+    """The whole stack's one factorization fails on one indefinite member;
+    each member is then factored alone, and only that member's spectrum is
+    taken."""
     rng = np.random.default_rng(34)
     q = np.linalg.qr(rng.standard_normal((5, 4, 4)))[0]
     w = rng.uniform(1.0, 10.0, (5, 4))
     w[3, 2] = -0.5                       # one indefinite member
     stack = (q * w[:, None, :]) @ q.swapaxes(1, 2)
-    alone = [cholesky_certifies(a.copy(), 0.0) for a in stack]
+    stack = (stack + stack.swapaxes(1, 2)) / 2.0
+    alone = [bool(certify([(a.copy(), 0.0)], a)[0]) for a in stack]
     assert alone == [True, True, True, False, True]
-    assert not cholesky_certifies(stack.copy(), 0.0)
-    assert cholesky_certifies(np.delete(stack, 3, axis=0), 0.0)
+    ok, spectra = certify([(stack.copy(), 0.0)], stack)
+    assert ok.tolist() == alone
+    assert spectra.tolist() == [sym_eigvals(stack[3]).tolist()]
+    # a second certificate factors only the members the first left standing
+    shifts = np.array([0.0, 20.0, 0.0, 0.0, 0.0])
+    ok, _ = certify([(stack.copy(), 0.0), (stack.copy(), shifts)], stack)
+    assert ok.tolist() == [True, False, True, False, True]
+    # the (2, 2, ...) leading shape of a stack of stacks
+    square = stack[1:].reshape(2, 2, 4, 4)
+    ok, _ = certify([(square.copy(), 0.0)], square)
+    assert ok.tolist() == [[True, True], [False, True]]
 
 
 @pytest.mark.parametrize("a, shift", [
@@ -277,8 +309,13 @@ def test_cholesky_certificate_fails_a_stack_on_one_bad_member():
 ], ids=["inf", "nan", "inf-shift", "nan-shift", "shift-overflow", "factor-overflow",
         "max-float", "stack-inf-shift"])
 def test_cholesky_certificate_never_raises(a, shift):
+    # a certificate that fails is no error; only the spectrum of x, here
+    # finite, is taken of the members it leaves
+    x = np.zeros(a.shape)
     with np.errstate(all="raise"):
-        assert cholesky_certifies(a.copy(), shift) is False
+        ok, w = certify([(a.copy(), shift)], x)
+    assert ok.tolist() == ([True, False] if a.ndim == 3 else False)
+    assert len(w) == np.count_nonzero(~ok)
 
 
 @settings(max_examples=300, deadline=None)
@@ -289,10 +326,11 @@ def test_certificate_never_passes_what_the_spectrum_fails(m, k, seed, ratio, bad
                                                           side):
     """For the claim lambda_min > EIG_ZERO * scale (side 1, THM.vi's) or
     lambda_min >= -EIG_ZERO * scale (side -1, P4's and THM.v's), scale =
-    max(1, max|A|): a matrix, or every member of a stack, that the
-    certificate passes also passes on its spectrum. One member of each stack
-    has its least eigenvalue within a few thresholds of the claim's, and the
-    whole stack is scaled by 2^exponent."""
+    max(1, max|A|): every member of a stack that the certificate passes also
+    passes on its spectrum, gets the verdict it gets alone, and every other
+    member gets its spectrum. One member of each stack has its least
+    eigenvalue within a few thresholds of the claim's, and the whole stack is
+    scaled by 2^exponent."""
     rng = np.random.default_rng(seed)
     q = np.linalg.qr(rng.standard_normal((k, m, m)))[0]
     w = rng.uniform(1.0, 10.0, (k, m))
@@ -300,14 +338,14 @@ def test_certificate_never_passes_what_the_spectrum_fails(m, k, seed, ratio, bad
     a = (q * w[:, None, :]) @ q.swapaxes(1, 2)
     a = (a + a.swapaxes(1, 2)) / 2.0 * 2.0 ** exponent
     scale = np.maximum(1.0, np.abs(a).max(axis=(1, 2)))
-    least = np.linalg.eigvalsh(a)[:, 0]
-    passes = least > EIG_ZERO * scale if side == 1 else least >= -EIG_ZERO * scale
+    spectra = np.linalg.eigvalsh(a)
+    passes = spectra[:, 0] > EIG_ZERO * scale if side == 1 else spectra[:, 0] >= -EIG_ZERO * scale
     shift = certificate_shift(scale, side)
-    if cholesky_certifies(a.copy(), shift):
-        assert passes.all()
-    for member, ok, c in zip(a, passes, shift):
-        if cholesky_certifies(member.copy(), c):
-            assert ok
+    ok, rest = certify([(a.copy(), shift)], a)
+    assert np.all(passes[ok])
+    assert ok.tolist() == [bool(certify([(member.copy(), c)], member)[0])
+                           for member, c in zip(a, shift)]
+    assert rest.tolist() == spectra[~ok].tolist()
 
 
 def test_quadratic_form_between_the_threshold_and_its_shift_reads_the_spectrum(monkeypatch):
@@ -322,4 +360,5 @@ def test_quadratic_form_between_the_threshold_and_its_shift_reads_the_spectrum(m
     assert is_pd_quadratic_form(np.diag([1.0, 1.0, 1.6e-9]))     # certified
     stack = np.stack([np.eye(3), np.diag([1.0, 1.0, 1.2e-9]), np.diag([1.0, 1.0, 0.9e-9])])
     assert is_pd_quadratic_form(stack).tolist() == [True, True, False]
-    assert len(calls) == 3
+    # one spectrum call, for the two members the certificate leaves
+    assert calls[2:] == [(2, 3, 3)]

@@ -13,6 +13,7 @@ from mwspec.golden import golden_instance
 from mwspec.linalg import (
     EIG_ZERO,
     NONZERO_FLOOR,
+    Bound,
     inertia_of,
     inertia_of_spectrum,
     is_pd_quadratic_form,
@@ -51,6 +52,7 @@ from mwspec.verifier import (
     verify_preliminaries,
     verify_theorem,
 )
+from test_ledger import tool
 from test_operators import block
 
 
@@ -241,7 +243,7 @@ def test_singular_pencil_takes_the_direct_route(monkeypatch):
         BlockMatrix(n, s, p), [k for k in range(1, n + 1) if k != i]).array)
         for i in range(1, n + 1)]
     assert blocks.inertia.tolist() == [list(inertia_of_spectrum(d)) for d in direct]
-    assert blocks.sampled_max.tolist() == [d[-1] for d in direct]
+    assert blocks.sampled_max == [d[-1] for d in direct]
     # THM.iii is then decided by the bound on every vertex, as before
     thm = verify_theorem(mats, 1.0)
     assert not by_id(thm, "THM.i")[0].passed
@@ -721,14 +723,15 @@ _BOUND_KEYS = {
 ], ids=["corrupt-golden", "large-beta", "random-12x4", "wide-profile", "float-1e308"])
 def test_certificates_keep_every_verdict_and_every_failing_rows_evidence(
         monkeypatch, inst, betas, corrupt):
-    """With every certificate failing, each check runs its spectrum body
-    alone, as before certificates. Against that run, every row keeps its
-    flags, every failing row its evidence byte for byte, and a certified row
-    reports its bound under its own key, on the passing side of the value
-    the spectrum measures."""
+    """With no certificate given to `certify`, each sign claim is decided on
+    its spectrum, as before certificates. Against that run, every row keeps
+    its flags, every failing row its evidence byte for byte, and a certified
+    row reports its bound under its own key, on the passing side of the
+    value the spectrum measures."""
     certified = verify_instance(inst, betas, corrupt=corrupt).checks
+    certify = linalg.certify
     for module in (linalg, verifier):
-        monkeypatch.setattr(module, "cholesky_certifies", lambda a, shift: False)
+        monkeypatch.setattr(module, "certify", lambda certificates, *stacks: certify([], *stacks))
     spectrum = verify_instance(inst, betas, corrupt=corrupt).checks
     assert len(certified) == len(spectrum)
     for c, o in zip(certified, spectrum):
@@ -744,6 +747,43 @@ def test_certificates_keep_every_verdict_and_every_failing_rows_evidence(
                 assert value < o.evidence[name] if side == "min" else value > o.evidence[name]
             else:
                 assert value == o.evidence[key], (c.check_id, c.beta, key)
+
+
+def _beta_rows(report, beta) -> list[str]:
+    """The JSON of a report's rows at beta and of its preliminary rows."""
+    return [json.dumps(c.to_json()) for c in report.checks if c.beta in (None, beta)]
+
+
+def test_a_certified_beta_keeps_its_bound_beside_a_beta_that_is_not():
+    # at 1e10 P is too ill-conditioned for the split certificate; at 1 it
+    # is certified, in a stack with 1e10 as alone
+    inst = random_instance(6, 2, 3, 2)
+    alone = verify_instance(inst, [1.0])
+    stacked = verify_instance(inst, [1.0, 1e10])
+    assert "min_abs_eig_bound" in by_id(alone.checks, "THM.i")[0].evidence
+    assert "min_abs_eig" in by_id(stacked.checks, "THM.i")[1].evidence
+    assert _beta_rows(stacked, 1.0) == _beta_rows(alone, 1.0)
+
+
+def test_every_beta_of_the_report_set_gives_the_rows_it_gives_alone(monkeypatch):
+    """Each beta of a verify is one member of the per-beta stacks; its rows,
+    evidence included, are the rows it gives verified alone, for every
+    report of tools/report_set.py."""
+    report_set = tool("report_set")
+    verify, calls = verifier.verify_instance, []
+
+    def recorded(inst, betas, **kwargs):
+        calls.append((inst, betas, kwargs))
+        return verify(inst, betas, **kwargs)
+
+    monkeypatch.setattr(verifier, "verify_instance", recorded)
+    monkeypatch.setattr(report_set, "verify_instance", recorded)
+    reports = list(report_set.reports())
+    assert len(reports) == len(calls) == 71
+    for line, ((inst, betas, kwargs), report) in enumerate(zip(calls, reports), start=1):
+        for beta in betas:
+            alone = verify(inst, [beta], **kwargs)
+            assert _beta_rows(report, beta) == _beta_rows(alone, beta), (line, beta)
 
 
 def test_certificates_decide_every_sign_claim_of_a_valid_instance():
@@ -781,5 +821,5 @@ def test_an_eigenvalue_between_the_threshold_and_the_shift_reads_the_spectrum():
     assert EIG_ZERO * p_scale < min_abs < 1.5 * EIG_ZERO * p_scale
     thm_i = by_id(thm, "THM.i")[0]
     assert thm_i.passed and thm_i.evidence == {"min_abs_eig": min_abs}
-    assert mats.p_eigs(1.0)[2] is None
+    assert not isinstance(mats.p_eigs(1.0)[0], Bound)
     assert by_id(thm, "THM.ii")[0].evidence == {"inertia": list(inertia_of_spectrum(spectrum))}

@@ -62,17 +62,23 @@ def perturbed_rows(seed: int):
         verifier.build_matrices = build
 
 
-def main(argv):
-    first, last = (int(argv[0]), int(argv[1])) if argv else (0, 4)
+def flips(first: int, last: int):
+    """Per report line, each row with the number of draws, seeds first to
+    last, that flip it."""
     base = rows()
-    flips = [[0] * len(line) for line in base]
+    counts = [[0] * len(line) for line in base]
     for seed in range(first, last + 1):
         for k, (want, got) in enumerate(zip(base, perturbed_rows(seed))):
             for i, (a, b) in enumerate(zip(want, got)):
-                flips[k][i] += a != b
-    for k, line in enumerate(base):
-        for (cid, beta, *_), count in zip(line, flips[k]):
-            print(f"{k + 1} {cid} {'-' if beta is None else beta} {count}")
+                counts[k][i] += a != b
+    return [list(zip(line, c)) for line, c in zip(base, counts)]
+
+
+def main(argv):
+    first, last = (int(argv[0]), int(argv[1])) if argv else (0, 4)
+    for k, line in enumerate(flips(first, last), start=1):
+        for (cid, beta, *_), count in line:
+            print(f"{k} {cid} {'-' if beta is None else beta} {count}")
     print(f"# draws: seeds {first}-{last}")
 
 
