@@ -1,11 +1,16 @@
-"""Exact rational matrices: numpy object arrays of Fraction.
+"""Exact rational matrices: numpy object arrays of Fraction, and integer
+matrices over a common denominator.
 
 Used for the bit-exact golden path: entries of the worked 4-vertex example
 have denominators up to 612184 and intermediate elimination values grow well
-beyond 64 bits. Matrices go in and come out as arbitrary-precision Fractions;
-the eliminations in between run on Python ints: each row is scaled by the lcm
+beyond 64 bits. Matrices go in as arbitrary-precision Fractions (or Python
+ints); the eliminations run on Python ints: each row is scaled by the lcm
 of its denominators, and Bareiss's fraction-free elimination (Math. Comp. 22,
 1968) keeps every intermediate an exact minor, with no gcd per operation.
+An inverse comes out as a pair (x, d), an object array x of Python ints and
+its denominator d: the exact matrix is x / d. `as_fractions` views a pair as
+Fractions, for callers that compare Fractions; `rel_error` rounds a pair to
+floats by one correctly rounded int / int per entry, with no Fraction built.
 numpy's `+`, `-`, `*`, `@` and `.T` work on these arrays entry by entry;
 only the eliminations below are written out.
 
@@ -63,11 +68,12 @@ def _scaled_rows(a: np.ndarray) -> tuple[list[list[int]], list[int]]:
     return rows, scales
 
 
-def _integer_matrix(a: np.ndarray) -> tuple[list[list[int]], int]:
-    """`a` (Python ints and Fractions) times e, the lcm of all its
-    denominators, as rows of Python ints; and e."""
+def integer_matrix(a) -> tuple[np.ndarray, int]:
+    """`a` (Python ints and Fractions) as a pair (e a, e), e the lcm of all
+    its denominators: e a is an object array of Python ints."""
+    a = np.asarray(a, dtype=object)
     e = math.lcm(*(x.denominator for x in a.flat))
-    return [[x.numerator * (e // x.denominator) for x in row] for row in a], e
+    return np.frompyfunc(lambda x: x.numerator * (e // x.denominator), 1, 1)(a), e
 
 
 def _bareiss_step(m: list[list[int]], k: int, prev: int, rows, hi: int):
@@ -83,9 +89,10 @@ def _bareiss_step(m: list[list[int]], k: int, prev: int, rows, hi: int):
         row[k + 1:hi] = [(p * x - f * y) // prev for x, y in zip(row[k + 1:hi], pivot)]
 
 
-def rational_invert(a, b=None) -> RatMatrix:
+def rational_invert(a, b=None) -> tuple[np.ndarray, int]:
     """Exact A^{-1}, or A^{-1} B when b is given, by fraction-free
-    Gauss-Jordan elimination over Python ints.
+    Gauss-Jordan elimination over Python ints, as a pair (x, d): an object
+    array x of Python ints and a nonzero int d with A^{-1} (B) = x / d.
 
     Entries are Python ints or Fractions. Row i of [A | I] is scaled by the
     lcm c_i of its denominators. The pivot is the first nonzero entry at or
@@ -94,9 +101,10 @@ def rational_invert(a, b=None) -> RatMatrix:
     nonzero only in its first k columns and on its diagonal, and step k
     rewrites columns k+1..n+k alone: the columns left of them are settled.
     At the end the left half is d I, d the last pivot, and the right half
-    d A^{-1} with its columns permuted, so each entry of the inverse is one
-    Fraction(x, d). With b, that integer d A^{-1} times e B, e the lcm of
-    B's denominators, is d e A^{-1} B: each entry is one Fraction(x, d e).
+    d A^{-1} with its columns permuted: the pair is (d A^{-1}, d). With b,
+    that integer d A^{-1} times e B, e the lcm of B's denominators, is
+    d e A^{-1} B: the pair is (d e A^{-1} B, d e). d is the last pivot, and
+    may be negative.
     """
     a = np.asarray(a, dtype=object)
     n = len(a)
@@ -130,12 +138,18 @@ def rational_invert(a, b=None) -> RatMatrix:
         prev = p
     x = np.empty((n, n), dtype=object)
     x[:, perm] = [row[n:] for row in m]
-    if b is not None:
-        ints, e = _integer_matrix(b)
-        x = x @ np.array(ints, dtype=object).reshape(b.shape)
-        prev *= e
-    return np.array([[Fraction(y, prev) for y in row] for row in x],
-                    dtype=object).reshape(x.shape)
+    if b is None:
+        return x, prev
+    ints, e = integer_matrix(b)
+    return x @ ints, prev * e
+
+
+def as_fractions(x, d) -> RatMatrix:
+    """The Fractions x / d of an integer array x over d, a nonzero int or an
+    integer array that broadcasts against x (a column of row denominators):
+    each in lowest terms with a positive denominator, whatever d's sign."""
+    return np.frompyfunc(Fraction, 2, 1)(np.asarray(x, dtype=object),
+                                          np.asarray(d, dtype=object))
 
 
 class PerturbedInverse:
@@ -149,29 +163,38 @@ class PerturbedInverse:
     """
 
     def __init__(self, d: RatMatrix, l: RatMatrix):
-        self.d_int, self.dd = _integer_matrix(d)
+        self.d_int, self.dd = integer_matrix(d)
         rows, self.scales = _scaled_rows(l)
-        self.ld = (np.array(rows, dtype=object) @ np.array(self.d_int, dtype=object)).tolist()
+        self.ld = (np.array(rows, dtype=object) @ self.d_int).tolist()
 
-    def at(self, beta) -> RatMatrix:
-        """F(beta) for beta = b_n / b_d > 0.
+    def at(self, beta) -> tuple[np.ndarray, np.ndarray | int]:
+        """F(beta) for beta = b_n / b_d >= 0, as a pair (x, q): an integer
+        matrix x and positive denominators q, one per row (a column), with
+        F = x / q. F(0) = D is (dd D, dd).
 
         Row i of I - beta L D times c_i dd b_d is the integer row
         a_i = c_i dd b_d e_i - b_n LD_i; divided by its content g_i it is
         s_i (I - beta L D)_i with s_i = c_i dd b_d / g_i. With A the matrix of
         those rows, A' = (I - beta D L) S, so F = S (A')^{-1} dd D / dd, and
-        F_ij = c_i b_d Y_ij / g_i for Y = (A')^{-1} dd D.
+        F_ij = c_i b_d Y_ij / g_i for Y = (A')^{-1} dd D = y / det: row i of
+        F is c_i b_d y_i over g_i det. The sign of det goes to the numerators,
+        so that every q_i is positive.
         """
+        if not beta:
+            return self.d_int, self.dd
         bn, bd = beta.as_integer_ratio()
-        rows, factors = [], []
+        rows, factors, contents = [], [], []
         for i, (ld, c) in enumerate(zip(self.ld, self.scales)):
             row = [-bn * x for x in ld]
             row[i] += c * self.dd * bd
             g = math.gcd(*row) or 1      # a zero row is singular: the elimination says so
             rows.append([x // g for x in row])
-            factors.append((c * bd, g))
-        y = rational_invert(list(zip(*rows)), self.d_int)
-        return y * np.array([Fraction(c, g) for c, g in factors], dtype=object)[:, None]
+            factors.append(c * bd)
+            contents.append(g)
+        y, det = rational_invert(list(zip(*rows)), self.d_int)
+        sign = 1 if det > 0 else -1
+        return (y * np.array([[sign * f] for f in factors], dtype=object),
+                np.array([[g * abs(det)] for g in contents], dtype=object))
 
 
 def rat_is_pd(a) -> bool:
@@ -198,8 +221,17 @@ def rat_to_float(a) -> np.ndarray:
     return np.asarray(a, dtype=object).astype(float)
 
 
-def rel_error(x: np.ndarray, a) -> float:
-    """max |x - a'| / max |a'| of a float matrix x against the exact a, a' the
-    correctly rounded a: how far a float route lands from the exact one."""
-    want = rat_to_float(a)
+def round_ratio(num, den) -> np.ndarray:
+    """The floats nearest num / den, for integer arrays or ints num and
+    den > 0 that broadcast. Each entry is one int / int, which Python rounds
+    correctly: the bits float(Fraction(num, den)) has, subnormals included,
+    and the same OverflowError past float's range. No Fraction is built."""
+    return (np.asarray(num, dtype=object) / np.asarray(den, dtype=object)).astype(float)
+
+
+def rel_error(x: np.ndarray, num, den) -> float:
+    """max |x - a'| / max |a'| of a float matrix x against the exact
+    a = num / den, a' the correctly rounded a: how far a float route lands
+    from the exact one, rounded by `round_ratio`."""
+    want = round_ratio(num, den)
     return float(np.abs(x - want).max()) / float(np.abs(want).max())

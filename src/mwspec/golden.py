@@ -123,12 +123,12 @@ def run_golden() -> GoldenResult:
 
     _compare_exact("D", m.exact_operators()[0], expected_d_exact(), mismatches)
     _compare_exact("L", m.exact_operators()[1], expected_l(), mismatches)
-    _compare_exact("F", m.exact_f(1.0), expected_f(), mismatches)
+    _compare_exact("F", ex.as_fractions(*m.exact_f(1.0)), expected_f(), mismatches)
 
     want_d = np.array(EXPECTED_D, dtype=float)
     if not np.array_equal(m.d.array, want_d):
         mismatches.append("D (float): integer entries not reproduced exactly")
-    rel = ex.rel_error(m.l.array, expected_l())
+    rel = ex.rel_error(m.l.array, *ex.integer_matrix(expected_l()))
     if rel > REL_RESIDUAL:
         mismatches.append(f"L (float): max relative error {rel:.3e}")
     check = verify_exact_consistency(m, 1.0)

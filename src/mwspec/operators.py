@@ -154,7 +154,7 @@ def _require_exact(g: MatrixWeightedGraph):
 
 
 def _rational_inverses(weights: np.ndarray) -> np.ndarray:
-    return np.stack([ex.rational_invert(w) for w in weights])
+    return np.stack([ex.as_fractions(*ex.rational_invert(w)) for w in weights])
 
 
 def build_laplacian_exact(g: MatrixWeightedGraph) -> ex.RatMatrix:

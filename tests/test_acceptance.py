@@ -142,10 +142,10 @@ def test_criterion_7_oracle_equivalence():
     f_float = perturbed_pencil(
         distance_inverse_closed_form(inst.tree), build_laplacian(inst.graph), 1.0
     ).f.array
-    f_exact = ex.rat_to_float(rational_invert(
+    f_exact = ex.rat_to_float(ex.as_fractions(*rational_invert(
         distance_inverse_closed_form_exact(inst.tree)
         - build_laplacian_exact(inst.graph)
-    ))
+    )))
     ok &= np.abs(f_float - f_exact).max() / np.abs(f_exact).max() <= 1e-12
     report("7 oracle equivalence (closed form vs dense; exact vs float)", ok)
 

@@ -16,6 +16,11 @@ def F(p, q=1):
     return Fraction(p, q)
 
 
+def inverse(a, b=None):
+    """rational_invert's pair, viewed as Fractions."""
+    return ex.as_fractions(*ex.rational_invert(a, b))
+
+
 def gauss_jordan_oracle(a):
     """Exact inverse by Gauss-Jordan elimination over Fractions, with the
     first nonzero entry at or below the diagonal as pivot."""
@@ -78,12 +83,12 @@ def test_format_round_trip():
 
 def test_invert_identity():
     eye = ex.rat_matrix(np.eye(3, dtype=int).tolist())
-    assert np.array_equal(ex.rational_invert(eye), eye)
+    assert np.array_equal(inverse(eye), eye)
 
 
 def test_invert_involution():
     swap = ex.rat_matrix([[F(0), F(1)], [F(1), F(0)]])
-    assert np.array_equal(ex.rational_invert(swap), swap)
+    assert np.array_equal(inverse(swap), swap)
 
 
 def test_invert_times_original_is_identity():
@@ -95,7 +100,7 @@ def test_invert_times_original_is_identity():
         a = ex.rat_matrix([[F(rng.randint(-9, 9), rng.randint(1, 9))
                             for _ in range(n)] for _ in range(n)])
         try:
-            inv = ex.rational_invert(a)
+            inv = inverse(a)
         except SingularMatrixError:
             continue
         assert np.array_equal(a @ inv, np.eye(n, dtype=int))
@@ -109,7 +114,7 @@ def test_invert_singular_raises():
 
 def test_invert_needs_pivoting():
     a = ex.rat_matrix([[F(0), F(2)], [F(3), F(1)]])
-    inv = ex.rational_invert(a)
+    inv = inverse(a)
     assert np.array_equal(a @ inv, np.eye(2, dtype=int))
 
 
@@ -147,7 +152,7 @@ def test_invert_matches_the_gauss_jordan_oracle(a):
         with pytest.raises(SingularMatrixError, match=f"^{exc}$"):
             ex.rational_invert(a)
         return
-    got = ex.rational_invert(a)
+    got = inverse(a)
     assert np.array_equal(got, want)
     assert_exact_inverse(ex.rat_matrix(a.tolist()).reshape(a.shape), got)
 
@@ -170,7 +175,7 @@ def test_solve_matches_the_oracle_inverse_times_b(case):
         with pytest.raises(SingularMatrixError, match=f"^{exc}$"):
             ex.rational_invert(a, b)
         return
-    got = ex.rational_invert(a, b)
+    got = inverse(a, b)
     assert got.dtype == object and got.shape == b.shape
     assert np.array_equal(got, want)
     assert all(type(x) is Fraction for x in got.flat)
@@ -211,10 +216,62 @@ def test_solve_rejects_a_right_hand_side_of_the_wrong_shape(b):
     ([[0, 1, 0], [0, 0, 1], [2, 0, 0]], [[0, 0, F(1, 2)], [1, 0, 0], [0, 1, 0]]),
 ])
 def test_invert_small_and_integer_cases(a, want):
-    got = ex.rational_invert(a)
+    got = inverse(a)
     assert got.dtype == object and got.shape == np.shape(want)
     assert np.array_equal(got, np.asarray(want, dtype=object))
     assert all(type(x) is Fraction for x in got.flat)
+
+
+def test_invert_returns_the_eliminations_integers_over_its_last_pivot():
+    # the pair is (d A^{-1}, d), d the last Bareiss pivot, here det A = -7;
+    # the view gives every Fraction a positive denominator all the same
+    x, d = ex.rational_invert([[2, 1], [1, -3]])
+    assert d == -7 and np.array_equal(x, [[-3, -1], [-1, 2]])
+    assert all(type(v) is int for v in (d, *x.flat))
+    got = ex.as_fractions(x, d)
+    assert np.array_equal(got, [[F(3, 7), F(1, 7)], [F(1, 7), F(-2, 7)]])
+    assert all(v.denominator > 0 for v in got.flat)
+
+
+def test_integer_matrix_round_trips_through_the_view():
+    a = ex.rat_matrix([[F(1, 6), 2], [F(-3, 4), 0]])
+    x, e = ex.integer_matrix(a)
+    assert e == 12 and np.array_equal(x, [[2, 24], [-9, 0]])
+    assert all(type(v) is int for v in x.flat)
+    assert np.array_equal(ex.as_fractions(x, e), a)
+
+
+@pytest.mark.parametrize("num, den", [
+    (1, 3), (-2, 3), (0, 7), (10**400 + 1, 10**400), (-(10**30), 7**40),
+    (1, 10**308),                       # subnormal
+    (1, 10**310),                       # subnormal, few bits left
+    (3, 2**1075),                       # halfway between two subnormals: to even
+    (1, 2**1075), (1, 2**1076),         # halfway to zero, and below it
+    (2**1024 - 2**971, 1),              # the largest float
+], ids=lambda v: str(v)[:12])
+def test_round_ratio_has_the_bits_of_float_of_the_fraction(num, den):
+    got = ex.round_ratio(np.array([[num, -num]], dtype=object), den)
+    want = ex.rat_to_float([[F(num, den), F(-num, den)]])
+    assert got.dtype == float and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("num", [10**400, 2**1024 - 2**970], ids=["huge", "halfway-past-max"])
+def test_round_ratio_overflows_where_float_of_the_fraction_does(num):
+    with pytest.raises(OverflowError):
+        float(F(num))
+    with pytest.raises(OverflowError):
+        ex.round_ratio([[num]], 1)
+
+
+def test_perturbed_inverse_keeps_its_row_denominators_positive():
+    # det(I - beta D L) = -1 here: its sign goes to the numerators, so F's
+    # zeros round to +0.0, as float(Fraction(0)) does, not to -0.0
+    pi = ex.PerturbedInverse(ex.rat_matrix([[1, 0], [0, F(1, 3)]]),
+                             ex.rat_matrix([[1, 0], [0, 0]]))
+    num, den = pi.at(2.0)
+    assert all(q > 0 for q in den.flat)
+    assert np.array_equal(ex.as_fractions(num, den), [[-1, 0], [0, F(1, 3)]])
+    assert ex.round_ratio(num, den).tobytes() == np.array([[-1, 0], [0, 1 / 3]]).tobytes()
 
 
 def test_invert_workload_sized_pencils():
@@ -225,7 +282,7 @@ def test_invert_workload_sized_pencils():
     l = build_laplacian_exact(inst.graph)
     for beta in DEFAULT_BETAS:
         p = d_inv - Fraction(beta) * l
-        inv = ex.rational_invert(p)
+        inv = inverse(p)
         assert np.array_equal(inv, gauss_jordan_oracle(p))
         assert_exact_inverse(p, inv)
 

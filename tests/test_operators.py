@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mwspec import exact as ex
 from mwspec.errors import ConfigError
@@ -11,6 +13,7 @@ from mwspec.golden import EXPECTED_D, expected_l, golden_instance
 from mwspec.linalg import pinv_psd
 from mwspec.kernels import adjacency
 from mwspec.model import (
+    Instance,
     MatrixWeightedGraph,
     MatrixWeightedTree,
     random_instance,
@@ -29,7 +32,7 @@ from mwspec.operators import (
 )
 from mwspec.perturbation import perturbed_pencil
 from mwspec.verifier import DEFAULT_BETAS, build_matrices
-from test_exact import gauss_jordan_oracle
+from test_exact import gauss_jordan_oracle, inverse
 from test_kernels import SHAPES, _assert_identical, _per_root_fill, _tree_edges, _weight
 
 
@@ -182,8 +185,9 @@ def test_closed_form_exact_golden(inst):
 @pytest.mark.parametrize("inst", RATIONAL_INSTANCES, ids=RATIONAL_IDS)
 def test_exact_f_at_beta_zero_is_the_distance_matrix(inst):
     # F(0) = D, against the inverse of the closed-form D^{-1}, entry for entry
-    f0 = build_matrices(inst).exact_f(0.0)
-    assert np.array_equal(f0, ex.rational_invert(distance_inverse_closed_form_exact(inst.tree)))
+    f0 = ex.as_fractions(*build_matrices(inst).exact_f(0.0))
+    assert np.array_equal(f0, inverse(distance_inverse_closed_form_exact(inst.tree)))
+    assert np.array_equal(f0, build_distance_matrix_exact(inst.tree))
     assert all(type(x) is Fraction for x in f0.flat)
 
 
@@ -196,10 +200,55 @@ def test_exact_f_matches_the_inverse_of_the_pencil(inst):
     l = build_laplacian_exact(inst.graph)
     for beta in DEFAULT_BETAS:
         p = d_inv - Fraction(beta) * l
-        f = mats.exact_f(beta)
-        assert np.array_equal(f, ex.rational_invert(p))
+        f = ex.as_fractions(*mats.exact_f(beta))
+        assert np.array_equal(f, inverse(p))
         assert np.array_equal(f, gauss_jordan_oracle(p))
         assert all(type(x) is Fraction for x in f.flat)
+
+
+def _assert_rounds_once_to_the_bits_of_its_fractions(inst, beta):
+    """exact_f's pair rounded by one int / int per entry has the bits of
+    float(Fraction) of each entry, and the pair is F(beta): the inverse of
+    D^{-1} - beta L by the kernel, with the closed-form D^{-1}."""
+    num, den = build_matrices(inst).exact_f(beta)
+    den_flat = np.asarray(den, dtype=object).ravel()
+    assert all(type(x) is int for x in (*num.flat, *den_flat))
+    assert all(q > 0 for q in den_flat)
+    route = ex.round_ratio(num, den)
+    view = ex.as_fractions(num, den)
+    assert route.tobytes() == ex.rat_to_float(view).tobytes()
+    p = (distance_inverse_closed_form_exact(inst.tree)
+         - Fraction(beta) * build_laplacian_exact(inst.graph))
+    assert np.array_equal(view, inverse(p))
+    return route
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 5), s=st.integers(1, 2), seed=st.integers(0, 2**32),
+       beta=st.one_of(st.sampled_from([0.0, 0.1, 0.5, 1e10]),
+                      st.floats(0.0, 1e10, allow_subnormal=False)))
+def test_exact_f_rounds_once_to_the_bits_of_its_fractions(n, s, seed, beta):
+    inst = random_instance(n, s, seed, min(2, (n - 1) * (n - 2) // 2), rational=True)
+    _assert_rounds_once_to_the_bits_of_its_fractions(inst, beta)
+
+
+def _rational_path(n, x):
+    """Path 1-2-...-n, s = 1, every tree and graph edge of exact weight [[x]]."""
+    uv = [(i, i + 1) for i in range(n - 1)]
+    exact = np.full((n - 1, 1, 1), x)
+    weights = np.full((n - 1, 1, 1), float(x))
+    return Instance(MatrixWeightedTree(n, 1, uv, weights, exact),
+                    MatrixWeightedGraph(n, 1, uv, weights, exact))
+
+
+@pytest.mark.parametrize("digits", [308, 300])
+@pytest.mark.parametrize("beta", [*DEFAULT_BETAS, 0.1, 1e10])
+def test_exact_f_rounds_once_on_the_tiny_weight_paths(digits, beta):
+    # weights 1/10^308 put F's entries among the subnormals
+    route = _assert_rounds_once_to_the_bits_of_its_fractions(
+        _rational_path(3, Fraction(1, 10**digits)), beta)
+    subnormal = (route != 0) & (np.abs(route) < np.finfo(float).tiny)
+    assert subnormal.any() == (digits == 308)
 
 
 def test_exact_f_hands_the_elimination_python_ints(monkeypatch):
@@ -223,7 +272,7 @@ def test_exact_kernel_never_leaves_the_rationals(inst):
     d_inv = distance_inverse_closed_form_exact(inst.tree)
     l = build_laplacian_exact(inst.graph)
     for a in (build_distance_matrix_exact(inst.tree), l, d_inv,
-              ex.rational_invert(d_inv - l)):
+              inverse(d_inv - l)):
         assert a.dtype == object and a.shape == (inst.n * inst.s,) * 2
         assert all(isinstance(x, numbers.Rational) and not isinstance(x, float)
                    for x in a.flat)

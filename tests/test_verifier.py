@@ -44,7 +44,6 @@ from mwspec.verifier import (
     _null_compress,
     _rel,
     build_matrices,
-    campaign_summary,
     run_campaign,
     verify_exact_consistency,
     verify_fiedler_markham,
@@ -379,6 +378,29 @@ def test_exact_consistency_on_rational_instance():
     assert checks[0].evidence["rel_error"] <= 1e-12
 
 
+def test_exact_consistency_builds_no_fraction_per_entry_of_f():
+    # the exact F(beta) is rounded once from the elimination's integers: with
+    # the exact operators built, checking an (8, 3) instance builds not one
+    # Fraction, where one per entry of F would be 576 per beta
+    inst = random_instance(8, 3, seed=1, extra_edges=3, rational=True)
+    mats = build_matrices(inst)
+    mats.exact_operators()
+    built = []
+    original = Fraction.__dict__["__new__"]
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counting)
+    try:
+        checks = [verify_exact_consistency(mats, beta) for beta in (0.0, 0.5, 1.0, 10.0)]
+    finally:
+        Fraction.__new__ = original
+    assert all(c.passed for c in checks)
+    assert built == []
+
+
 @pytest.mark.parametrize("mode", ["both"])
 def test_exact_mode_needs_rational_instance(mode):
     inst = random_instance(4, 2, seed=6, extra_edges=1)
@@ -600,9 +622,8 @@ def test_ill_conditioned_weights_downgrade_to_warnings():
         profile=WeightProfile(1e-8, 1e8),
     )
     reports = run_campaign(cfg)
-    summary = campaign_summary(reports)
     # extreme conditioning may break float checks, but never as hard failures
-    assert summary["failed"] == 0
+    assert sum(r.summary["failed"] for r in reports) == 0
 
 
 def _oracle_cases():
