@@ -15,6 +15,7 @@ an error to its exit code.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -140,8 +141,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's one parser: each build leaves objects in reference cycles
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except OSError as exc:

@@ -327,21 +327,23 @@ class InstanceMatrices:
         return self.memo("udu", lambda: self.u.T @ self.d_inv.array @ self.u)
 
     def pencil(self, beta: float) -> PerturbedPencil:
+        """P(beta) and F(beta) = P(beta)^{-1}, one stacked solve for the betas
+        > 0. F(0) = D: P(0) is D^{-1} and F(0) is D, bit for bit, unsolved."""
         def make(bs):
             n, s = self.n, self.s
             pencil = perturbed_pencil(self.d_inv, self.l, bs)
             return [PerturbedPencil(BlockMatrix(n, s, p), BlockMatrix(n, s, f))
                     for p, f in zip(pencil.p.array, pencil.f.array)]
 
-        return self._stacked("pencil", beta, make)
+        if beta:
+            return self._stacked("pencil", beta, make, positive=True)
+        if not np.all(np.isfinite(self.d.array)):
+            raise NonFiniteError("D has non-finite entries")
+        return PerturbedPencil(self.d_inv, self.d)
 
     def _f(self, bs) -> BlockMatrix:
         """The stack of F(beta) over the betas bs."""
         return BlockMatrix(self.n, self.s, _stack([self.pencil(b).f.array for b in bs]))
-
-    def p(self, beta: float) -> BlockMatrix:
-        """P(beta); P(0) is D^{-1} itself, bit for bit, and needs no inverse."""
-        return self.pencil(beta).p if beta else self.d_inv
 
     def scales(self, beta: float) -> tuple[float, float]:
         """max(1, max|P|) and max(1, max|F|) at beta: the theorem checks'
@@ -358,10 +360,10 @@ class InstanceMatrices:
         """min |eigenvalue| of P(beta) and In(P(beta)), read off P's
         spectrum; or, when the split certificate (_split) shows
         In(P) = (ns - s, 0, s), the Bound c and that inertia. Then the shift
-        c of P's certificates. At beta = 0 no pencil is built."""
+        c of P's certificates."""
         def make(bs):
             n, s = self.n, self.s
-            p = _stack([self.p(b).array for b in bs])
+            p = _stack([self.pencil(b).p.array for b in bs])
             c, split = _split(p, n, s)
             ok, w = certify(split, p)
             inert = map(inertia_of_spectrum, w)
@@ -372,11 +374,9 @@ class InstanceMatrices:
 
     def block_eigs(self, beta: float) -> tuple[np.ndarray, Inertia]:
         """(n, s): ascending eigenvalues of each diagonal block F_ii of
-        F(beta), and In(F_ii) as (n,) counts. F(0) = D, whose diagonal blocks
-        are exactly zero: the distance fill never writes them, and
-        build_matrices refuses a corruption that leaves an entry unchanged.
-        So at beta = 0 nothing is decomposed and F(0) is not read; a D that
-        is not finite raises NonFiniteError."""
+        F(beta), and In(F_ii) as (n,) counts. The blocks of F(0) = D are
+        exactly zero: the distance fill never writes them, and build_matrices
+        refuses a corruption that leaves an entry unchanged."""
         def make(bs):
             n, s = self.n, self.s
             f = self._f(bs).array.reshape(len(bs), n, s, n, s)
@@ -384,12 +384,7 @@ class InstanceMatrices:
             w = sym_eigvals(f[:, i, :, i, :].swapaxes(0, 1))
             return list(zip(w, [Inertia(*c) for c in zip(*inertia_of_spectrum(w))]))
 
-        if beta:
-            return self._stacked("block_eigs", beta, make, positive=True)
-        if not np.all(np.isfinite(self.d.array)):
-            raise NonFiniteError("D has non-finite entries")
-        w = np.zeros((self.n, self.s))
-        return w, inertia_of_spectrum(w)
+        return self._stacked("block_eigs", beta, make)
 
     def deleted_blocks(self, beta: float) -> DeletedBlocks:
         """In(P(alpha'_i)) for every vertex i, P = P(beta), from In(P) and the
@@ -422,10 +417,11 @@ class InstanceMatrices:
                 sampled = np.column_stack([np.ones_like(sample),
                                            2 + _nearest_zero_threshold(f_eigs[sample, 1:])])
                 # (len(sample), 2, (n-1)s, (n-1)s): one gather per beta
-                subs = _stack([principal_block_submatrix(self.p(bs[j]), _deleted(n, v)).array
+                subs = _stack([principal_block_submatrix(self.pencil(bs[j]).p, _deleted(n, v)).array
                                for j, v in zip(sample, sampled)])
                 # -P(alpha') above P's shift c where ((n-1)s, 0, 0) is derived
-                c = np.array([p_eigs[j][2] if bs[j] and np.all(inertia[j] == ((n - 1) * s, 0, 0))
+                # (never at beta = 0, where it is ((n-2)s, s, 0))
+                c = np.array([p_eigs[j][2] if np.all(inertia[j] == ((n - 1) * s, 0, 0))
                               else np.inf for j in sample])
                 ok, w = certify([(-subs, c[:, None])] if np.isfinite(c).any() else [], subs)
                 agree = ok.copy()
@@ -436,7 +432,7 @@ class InstanceMatrices:
                        for i, (j, v) in enumerate(zip(sample, sampled)) if agree[i].all()}
             for j in range(len(bs)):
                 if j not in out:
-                    p = self.p(bs[j])
+                    p = self.pencil(bs[j]).p
                     spectra = np.array([sym_eigvals(principal_block_submatrix(p, rest).array)
                                         for rest in _deleted(n, range(1, n + 1))])
                     out[j] = DeletedBlocks(np.transpose(inertia_of_spectrum(spectra)),
@@ -462,7 +458,8 @@ class InstanceMatrices:
         or, when a Cholesky certificate shows B'FB below
         EIG_ZERO * max(1, max|F|) / 2, that Bound."""
         def make(bs):
-            bfb = _null_compress(self._f(bs).array, self.n, self.s)
+            # Cholesky reads one triangle: F is first held to the asymmetry bound
+            bfb = _null_compress(sym_part(self._f(bs).array), self.n, self.s)
             shift = certificate_shift(np.array([self.scales(b)[1] for b in bs]), side=-1)
             ok, w = certify([(-bfb, shift)], bfb)
             return _bounded(ok, -shift, w[:, -1])
@@ -604,16 +601,12 @@ def verify_theorem(mats: InstanceMatrices, beta: float) -> list[CheckResult]:
     p_scale = lambda: mats.scales(beta)[0]
     f_scale = lambda: mats.scales(beta)[1]
 
-    def p_eigs():
-        mats.pencil(beta)     # P(0) = D^{-1} needs no inverse, but the theorem does
-        return mats.p_eigs(beta)
-
     def thm_i():
-        min_abs = p_eigs()[0]
+        min_abs = mats.p_eigs(beta)[0]
         return min_abs > EIG_ZERO * p_scale(), {"min_abs_eig": min_abs}
 
     def thm_ii():
-        inert = p_eigs()[1]
+        inert = mats.p_eigs(beta)[1]
         return inert == (n * s - s, 0, s), {"inertia": list(inert)}
 
     def thm_iii():

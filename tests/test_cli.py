@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from mwspec.cli import main
+from mwspec import cli
+from mwspec.cli import build_parser, main
 from mwspec.golden import golden_instance
 from mwspec.model import parse_instance, serialize_instance, validate
 
@@ -319,3 +320,13 @@ def test_usage_error_on_unknown_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_main_builds_its_parser_once(capsys):
+    # each argparse build leaves objects in reference cycles; main reuses one
+    cli._parser.cache_clear()
+    for _ in range(3):
+        assert main(["golden"]) == 0
+    assert cli._parser.cache_info().misses == 1
+    assert capsys.readouterr().out == "golden: ok\n" * 3
+    assert build_parser() is not build_parser()     # the public builder builds anew

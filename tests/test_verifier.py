@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mwspec.errors import ConfigError, SingularMatrixError
+from mwspec.errors import ConfigError, NotSymmetricError
 from mwspec.golden import golden_instance
 from mwspec.linalg import (
     EIG_ZERO,
@@ -181,17 +181,14 @@ def test_sample_takes_the_block_nearest_its_zero_threshold():
     assert fm.evidence["inferred"] == {"beta": 0, "dinv": n - 2}
 
 
-def test_fiedler_markham_reads_d_inverse_at_beta_zero():
+def test_fiedler_markham_reads_d_inverse_at_beta_zero(monkeypatch):
     # FM needs no inverse of P(0) = D^{-1}: F(0) = D, whose diagonal blocks
-    # are exactly zero, so neither its dinv row nor its beta = 0 row reads it
+    # are exactly zero, so neither its dinv row nor its beta = 0 row solves
     inst = golden_instance()
     mats = build_matrices(inst)
-
-    def fail():
-        raise SingularMatrixError("inversion residual exceeds tolerance")
-
-    with pytest.raises(SingularMatrixError):
-        mats.memo(("pencil", 0.0), fail)
+    calls = []
+    monkeypatch.setattr(verifier, "perturbed_pencil",
+                        lambda *a: calls.append(list(a[2])) or perturbed_pencil(*a))
     check = verify_fiedler_markham(mats, 1.0)
     assert check.passed
     assert check.evidence["dinv_nullities"] == [2, 2, 2, 2]
@@ -199,6 +196,7 @@ def test_fiedler_markham_reads_d_inverse_at_beta_zero():
     assert at_zero.passed
     assert at_zero.evidence["mismatches"] == []
     assert at_zero.evidence["dinv_nullities"] == [2, 2, 2, 2]
+    assert calls == [[1.0]]
 
 
 def test_fiedler_markham_at_beta_zero_survives_round_off():
@@ -353,7 +351,7 @@ def test_stack_budget_splits_stacks_without_changing_a_row(monkeypatch):
                         lambda *a: calls.append(list(a[2])) or perturbed_pencil(*a))
     monkeypatch.setattr(verifier, "STACK_BYTES", 1)      # one beta per stack
     assert [c.to_json() for c in verify_instance(inst, betas).checks] == whole
-    assert calls == [[beta] for beta in betas]
+    assert calls == [[beta] for beta in betas if beta]     # F(0) = D needs no solve
 
 
 def test_verify_instance_report_shape():
@@ -421,15 +419,17 @@ def test_gx_vectors_are_drawn_once_per_instance(monkeypatch):
 def test_exact_consistency_sees_a_wrong_closed_form(monkeypatch, factor):
     """The exact F is built from D and L, not from the closed-form D^{-1}:
     a closed form that is wrong in both kernels fails EXACT-CONSISTENCY at
-    every beta, where inverting the same wrong body on both sides passed,
-    and P2. Off by 1e-6, it is still far above the bound on float error."""
+    every beta > 0, where inverting the same wrong body on both sides
+    passed, and P2. Off by 1e-6, it is still far above the bound on float
+    error. At beta = 0 both sides are D, and neither reads the closed form."""
     closed_form = operators._closed_form
     monkeypatch.setattr(operators, "_closed_form", lambda *a: factor * closed_form(*a))
     inst = random_instance(4, 2, seed=6, extra_edges=1, rational=True)
     report = verify_instance(inst, list(DEFAULT_BETAS), kernel_mode="both")
     rows = by_id(report.checks, "EXACT-CONSISTENCY")
     assert [c.beta for c in rows] == list(DEFAULT_BETAS)
-    assert not any(c.passed or c.warning for c in rows)
+    assert rows[0].passed
+    assert not any(c.passed or c.warning for c in rows[1:])
     assert not by_id(report.checks, "P2")[0].passed
 
 
@@ -474,6 +474,18 @@ def test_negative_control_flips_a_check():
     report = verify_instance(inst, [1.0], corrupt=(2, 5, 1.1))
     assert not report.ok
     assert report.summary["failed"] >= 1
+
+
+def test_a_corrupted_d_fails_the_checks_that_read_f_at_beta_zero():
+    # F(0) = D, and the corrupted D is not symmetric: each check that reads
+    # F(0) refuses it. The pencils at beta > 0 read only D^{-1} and L.
+    report = verify_instance(golden_instance(), [0.0, 1.0], corrupt=(1, 3, 1.1))
+    rows = {(c.check_id, c.beta): c for c in report.checks}
+    for cid in ("THM.iv", "THM.iv.haynsworth", "THM.v"):
+        row = rows[(cid, 0.0)]
+        assert not (row.passed or row.warning)
+        assert row.evidence["error"].startswith("NotSymmetricError"), row.evidence
+        assert rows[(cid, 1.0)].passed
 
 
 @pytest.mark.parametrize("n, s", [(2, 1), (3, 2), (7, 3), (12, 4)])
@@ -568,43 +580,43 @@ def test_unbuildable_pencil_fails_every_theorem_row(inst, mode, monkeypatch):
     calls = []
     monkeypatch.setattr(verifier, "perturbed_pencil",
                         lambda *a: calls.append(list(a[2])) or perturbed_pencil(*a))
-    report = verify_instance(inst, [0.0, 1.0], kernel_mode=mode)
-    assert calls == [[0.0, 1.0], [0.0], [1.0]]
+    report = verify_instance(inst, [0.5, 1.0], kernel_mode=mode)
+    assert calls == [[0.5, 1.0], [0.5], [1.0]]
     per_beta = [*THM_IDS, "FM-nullity"] + (["EXACT-CONSISTENCY"] if mode == "both" else [])
     expected = Counter([(cid, None, False) for cid in
                         ("P1", "P2", "P3", "P4", "COL-SPACE", "COR2.8")]
-                       + [(cid, beta, beta == 0 and cid in ("THM.vi", "THM.vi.gx"))
-                          for beta in (0.0, 1.0) for cid in per_beta])
+                       + [(cid, beta, False) for beta in (0.5, 1.0) for cid in per_beta])
     assert Counter((c.check_id, c.beta, c.skipped) for c in report.checks) == expected
-    thm = [c for c in report.checks if c.check_id in THM_IDS and not c.skipped]
-    assert len(thm) == 14
+    thm = [c for c in report.checks if c.check_id in THM_IDS]
+    assert len(thm) == 16
     assert all(not c.passed and "error" in c.evidence for c in thm)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("inst, fm_passes", [
-    (_path(2, 1e308, 1e308), True),
-    (_path(3, 1e308, 1e308), False),
-    (_path(3, _TINY, _TINY), False),
+@pytest.mark.parametrize("inst, measured", [
+    (_path(2, 1e308, 1e308),
+     {"THM.i", "THM.ii", "THM.iii", "THM.iv", "THM.iv.haynsworth", "FM-nullity"}),
+    (_path(3, 1e308, 1e308), set()),
+    (_path(3, _TINY, _TINY), {"THM.v", "EXACT-CONSISTENCY"}),
 ], ids=["float-2-vertex-1e308", "float-3-vertex-1e308", "rational-3-vertex-1e-308"])
-def test_stages_read_an_overflowing_bundle_as_non_finite_failures(inst, fm_passes):
+def test_stages_read_an_overflowing_bundle_as_non_finite_failures(inst, measured):
     """build_matrices assembles an instance whose float operators overflow
     without a numpy RuntimeWarning, and each stage run on its bundle returns
-    failing rows marked non_finite (at beta = 0 every unskipped theorem row
-    is one), not a warning and not a traceback. FM-nullity at beta = 0 reads
-    only D^{-1} and the zero blocks of F(0) = D: on the 2-vertex path D is
-    finite and every D^{-1}(alpha') is [0], of nullity s, so that row passes."""
+    failing rows marked non_finite, not a warning and not a traceback. At
+    beta = 0, where F(0) = D, exactly the rows that read an overflowed matrix
+    are non_finite. On the 2-vertex path D, D^{-1} and L are finite, and only
+    THM.v's B'DB overflows; on the 3-vertex path D overflows, and every row
+    reads it; on the rational path D^{-1} and L overflow, and THM.v and
+    EXACT-CONSISTENCY read only D."""
     mats = build_matrices(inst)
     prelim = verify_preliminaries(mats)
-    theorem = verify_theorem(mats, 0.0)
-    fm = verify_fiedler_markham(mats, 0.0)
-    per_beta = [] if fm_passes else [fm]
+    per_beta = verify_theorem(mats, 0.0) + [verify_fiedler_markham(mats, 0.0)]
     if inst.is_exact:
         per_beta.append(verify_exact_consistency(mats, 0.0))
     non_finite = lambda c: not c.passed and c.evidence.get("non_finite")
     assert any(non_finite(c) for c in prelim)
-    assert all(non_finite(c) for c in theorem + per_beta if not c.skipped)
-    assert fm.passed == fm_passes
+    assert {c.check_id for c in per_beta if not (c.skipped or non_finite(c))} == measured
+    assert not any("error" in c.evidence for c in per_beta if c.check_id in measured)
 
 
 def test_verify_instance_reads_eigenvectors_only_for_the_pseudoinverse(monkeypatch):
@@ -805,6 +817,42 @@ def test_every_beta_of_the_report_set_gives_the_rows_it_gives_alone(monkeypatch)
         for beta in betas:
             alone = verify(inst, [beta], **kwargs)
             assert _beta_rows(report, beta) == _beta_rows(alone, beta), (line, beta)
+
+
+def test_bfb_max_eig_certifies_no_f_outside_the_asymmetry_bound():
+    """Cholesky reads one triangle of -B'FB. An F(1) of the golden instance
+    moved by an antisymmetric 1e-6 of its largest entry still factors, but
+    lies outside the asymmetry bound: THM.v refuses it, as its spectrum
+    would."""
+    inst = golden_instance()
+    n, s = inst.n, inst.s
+    mats = build_matrices(inst)
+    pencil = perturbed_pencil(mats.d_inv, mats.l, 1.0)
+    upper = np.triu(np.ones((n * s, n * s)), 1)
+    f = pencil.f.array + 1e-6 * np.abs(pencil.f.array).max() * (upper - upper.T)
+    bfb = _null_compress(f, n, s)
+    shift = linalg.certificate_shift(max(1.0, np.abs(f).max()), side=-1)
+    assert linalg.certify([(-bfb, shift)], bfb)[0]     # Cholesky alone certifies it
+    mats.memo(("pencil", 1.0), lambda: PerturbedPencil(pencil.p, BlockMatrix(n, s, f)))
+    with pytest.raises(NotSymmetricError):
+        mats.bfb_max_eig(1.0)
+    thm_v = by_id(verify_theorem(mats, 1.0), "THM.v")[0]
+    assert not thm_v.passed
+    assert thm_v.evidence["error"].startswith("NotSymmetricError")
+
+
+def test_no_report_solves_a_pencil_at_beta_zero(monkeypatch):
+    """F(0) = D: over every report of tools/report_set.py, each stack of betas
+    handed to perturbed_pencil is positive, and recording the calls changes
+    no row."""
+    report_set = tool("report_set")
+    rows = lambda: [json.dumps(c.to_json()) for r in report_set.reports() for c in r.checks]
+    unrecorded = rows()
+    calls = []
+    monkeypatch.setattr(verifier, "perturbed_pencil",
+                        lambda *a: calls.append(list(a[2])) or perturbed_pencil(*a))
+    assert rows() == unrecorded
+    assert calls and all(b > 0 for bs in calls for b in bs)
 
 
 def test_certificates_decide_every_sign_claim_of_a_valid_instance():
