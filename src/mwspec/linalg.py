@@ -147,7 +147,7 @@ class Bound(float):
     beyond, on the passing side; a check reports it under its key + "_bound"."""
 
 
-def certify(certificates, x: np.ndarray, *more):
+def certify(certificates, x, *more):
     """Decide a sign claim about each member of a symmetric stack x
     (..., m, m), or about x alone, by Cholesky certificates (A, c): A a stack
     of x's leading shape, c a shift per member or one for all. A member is
@@ -157,10 +157,14 @@ def certify(certificates, x: np.ndarray, *more):
     question as one stack, and each alone only when that fails, so every
     member gets the verdict it gets alone. A member with a non-finite shift
     is not factored; only sym_eigvals raises; A's diagonal is shifted in
-    place. Returns the bool verdicts, then the ascending spectra (j, m) of
-    the j members left, in order, of x and of the stack each function of
-    `more` builds, called only when a member is left (else None)."""
-    ok = np.full(x.shape[:-2], bool(certificates))
+    place. x and each of `more` is a stack, or a function that builds one,
+    called only when a member is left; x's function is called first when
+    there is no certificate. Returns the bool verdicts, then, for x and each
+    of `more` in order, the ascending spectra (j, m) of the j members left:
+    (0, m) for a stack when none is left, None for a function not called."""
+    if not certificates and callable(x):
+        x = x()
+    ok = np.full((certificates[0][0] if certificates else x).shape[:-2], bool(certificates))
 
     def holds(a):
         try:
@@ -182,11 +186,12 @@ def certify(certificates, x: np.ndarray, *more):
             a = a.reshape(-1, m, m)
             if not holds(a):
                 ok[ok] = [holds(b) for b in a]
+    stacks = (x, *more)
     if ok.all():
-        return (ok, np.empty((0, x.shape[-1])), *(None for _ in more))
+        return (ok, *(None if callable(y) else np.empty((0, y.shape[-1])) for y in stacks))
     # the members left; all of them, as a view, when none is certified
     left = (lambda y: y[~ok]) if ok.any() else (lambda y: y.reshape(-1, *y.shape[-2:]))
-    return (ok, sym_eigvals(left(x)), *(sym_eigvals(left(build())) for build in more))
+    return (ok, *(sym_eigvals(left(y() if callable(y) else y)) for y in stacks))
 
 
 def is_pd_quadratic_form(a: np.ndarray) -> bool | np.ndarray:
@@ -199,9 +204,10 @@ def is_pd_quadratic_form(a: np.ndarray) -> bool | np.ndarray:
     """
     a = _as_square(a)
     scale = np.asarray(np.maximum(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0)))
-    sym = (a + a.swapaxes(-1, -2)) / 2.0
-    ok, w = certify([(sym.copy(), certificate_shift(scale))], sym)
-    ok[~ok] = w[:, 0] > EIG_ZERO * scale[~ok]
+    sym = lambda: (a + a.swapaxes(-1, -2)) / 2.0     # built again for the spectrum
+    ok, w = certify([(sym(), certificate_shift(scale))], sym)
+    if w is not None:
+        ok[~ok] = w[:, 0] > EIG_ZERO * scale[~ok]
     return bool(ok) if ok.ndim == 0 else ok
 
 

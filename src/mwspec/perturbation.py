@@ -119,23 +119,24 @@ def schur_complement(m: np.ndarray, k: int) -> np.ndarray:
     return m22 - m21 @ x
 
 
-def haynsworth_check(m: np.ndarray, k: int, pivot_inertia: Inertia
+def haynsworth_check(m: np.ndarray, k: int, m_inertia: Inertia, pivot_inertia: Inertia
                      ) -> tuple[Inertia, Inertia, bool, np.ndarray]:
     """Inertia additivity: In(M) vs In(M11) + In(M/M11), componentwise, for
     a symmetric M and the leading split M11 = M[:k, :k].
 
-    In(M11) comes from the caller as `pivot_inertia`, who may know it without
-    a decomposition: the verifier's pivot F = P^{-1} is congruent to P, so
-    In(F) = In(P). In(M) and In(M/M11) are measured.
+    In(M) and In(M11) come from the caller as `m_inertia` and
+    `pivot_inertia`, who may know them without a decomposition: the
+    verifier certifies In(M) by a congruence where it can, and its pivot
+    F = P^{-1} is congruent to P, so In(F) = In(P). In(M/M11) is measured.
     Returns (In(M), In(M11) + In(M/M11), whether they agree, M/M11), the
     Schur complement averaged with its transpose, so symmetric bit for bit.
-    A stack M (k, m, m) with an Inertia of (k,) counts gives the inertias as
+    A stack M (k, m, m) with Inertias of (k,) counts gives the inertias as
     (k,) counts, a (k,) bool array and the (k, ...) Schur complements.
     """
     m = np.asarray(m, dtype=float)
     schur = schur_complement(m, k)
     schur = (schur + schur.swapaxes(-1, -2)) / 2.0
-    lhs = inertia_of(m)
+    lhs = Inertia(*m_inertia)
     in_schur = inertia_of(schur)
     rhs = Inertia(*(a + b for a, b in zip(pivot_inertia, in_schur)))
     agree = np.all(np.equal(lhs, rhs), axis=0)

@@ -177,10 +177,60 @@ def _split(x: np.ndarray, n: int, s: int):
                    (x.reshape(*x.shape[:-2], n, s, n, s).sum(axis=(-4, -2)), n * c)]
 
 
+def _bordered_split(f: np.ndarray, u: np.ndarray, weights: np.ndarray, n: int, s: int) -> list:
+    """The two certificates that together show In(G) = (ns, 0, s), with every
+    eigenvalue at least c from zero, for G = [[F, U], [U', 0]], or for each
+    member of a stack F, by a congruence over X- = [[B, U/t], [0, -I_s]] and
+    X+ = [[U/t], [I_s]] (README): -X-'(G + cI)X- > 0 and X+'(G - cI)X+ > 0,
+    each given as its matrix plus cI with shift c. c = certificate_shift at
+    ||G||_inf = max(||F||_inf + 1, n); t = n ||R||_inf / 2, R the sum of the
+    tree weights, exceeds the n lambda_max(R) / 4 the first one needs. An F
+    beyond the asymmetry bound gets no certificate."""
+    lead = f.shape[:-2]
+    with np.errstate(all="ignore"):
+        try:
+            f = sym_part(f)
+        except NotSymmetricError:
+            return []
+        t = n * np.abs(weights.sum(axis=0)).sum(axis=-1).max() / 2
+        c = certificate_shift(np.maximum(np.abs(f).sum(axis=-1).max(axis=-1) + 1.0, n))
+        fu = (f @ u).reshape(*lead, n, s, s) / t                   # FU/t, (..., n, s, s)
+        btfu = fu[..., :-1, :, :] - fu[..., -1:, :, :]             # B'FU/t
+        utfu = fu.sum(axis=-3) / t                                 # U'FU/t^2
+        corner = (2 * n / t - c * n / t ** 2)[..., None, None] * np.eye(s)
+        # in blocks of s, the last block row and column from X-'s last s columns
+        low = np.empty((*lead, n, s, n, s))
+        np.negative(_null_compress(f, n, s).reshape(*lead, n - 1, s, n - 1, s),
+                    out=low[..., :-1, :, :-1, :])
+        low[..., :-1, :, :-1, :] -= c[..., None, None, None, None] * np.eye(s)[:, None, :]
+        low[..., :-1, :, -1, :] = -btfu
+        low[..., -1, :, :-1, :] = -np.moveaxis(btfu, -1, -3)
+        low[..., -1, :, -1, :] = corner - utfu
+        return [(low.reshape(*lead, n * s, n * s), c), (corner + utfu, c)]
+
+
+def _kernel_certificate(sub: np.ndarray, f: np.ndarray, vertices, n: int, s: int):
+    """At beta = 0, for the stack sub of -P(alpha'_i), i over the 1-based
+    vertices, and F = D: turn sub in place into the certificates
+    -P(alpha'_i) + t QQ' (README), Q an orthonormal basis of the kernel
+    F[alpha'_i, i], t = max(1, ||P(alpha'_i)||_inf), and return each one's
+    shift certificate_shift(t) and the Bound 2r, r = ||P(alpha'_i) Q||_F. The
+    shift is infinite unless 2r <= EIG_ZERO * max(1, max|diag P(alpha'_i)|) / 2."""
+    with np.errstate(all="ignore"):
+        f4 = f.reshape(n, s, n, s)
+        q = np.linalg.qr(np.stack([f4[np.arange(n) != v - 1, :, v - 1, :].reshape(-1, s)
+                                   for v in vertices]))[0]
+        r = np.linalg.norm(sub @ q, axis=(-2, -1))
+        t = np.maximum(1.0, np.abs(sub).sum(axis=-1).max(axis=-1))
+        top = np.maximum(1.0, np.abs(np.diagonal(sub, axis1=-2, axis2=-1)).max(axis=-1))
+        sub += t[:, None, None] * (q @ q.swapaxes(-1, -2))
+        return np.where(4 * r <= EIG_ZERO * top, certificate_shift(t), np.inf), 2 * r
+
+
 def _bounded(ok: np.ndarray, bounds: np.ndarray, measured: np.ndarray) -> list:
     """Per member of a stack, in member order: its bound as a Bound where
     certified, else the next measured value."""
-    measured = iter(measured.tolist())
+    measured = iter(np.ravel(measured).tolist())
     return [Bound(b) if k else next(measured)
             for k, b in zip(ok.ravel().tolist(), np.ravel(bounds).tolist())]
 
@@ -217,9 +267,11 @@ class DeletedBlocks:
     "contradicted" (a sampled inertia differs from the derived one); on the
     last two every vertex is decomposed directly. On the derived route the
     inertias of the n - 2 vertices outside the sample are inferred, not
-    measured. At beta > 0, when every derived inertia is ((n-1)s, 0, 0), a
-    Cholesky certificate may measure a sampled submatrix instead: its entry
-    of sampled_max is then a Bound that its largest eigenvalue lies below.
+    measured. A Cholesky certificate may measure a sampled submatrix instead:
+    at beta > 0 when every derived inertia is ((n-1)s, 0, 0), and at beta = 0
+    when every one is ((n-2)s, s, 0) and the sample's kernel residual is
+    small (_kernel_certificate). Its entry of sampled_max is then a Bound
+    that its largest eigenvalue lies below.
     """
 
     inertia: np.ndarray          # (n, 3): n_minus, n_zero, n_plus per vertex
@@ -397,8 +449,8 @@ class InstanceMatrices:
         vertex whose F_ii has an eigenvalue nearest its zero threshold (where
         the two counts split first) are decomposed directly, as an
         independent sample of the derived counts; the other n - 2 counts are
-        inferred. The samples of a stack share one certify call, which at
-        beta > 0 may certify them (DeletedBlocks). The direct route
+        inferred. The samples of a stack share one certify call, which may
+        certify them (DeletedBlocks). The direct route
         decomposes one (n-1)s submatrix at a time, so it needs one
         submatrix's memory at a time.
         """
@@ -416,18 +468,30 @@ class InstanceMatrices:
             if sample.size:
                 sampled = np.column_stack([np.ones_like(sample),
                                            2 + _nearest_zero_threshold(f_eigs[sample, 1:])])
-                # (len(sample), 2, (n-1)s, (n-1)s): one gather per beta
-                subs = _stack([principal_block_submatrix(self.pencil(bs[j]).p, _deleted(n, v)).array
-                               for j, v in zip(sample, sampled)])
-                # -P(alpha') above P's shift c where ((n-1)s, 0, 0) is derived
-                # (never at beta = 0, where it is ((n-2)s, s, 0))
-                c = np.array([p_eigs[j][2] if np.all(inertia[j] == ((n - 1) * s, 0, 0))
-                              else np.inf for j in sample])
-                ok, w = certify([(-subs, c[:, None])] if np.isfinite(c).any() else [], subs)
+                # (len(sample), 2, (n-1)s, (n-1)s): one gather per beta, a
+                # stack of its own to be shifted, gathered again for the
+                # spectrum of the members left
+                gather = lambda: np.stack([
+                    principal_block_submatrix(self.pencil(bs[j]).p, _deleted(n, v)).array
+                    for j, v in zip(sample, sampled)])
+                subs = gather()
+                subs *= -1.0
+                c, bound = np.full(subs.shape[:2], np.inf), np.zeros(subs.shape[:2])
+                for i, j in enumerate(sample):
+                    # -P(alpha') above P's shift c where ((n-1)s, 0, 0) is
+                    # derived; at beta = 0, where ((n-2)s, s, 0) is, its
+                    # deflated kernel certificate
+                    if bs[j] and np.all(inertia[j] == ((n - 1) * s, 0, 0)):
+                        c[i], bound[i] = p_eigs[j][2], -p_eigs[j][2]
+                    elif not bs[j] and np.all(inertia[j] == ((n - 2) * s, s, 0)):
+                        c[i], bound[i] = _kernel_certificate(
+                            subs[i], self.pencil(0.0).f.array, sampled[i], n, s)
+                ok, w = certify([(subs, c)] if np.isfinite(c).any() else [], gather)
                 agree = ok.copy()
-                agree[~ok] = np.all(np.stack(inertia_of_spectrum(w), axis=-1)
-                                    == inertia[sample[:, None], sampled - 1][~ok], axis=-1)
-                tops = _bounded(ok, np.broadcast_to(-c[:, None], ok.shape), w[:, -1])
+                if w is not None:
+                    agree[~ok] = np.all(np.stack(inertia_of_spectrum(w), axis=-1)
+                                        == inertia[sample[:, None], sampled - 1][~ok], axis=-1)
+                tops = _bounded(ok, bound, () if w is None else w[:, -1])
                 out = {j: DeletedBlocks(inertia[j], "derived", v.tolist(), tops[2 * i:2 * i + 2])
                        for i, (j, v) in enumerate(zip(sample, sampled)) if agree[i].all()}
             for j in range(len(bs)):
@@ -443,13 +507,21 @@ class InstanceMatrices:
         return self._stacked("deleted", beta, make)
 
     def haynsworth(self, beta: float) -> tuple[Inertia, Inertia, bool, np.ndarray]:
-        """The Haynsworth split of [[F, U], [U', 0]] at the pivot F = P^{-1}:
-        F is congruent to P, so In(F) is read from P's spectrum."""
+        """The Haynsworth split of G = [[F, U], [U', 0]] at the pivot
+        F = P^{-1}: F is congruent to P, so In(F) is read from P's spectrum.
+        In(G) is (ns, 0, s) where the certificates of _bordered_split hold,
+        else read off G's spectrum."""
         def make(bs):
-            g = bordered(self._f(bs))
+            n, s = self.n, self.s
+            f = self._f(bs)
             pivot = Inertia(*np.transpose([self.p_eigs(b)[1] for b in bs]))
-            lhs, rhs, ok, schur = haynsworth_check(g, self.n * self.s, pivot)
-            return list(zip(_members(lhs), _members(rhs), ok.tolist(), schur))
+            ok, w = certify(_bordered_split(f.array, self.u, self.inst.tree.weights, n, s),
+                            lambda: bordered(f))
+            lhs = np.repeat([[n * s], [0], [s]], len(bs), axis=1)
+            if w is not None:
+                lhs[:, ~ok] = inertia_of_spectrum(w)
+            lhs, rhs, agree, schur = haynsworth_check(bordered(f), n * s, Inertia(*lhs), pivot)
+            return list(zip(_members(lhs), _members(rhs), agree.tolist(), schur))
 
         return self._stacked("haynsworth", beta, make)
 
@@ -458,11 +530,14 @@ class InstanceMatrices:
         or, when a Cholesky certificate shows B'FB below
         EIG_ZERO * max(1, max|F|) / 2, that Bound."""
         def make(bs):
-            # Cholesky reads one triangle: F is first held to the asymmetry bound
-            bfb = _null_compress(sym_part(self._f(bs).array), self.n, self.s)
+            # Cholesky reads one triangle: F is first held to the asymmetry
+            # bound. B'FB is built again for the spectrum of the betas left
+            f = sym_part(self._f(bs).array)
+            neg = _null_compress(f, self.n, self.s)
+            neg *= -1.0
             shift = certificate_shift(np.array([self.scales(b)[1] for b in bs]), side=-1)
-            ok, w = certify([(-bfb, shift)], bfb)
-            return _bounded(ok, -shift, w[:, -1])
+            ok, w = certify([(neg, shift)], lambda: _null_compress(f, self.n, self.s))
+            return _bounded(ok, -shift, () if w is None else w[:, -1])
 
         return self._stacked("bfb_max_eig", beta, make)
 

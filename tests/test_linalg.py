@@ -269,6 +269,13 @@ def test_certify_shifts_in_place_and_decomposes_only_the_rest():
     assert built.tolist() == [[4.0]]
     # a function of `more` is not called when every member is certified
     assert certify([(x.copy(), 1.0)], x, lambda: 1 / 0)[2] is None
+    # nor is x's function; it is called for the members left, and first of
+    # all when there is no certificate, whose leading shape it gives
+    assert certify([(x.copy(), 1.0)], lambda: 1 / 0)[1] is None
+    ok, w = certify([(stack.copy(), np.array([0.5, 4.0]))], lambda: stack)
+    assert ok.tolist() == [True, False] and w.tolist() == [[4.0, 4.0]]
+    ok, w = certify([], lambda: stack)
+    assert ok.tolist() == [False, False] and w.tolist() == [[1.0, 1.0], [4.0, 4.0]]
     assert issubclass(Bound, float) and Bound(2.5) == 2.5
 
 

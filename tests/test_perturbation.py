@@ -190,23 +190,27 @@ def test_leading_split_must_leave_both_blocks_nonempty(k):
     with pytest.raises(ConfigError):
         schur_complement(m, k)
     with pytest.raises(ConfigError):
-        haynsworth_check(m, k, Inertia(0, 0, k))
+        haynsworth_check(m, k, Inertia(0, 0, 3), Inertia(0, 0, k))
 
 
 def test_haynsworth_trivial():
     m = np.diag([1.0, -1.0])
-    lhs, rhs, ok, _ = haynsworth_check(m, 1, inertia_of(m[:1, :1]))
+    lhs, rhs, ok, _ = haynsworth_check(m, 1, inertia_of(m), inertia_of(m[:1, :1]))
     assert ok
     assert lhs == (1, 0, 1)
-    # the pivot inertia is the caller's, used as it is, not measured again
-    lhs, rhs, ok, _ = haynsworth_check(m, 1, Inertia(1, 0, 0))
+    # In(M) and the pivot inertia are the caller's, used as they are, not
+    # measured again
+    lhs, rhs, ok, _ = haynsworth_check(m, 1, inertia_of(m), Inertia(1, 0, 0))
     assert (lhs, rhs, ok) == ((1, 0, 1), (2, 0, 0), False)
+    lhs, rhs, ok, _ = haynsworth_check(m, 1, Inertia(2, 0, 0), inertia_of(m[:1, :1]))
+    assert (lhs, rhs, ok) == ((2, 0, 0), (1, 0, 1), False)
 
 
 def test_haynsworth_golden(golden_mats):
     _, d_inv, l = golden_mats
     f = perturbed_pencil(d_inv, l, 1.0).f
-    lhs, rhs, ok, _ = haynsworth_check(bordered(f), 8, inertia_of(f.array))
+    g = bordered(f)
+    lhs, rhs, ok, _ = haynsworth_check(g, 8, inertia_of(g), inertia_of(f.array))
     assert ok
     assert lhs == (8, 0, 2)
 
@@ -219,7 +223,7 @@ def test_haynsworth_schur_complement_is_bitwise_symmetric():
         m = rng.standard_normal((12, 12))
         m = (m + m.T) / 2.0 + np.eye(12)
         assert np.array_equal(m, m.T)
-        _, _, _, schur = haynsworth_check(m, k, inertia_of(m[:k, :k]))
+        _, _, _, schur = haynsworth_check(m, k, inertia_of(m), inertia_of(m[:k, :k]))
         assert np.array_equal(schur, schur.T)
         raw = schur_complement(m, k)
         assert np.array_equal(schur, (raw + raw.T) / 2.0)
@@ -230,7 +234,7 @@ def test_haynsworth_random_symmetric():
     for _ in range(10):
         m = rng.standard_normal((12, 12))
         m = (m + m.T) / 2.0 + np.eye(12)  # keep the pivot comfortably nonsingular
-        _, _, ok, _ = haynsworth_check(m, 5, inertia_of(m[:5, :5]))
+        _, _, ok, _ = haynsworth_check(m, 5, inertia_of(m), inertia_of(m[:5, :5]))
         assert ok
 
 
@@ -243,7 +247,8 @@ def test_stacked_pencil_and_split_give_each_member_its_bits_alone():
     alone = [perturbed_pencil(d_inv, l, beta) for beta in betas]
     pivots = [inertia_of(one.p.array) for one in alone]
     g = bordered(stack.f)
-    lhs, rhs, ok, schur = haynsworth_check(g, 12, Inertia(*np.transpose(pivots)))
+    lhs, rhs, ok, schur = haynsworth_check(g, 12, Inertia(*np.transpose(
+        [inertia_of(one) for one in g])), Inertia(*np.transpose(pivots)))
     assert ok.tolist() == [True] * 3
     xs = np.random.default_rng(3).standard_normal((4, 2))
     gx = gx_matrix(stack.f, xs)
@@ -253,7 +258,7 @@ def test_stacked_pencil_and_split_give_each_member_its_bits_alone():
         assert np.array_equal(stack.p.array[k], one.p.array)
         assert np.array_equal(stack.f.array[k], one.f.array)
         assert np.array_equal(g[k], bordered(one.f))
-        l1, r1, ok1, s1 = haynsworth_check(bordered(one.f), 12, pivot)
+        l1, r1, ok1, s1 = haynsworth_check(bordered(one.f), 12, inertia_of(g[k]), pivot)
         assert ([lhs[i][k] for i in range(3)], [rhs[i][k] for i in range(3)]) == (
             list(l1), list(r1))
         assert ok1 is True and np.array_equal(schur[k], s1)

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mwspec.errors import ConfigError, NotSymmetricError
 from mwspec.golden import golden_instance
@@ -26,7 +28,7 @@ from mwspec.model import (
     instance_hash,
     random_instance,
 )
-from mwspec.operators import BlockMatrix
+from mwspec.operators import BlockMatrix, build_U
 from mwspec.perturbation import (
     PerturbedPencil,
     bordered,
@@ -39,6 +41,7 @@ from mwspec import linalg, operators, verifier
 from mwspec.verifier import (
     DEFAULT_BETAS,
     CampaignConfig,
+    _bordered_split,
     _guard,
     _gx_vectors,
     _null_compress,
@@ -675,15 +678,13 @@ def test_shared_spectra_match_direct_route(n, s, seed, beta):
         t = EIG_ZERO * max(1.0, w.max())
         return max(min(x, t) / max(x, t) for x in w)
     sampled = [1, max(range(2, n + 1), key=nearness) if beta else 2]
-    # at beta > 0 a Cholesky certificate bounds the sampled eigenvalues: the
-    # bound lies above every one the direct route measures
+    # a Cholesky certificate bounds the sampled eigenvalues (at beta = 0 by
+    # the residual of their known kernel): the bound lies above every one the
+    # direct route measures
     thm_iii = by_id(checks, "THM.iii")[0]
     evidence = dict(thm_iii.evidence)
     worst = max(direct[i - 1][-1] for i in sampled)
-    if beta:
-        assert evidence.pop("max_eig_sampled_bound") > worst
-    else:
-        assert evidence.pop("max_eig_sampled") == worst
+    assert evidence.pop("max_eig_sampled_bound") > worst
     assert evidence == {"sampled": sampled, "inferred": n - 2, "route": "derived"}
 
     # FM-nullity: the derived zero counts against the SVD route
@@ -705,7 +706,8 @@ def test_shared_spectra_match_direct_route(n, s, seed, beta):
     # THM.iv.haynsworth reads its pivot's inertia In(F) off P's spectrum
     # (F = P^{-1} is congruent to P); it agrees with In(F) measured
     assert mats.p_eigs(beta)[1] == inertia_of(pencil.f.array)
-    _, rhs, _, _ = haynsworth_check(bordered(pencil.f), n * s, inertia_of(pencil.f.array))
+    g = bordered(pencil.f)
+    _, rhs, _, _ = haynsworth_check(g, n * s, inertia_of(g), inertia_of(pencil.f.array))
     assert by_id(checks, "THM.iv.haynsworth")[0].evidence["rhs"] == list(rhs)
     assert by_id(checks, "THM.ii")[0].evidence["inertia"] == list(inertia_of(pencil.p.array))
 
@@ -855,14 +857,20 @@ def test_no_report_solves_a_pencil_at_beta_zero(monkeypatch):
     assert calls and all(b > 0 for bs in calls for b in bs)
 
 
-def test_certificates_decide_every_sign_claim_of_a_valid_instance():
-    report = verify_instance(random_instance(12, 4, 11211, 30), [*DEFAULT_BETAS, 0.37])
+def test_certificates_decide_every_sign_claim_of_a_valid_instance(monkeypatch):
+    orders = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: orders.append(a.shape[-1]) or eigvalsh(a))
+    betas = [*DEFAULT_BETAS, 0.37]
+    report = verify_instance(random_instance(12, 4, 11211, 30), betas)
     bounded = {(c.check_id, c.beta) for c in report.checks
                if any(k in _BOUND_KEYS for k in c.evidence)}
-    betas = [*DEFAULT_BETAS, 0.37]
     assert bounded == ({("P3", None), ("P4", None)}
                        | {(cid, b) for b in betas for cid in ("THM.i", "THM.v")}
-                       | {("THM.iii", b) for b in betas if b})
+                       | {("THM.iii", b) for b in betas})
+    # THM.iv has no bound to report, but no spectrum of the bordered matrix
+    # (order ns + s = 52) is taken, nor of a sampled deleted block (order 44)
+    assert orders and not {52, 44} & set(orders)
 
 
 def test_an_eigenvalue_between_the_threshold_and_the_shift_reads_the_spectrum():
@@ -892,3 +900,124 @@ def test_an_eigenvalue_between_the_threshold_and_the_shift_reads_the_spectrum():
     assert thm_i.passed and thm_i.evidence == {"min_abs_eig": min_abs}
     assert not isinstance(mats.p_eigs(1.0)[0], Bound)
     assert by_id(thm, "THM.ii")[0].evidence == {"inertia": list(inertia_of_spectrum(spectrum))}
+
+
+# --- THM.iv's congruence and THM.iii's kernel certificates -------------------
+
+def _congruences(f: np.ndarray, t: float, c: float, n: int, s: int):
+    """-X-'(G + cI)X- and X+'(G - cI)X+ for G = [[F, U], [U', 0]], built from
+    dense X- = [[B, U/t], [0, -I_s]] and X+ = [[U/t], [I_s]]."""
+    b = np.kron(np.vstack([np.eye(n - 1), -np.ones((1, n - 1))]), np.eye(s))
+    u = np.kron(np.ones((n, 1)), np.eye(s))
+    minus = np.block([[b, u / t], [np.zeros((s, n * s - s)), -np.eye(s)]])
+    plus = np.vstack([u / t, np.eye(s)])
+    g = bordered(BlockMatrix(n, s, f))
+    eye = np.eye(n * s + s)
+    return -minus.T @ (g + c * eye) @ minus, plus.T @ (g - c * eye) @ plus
+
+
+def _tree_t(inst) -> float:
+    return inst.n * np.abs(inst.tree.weights.sum(axis=0)).sum(axis=-1).max() / 2
+
+
+@pytest.mark.parametrize("inst, beta", [
+    (golden_instance(), 1.0),
+    (random_instance(7, 3, 5, 4), 0.0),
+    (random_instance(7, 3, 5, 4), 10.0),
+])
+def test_bordered_certificates_are_the_congruences_they_claim(inst, beta):
+    """Each certificate (A, c) is its congruence plus cI: A - cI is
+    -X-'(G + cI)X-, or X+'(G - cI)X+, at t = n ||R||_inf / 2."""
+    n, s = inst.n, inst.s
+    f = build_matrices(inst).pencil(beta).f.array
+    (low, c), (high, c_high) = _bordered_split(f[None], build_U(n, s), inst.tree.weights, n, s)
+    assert c_high is c and c.shape == (1,)
+    want_low, want_high = _congruences(f, _tree_t(inst), c[0], n, s)
+    for a, want in ((low[0], want_low), (high[0], want_high)):
+        got = a - c[0] * np.eye(len(a))
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("seed", [1, 1912])
+@pytest.mark.parametrize("n", [60, 80])
+def test_bordered_certificates_hold_on_the_verify_large_instances(n, seed):
+    """Both halves certify at beta 0 and 1 on the benchmark's instances. With
+    ROADMAP's earlier t = ||F||_inf, -X-'GX- is indefinite at beta = 0: t must
+    exceed n lambda_max(R) / 4, and ||F||_inf does not."""
+    inst = random_instance(n, 3, seed * 1000 + n, n)
+    mats = build_matrices(inst)
+    for beta in (0.0, 1.0):
+        f = mats.pencil(beta).f.array
+        ok, _ = linalg.certify(_bordered_split(f[None], build_U(n, 3), inst.tree.weights, n, 3),
+                               lambda: 1 / 0)
+        assert ok.tolist() == [True]
+    d = mats.pencil(0.0).f.array
+    low, _ = _congruences(d, np.abs(d).sum(axis=-1).max(), 0.0, n, 3)
+    assert np.linalg.eigvalsh(low)[0] < 0
+    low, _ = _congruences(d, _tree_t(inst), 0.0, n, 3)
+    assert np.linalg.eigvalsh(low)[0] > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), ratio=st.floats(-3.0, 3.0),
+       exponent=st.integers(-40, 40), beta=st.sampled_from([0.0, 1.0]))
+def test_bordered_certificate_never_passes_another_inertia(seed, ratio, exponent, beta):
+    """F(beta) and the tree weights scaled by 2^exponent, then lambda_max(B'FB)
+    moved to `ratio` times n c of zero, along the dual basis of [B U], which
+    leaves B'FU and U'FU as they are. n c is the most that the leading block
+    of -X-'(G + cI)X- shifts B'FB by, so below -n c its first n s - s pivots
+    certify and above -c they never do. A G that the certificates pass has
+    In(G) = (ns, 0, s) on its spectrum, and a certified B'FB lies below -c."""
+    rng = np.random.default_rng(seed)
+    n, s = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+    inst = random_instance(n, s, seed, int(rng.integers(0, (n - 1) * (n - 2) // 2 + 1)))
+    f = build_matrices(inst).pencil(beta).f.array * 2.0 ** exponent
+    b = np.kron(np.vstack([np.eye(n - 1), -np.ones((1, n - 1))]), np.eye(s))
+    dual = np.linalg.inv(np.hstack([b, np.kron(np.ones((n, 1)), np.eye(s))])).T
+    w, v = np.linalg.eigh(_null_compress(f, n, s))
+    y = dual[:, :n * s - s] @ v[:, -1]
+    c = linalg.certificate_shift(max(np.abs(f).sum(axis=-1).max() + 1.0, n))
+    f = f + (ratio * n * c - w[-1]) * np.outer(y, y)
+    f = (f + f.T) / 2.0
+    g = bordered(BlockMatrix(n, s, f))
+    split = _bordered_split(f[None], build_U(n, s), inst.tree.weights * 2.0 ** exponent, n, s)
+    ok, _ = linalg.certify(split, g[None])
+    if ok[0]:
+        assert inertia_of(g) == (n * s, 0, s)
+        assert np.linalg.eigvalsh(_null_compress(f, n, s))[-1] < -split[0][1][0]
+
+
+@pytest.mark.parametrize("n, s, seed", [(3, 2, 1), (5, 1, 2), (7, 3, 3), (12, 4, 4)])
+def test_beta_zero_samples_are_certified_by_their_kernel(monkeypatch, n, s, seed):
+    """At beta = 0 both samples of a random instance are certified: no
+    spectrum of order (n-1)s is taken, and each reports a Bound 2r within
+    half the zero threshold of its P(alpha'), whose spectrum has the derived
+    inertia ((n-2)s, s, 0)."""
+    orders = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: orders.append(a.shape[-1]) or eigvalsh(a))
+    mats = build_matrices(random_instance(n, s, seed, n - 2))
+    blocks = mats.deleted_blocks(0.0)
+    assert orders and (n - 1) * s not in orders
+    monkeypatch.undo()
+    assert blocks.route == "derived" and blocks.sampled == [1, 2]
+    for v, bound in zip(blocks.sampled, blocks.sampled_max):
+        assert isinstance(bound, Bound)
+        w = np.linalg.eigvalsh(principal_block_submatrix(
+            mats.d_inv, [k for k in range(1, n + 1) if k != v]).array)
+        assert inertia_of_spectrum(w) == ((n - 2) * s, s, 0)
+        assert 0.0 <= bound <= EIG_ZERO * max(1.0, np.abs(w).max()) / 2
+
+
+def test_a_sample_whose_kernel_residual_is_too_large_reads_its_spectrum():
+    """The golden instance with D[1, 3] x 1.1: that entry lies in vertex 2's
+    kernel F[alpha'_2, 2] = D[alpha'_2, 2], which P(alpha'_2) = D^{-1}[alpha'_2]
+    no longer annihilates. Vertex 2's sample is decomposed, and reports the
+    value it reports without certificates; vertex 1's is still certified."""
+    mats = build_matrices(golden_instance(), corrupt=(1, 3, 1.1))
+    blocks = mats.deleted_blocks(0.0)
+    assert blocks.route == "derived" and blocks.sampled == [1, 2]
+    first, second = blocks.sampled_max
+    assert isinstance(first, Bound) and not isinstance(second, Bound)
+    sub = principal_block_submatrix(mats.d_inv, [1, 3, 4]).array
+    assert second == float(np.linalg.eigvalsh(sub)[-1])
