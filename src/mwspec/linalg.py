@@ -147,7 +147,7 @@ class Bound(float):
     beyond, on the passing side; a check reports it under its key + "_bound"."""
 
 
-def certify(certificates, x, *more):
+def certify(certificates, x):
     """Decide a sign claim about each member of a symmetric stack x
     (..., m, m), or about x alone, by Cholesky certificates (A, c): A a stack
     of x's leading shape, c a shift per member or one for all. A member is
@@ -157,11 +157,11 @@ def certify(certificates, x, *more):
     question as one stack, and each alone only when that fails, so every
     member gets the verdict it gets alone. A member with a non-finite shift
     is not factored; only sym_eigvals raises; A's diagonal is shifted in
-    place. x and each of `more` is a stack, or a function that builds one,
-    called only when a member is left; x's function is called first when
-    there is no certificate. Returns the bool verdicts, then, for x and each
-    of `more` in order, the ascending spectra (j, m) of the j members left:
-    (0, m) for a stack when none is left, None for a function not called."""
+    place. x is a stack, or a function that builds one, called only when a
+    member is left, or first of all when there is no certificate. Returns
+    the bool verdicts and the ascending spectra (j, m) of the j members of x
+    left: (0, m) for a stack when none is left, None for a function not
+    called."""
     if not certificates and callable(x):
         x = x()
     ok = np.full((certificates[0][0] if certificates else x).shape[:-2], bool(certificates))
@@ -186,12 +186,11 @@ def certify(certificates, x, *more):
             a = a.reshape(-1, m, m)
             if not holds(a):
                 ok[ok] = [holds(b) for b in a]
-    stacks = (x, *more)
     if ok.all():
-        return (ok, *(None if callable(y) else np.empty((0, y.shape[-1])) for y in stacks))
+        return ok, None if callable(x) else np.empty((0, x.shape[-1]))
+    x = x() if callable(x) else x
     # the members left; all of them, as a view, when none is certified
-    left = (lambda y: y[~ok]) if ok.any() else (lambda y: y.reshape(-1, *y.shape[-2:]))
-    return (ok, *(sym_eigvals(left(y() if callable(y) else y)) for y in stacks))
+    return ok, sym_eigvals(x[~ok] if ok.any() else x.reshape(-1, *x.shape[-2:]))
 
 
 def is_pd_quadratic_form(a: np.ndarray) -> bool | np.ndarray:

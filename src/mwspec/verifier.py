@@ -214,17 +214,21 @@ def _kernel_certificate(sub: np.ndarray, f: np.ndarray, vertices, n: int, s: int
     vertices, and F = D: turn sub in place into the certificates
     -P(alpha'_i) + t QQ' (README), Q an orthonormal basis of the kernel
     F[alpha'_i, i], t = max(1, ||P(alpha'_i)||_inf), and return each one's
-    shift certificate_shift(t) and the Bound 2r, r = ||P(alpha'_i) Q||_F. The
-    shift is infinite unless 2r <= EIG_ZERO * max(1, max|diag P(alpha'_i)|) / 2."""
+    shift certificate_shift(t) and the Bound 2r + (n-1)s u t, r =
+    ||P(alpha'_i) Q||_F and u the unit round-off: the residual bound on the
+    exact eigenvalues, plus the rounding a spectrum of order (n-1)s reads
+    them with. The shift is infinite unless that bound is at most
+    EIG_ZERO * max(1, max|diag P(alpha'_i)|) / 2."""
     with np.errstate(all="ignore"):
         f4 = f.reshape(n, s, n, s)
         q = np.linalg.qr(np.stack([f4[np.arange(n) != v - 1, :, v - 1, :].reshape(-1, s)
                                    for v in vertices]))[0]
-        r = np.linalg.norm(sub @ q, axis=(-2, -1))
         t = np.maximum(1.0, np.abs(sub).sum(axis=-1).max(axis=-1))
+        bound = (2 * np.linalg.norm(sub @ q, axis=(-2, -1))
+                 + (n - 1) * s * np.finfo(float).eps / 2 * t)
         top = np.maximum(1.0, np.abs(np.diagonal(sub, axis1=-2, axis2=-1)).max(axis=-1))
         sub += t[:, None, None] * (q @ q.swapaxes(-1, -2))
-        return np.where(4 * r <= EIG_ZERO * top, certificate_shift(t), np.inf), 2 * r
+        return np.where(2 * bound <= EIG_ZERO * top, certificate_shift(t), np.inf), bound
 
 
 def _bounded(ok: np.ndarray, bounds: np.ndarray, measured: np.ndarray) -> list:
@@ -259,8 +263,10 @@ def _deleted(n: int, vertices) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class DeletedBlocks:
-    """In(P(alpha'_i)) of every vertex i, alpha' = all blocks but i, and the
-    largest eigenvalue of each submatrix decomposed directly.
+    """In(P(alpha'_i)) of every vertex i, alpha' = all blocks but i, the
+    largest eigenvalue of each submatrix decomposed directly, and the
+    nullity n_0(F_ii) of every diagonal block of F = P^{-1}, which
+    FM-nullity compares with n_0(P(alpha'_i)).
 
     route is "derived" (In(P) minus In(F_ii), confirmed by the sample),
     "direct" (In(P) has a zero or a derived count is negative) or
@@ -278,6 +284,7 @@ class DeletedBlocks:
     route: str
     sampled: list[int]           # the 1-based vertices measured directly
     sampled_max: list[float]     # per sampled vertex
+    block_nullity: np.ndarray    # (n,): n_0(F_ii) per vertex
 
     @property
     def inferred(self) -> int:
@@ -302,8 +309,8 @@ class InstanceMatrices:
     Objects that several checks read are built on first use and kept in
     `_memo` under a name, or a name and beta, together with the error that
     building one raised: the instance hash, U'D^{-1}U, the exact operators
-    and F(beta), THM.vi.gx's vectors, and per beta the pencil and every
-    spectrum, scale and inertia the theorem checks read.
+    and F(beta), THM.vi.gx's vectors, and per beta the pencil and the
+    spectra, scales, inertias and certificates the theorem checks share.
 
     `verify_instance` records its distinct betas under "betas". A per-beta
     object is then built for every recorded beta at once, on first use: one
@@ -418,29 +425,17 @@ class InstanceMatrices:
             p = _stack([self.pencil(b).p.array for b in bs])
             c, split = _split(p, n, s)
             ok, w = certify(split, p)
-            inert = map(inertia_of_spectrum, w)
+            inert = iter(_members(inertia_of_spectrum(w)))
             return [(v, Inertia(n * s - s, 0, s) if isinstance(v, Bound) else next(inert), ck)
                     for v, ck in zip(_bounded(ok, c, np.abs(w).min(axis=-1)), c.tolist())]
 
         return self._stacked("p_eigs", beta, make)
 
-    def block_eigs(self, beta: float) -> tuple[np.ndarray, Inertia]:
-        """(n, s): ascending eigenvalues of each diagonal block F_ii of
-        F(beta), and In(F_ii) as (n,) counts. The blocks of F(0) = D are
-        exactly zero: the distance fill never writes them, and build_matrices
-        refuses a corruption that leaves an entry unchanged."""
-        def make(bs):
-            n, s = self.n, self.s
-            f = self._f(bs).array.reshape(len(bs), n, s, n, s)
-            i = np.arange(n)
-            w = sym_eigvals(f[:, i, :, i, :].swapaxes(0, 1))
-            return list(zip(w, [Inertia(*c) for c in zip(*inertia_of_spectrum(w))]))
-
-        return self._stacked("block_eigs", beta, make)
-
     def deleted_blocks(self, beta: float) -> DeletedBlocks:
         """In(P(alpha'_i)) for every vertex i, P = P(beta), from In(P) and the
-        spectra of the blocks F_ii of F = P^{-1}.
+        spectra of the blocks F_ii of F = P^{-1}. The blocks of F(0) = D are
+        exactly zero: the distance fill never writes them, and build_matrices
+        refuses a corruption that leaves an entry unchanged.
 
         Haynsworth inertia additivity with the Fiedler-Markham nullity
         theorem gives, for a nonsingular P and nu = n_0(F_ii),
@@ -458,8 +453,9 @@ class InstanceMatrices:
             n, s = self.n, self.s
             p_eigs = [self.p_eigs(b) for b in bs]
             p_in = np.transpose([e[1] for e in p_eigs])[..., None]           # (3, k, 1)
-            f_eigs, f_in = zip(*(self.block_eigs(b) for b in bs))
-            f_eigs, f_in = _stack(f_eigs), np.array(f_in)                     # (k, n, s), (k, 3, n)
+            f, ii = self._f(bs).array.reshape(len(bs), n, s, n, s), np.arange(n)
+            f_eigs = sym_eigvals(f[:, ii, :, ii, :].swapaxes(0, 1))           # (k, n, s)
+            f_in = np.stack(inertia_of_spectrum(f_eigs), axis=1)              # (k, 3, n)
             nu = f_in[:, 1]
             inertia = np.stack([p_in[0] - f_in[:, 0] - nu, nu,
                                 p_in[2] - f_in[:, 2] - nu], axis=-1)         # (k, n, 3)
@@ -492,7 +488,8 @@ class InstanceMatrices:
                     agree[~ok] = np.all(np.stack(inertia_of_spectrum(w), axis=-1)
                                         == inertia[sample[:, None], sampled - 1][~ok], axis=-1)
                 tops = _bounded(ok, bound, () if w is None else w[:, -1])
-                out = {j: DeletedBlocks(inertia[j], "derived", v.tolist(), tops[2 * i:2 * i + 2])
+                out = {j: DeletedBlocks(inertia[j], "derived", v.tolist(), tops[2 * i:2 * i + 2],
+                                        nu[j])
                        for i, (j, v) in enumerate(zip(sample, sampled)) if agree[i].all()}
             for j in range(len(bs)):
                 if j not in out:
@@ -501,45 +498,41 @@ class InstanceMatrices:
                                         for rest in _deleted(n, range(1, n + 1))])
                     out[j] = DeletedBlocks(np.transpose(inertia_of_spectrum(spectra)),
                                            "contradicted" if j in sample else "direct",
-                                           list(range(1, n + 1)), spectra[:, -1].tolist())
+                                           list(range(1, n + 1)), spectra[:, -1].tolist(), nu[j])
             return [out[j] for j in range(len(bs))]
 
         return self._stacked("deleted", beta, make)
 
-    def haynsworth(self, beta: float) -> tuple[Inertia, Inertia, bool, np.ndarray]:
-        """The Haynsworth split of G = [[F, U], [U', 0]] at the pivot
-        F = P^{-1}: F is congruent to P, so In(F) is read from P's spectrum.
-        In(G) is (ns, 0, s) where the certificates of _bordered_split hold,
-        else read off G's spectrum."""
+    def bordered_inertia(self, beta: float) -> tuple[Inertia, float | None]:
+        """In(G), G = [[F, U], [U', 0]], F = F(beta): (ns, 0, s) where the
+        certificates of _bordered_split hold, else read off G's spectrum.
+        Then, where they hold, their shift c: the leading block
+        -B'FB - cB'B > 0 of the first, with B'B >= I, puts every eigenvalue
+        of B'FB below -c (THM.v); else None."""
         def make(bs):
             n, s = self.n, self.s
             f = self._f(bs)
+            split = _bordered_split(f.array, self.u, self.inst.tree.weights, n, s)
+            ok, w = certify(split, lambda: bordered(f))
+            left = iter(() if w is None else _members(inertia_of_spectrum(w)))
+            shifts = split[0][1].tolist() if split else [None] * len(bs)
+            return [(Inertia(n * s, 0, s), c) if k else (next(left), None)
+                    for k, c in zip(ok.tolist(), shifts)]
+
+        return self._stacked("bordered", beta, make)
+
+    def haynsworth(self, beta: float) -> tuple[Inertia, Inertia, bool, np.ndarray]:
+        """The Haynsworth split of G = [[F, U], [U', 0]] at the pivot
+        F = P^{-1}: F is congruent to P, so In(F) is read from P's spectrum,
+        and In(G) from bordered_inertia."""
+        def make(bs):
+            n, s = self.n, self.s
             pivot = Inertia(*np.transpose([self.p_eigs(b)[1] for b in bs]))
-            ok, w = certify(_bordered_split(f.array, self.u, self.inst.tree.weights, n, s),
-                            lambda: bordered(f))
-            lhs = np.repeat([[n * s], [0], [s]], len(bs), axis=1)
-            if w is not None:
-                lhs[:, ~ok] = inertia_of_spectrum(w)
-            lhs, rhs, agree, schur = haynsworth_check(bordered(f), n * s, Inertia(*lhs), pivot)
+            lhs = Inertia(*np.transpose([self.bordered_inertia(b)[0] for b in bs]))
+            lhs, rhs, agree, schur = haynsworth_check(bordered(self._f(bs)), n * s, lhs, pivot)
             return list(zip(_members(lhs), _members(rhs), agree.tolist(), schur))
 
         return self._stacked("haynsworth", beta, make)
-
-    def bfb_max_eig(self, beta: float) -> float:
-        """The largest eigenvalue of B'F(beta)B, B a basis of ker J (THM.v);
-        or, when a Cholesky certificate shows B'FB below
-        EIG_ZERO * max(1, max|F|) / 2, that Bound."""
-        def make(bs):
-            # Cholesky reads one triangle: F is first held to the asymmetry
-            # bound. B'FB is built again for the spectrum of the betas left
-            f = sym_part(self._f(bs).array)
-            neg = _null_compress(f, self.n, self.s)
-            neg *= -1.0
-            shift = certificate_shift(np.array([self.scales(b)[1] for b in bs]), side=-1)
-            ok, w = certify([(neg, shift)], lambda: _null_compress(f, self.n, self.s))
-            return _bounded(ok, -shift, () if w is None else w[:, -1])
-
-        return self._stacked("bfb_max_eig", beta, make)
 
     def block_pd(self, beta: float) -> np.ndarray:
         """(n, n) bools, row-major in (i, j): whether the quadratic form of
@@ -562,7 +555,8 @@ class InstanceMatrices:
                            lambda: _gx_vectors(self.s, int(self.instance_hash()[:8], 16)))
             gx = gx_matrix(self._f(bs), xs)                  # (k, s + 10, n, n)
             split, w = certify(_split(gx, n, 1)[1], gx)     # In(G_x) = (n - 1, 0, 1)
-            split[~split] = [inertia_of_spectrum(wk) == (n - 1, 0, 1) for wk in w]
+            split[~split] = np.all(np.stack(inertia_of_spectrum(w), axis=-1) == (n - 1, 0, 1),
+                                   axis=-1)
             shaped = (split.all(axis=1)
                       & ~np.any(np.diagonal(gx, axis1=-2, axis2=-1) <= 0, axis=(1, 2)))
             off = np.abs(gx[..., ~np.eye(n, dtype=bool)])
@@ -631,9 +625,9 @@ def verify_preliminaries(mats: InstanceMatrices) -> list[CheckResult]:
     def p3():
         # by the split, else on the spectra of D and then of B'DB, built only then
         c, split = _split(d, n, s)
-        ok, w, w_btdb = certify(split, d, lambda: _null_compress(d, n, s))
+        ok, w = certify(split, d)
         inert = Inertia(n * s - s, 0, s) if ok else inertia_of_spectrum(w[0])
-        max_eig = Bound(-n * c) if ok else float(w_btdb[0, -1])
+        max_eig = Bound(-n * c) if ok else float(sym_eigvals(_null_compress(d, n, s))[-1])
         ok = inert == (n * s - s, 0, s) and max_eig < -EIG_ZERO * d_scale
         return ok, {"inertia": list(inert), "btdb_max_eig": max_eig}
 
@@ -715,7 +709,11 @@ def verify_theorem(mats: InstanceMatrices, beta: float) -> list[CheckResult]:
         }
 
     def thm_v():
-        max_eig = mats.bfb_max_eig(beta)
+        # THM.iv's congruence bounds B'FB where it holds; else B'FB's
+        # spectrum, of F held to the asymmetry bound
+        c = mats.bordered_inertia(beta)[1]
+        max_eig = Bound(-c) if c is not None else float(sym_eigvals(
+            _null_compress(sym_part(mats.pencil(beta).f.array), n, s))[-1])
         return max_eig <= EIG_ZERO * f_scale(), {"max_eig": max_eig}
 
     checks = [_guard(cid, beta, fn) for cid, fn in (
@@ -755,8 +753,8 @@ def verify_fiedler_markham(mats: InstanceMatrices, beta: float) -> CheckResult:
     """
 
     def body():
-        null_blocks = mats.block_eigs(beta)[1].n_zero.tolist()
         rows = {"beta": mats.deleted_blocks(beta), "dinv": mats.deleted_blocks(0.0)}
+        null_blocks = rows["beta"].block_nullity.tolist()
         null_subs = rows["beta"].inertia[:, 1].tolist()
         mismatches = [{"i": i, "nullity_sub": q, "nullity_block": b}
                       for i, (q, b) in enumerate(zip(null_subs, null_blocks), start=1)

@@ -789,6 +789,26 @@ def _beta_rows(report, beta) -> list[str]:
     return [json.dumps(c.to_json()) for c in report.checks if c.beta in (None, beta)]
 
 
+def test_every_bound_of_the_report_set_lies_beyond_its_spectrum(monkeypatch):
+    """Over every report of tools/report_set.py, each certified value lies
+    on the passing side of the value the spectrum reads with no
+    certificate. THM.iii's beta = 0 bound carries the spectrum's rounding,
+    so this holds where its value is round-off, as on the [1e-8, 1e8]
+    campaign's lines 42, 47 and 55."""
+    report_set = tool("report_set")
+    certified = [c for r in report_set.reports() for c in r.checks]
+    certify = linalg.certify
+    for module in (linalg, verifier):
+        monkeypatch.setattr(module, "certify", lambda certificates, x: certify([], x))
+    spectrum = [c for r in report_set.reports() for c in r.checks]
+    bounds = [(key, value, o.evidence[_BOUND_KEYS[key][0]])
+              for c, o in zip(certified, spectrum) for key, value in c.evidence.items()
+              if key in _BOUND_KEYS]
+    assert len(bounds) == 898
+    for key, bound, measured in bounds:
+        assert bound < measured if _BOUND_KEYS[key][1] == "min" else bound > measured
+
+
 def test_a_certified_beta_keeps_its_bound_beside_a_beta_that_is_not():
     # at 1e10 P is too ill-conditioned for the split certificate; at 1 it
     # is certified, in a stack with 1e10 as alone
@@ -821,11 +841,12 @@ def test_every_beta_of_the_report_set_gives_the_rows_it_gives_alone(monkeypatch)
             assert _beta_rows(report, beta) == _beta_rows(alone, beta), (line, beta)
 
 
-def test_bfb_max_eig_certifies_no_f_outside_the_asymmetry_bound():
-    """Cholesky reads one triangle of -B'FB. An F(1) of the golden instance
-    moved by an antisymmetric 1e-6 of its largest entry still factors, but
-    lies outside the asymmetry bound: THM.v refuses it, as its spectrum
-    would."""
+def test_bordered_inertia_certifies_no_f_outside_the_asymmetry_bound():
+    """Cholesky reads one triangle. An F(1) of the golden instance moved by an
+    antisymmetric 1e-6 of its largest entry still passes a Cholesky of
+    -B'FB - cI, c THM.iv's shift, but lies outside the asymmetry bound: the
+    congruence gives it no certificate, and THM.v refuses it, as its
+    spectrum would."""
     inst = golden_instance()
     n, s = inst.n, inst.s
     mats = build_matrices(inst)
@@ -833,14 +854,54 @@ def test_bfb_max_eig_certifies_no_f_outside_the_asymmetry_bound():
     upper = np.triu(np.ones((n * s, n * s)), 1)
     f = pencil.f.array + 1e-6 * np.abs(pencil.f.array).max() * (upper - upper.T)
     bfb = _null_compress(f, n, s)
-    shift = linalg.certificate_shift(max(1.0, np.abs(f).max()), side=-1)
-    assert linalg.certify([(-bfb, shift)], bfb)[0]     # Cholesky alone certifies it
+    c = linalg.certificate_shift(max(np.abs(f).sum(axis=-1).max() + 1.0, n))
+    assert linalg.certify([(-bfb, c)], bfb)[0]     # Cholesky alone certifies it
+    assert _bordered_split(f[None], build_U(n, s), inst.tree.weights, n, s) == []
     mats.memo(("pencil", 1.0), lambda: PerturbedPencil(pencil.p, BlockMatrix(n, s, f)))
     with pytest.raises(NotSymmetricError):
-        mats.bfb_max_eig(1.0)
+        mats.bordered_inertia(1.0)
     thm_v = by_id(verify_theorem(mats, 1.0), "THM.v")[0]
     assert not thm_v.passed
     assert thm_v.evidence["error"].startswith("NotSymmetricError")
+
+
+def _bfb_below_the_shift(mats, beta) -> bool:
+    """Whether the congruence certifies beta; where it does, the oracle: the
+    largest eigenvalue of B'FB lies below -c, and THM.v reports -c."""
+    inert, c = mats.bordered_inertia(beta)
+    if c is None:
+        return False
+    f = mats.pencil(beta).f.array
+    assert inert == (mats.n * mats.s, 0, mats.s)
+    assert np.linalg.eigvalsh(_null_compress(f, mats.n, mats.s))[-1] < -c
+    assert by_id(verify_theorem(mats, beta), "THM.v")[0].evidence == {"max_eig_bound": -c}
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7), s=st.integers(1, 3),
+       beta=st.sampled_from([0.0, 0.37, 1.0, 10.0, 1e4]))
+def test_congruence_bounds_bfb_wherever_it_certifies(seed, n, s, beta):
+    """THM.v's Bound -c against B'FB's spectrum on random small instances."""
+    inst = random_instance(n, s, seed, seed % ((n - 1) * (n - 2) // 2 + 1))
+    _bfb_below_the_shift(build_matrices(inst), beta)
+
+
+def test_lapack_calls_of_a_verify_large_instance(monkeypatch):
+    """verify_instance's LAPACK calls on the n = 60 verify-large instance at
+    beta 0 and 1. The 16 Choleskys are the certificates: the splits of D
+    and, per beta, of P (two each), THM.iv's congruence per beta (two; it
+    also bounds THM.v), P4, THM.iii's samples per beta, THM.vi's blocks and
+    the split of THM.vi.gx's compressions (two). No spectrum of P, G, B'FB
+    or a sample is taken."""
+    inst = random_instance(60, 3, 1060, 60)
+    calls = Counter()
+    for name in ("cholesky", "eigvalsh", "eigh", "solve", "qr", "inv"):
+        fn = getattr(np.linalg, name)
+        counted = lambda *a, _fn=fn, _name=name, **k: calls.update([_name]) or _fn(*a, **k)
+        monkeypatch.setattr(np.linalg, name, counted)
+    assert verify_instance(inst, [0.0, 1.0]).ok
+    assert calls == {"cholesky": 16, "eigvalsh": 7, "eigh": 1, "solve": 3, "qr": 1, "inv": 4}
 
 
 def test_no_report_solves_a_pencil_at_beta_zero(monkeypatch):
@@ -941,9 +1002,10 @@ def test_bordered_certificates_are_the_congruences_they_claim(inst, beta):
 @pytest.mark.parametrize("seed", [1, 1912])
 @pytest.mark.parametrize("n", [60, 80])
 def test_bordered_certificates_hold_on_the_verify_large_instances(n, seed):
-    """Both halves certify at beta 0 and 1 on the benchmark's instances. With
-    ROADMAP's earlier t = ||F||_inf, -X-'GX- is indefinite at beta = 0: t must
-    exceed n lambda_max(R) / 4, and ||F||_inf does not."""
+    """Both halves certify at beta 0 and 1 on the benchmark's instances, and
+    bound THM.v there. With ROADMAP's earlier t = ||F||_inf, -X-'GX- is
+    indefinite at beta = 0: t must exceed n lambda_max(R) / 4, and
+    ||F||_inf does not."""
     inst = random_instance(n, 3, seed * 1000 + n, n)
     mats = build_matrices(inst)
     for beta in (0.0, 1.0):
@@ -951,6 +1013,7 @@ def test_bordered_certificates_hold_on_the_verify_large_instances(n, seed):
         ok, _ = linalg.certify(_bordered_split(f[None], build_U(n, 3), inst.tree.weights, n, 3),
                                lambda: 1 / 0)
         assert ok.tolist() == [True]
+        assert _bfb_below_the_shift(mats, beta)
     d = mats.pencil(0.0).f.array
     low, _ = _congruences(d, np.abs(d).sum(axis=-1).max(), 0.0, n, 3)
     assert np.linalg.eigvalsh(low)[0] < 0
