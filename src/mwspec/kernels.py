@@ -15,6 +15,9 @@ import numpy as np
 # No jitted path exists; kept because mwbench/run.py:environment() reads it.
 NUMBA_ENABLED = False
 
+# rows of D put in label order, and copied up, per step of the fill's last pass
+ROW_BLOCK = 64
+
 
 def adjacency(n: int, uv: Iterable[tuple[int, int]]) -> list[list[tuple[int, int]]]:
     """For each vertex, its (neighbor, edge index) pairs in edge order."""
@@ -52,9 +55,10 @@ def distance_fill(adj: list[list[tuple[int, int]]], weights: np.ndarray,
     each subtree of the tree rooted at 0 on a contiguous range of positions,
     the fill writes D's transpose (block row y, block column pos[x]): per edge
     p-v, a leaves-first pass sets row p on v's subtree from row v, a
-    root-first pass row v on the rest from row p. A row loop then puts the
-    lower triangle in label order and copies it up, in place: D is bitwise
-    symmetric, with the upper triangle of a walk from every root.
+    root-first pass row v on the rest from row p. A last pass, ROW_BLOCK rows
+    at a time, puts the lower triangle in label order and copies it up, in
+    place: D is bitwise symmetric, with the upper triangle of a walk from
+    every root.
     """
     n = len(adj)
     out = np.zeros((n * s, n * s), dtype=weights.dtype)
@@ -76,7 +80,14 @@ def distance_fill(adj: list[list[tuple[int, int]]], weights: np.ndarray,
         e[v, :, :a] = e[p, :, :a] + wt[k]
         e[v, :, b:] = e[p, :, b:] + wt[k]
     cols = (np.multiply(pos, s)[:, None] + np.arange(s)).ravel()  # D's column c is at cols[c]
-    for i in range(n * s):
-        out[i, :i + 1] = out[i, cols[:i + 1]]
-        out[:i, i] = out[i, :i]
+    lower = np.tri(ROW_BLOCK, dtype=bool)
+    for a in range(0, n * s, ROW_BLOCK):
+        # rows a:b are not yet written: gather their lower part in label
+        # order, then write it and its transpose, one block's copy at a time
+        b = min(a + ROW_BLOCK, n * s)
+        rows = out[a:b, cols[:b]]
+        out[a:b, :a] = rows[:, :a]
+        out[:a, a:b] = rows[:, :a].T
+        out[a:b, a:b] = np.where(lower[:b - a, :b - a], rows[:, a:], rows[:, a:].T)
+        del rows     # before the next block's copy is made
     return out

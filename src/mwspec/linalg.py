@@ -1,10 +1,13 @@
-"""Dense symmetric linear algebra: eigendecomposition, inertia, pseudoinverse,
-definiteness tests, numerical rank.
+"""Dense symmetric linear algebra: eigenvalues, inertia, Cholesky
+certificates, and the pseudoinverse and numerical rank of a matrix whose
+kernel is known.
 
 All routines take plain float ndarrays. A symmetric matrix that is not
 bitwise symmetric is held to the asymmetry bound and averaged with its
-transpose before eigendecomposition, so round-off asymmetry never leaks into
-eigenvalue classification; a bitwise symmetric one is passed on as it is.
+transpose before it is factored or decomposed, so round-off asymmetry never
+leaks into eigenvalue classification; a bitwise symmetric one is passed on
+as it is. No routine computes eigenvectors: a known kernel is deflated
+(`kernel_certificate`), and a Cholesky factorization decides the rest.
 
 Every float verdict of the package is decided against the three thresholds
 below, most of them scaled by max(1, the largest magnitude of the matrix or
@@ -66,25 +69,19 @@ def sym_part(a: np.ndarray) -> np.ndarray:
     return (a + at) / 2.0
 
 
-def _sym_decompose(decompose, a: np.ndarray):
-    """decompose(sym_part(A)) for a symmetric matrix A, or for each matrix of
-    a stack (..., m, m). An eigenvalue that comes back non-finite raises
-    NonFiniteError."""
-    a = sym_part(_as_square(a))
-    try:
-        out = decompose(a)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(str(exc)) from exc
-    # eigh returns (w, v); LAPACK can give an inf near the float range
-    if not np.all(np.isfinite(out[0] if isinstance(out, tuple) else out)):
-        raise NonFiniteError("eigenvalue solver returned a non-finite eigenvalue")
-    return out
-
-
 def sym_eigvals(a: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a symmetric matrix, or of each matrix of a
-    stack (..., m, m), each held to the asymmetry bound at its own scale."""
-    return _sym_decompose(np.linalg.eigvalsh, a)
+    stack (..., m, m), each held to the asymmetry bound at its own scale. An
+    eigenvalue that comes back non-finite raises NonFiniteError."""
+    a = sym_part(_as_square(a))
+    try:
+        w = np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(str(exc)) from exc
+    # LAPACK can give an inf near the float range
+    if not np.all(np.isfinite(w)):
+        raise NonFiniteError("eigenvalue solver returned a non-finite eigenvalue")
+    return w
 
 
 def zero_threshold(w: np.ndarray) -> np.ndarray:
@@ -113,17 +110,6 @@ def inertia_of(a: np.ndarray) -> Inertia:
     return inertia_of_spectrum(sym_eigvals(a))
 
 
-def pinv_psd(a: np.ndarray) -> np.ndarray:
-    """Moore-Penrose inverse of a symmetric positive semidefinite matrix."""
-    w, v = _sym_decompose(np.linalg.eigh, a)
-    inert = inertia_of_spectrum(w)
-    if inert.n_minus:
-        raise NotPSDError(f"negative eigenvalue {w[0]:.3e} beyond tolerance")
-    inv_w = np.zeros_like(w)     # ascending: the zeros first, then positives
-    inv_w[inert.n_zero:] = 1.0 / w[inert.n_zero:]
-    return (v * inv_w) @ v.T
-
-
 def certificate_shift(scale, side: int = 1):
     """The shift c of a Cholesky certificate for a sign claim about the
     eigenvalues of A: lambda > EIG_ZERO * scale (side 1) or
@@ -147,6 +133,15 @@ class Bound(float):
     beyond, on the passing side; a check reports it under its key + "_bound"."""
 
 
+def _factors(a: np.ndarray) -> bool:
+    """Whether np.linalg.cholesky(a) completes with finite factors on a
+    finite a, or on every member of a finite stack a."""
+    try:
+        return bool(np.isfinite(a).all() and np.isfinite(np.linalg.cholesky(a)).all())
+    except np.linalg.LinAlgError:
+        return False
+
+
 def certify(certificates, x):
     """Decide a sign claim about each member of a symmetric stack x
     (..., m, m), or about x alone, by Cholesky certificates (A, c): A a stack
@@ -166,12 +161,6 @@ def certify(certificates, x):
         x = x()
     ok = np.full((certificates[0][0] if certificates else x).shape[:-2], bool(certificates))
 
-    def holds(a):
-        try:
-            return bool(np.isfinite(a).all() and np.isfinite(np.linalg.cholesky(a)).all())
-        except np.linalg.LinAlgError:
-            return False
-
     with np.errstate(all="ignore"):
         for a, shift in certificates:
             shift = np.asarray(shift, dtype=float)
@@ -184,8 +173,8 @@ def certify(certificates, x):
             m = a.shape[-1]
             a.reshape(*a.shape[:-2], m * m)[..., ::m + 1] -= shift[..., None]
             a = a.reshape(-1, m, m)
-            if not holds(a):
-                ok[ok] = [holds(b) for b in a]
+            if not _factors(a):
+                ok[ok] = [_factors(b) for b in a]
     if ok.all():
         return ok, None if callable(x) else np.empty((0, x.shape[-1]))
     x = x() if callable(x) else x
@@ -210,9 +199,66 @@ def is_pd_quadratic_form(a: np.ndarray) -> bool | np.ndarray:
     return bool(ok) if ok.ndim == 0 else ok
 
 
-def rank_of(a: np.ndarray) -> int:
-    """Numerical rank of a symmetric matrix: its count of nonzero
-    eigenvalues, under inertia_of's zero rule. Its singular values are
-    those eigenvalues' magnitudes, so no SVD is needed."""
-    inert = inertia_of(a)
-    return inert.n_minus + inert.n_plus
+def kernel_certificate(a: np.ndarray, kernel: np.ndarray):
+    """For a symmetric A, or each member of a stack (..., m, m), and an
+    orthonormal basis Q (..., m, k) of the kernel that A is claimed to have:
+    turn a in place into A + tQQ', t = max(1, ||A||_inf), and return the
+    shift c' = certificate_shift(t) of the certificate A + tQQ' - c'I > 0
+    and the bound 2r + m u t, r = ||AQ||_F and u the unit round-off.
+
+    Where that certificate holds, A has m - k eigenvalues above c' on the
+    complement of Q (Courant-Fischer), and r places the other k within 2r
+    of 0 (Kahan's residual bound; Parlett, The Symmetric Eigenvalue Problem,
+    Thm 11.5.1); m u t is the rounding with which a spectrum of order m
+    reads them, so the bound lies beyond the value eigvalsh measures. r is
+    formed at A's scale, a power of two near t, so it does not overflow
+    where A is near the float range. The shift is infinite, and the
+    certificate not tried, unless the bound is at most
+    EIG_ZERO * max(1, max|diag A|) / 2: below the zero threshold of A's
+    spectrum, whose radius that diagonal does not exceed."""
+    with np.errstate(all="ignore"):
+        t = np.maximum(1.0, np.abs(a).sum(axis=-1).max(axis=-1))
+        e = np.frexp(t)[1][..., None, None]
+        r = np.ldexp(np.linalg.norm(np.ldexp(a @ kernel, -e), axis=(-2, -1)), e[..., 0, 0])
+        bound = 2 * r + a.shape[-1] * np.finfo(float).eps / 2 * t
+        top = np.maximum(1.0, np.abs(np.diagonal(a, axis1=-2, axis2=-1)).max(axis=-1))
+        a += t[..., None, None] * (kernel @ kernel.swapaxes(-1, -2))
+        return np.where(2 * bound <= EIG_ZERO * top, certificate_shift(t), np.inf), bound
+
+
+def pinv_psd(a: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Moore-Penrose inverse of a symmetric positive semidefinite A whose
+    kernel has the orthonormal basis Q: A+ = (A + tQQ')^{-1} - QQ'/t. It is
+    taken where kernel_certificate's certificate holds, by one Cholesky
+    factorization; elsewhere A has an eigenvalue off Q that is negative or
+    counts as zero, and NotPSDError is raised. t = ||A||_inf, with no floor
+    of 1 (1 for A = 0 only): A + tQQ' is then no worse conditioned than A
+    is off Q, at any scale of A."""
+    a = sym_part(_as_square(a))
+    cert = a.copy()
+    shift, _ = kernel_certificate(cert, kernel)
+    with np.errstate(all="ignore"):
+        cert.flat[::len(a) + 1] -= shift
+        if not _factors(cert):
+            raise NotPSDError(f"not positive definite off its kernel at shift {float(shift):.3e}")
+    qq = kernel @ kernel.T
+    t = np.abs(a).sum(axis=-1).max() or 1.0     # the zero matrix has no scale
+    return np.linalg.inv(a + t * qq) - qq / t
+
+
+def rank_of(a: np.ndarray, kernel: np.ndarray) -> tuple[int, float]:
+    """Numerical rank and least eigenvalue of a symmetric matrix A (m, m)
+    claimed to have the kernel with orthonormal basis Q (m, k). Where
+    kernel_certificate's certificate holds they are m - k and the Bound
+    -(2r + m u t), which the least eigenvalue lies above; elsewhere both
+    are read off A's spectrum, the rank as its count of nonzero eigenvalues
+    under inertia_of's zero rule (its singular values are those
+    eigenvalues' magnitudes, so no SVD is needed)."""
+    a = sym_part(_as_square(a))
+    deflated = a.copy()
+    shift, bound = kernel_certificate(deflated, kernel)
+    ok, w = certify([(deflated, shift)], a)
+    if ok:
+        return a.shape[-1] - kernel.shape[-1], Bound(-bound)
+    inert = inertia_of_spectrum(w[0])
+    return inert.n_minus + inert.n_plus, float(w[0, 0])

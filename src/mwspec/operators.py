@@ -101,13 +101,22 @@ def _closed_form(t: MatrixWeightedTree, weights, inv) -> np.ndarray:
     # integer matrix and halving is exact in binary floating point, so the
     # float D^{-1} has the bits of -(1/2) L(T) + (1/2) Delta R^{-1} Delta'
     rows, cols, off, diag = _laplacian_blocks(t, weights, inv)
-    delta = np.kron(structural_vectors(t).reshape(-1, 1), np.eye(t.s, dtype=int))
+    tau = structural_vectors(t)
     r_inv = inv(sum(weights)[None])[0]
-    a = delta @ r_inv @ delta.T
+    exact = weights.dtype == object
+    if exact:
+        # block (i, j) of Delta R^{-1} Delta' is tau_i tau_j R^{-1}, exactly
+        a = np.kron(np.outer(tau, tau), r_inv)
+    else:
+        delta = np.kron(tau.reshape(-1, 1), np.eye(t.s, dtype=int))
+        a = delta @ r_inv @ delta.T
     # a - L(T) on L(T)'s nonzero blocks only: x - 0 is x, sign of zero included
     blocks, ii = a.reshape(t.n, t.s, t.n, t.s), np.arange(t.n)
     blocks[rows, :, cols] -= off
     blocks[ii, :, ii] -= diag
+    if exact:
+        # R^{-1} and L(T)'s blocks are exactly symmetric, and so is a
+        return a / 2
     # (a/2 + a'/2)/2 in place, a pair of tiles at a time: the bits of the
     # whole-array expression, with no strided pass over all of a'
     for i in range(0, len(a), 128):
@@ -128,9 +137,11 @@ def distance_inverse_closed_form(t: MatrixWeightedTree) -> BlockMatrix:
 
 
 def distance_from_laplacian_pinv(t: MatrixWeightedTree) -> BlockMatrix:
-    """D via the pseudoinverse identity D_ij = Ldag_ii + Ldag_jj - 2 Ldag_ij."""
+    """D via the pseudoinverse identity D_ij = Ldag_ii + Ldag_jj - 2 Ldag_ij.
+    L's kernel is spanned by U, so Ldag is read from U/sqrt(n), not from L's
+    spectrum; D is never read."""
     n, s = t.n, t.s
-    ldag = pinv_psd(build_laplacian(t).array)
+    ldag = pinv_psd(build_laplacian(t).array, build_U(n, s) / np.sqrt(n))
     blocks = ldag.reshape(n, s, n, s)
     diag = blocks[np.arange(n), :, np.arange(n), :]    # (n, s, s): Ldag_ii
     out = diag[:, :, None, :] + diag.transpose(1, 0, 2)[None] - 2.0 * blocks

@@ -28,6 +28,7 @@ from .linalg import (
     certify,
     inertia_of_spectrum,
     is_pd_quadratic_form,
+    kernel_certificate,
     rank_of,
     sym_eigvals,
     sym_part,
@@ -209,28 +210,6 @@ def _bordered_split(f: np.ndarray, u: np.ndarray, weights: np.ndarray, n: int, s
         return [(low.reshape(*lead, n * s, n * s), c), (corner + utfu, c)]
 
 
-def _kernel_certificate(sub: np.ndarray, f: np.ndarray, vertices, n: int, s: int):
-    """At beta = 0, for the stack sub of -P(alpha'_i), i over the 1-based
-    vertices, and F = D: turn sub in place into the certificates
-    -P(alpha'_i) + t QQ' (README), Q an orthonormal basis of the kernel
-    F[alpha'_i, i], t = max(1, ||P(alpha'_i)||_inf), and return each one's
-    shift certificate_shift(t) and the Bound 2r + (n-1)s u t, r =
-    ||P(alpha'_i) Q||_F and u the unit round-off: the residual bound on the
-    exact eigenvalues, plus the rounding a spectrum of order (n-1)s reads
-    them with. The shift is infinite unless that bound is at most
-    EIG_ZERO * max(1, max|diag P(alpha'_i)|) / 2."""
-    with np.errstate(all="ignore"):
-        f4 = f.reshape(n, s, n, s)
-        q = np.linalg.qr(np.stack([f4[np.arange(n) != v - 1, :, v - 1, :].reshape(-1, s)
-                                   for v in vertices]))[0]
-        t = np.maximum(1.0, np.abs(sub).sum(axis=-1).max(axis=-1))
-        bound = (2 * np.linalg.norm(sub @ q, axis=(-2, -1))
-                 + (n - 1) * s * np.finfo(float).eps / 2 * t)
-        top = np.maximum(1.0, np.abs(np.diagonal(sub, axis1=-2, axis2=-1)).max(axis=-1))
-        sub += t[:, None, None] * (q @ q.swapaxes(-1, -2))
-        return np.where(2 * bound <= EIG_ZERO * top, certificate_shift(t), np.inf), bound
-
-
 def _bounded(ok: np.ndarray, bounds: np.ndarray, measured: np.ndarray) -> list:
     """Per member of a stack, in member order: its bound as a Bound where
     certified, else the next measured value."""
@@ -276,7 +255,7 @@ class DeletedBlocks:
     measured. A Cholesky certificate may measure a sampled submatrix instead:
     at beta > 0 when every derived inertia is ((n-1)s, 0, 0), and at beta = 0
     when every one is ((n-2)s, s, 0) and the sample's kernel residual is
-    small (_kernel_certificate). Its entry of sampled_max is then a Bound
+    small (linalg.kernel_certificate). Its entry of sampled_max is then a Bound
     that its largest eigenvalue lies below.
     """
 
@@ -480,8 +459,10 @@ class InstanceMatrices:
                     if bs[j] and np.all(inertia[j] == ((n - 1) * s, 0, 0)):
                         c[i], bound[i] = p_eigs[j][2], -p_eigs[j][2]
                     elif not bs[j] and np.all(inertia[j] == ((n - 2) * s, s, 0)):
-                        c[i], bound[i] = _kernel_certificate(
-                            subs[i], self.pencil(0.0).f.array, sampled[i], n, s)
+                        f = self.pencil(0.0).f.array.reshape(n, s, n, s)
+                        q = np.linalg.qr(np.stack([f[np.arange(n) != v - 1, :, v - 1, :]
+                                                   .reshape(-1, s) for v in sampled[i]]))[0]
+                        c[i], bound[i] = kernel_certificate(subs[i], q)
                 ok, w = certify([(subs, c)] if np.isfinite(c).any() else [], gather)
                 agree = ok.copy()
                 if w is not None:
@@ -632,14 +613,11 @@ def verify_preliminaries(mats: InstanceMatrices) -> list[CheckResult]:
         return ok, {"inertia": list(inert), "btdb_max_eig": max_eig}
 
     def p4():
-        rank, lu = rank_of(l), _rel(l @ mats.u, l_scale)
-        clauses = lu <= NONZERO_FLOOR and rank == n * s - s
-        # a row that fails another clause reads L's least eigenvalue
-        bound = certificate_shift(l_scale, side=-1)
-        ok, w = certify([(l.copy(), bound)] if clauses else [], l)
-        min_eig = Bound(bound) if ok else float(w[0, 0])
-        return min_eig >= -EIG_ZERO * l_scale and clauses, {
-            "min_eig": min_eig, "lu_residual": lu, "rank": rank}
+        # L's kernel is U's column space: one certificate, or one spectrum
+        rank, min_eig = rank_of(l, mats.u / math.sqrt(n))
+        lu = _rel(l @ mats.u, l_scale)
+        ok = lu <= NONZERO_FLOOR and rank == n * s - s and min_eig >= -EIG_ZERO * l_scale
+        return ok, {"min_eig": min_eig, "lu_residual": lu, "rank": rank}
 
     def col_space():
         # every block row of JL = U U'L is U'L

@@ -88,26 +88,41 @@ def test_sylvester_congruence_invariance():
 
 
 def test_pinv_identity():
-    assert np.allclose(pinv_psd(np.eye(4)), np.eye(4))
+    assert np.allclose(pinv_psd(np.eye(4), np.zeros((4, 0))), np.eye(4))
 
 
 def test_pinv_diag_with_kernel():
-    got = pinv_psd(np.diag([2.0, 0.0]))
+    got = pinv_psd(np.diag([2.0, 0.0]), np.array([[0.0], [1.0]]))
     assert np.allclose(got, np.diag([0.5, 0.0]))
 
 
 def test_pinv_rejects_indefinite():
     with pytest.raises(NotPSDError):
-        pinv_psd(np.diag([1.0, -1.0]))
+        pinv_psd(np.diag([1.0, -1.0]), np.zeros((2, 0)))
+
+
+def test_pinv_rejects_a_kernel_larger_than_the_one_given():
+    # the zero eigenvalue off the given kernel fails the certificate
+    with pytest.raises(NotPSDError):
+        pinv_psd(np.diag([2.0, 0.0, 0.0]), np.array([[0.0], [1.0], [0.0]]))
+
+
+def _psd_with_kernel(dim, k, seed):
+    """A PSD (dim, dim) matrix and an orthonormal basis of its k-dimensional
+    kernel, at a scale drawn over sixteen orders of magnitude."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    w = np.concatenate([np.zeros(k), rng.uniform(1.0, 10.0, dim - k)])
+    a = (q * w) @ q.T * 10.0 ** rng.uniform(-8, 8)
+    return (a + a.T) / 2, q[:, :k]
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**32 - 1))
-def test_pinv_moore_penrose_identities(dim, seed):
-    rng = np.random.default_rng(seed)
-    m = rng.standard_normal((dim, dim + 1))
-    a = m @ m.T  # PSD, possibly rank-deficient in spirit
-    ap = pinv_psd(a)
+@given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=8),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_pinv_moore_penrose_identities(dim, k, seed):
+    a, q = _psd_with_kernel(dim, min(k, dim), seed)
+    ap = pinv_psd(a, q)
     scale = max(1.0, np.abs(a).max())
     assert np.abs(a @ ap @ a - a).max() <= 1e-8 * scale
     assert np.abs(ap @ a @ ap - ap).max() <= 1e-8 * max(1.0, np.abs(ap).max())
@@ -224,13 +239,38 @@ def test_sym_eigen_stack_rejects_one_asymmetric_member():
 
 
 def test_rank_zero_matrix():
-    assert rank_of(np.zeros((3, 3))) == 0
+    rank, min_eig = rank_of(np.zeros((3, 3)), np.eye(3))
+    assert rank == 0 and isinstance(min_eig, Bound) and -1e-15 < min_eig < 0
 
 
 def test_rank_of_J():
     j = np.kron(np.ones((4, 4)), np.eye(2))
-    assert rank_of(j) == 2
+    b = np.kron(np.vstack([np.eye(3), -np.ones((1, 3))]), np.eye(2))   # ker J
+    rank, min_eig = rank_of(j, np.linalg.qr(b)[0])
+    assert rank == 2 and isinstance(min_eig, Bound)
 
+
+def test_rank_of_reads_the_spectrum_where_the_kernel_is_wrong():
+    # U/2 spans J's range, not its kernel: no certificate, the spectrum's count
+    j = np.kron(np.ones((4, 4)), np.eye(2))
+    rank, min_eig = rank_of(j, np.kron(np.ones((4, 1)), np.eye(2)) / 2)
+    assert rank == 2 and not isinstance(min_eig, Bound)
+    assert min_eig == np.linalg.eigvalsh(j)[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=8),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_rank_of_certificate_agrees_with_the_spectrum(dim, k, seed):
+    a, q = _psd_with_kernel(dim, min(k, dim), seed)
+    rank, min_eig = rank_of(a, q)
+    w = np.linalg.eigvalsh(a)
+    inert = inertia_of_spectrum(w)
+    assert rank == inert.n_minus + inert.n_plus
+    if isinstance(min_eig, Bound):
+        assert min_eig <= w[0]
+    else:
+        assert min_eig == w[0]
 
 
 # --- Cholesky certificates ---------------------------------------------------

@@ -299,7 +299,7 @@ def test_pinv_route_matches_path_sums_random(n, s, seed):
     assert np.abs(a - b).max() <= 1e-8 * max(1.0, np.abs(b).max())
 
     # reference: the per-block loop, with the same arithmetic as the broadcast
-    ldag = pinv_psd(build_laplacian(t).array)
+    ldag = pinv_psd(build_laplacian(t).array, build_U(n, s) / np.sqrt(n))
     loop = np.zeros_like(a)
     for i in range(n):
         lii = ldag[i * s:(i + 1) * s, i * s:(i + 1) * s]
@@ -308,6 +308,25 @@ def test_pinv_route_matches_path_sums_random(n, s, seed):
             lij = ldag[i * s:(i + 1) * s, j * s:(j + 1) * s]
             loop[i * s:(i + 1) * s, j * s:(j + 1) * s] = lii + ljj - 2.0 * lij
     assert np.array_equal(a, loop)
+
+
+def _pinv_matches_numpy(t):
+    l = build_laplacian(t).array
+    got = pinv_psd(l, build_U(t.n, t.s) / np.sqrt(t.n))
+    want = np.linalg.pinv(l, hermitian=True)
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 12), s=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_pinv_of_the_tree_laplacian_matches_numpy(n, s, seed):
+    # the deflated inverse of L_T + t UU'/n against numpy's SVD pseudoinverse
+    _pinv_matches_numpy(random_tree(n, s, seed=seed))
+
+
+def test_pinv_of_the_tree_laplacian_matches_numpy_at_1e300():
+    # weights 1/10^300: L_T's entries are 1e300, and its inverse is taken there
+    _pinv_matches_numpy(_rational_path(3, Fraction(1, 10**300)).tree)
 
 
 # --- U -----------------------------------------------------------------------

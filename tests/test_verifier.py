@@ -622,13 +622,73 @@ def test_stages_read_an_overflowing_bundle_as_non_finite_failures(inst, measured
     assert not any("error" in c.evidence for c in per_beta if c.check_id in measured)
 
 
-def test_verify_instance_reads_eigenvectors_only_for_the_pseudoinverse(monkeypatch):
+def test_verify_instance_computes_no_eigenvectors(monkeypatch):
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
     report = verify_instance(random_instance(5, 2, seed=4, extra_edges=2), [0.0, 1.0])
     assert report.ok
-    assert len(calls) == 1     # pinv_psd, inside P1
+    assert not calls
+
+
+def _spectra_of_order(monkeypatch, m):
+    """The list that records, from here on, each matrix of order m, or stack
+    of them, that np.linalg.eigvalsh is called on."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: (a.shape[-1] == m and calls.append(a.copy())) or eigvalsh(a))
+    return calls
+
+
+@pytest.mark.parametrize("n, s, seed", [(5, 2, 4), (12, 3, 7), (60, 3, 1060)])
+def test_preliminaries_take_no_spectrum_of_order_ns(n, s, seed, monkeypatch):
+    # P1 and P4 read L's known kernel U, P3 D's split: no spectrum of order ns
+    mats = build_matrices(random_instance(n, s, seed, n))
+    calls = _spectra_of_order(monkeypatch, n * s)
+    checks = verify_preliminaries(mats)
+    assert all(c.passed for c in checks)
+    assert not calls
+
+
+def _corrupt_l(mats, corruption):
+    """The bundle with one of L's corruptions: its entry (0, 0) scaled by
+    1.01, or the off-diagonal block pair of its first edge scaled by 1.5."""
+    l, s = mats.l.array.copy(), mats.s
+    if corruption == "diagonal":
+        l[0, 0] *= 1.01
+    else:
+        u, v = (int(x) * s for x in mats.inst.graph.endpoints[0])
+        l[u:u + s, v:v + s] *= 1.5
+        l[v:v + s, u:u + s] *= 1.5
+    return dataclasses.replace(mats, l=BlockMatrix(mats.n, s, l))
+
+
+@pytest.mark.parametrize("corruption", ["diagonal", "off-diagonal pair"])
+@pytest.mark.parametrize("n, s, seed", [(8, 2, 5), (12, 3, 7), (60, 3, 1060)])
+def test_a_corrupted_laplacian_is_never_certified_and_fails_p4(n, s, seed, corruption,
+                                                                monkeypatch):
+    """L's kernel is no longer U's columns: rank_of's certificate fails, and
+    P4 reads its rank and least eigenvalue off L's one spectrum."""
+    mats = _corrupt_l(build_matrices(random_instance(n, s, seed, 4)), corruption)
+    l, q = mats.l.array, mats.u / np.sqrt(n)
+    rank, min_eig = linalg.rank_of(l, q)
+    assert not isinstance(min_eig, Bound)
+    calls = _spectra_of_order(monkeypatch, n * s)
+    p4 = next(c for c in verify_preliminaries(mats) if c.check_id == "P4")
+    assert not p4.passed and "min_eig" in p4.evidence
+    # rank and least eigenvalue from one spectrum of L, the only one of order ns
+    assert len(calls) == 1 and np.array_equal(calls[0].reshape(l.shape), l)
+
+
+def test_p4_takes_one_spectrum_on_the_overflowing_path(monkeypatch):
+    # the 2-vertex [[1e308]] path: L's entries are 1e-308, and P4 fails on
+    # its rank, read off the one spectrum of L
+    mats = build_matrices(_path(2, 1e308, 1e308))
+    calls = _spectra_of_order(monkeypatch, 2)
+    p4 = next(c for c in verify_preliminaries(mats) if c.check_id == "P4")
+    assert not p4.passed and p4.evidence["rank"] == 0
+    assert sum(np.array_equal(a.reshape(2, 2), mats.l.array) for a in calls) == 1
 
 
 def test_ill_conditioned_weights_downgrade_to_warnings():
@@ -794,7 +854,8 @@ def test_every_bound_of_the_report_set_lies_beyond_its_spectrum(monkeypatch):
     on the passing side of the value the spectrum reads with no
     certificate. THM.iii's beta = 0 bound carries the spectrum's rounding,
     so this holds where its value is round-off, as on the [1e-8, 1e8]
-    campaign's lines 42, 47 and 55."""
+    campaign's lines 42, 47 and 55. Line 66's beta = 0 sample, whose kernel
+    residual is formed at its 1e300 scale, is one of them."""
     report_set = tool("report_set")
     certified = [c for r in report_set.reports() for c in r.checks]
     certify = linalg.certify
@@ -804,7 +865,7 @@ def test_every_bound_of_the_report_set_lies_beyond_its_spectrum(monkeypatch):
     bounds = [(key, value, o.evidence[_BOUND_KEYS[key][0]])
               for c, o in zip(certified, spectrum) for key, value in c.evidence.items()
               if key in _BOUND_KEYS]
-    assert len(bounds) == 898
+    assert len(bounds) == 899
     for key, bound, measured in bounds:
         assert bound < measured if _BOUND_KEYS[key][1] == "min" else bound > measured
 
@@ -889,11 +950,12 @@ def test_congruence_bounds_bfb_wherever_it_certifies(seed, n, s, beta):
 
 def test_lapack_calls_of_a_verify_large_instance(monkeypatch):
     """verify_instance's LAPACK calls on the n = 60 verify-large instance at
-    beta 0 and 1. The 16 Choleskys are the certificates: the splits of D
+    beta 0 and 1. The 17 Choleskys are the certificates: the splits of D
     and, per beta, of P (two each), THM.iv's congruence per beta (two; it
-    also bounds THM.v), P4, THM.iii's samples per beta, THM.vi's blocks and
-    the split of THM.vi.gx's compressions (two). No spectrum of P, G, B'FB
-    or a sample is taken."""
+    also bounds THM.v), the deflated L_T of P1 and L of P4, THM.iii's
+    samples per beta, THM.vi's blocks and the split of THM.vi.gx's
+    compressions (two). No spectrum of P, G, B'FB, L or a sample is taken,
+    and no eigenvector is computed: P1 inverts the deflated L_T."""
     inst = random_instance(60, 3, 1060, 60)
     calls = Counter()
     for name in ("cholesky", "eigvalsh", "eigh", "solve", "qr", "inv"):
@@ -901,7 +963,7 @@ def test_lapack_calls_of_a_verify_large_instance(monkeypatch):
         counted = lambda *a, _fn=fn, _name=name, **k: calls.update([_name]) or _fn(*a, **k)
         monkeypatch.setattr(np.linalg, name, counted)
     assert verify_instance(inst, [0.0, 1.0]).ok
-    assert calls == {"cholesky": 16, "eigvalsh": 7, "eigh": 1, "solve": 3, "qr": 1, "inv": 4}
+    assert calls == Counter({"cholesky": 17, "eigvalsh": 6, "solve": 3, "qr": 1, "inv": 5})
 
 
 def test_no_report_solves_a_pencil_at_beta_zero(monkeypatch):
