@@ -235,15 +235,22 @@ def pinv_psd(a: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     of 1 (1 for A = 0 only): A + tQQ' is then no worse conditioned than A
     is off Q, at any scale of A."""
     a = sym_part(_as_square(a))
-    cert = a.copy()
-    shift, _ = kernel_certificate(cert, kernel)
+    b = a.copy()
+    shift, _ = kernel_certificate(b, kernel)
     with np.errstate(all="ignore"):
-        cert.flat[::len(a) + 1] -= shift
-        if not _factors(cert):
+        b.flat[::len(a) + 1] -= shift
+        if not _factors(b):
             raise NotPSDError(f"not positive definite off its kernel at shift {float(shift):.3e}")
-    qq = kernel @ kernel.T
+    # in place from here, so that at most three arrays of A's size are alive
     t = np.abs(a).sum(axis=-1).max() or 1.0     # the zero matrix has no scale
-    return np.linalg.inv(a + t * qq) - qq / t
+    np.matmul(kernel, kernel.T, out=b)
+    b *= t
+    b += a
+    out = np.linalg.inv(b)
+    np.matmul(kernel, kernel.T, out=b)
+    b /= t
+    out -= b
+    return out
 
 
 def rank_of(a: np.ndarray, kernel: np.ndarray) -> tuple[int, float]:

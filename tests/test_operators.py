@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from mwspec import exact as ex
 from mwspec.errors import ConfigError
 from mwspec.golden import EXPECTED_D, expected_l, golden_instance
-from mwspec.linalg import pinv_psd
+from mwspec.linalg import Bound, inertia_of_spectrum, pinv_psd, rank_of
 from mwspec.kernels import adjacency
 from mwspec.model import (
     Instance,
@@ -327,6 +327,21 @@ def test_pinv_of_the_tree_laplacian_matches_numpy(n, s, seed):
 def test_pinv_of_the_tree_laplacian_matches_numpy_at_1e300():
     # weights 1/10^300: L_T's entries are 1e300, and its inverse is taken there
     _pinv_matches_numpy(_rational_path(3, Fraction(1, 10**300)).tree)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 12), s=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_rank_of_the_graph_laplacian_matches_its_spectrum(n, s, seed):
+    """rank_of(L, U/sqrt(n)) against the count of the full spectrum: the
+    certificate holds on every valid L, gives the spectrum's rank, and
+    bounds its least eigenvalue from below."""
+    inst = random_instance(n, s, seed, seed % ((n - 1) * (n - 2) // 2 + 1))
+    l = build_laplacian(inst.graph).array
+    rank, min_eig = rank_of(l, build_U(n, s) / np.sqrt(n))
+    w = np.linalg.eigvalsh(l)
+    inert = inertia_of_spectrum(w)
+    assert isinstance(min_eig, Bound) and min_eig <= w[0]
+    assert rank == inert.n_minus + inert.n_plus == n * s - s
 
 
 # --- U -----------------------------------------------------------------------
