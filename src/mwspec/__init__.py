@@ -32,7 +32,6 @@ from .perturbation import (
     haynsworth_check,
     perturbed_pencil,
     principal_block_submatrix,
-    schur_complement,
 )
 from .verifier import (
     CampaignConfig,

@@ -32,10 +32,6 @@ class SingularMatrixError(MwspecError):
     pass
 
 
-class SingularPivotError(MwspecError):
-    pass
-
-
 class ConfigError(MwspecError, ValueError):
     """A bad argument: a size, seed, weight profile, beta, verify mode, block
     index or index set, vector, matrix shape, a graph's endpoint array or

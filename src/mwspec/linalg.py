@@ -29,7 +29,7 @@ from .errors import (
 )
 
 
-# largest residual of an identity (P1, P2, PF = I, Schur) or asymmetry
+# largest residual of an identity (P1, P2, PF = I, F D^{-1}U = U) or asymmetry
 REL_RESIDUAL = 1e-8
 # an eigenvalue or quadratic-form minimum this close to zero counts as zero
 EIG_ZERO = 1e-9
@@ -110,12 +110,11 @@ def inertia_of(a: np.ndarray) -> Inertia:
     return inertia_of_spectrum(sym_eigvals(a))
 
 
-def certificate_shift(scale, side: int = 1):
-    """The shift c of a Cholesky certificate for a sign claim about the
-    eigenvalues of A: lambda > EIG_ZERO * scale (side 1) or
-    lambda >= -EIG_ZERO * scale (side -1). It is that threshold moved by half
-    of EIG_ZERO * scale toward the passing side, so a certificate never
-    passes a matrix that the spectrum fails.
+def certificate_shift(scale):
+    """The shift c of a Cholesky certificate for the claim that every
+    eigenvalue of A exceeds EIG_ZERO * scale: 1.5 * EIG_ZERO * scale, the
+    threshold moved by half of itself toward the passing side, so a
+    certificate never passes a matrix that the spectrum fails.
 
     Cholesky is backward stable: a factorization of A - cI that completes
     is exact for A - cI + E with |E| = O(m u |A|), u the unit round-off
@@ -125,7 +124,7 @@ def certificate_shift(scale, side: int = 1):
     threshold; the spectrum itself is only accurate to O(u |A|), so a
     certified matrix reads the same verdict on its spectrum. The margin is a
     fixed fraction of the threshold, not a proven bound."""
-    return (side + 0.5) * EIG_ZERO * scale
+    return 1.5 * EIG_ZERO * scale
 
 
 class Bound(float):

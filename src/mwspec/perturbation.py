@@ -1,6 +1,9 @@
 """The perturbed pencil P(beta) = D^{-1} - beta L, its inverse F(beta), the
-bordered matrix [[F, U], [U', 0]], Schur complements with the Haynsworth
-inertia check, and the scalar compression G_x.
+bordered matrix [[F, U], [U', 0]], the Haynsworth inertia check on a Schur
+complement its caller gives, and the scalar compression G_x. In the
+bordered matrix the Schur complement of F is -U'F^{-1}U = -U'D^{-1}U at
+every beta: LU = 0 gives PU = D^{-1}U, so F D^{-1}U = U, an identity the
+verifier measures instead of solving with F.
 
 These are the objects the verifier exercises; each is usable on its own so
 the individual proof steps can be tested independently. The pencil, the
@@ -17,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteError, SingularMatrixError, SingularPivotError
+from .errors import ConfigError, NonFiniteError, SingularMatrixError
 from .linalg import REL_RESIDUAL, Inertia, inertia_of
 from .operators import BlockMatrix
 
@@ -101,46 +104,27 @@ def bordered(f: BlockMatrix) -> np.ndarray:
     return g
 
 
-def schur_complement(m: np.ndarray, k: int) -> np.ndarray:
-    """M/M11 = M22 - M21 M11^{-1} M12 for the leading split M11 = M[:k, :k],
-    or the stack of them for a stack M (..., m, m)."""
-    m = np.asarray(m, dtype=float)
-    if not 0 < k < m.shape[-1]:
-        raise ConfigError(f"leading split {k} out of range for dim {m.shape[-1]}")
-    m11, m12 = m[..., :k, :k], m[..., :k, k:]
-    m21, m22 = m[..., k:, :k], m[..., k:, k:]
-    try:
-        x = np.linalg.solve(m11, m12)
-    except np.linalg.LinAlgError as exc:
-        raise SingularPivotError(f"pivot block singular: {exc}") from exc
-    # guard against solve "succeeding" on a nearly singular pivot
-    if not np.all(np.isfinite(x)):
-        raise SingularPivotError("pivot block singular (non-finite solve)")
-    return m22 - m21 @ x
+def haynsworth_check(schur: np.ndarray, m_inertia: Inertia, pivot_inertia: Inertia
+                     ) -> tuple[Inertia, Inertia, bool]:
+    """Inertia additivity (Haynsworth, 1968): In(M) vs In(M11) + In(M/M11),
+    componentwise, for a symmetric M with a nonsingular pivot block M11 and
+    its Schur complement M/M11 = M22 - M21 M11^{-1} M12.
 
-
-def haynsworth_check(m: np.ndarray, k: int, m_inertia: Inertia, pivot_inertia: Inertia
-                     ) -> tuple[Inertia, Inertia, bool, np.ndarray]:
-    """Inertia additivity: In(M) vs In(M11) + In(M/M11), componentwise, for
-    a symmetric M and the leading split M11 = M[:k, :k].
-
-    In(M) and In(M11) come from the caller as `m_inertia` and
-    `pivot_inertia`, who may know them without a decomposition: the
-    verifier certifies In(M) by a congruence where it can, and its pivot
-    F = P^{-1} is congruent to P, so In(F) = In(P). In(M/M11) is measured.
-    Returns (In(M), In(M11) + In(M/M11), whether they agree, M/M11), the
-    Schur complement averaged with its transpose, so symmetric bit for bit.
-    A stack M (k, m, m) with Inertias of (k,) counts gives the inertias as
-    (k,) counts, a (k,) bool array and the (k, ...) Schur complements.
+    The caller gives the Schur complement and the two inertias it may know
+    without a decomposition: the verifier's M is [[F, U], [U', 0]], whose
+    In(M) it certifies by a congruence where it can, whose pivot F = P^{-1}
+    is congruent to P, so In(F) = In(P), and whose Schur complement is
+    -U'D^{-1}U. The Schur complement is averaged with its transpose and its
+    inertia measured. Returns (In(M), In(M11) + In(M/M11), whether they
+    agree). Inertias of (k,) counts, for a stack of k matrices M, give the
+    inertias as (k,) counts and a (k,) bool array.
     """
-    m = np.asarray(m, dtype=float)
-    schur = schur_complement(m, k)
-    schur = (schur + schur.swapaxes(-1, -2)) / 2.0
+    schur = np.asarray(schur, dtype=float)
     lhs = Inertia(*m_inertia)
-    in_schur = inertia_of(schur)
+    in_schur = inertia_of((schur + schur.swapaxes(-1, -2)) / 2.0)
     rhs = Inertia(*(a + b for a, b in zip(pivot_inertia, in_schur)))
     agree = np.all(np.equal(lhs, rhs), axis=0)
-    return lhs, rhs, bool(agree) if agree.ndim == 0 else agree, schur
+    return lhs, rhs, bool(agree) if agree.ndim == 0 else agree
 
 
 def gx_matrix(a: BlockMatrix, x: np.ndarray) -> np.ndarray:

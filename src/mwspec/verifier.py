@@ -287,9 +287,9 @@ class InstanceMatrices:
 
     Objects that several checks read are built on first use and kept in
     `_memo` under a name, or a name and beta, together with the error that
-    building one raised: the instance hash, U'D^{-1}U, the exact operators
-    and F(beta), THM.vi.gx's vectors, and per beta the pencil and the
-    spectra, scales, inertias and certificates the theorem checks share.
+    building one raised: the instance hash, U'D^{-1}U and D^{-1}U, the exact
+    operators and F(beta), THM.vi.gx's vectors, and per beta the pencil and
+    the spectra, scales, inertias and certificates the theorem checks share.
 
     `verify_instance` records its distinct betas under "betas". A per-beta
     object is then built for every recorded beta at once, on first use: one
@@ -361,7 +361,8 @@ class InstanceMatrices:
 
     def udu(self) -> np.ndarray:
         """U'D^{-1}U = 2R^{-1}: COR2.8's matrix, and minus the Schur complement
-        of F in the bordered matrix at every beta."""
+        of F in the bordered matrix at every beta, which haynsworth reads
+        without solving with F."""
         return self.memo("udu", lambda: self.u.T @ self.d_inv.array @ self.u)
 
     def pencil(self, beta: float) -> PerturbedPencil:
@@ -502,16 +503,21 @@ class InstanceMatrices:
 
         return self._stacked("bordered", beta, make)
 
-    def haynsworth(self, beta: float) -> tuple[Inertia, Inertia, bool, np.ndarray]:
+    def haynsworth(self, beta: float) -> tuple[Inertia, Inertia, bool, float]:
         """The Haynsworth split of G = [[F, U], [U', 0]] at the pivot
         F = P^{-1}: F is congruent to P, so In(F) is read from P's spectrum,
-        and In(G) from bordered_inertia."""
+        and In(G) from bordered_inertia. The Schur complement G/F is
+        -U'D^{-1}U, -udu(), at every beta, as F X = U for X = D^{-1}U.
+        Returns In(G), In(P) + In(G/F), whether they agree, and that
+        identity's residual max|F X - U| / max(1, max|F|)."""
         def make(bs):
-            n, s = self.n, self.s
             pivot = Inertia(*np.transpose([self.p_eigs(b)[1] for b in bs]))
             lhs = Inertia(*np.transpose([self.bordered_inertia(b)[0] for b in bs]))
-            lhs, rhs, agree, schur = haynsworth_check(bordered(self._f(bs)), n * s, lhs, pivot)
-            return list(zip(_members(lhs), _members(rhs), agree.tolist(), schur))
+            lhs, rhs, agree = haynsworth_check(-self.udu(), lhs, pivot)
+            x = self.memo("dinv_u", lambda: self.d_inv.array @ self.u)
+            res = np.abs(self._f(bs).array @ x - self.u).max(axis=(1, 2))
+            res /= [self.scales(b)[1] for b in bs]
+            return list(zip(_members(lhs), _members(rhs), agree.tolist(), res.tolist()))
 
         return self._stacked("haynsworth", beta, make)
 
@@ -678,10 +684,8 @@ def verify_theorem(mats: InstanceMatrices, beta: float) -> list[CheckResult]:
         return inert == (n * s, 0, s), {"inertia": list(inert)}
 
     def thm_iv_haynsworth():
-        lhs, rhs, ok, gf = mats.haynsworth(beta)
-        # the Schur complement is -U'D^{-1}U at every beta
-        udu = mats.udu()
-        res = _rel(gf + udu, max(1.0, float(np.abs(udu).max())))
+        # the Schur complement is -U'D^{-1}U at every beta, held to F D^{-1}U = U
+        lhs, rhs, ok, res = mats.haynsworth(beta)
         return ok and res <= REL_RESIDUAL, {
             "lhs": list(lhs), "rhs": list(rhs), "schur_residual": res,
         }

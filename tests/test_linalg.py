@@ -278,7 +278,6 @@ def test_rank_of_certificate_agrees_with_the_spectrum(dim, k, seed):
 
 def test_certificate_shift_moves_the_threshold_half_way_to_the_passing_side():
     assert certificate_shift(2.0) == 1.5 * EIG_ZERO * 2.0        # lambda > t
-    assert certificate_shift(2.0, side=-1) == -0.5 * EIG_ZERO * 2.0   # lambda >= -t
     assert certificate_shift(np.array([1.0, 4.0])).tolist() == [
         1.5 * EIG_ZERO, 6.0 * EIG_ZERO]
 
@@ -365,12 +364,9 @@ def test_cholesky_certificate_never_raises(a, shift):
 
 @settings(max_examples=300, deadline=None)
 @given(m=st.integers(1, 7), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
-       ratio=st.floats(-3.0, 3.0), bad=st.integers(0, 3), exponent=st.integers(-60, 60),
-       side=st.sampled_from([1, -1]))
-def test_certificate_never_passes_what_the_spectrum_fails(m, k, seed, ratio, bad, exponent,
-                                                          side):
-    """For the claim lambda_min > EIG_ZERO * scale (side 1, THM.vi's) or
-    lambda_min >= -EIG_ZERO * scale (side -1, P4's and THM.v's), scale =
+       ratio=st.floats(-3.0, 3.0), bad=st.integers(0, 3), exponent=st.integers(-60, 60))
+def test_certificate_never_passes_what_the_spectrum_fails(m, k, seed, ratio, bad, exponent):
+    """For the claim lambda_min > EIG_ZERO * scale (THM.vi's), scale =
     max(1, max|A|): every member of a stack that the certificate passes also
     passes on its spectrum, gets the verdict it gets alone, and every other
     member gets its spectrum. One member of each stack has its least
@@ -384,8 +380,8 @@ def test_certificate_never_passes_what_the_spectrum_fails(m, k, seed, ratio, bad
     a = (a + a.swapaxes(1, 2)) / 2.0 * 2.0 ** exponent
     scale = np.maximum(1.0, np.abs(a).max(axis=(1, 2)))
     spectra = np.linalg.eigvalsh(a)
-    passes = spectra[:, 0] > EIG_ZERO * scale if side == 1 else spectra[:, 0] >= -EIG_ZERO * scale
-    shift = certificate_shift(scale, side)
+    passes = spectra[:, 0] > EIG_ZERO * scale
+    shift = certificate_shift(scale)
     ok, rest = certify([(a.copy(), shift)], a)
     assert np.all(passes[ok])
     assert ok.tolist() == [bool(certify([(member.copy(), c)], member)[0])

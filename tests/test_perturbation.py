@@ -7,7 +7,6 @@ from mwspec.errors import (
     ConfigError,
     NonFiniteError,
     SingularMatrixError,
-    SingularPivotError,
 )
 from mwspec.golden import golden_instance
 from mwspec.linalg import Inertia, inertia_of
@@ -25,7 +24,6 @@ from mwspec.perturbation import (
     haynsworth_check,
     perturbed_pencil,
     principal_block_submatrix,
-    schur_complement,
 )
 from test_operators import block
 
@@ -157,52 +155,50 @@ def test_bordered_and_U_are_the_kron_and_stack_forms(n, s):
 # --- Schur complement / Haynsworth -------------------------------------------
 
 
+def _schur(m: np.ndarray, k: int) -> np.ndarray:
+    """M/M11 = M22 - M21 M11^{-1} M12 for the leading split M11 = M[:k, :k],
+    or the stack of them, by one solve with the pivot."""
+    return m[..., k:, k:] - m[..., k:, :k] @ np.linalg.solve(m[..., :k, :k], m[..., :k, k:])
+
+
 def test_schur_hand_arithmetic():
     m = np.array([[4.0, 2.0], [2.0, 3.0]])
-    assert np.allclose(schur_complement(m, 1), [[2.0]])
+    schur = _schur(m, 1)
+    assert np.allclose(schur, [[2.0]])
+    assert haynsworth_check(schur, inertia_of(m), inertia_of(m[:1, :1])) == (
+        (0, 0, 2), (0, 0, 2), True)
 
 
 def test_schur_block_diagonal():
-    a = np.diag([1.0, 2.0])
-    b = np.diag([3.0, 4.0, 5.0])
+    a = np.diag([1.0, -2.0])
+    b = np.diag([3.0, 4.0, -5.0])
     m = np.block([[a, np.zeros((2, 3))], [np.zeros((3, 2)), b]])
-    assert np.allclose(schur_complement(m, 2), b)
+    assert np.allclose(_schur(m, 2), b)
+    lhs, rhs, ok = haynsworth_check(_schur(m, 2), inertia_of(m), inertia_of(a))
+    assert ok and lhs == rhs == (2, 0, 3)
 
 
 def test_schur_golden_bordered_equals_minus_UtDinvU(golden_mats):
+    # F D^{-1}U = U, so the Schur complement of F is -U'D^{-1}U
     _, d_inv, l = golden_mats
     f = perturbed_pencil(d_inv, l, 1.0).f
-    gf = schur_complement(bordered(f), 8)
+    gf = _schur(bordered(f), 8)
     u = build_U(4, 2)
     target = -u.T @ d_inv.array @ u
     assert np.abs(gf - target).max() <= 1e-8 * max(1.0, np.abs(target).max())
-
-
-def test_schur_singular_pivot_raises():
-    m = np.array([[0.0, 1.0], [1.0, 1.0]])
-    with pytest.raises(SingularPivotError):
-        schur_complement(m, 1)
-
-
-@pytest.mark.parametrize("k", [0, 3])
-def test_leading_split_must_leave_both_blocks_nonempty(k):
-    m = np.eye(3)
-    with pytest.raises(ConfigError):
-        schur_complement(m, k)
-    with pytest.raises(ConfigError):
-        haynsworth_check(m, k, Inertia(0, 0, 3), Inertia(0, 0, k))
+    assert np.abs(f.array @ (d_inv.array @ u) - u).max() <= 1e-8 * np.abs(f.array).max()
 
 
 def test_haynsworth_trivial():
     m = np.diag([1.0, -1.0])
-    lhs, rhs, ok, _ = haynsworth_check(m, 1, inertia_of(m), inertia_of(m[:1, :1]))
+    lhs, rhs, ok = haynsworth_check(_schur(m, 1), inertia_of(m), inertia_of(m[:1, :1]))
     assert ok
     assert lhs == (1, 0, 1)
     # In(M) and the pivot inertia are the caller's, used as they are, not
     # measured again
-    lhs, rhs, ok, _ = haynsworth_check(m, 1, inertia_of(m), Inertia(1, 0, 0))
+    lhs, rhs, ok = haynsworth_check(_schur(m, 1), inertia_of(m), Inertia(1, 0, 0))
     assert (lhs, rhs, ok) == ((1, 0, 1), (2, 0, 0), False)
-    lhs, rhs, ok, _ = haynsworth_check(m, 1, Inertia(2, 0, 0), inertia_of(m[:1, :1]))
+    lhs, rhs, ok = haynsworth_check(_schur(m, 1), Inertia(2, 0, 0), inertia_of(m[:1, :1]))
     assert (lhs, rhs, ok) == ((2, 0, 0), (1, 0, 1), False)
 
 
@@ -210,23 +206,23 @@ def test_haynsworth_golden(golden_mats):
     _, d_inv, l = golden_mats
     f = perturbed_pencil(d_inv, l, 1.0).f
     g = bordered(f)
-    lhs, rhs, ok, _ = haynsworth_check(g, 8, inertia_of(g), inertia_of(f.array))
+    lhs, rhs, ok = haynsworth_check(_schur(g, 8), inertia_of(g), inertia_of(f.array))
     assert ok
     assert lhs == (8, 0, 2)
 
 
-def test_haynsworth_schur_complement_is_bitwise_symmetric():
-    # the verifier's M is the bitwise symmetric bordered G; schur_complement
-    # returns M22 - M21 M11^{-1} M12 as computed, haynsworth_check averages it
+def test_haynsworth_averages_the_schur_complement_it_is_given():
+    # a Schur complement as computed is not bitwise symmetric; its inertia is
+    # that of its average with its transpose, at any asymmetry
     rng = np.random.default_rng(5)
     for k in (2, 5, 9):
         m = rng.standard_normal((12, 12))
         m = (m + m.T) / 2.0 + np.eye(12)
-        assert np.array_equal(m, m.T)
-        _, _, _, schur = haynsworth_check(m, k, inertia_of(m), inertia_of(m[:k, :k]))
-        assert np.array_equal(schur, schur.T)
-        raw = schur_complement(m, k)
-        assert np.array_equal(schur, (raw + raw.T) / 2.0)
+        raw = _schur(m, k)
+        _, rhs, _ = haynsworth_check(raw, inertia_of(m), Inertia(0, 0, 0))
+        assert rhs == inertia_of((raw + raw.T) / 2.0)
+    lopsided = np.array([[1.0, 4.0], [-4.0, -1.0]])      # its average is diag(1, -1)
+    assert haynsworth_check(lopsided, Inertia(1, 0, 1), Inertia(0, 0, 0))[1] == (1, 0, 1)
 
 
 def test_haynsworth_random_symmetric():
@@ -234,7 +230,7 @@ def test_haynsworth_random_symmetric():
     for _ in range(10):
         m = rng.standard_normal((12, 12))
         m = (m + m.T) / 2.0 + np.eye(12)  # keep the pivot comfortably nonsingular
-        _, _, ok, _ = haynsworth_check(m, 5, inertia_of(m), inertia_of(m[:5, :5]))
+        _, _, ok = haynsworth_check(_schur(m, 5), inertia_of(m), inertia_of(m[:5, :5]))
         assert ok
 
 
@@ -247,9 +243,13 @@ def test_stacked_pencil_and_split_give_each_member_its_bits_alone():
     alone = [perturbed_pencil(d_inv, l, beta) for beta in betas]
     pivots = [inertia_of(one.p.array) for one in alone]
     g = bordered(stack.f)
-    lhs, rhs, ok, schur = haynsworth_check(g, 12, Inertia(*np.transpose(
+    lhs, rhs, ok = haynsworth_check(_schur(g, 12), Inertia(*np.transpose(
         [inertia_of(one) for one in g])), Inertia(*np.transpose(pivots)))
     assert ok.tolist() == [True] * 3
+    # one Schur complement shared by the stack, as the verifier's -U'D^{-1}U
+    u = build_U(6, 2)
+    shared = haynsworth_check(-u.T @ d_inv.array @ u, lhs, Inertia(*np.transpose(pivots)))
+    assert np.array_equal(shared[:2], [lhs, rhs]) and shared[2].tolist() == [True] * 3
     xs = np.random.default_rng(3).standard_normal((4, 2))
     gx = gx_matrix(stack.f, xs)
     assert gx.shape == (3, 4, 6, 6)
@@ -258,10 +258,10 @@ def test_stacked_pencil_and_split_give_each_member_its_bits_alone():
         assert np.array_equal(stack.p.array[k], one.p.array)
         assert np.array_equal(stack.f.array[k], one.f.array)
         assert np.array_equal(g[k], bordered(one.f))
-        l1, r1, ok1, s1 = haynsworth_check(bordered(one.f), 12, inertia_of(g[k]), pivot)
+        l1, r1, ok1 = haynsworth_check(_schur(bordered(one.f), 12), inertia_of(g[k]), pivot)
         assert ([lhs[i][k] for i in range(3)], [rhs[i][k] for i in range(3)]) == (
             list(l1), list(r1))
-        assert ok1 is True and np.array_equal(schur[k], s1)
+        assert ok1 is True
         assert np.array_equal(gx[k], gx_matrix(one.f, xs))
         assert np.array_equal(sub[k], principal_block_submatrix(one.p, [1, 4, 6]).array)
 

@@ -15,6 +15,7 @@ from mwspec.golden import golden_instance
 from mwspec.linalg import (
     EIG_ZERO,
     NONZERO_FLOOR,
+    REL_RESIDUAL,
     Bound,
     inertia_of,
     inertia_of_spectrum,
@@ -679,6 +680,12 @@ def test_a_corrupted_laplacian_is_never_certified_and_fails_p4(n, s, seed, corru
     assert not p4.passed and "min_eig" in p4.evidence
     # rank and least eigenvalue from one spectrum of L, the only one of order ns
     assert len(calls) == 1 and np.array_equal(calls[0].reshape(l.shape), l)
+    # THM.iv.haynsworth still reads L: F D^{-1}U = U fails where LU != 0
+    # and beta > 0, and holds at beta = 0, where F = D
+    for beta in (0.0, 0.5, 1.0):
+        row = by_id(verify_theorem(mats, beta), "THM.iv.haynsworth")[0]
+        assert row.passed == (beta == 0)
+        assert (row.evidence["schur_residual"] > REL_RESIDUAL) == (beta > 0)
 
 
 def test_p4_takes_one_spectrum_on_the_overflowing_path(monkeypatch):
@@ -764,11 +771,17 @@ def test_shared_spectra_match_direct_route(n, s, seed, beta):
     assert by_id(checks, "THM.iv")[0].evidence["inertia"] == list(
         inertia_of(bordered(pencil.f)))
     # THM.iv.haynsworth reads its pivot's inertia In(F) off P's spectrum
-    # (F = P^{-1} is congruent to P); it agrees with In(F) measured
+    # (F = P^{-1} is congruent to P); it agrees with In(F) measured. Its Schur
+    # complement -U'D^{-1}U is the one a solve with F gives
     assert mats.p_eigs(beta)[1] == inertia_of(pencil.f.array)
+    u = mats.u
+    oracle = -u.T @ np.linalg.solve(pencil.f.array, u)
+    assert _rel(oracle + mats.udu(), float(np.abs(oracle).max())) <= REL_RESIDUAL
     g = bordered(pencil.f)
-    _, rhs, _, _ = haynsworth_check(g, n * s, inertia_of(g), inertia_of(pencil.f.array))
-    assert by_id(checks, "THM.iv.haynsworth")[0].evidence["rhs"] == list(rhs)
+    _, rhs, _ = haynsworth_check(oracle, inertia_of(g), inertia_of(pencil.f.array))
+    haynsworth = by_id(checks, "THM.iv.haynsworth")[0].evidence
+    assert haynsworth["rhs"] == list(rhs) == [
+        a + b for a, b in zip(inertia_of(pencil.p.array), inertia_of(oracle))]
     assert by_id(checks, "THM.ii")[0].evidence["inertia"] == list(inertia_of(pencil.p.array))
 
     # P(0) is the closed-form D^{-1} bit for bit, so its spectra are shared
@@ -955,7 +968,8 @@ def test_lapack_calls_of_a_verify_large_instance(monkeypatch):
     also bounds THM.v), the deflated L_T of P1 and L of P4, THM.iii's
     samples per beta, THM.vi's blocks and the split of THM.vi.gx's
     compressions (two). No spectrum of P, G, B'FB, L or a sample is taken,
-    and no eigenvector is computed: P1 inverts the deflated L_T."""
+    and no eigenvector is computed: P1 inverts the deflated L_T. The one
+    solve is the pencil's at beta 1; THM.iv.haynsworth solves nothing."""
     inst = random_instance(60, 3, 1060, 60)
     calls = Counter()
     for name in ("cholesky", "eigvalsh", "eigh", "solve", "qr", "inv"):
@@ -963,7 +977,21 @@ def test_lapack_calls_of_a_verify_large_instance(monkeypatch):
         counted = lambda *a, _fn=fn, _name=name, **k: calls.update([_name]) or _fn(*a, **k)
         monkeypatch.setattr(np.linalg, name, counted)
     assert verify_instance(inst, [0.0, 1.0]).ok
-    assert calls == Counter({"cholesky": 17, "eigvalsh": 6, "solve": 3, "qr": 1, "inv": 5})
+    assert calls == Counter({"cholesky": 17, "eigvalsh": 6, "solve": 1, "qr": 1, "inv": 5})
+
+
+@pytest.mark.parametrize("inst", [golden_instance(), random_instance(12, 4, 11211, 30),
+                                  random_instance(60, 3, 1060, 60)],
+                         ids=["golden", "random-12x4", "verify-large-60"])
+def test_a_certified_congruence_builds_no_bordered_matrix(monkeypatch, inst):
+    """Where THM.iv's congruence certifies In(G), no check builds G: the
+    Haynsworth split reads its Schur complement off D^{-1}U."""
+    def refuse(f):
+        raise AssertionError("bordered matrix built")
+
+    monkeypatch.setattr(verifier, "bordered", refuse)
+    report = verify_instance(inst, [0.0, 1.0])
+    assert report.ok and all(c.passed for c in report.checks if c.check_id.startswith("THM.iv"))
 
 
 def test_no_report_solves_a_pencil_at_beta_zero(monkeypatch):
