@@ -157,12 +157,17 @@ def _null_compress(x: np.ndarray, n: int, s: int) -> np.ndarray:
     return (btx[..., :-1, :] - btx[..., -1:, :]).reshape(*lead, (n - 1) * s, (n - 1) * s)
 
 
-def _split(x: np.ndarray, n: int, s: int):
+def _split(x: np.ndarray, n: int, s: int, deleted=False):
     """The shift c of the symmetric X, or one per member of a stack, and the
     two certificates that together show In(X) = (ns - s, 0, s) with every
     eigenvalue at least c from zero: B'B = (I + J) (x) I_s has largest
     eigenvalue n and U'U = nI, so by Courant-Fischer -B'XB - ncI > 0 gives
     ns - s eigenvalues of X below -c, and U'XU - ncI > 0 gives s above c.
+    Where deleted (one bool, or one per member), the first certificate is
+    -X[s:, s:] - cI > 0 instead, a slice of X on the orthonormal basis of
+    blocks 2..n: ns - s eigenvalues below -c again, and the deleted block
+    X(alpha'_1) negative definite with every eigenvalue below -c. It needs
+    X(alpha'_1) nonsingular, so D^{-1} (beta = 0, nullity s) reads B'XB.
     c is certificate_shift at max(1, ||X||_inf), which bounds X's spectral
     radius, so c exceeds every threshold scaled by max(1, max|X|); it is
     infinite where a row sum overflows. An X within the asymmetry bound is
@@ -174,7 +179,14 @@ def _split(x: np.ndarray, n: int, s: int):
         except NotSymmetricError:
             return np.full(x.shape[:-2], np.inf), []
         c = certificate_shift(np.maximum(1.0, np.abs(x).sum(axis=-1).max(axis=-1)))
-        return c, [(-_null_compress(x, n, s), n * c),
+        compressed = ~np.broadcast_to(deleted, x.shape[:-2])     # the members that read B'XB
+        if compressed.all():
+            low = -_null_compress(x, n, s)
+        else:
+            low = -x[..., s:, s:]
+            if compressed.any():
+                low[compressed] = -_null_compress(x[compressed], n, s)
+        return c, [(low, np.where(compressed, n * c, c)),
                    (x.reshape(*x.shape[:-2], n, s, n, s).sum(axis=(-4, -2)), n * c)]
 
 
@@ -251,12 +263,15 @@ class DeletedBlocks:
     "direct" (In(P) has a zero or a derived count is negative) or
     "contradicted" (a sampled inertia differs from the derived one); on the
     last two every vertex is decomposed directly. On the derived route the
-    inertias of the n - 2 vertices outside the sample are inferred, not
-    measured. A Cholesky certificate may measure a sampled submatrix instead:
-    at beta > 0 when every derived inertia is ((n-1)s, 0, 0), and at beta = 0
-    when every one is ((n-2)s, s, 0) and the sample's kernel residual is
-    small (linalg.kernel_certificate). Its entry of sampled_max is then a Bound
-    that its largest eigenvalue lies below.
+    sample is vertex 1, and at beta > 0 a second vertex where some F_ii has
+    no margin (InstanceMatrices.deleted_blocks); the inertias of the other
+    vertices are inferred, not measured. A Cholesky certificate may measure
+    a sampled submatrix instead: at beta > 0 vertex 1 by the split that
+    certified In(P) (_split), and a second sample when every derived
+    inertia is ((n-1)s, 0, 0); at beta = 0 when every one is ((n-2)s, s, 0)
+    and the sample's kernel residual is small (linalg.kernel_certificate).
+    Its entry of sampled_max is then a Bound that its largest eigenvalue
+    lies below.
     """
 
     inertia: np.ndarray          # (n, 3): n_minus, n_zero, n_plus per vertex
@@ -340,8 +355,9 @@ class InstanceMatrices:
             if beta not in todo:
                 todo = [beta]
             n, s = self.n, self.s
-            # the largest input per beta: the bordered matrix, the two
-            # sampled deleted blocks or THM.vi.gx's s + 10 compressions
+            # the largest input per beta: the bordered matrix, THM.iii's
+            # sampled deleted blocks (two where a zero count has no margin)
+            # or THM.vi.gx's s + 10 compressions
             member = 8 * max((n * s + s) ** 2, 2 * ((n - 1) * s) ** 2, (s + 10) * n * n)
             size = max(1, STACK_BYTES // member)
             for i in range(0, len(todo), size):
@@ -399,11 +415,14 @@ class InstanceMatrices:
         """min |eigenvalue| of P(beta) and In(P(beta)), read off P's
         spectrum; or, when the split certificate (_split) shows
         In(P) = (ns - s, 0, s), the Bound c and that inertia. Then the shift
-        c of P's certificates."""
+        c of P's certificates. At beta > 0 the split's negative half is the
+        deleted block -P(alpha'_1) - cI, so a certified P also certifies
+        THM.iii's vertex 1 (deleted_blocks); at beta = 0, where
+        D^{-1}(alpha'_1) has nullity s, it is -B'PB - ncI."""
         def make(bs):
             n, s = self.n, self.s
             p = _stack([self.pencil(b).p.array for b in bs])
-            c, split = _split(p, n, s)
+            c, split = _split(p, n, s, deleted=np.array(bs) > 0)
             ok, w = certify(split, p)
             inert = iter(_members(inertia_of_spectrum(w)))
             return [(v, Inertia(n * s - s, 0, s) if isinstance(v, Bound) else next(inert), ck)
@@ -420,14 +439,19 @@ class InstanceMatrices:
         Haynsworth inertia additivity with the Fiedler-Markham nullity
         theorem gives, for a nonsingular P and nu = n_0(F_ii),
         n_-(P(alpha')) = n_-(P) - n_-(F_ii) - nu, n_0 = nu and
-        n_+ = n_+(P) - n_+(F_ii) - nu. Vertex 1 and, of the others, the
-        vertex whose F_ii has an eigenvalue nearest its zero threshold (where
-        the two counts split first) are decomposed directly, as an
-        independent sample of the derived counts; the other n - 2 counts are
-        inferred. The samples of a stack share one certify call, which may
-        certify them (DeletedBlocks). The direct route
-        decomposes one (n-1)s submatrix at a time, so it needs one
-        submatrix's memory at a time.
+        n_+ = n_+(P) - n_+(F_ii) - nu. Vertex 1 is measured, as an
+        independent sample of the derived counts: at beta > 0 by the split
+        certificate of p_eigs, whose negative half is -P(alpha'_1) - cI, and
+        at beta = 0 (or where that split fails) on its own submatrix. At
+        beta > 0, where some F_ii's least eigenvalue is not above
+        certificate_shift(max(1, rho(F_ii))), a zero count has no margin, and
+        the vertex of the others whose F_ii has an eigenvalue nearest its
+        zero threshold (where the two counts split first) is measured too;
+        at beta = 0 F_ii = 0 exactly and it never is. The other counts are
+        inferred. The samples are chosen per member, and the submatrices of
+        a stack share one certify call, which may certify them
+        (DeletedBlocks). The direct route decomposes one (n-1)s submatrix at
+        a time, so it needs one submatrix's memory at a time.
         """
         def make(bs):
             n, s = self.n, self.s
@@ -440,46 +464,57 @@ class InstanceMatrices:
             inertia = np.stack([p_in[0] - f_in[:, 0] - nu, nu,
                                 p_in[2] - f_in[:, 2] - nu], axis=-1)         # (k, n, 3)
             sample = np.flatnonzero((p_in[1, :, 0] == 0) & (inertia.min(axis=(1, 2)) >= 0))
-            out = {}
-            if sample.size:
-                sampled = np.column_stack([np.ones_like(sample),
-                                           2 + _nearest_zero_threshold(f_eigs[sample, 1:])])
-                # (len(sample), 2, (n-1)s, (n-1)s): one gather per beta, a
-                # stack of its own to be shifted, gathered again for the
-                # spectrum of the members left
+            # vertex 1; at beta > 0 also, where some F_ii's least eigenvalue
+            # lies within the certificate shift of zero at its own scale, the
+            # other vertex nearest its zero threshold
+            thin = np.any(f_eigs[..., 0] <= certificate_shift(
+                np.maximum(1.0, np.abs(f_eigs).max(axis=-1))), axis=-1)
+            second = 2 + _nearest_zero_threshold(f_eigs[:, 1:])
+            sampled = {j: [1, int(second[j])] if bs[j] and thin[j] else [1]
+                       for j in sample.tolist()}
+            # the split that certified In(P) at beta > 0 certified vertex 1
+            # too: inertia ((n-1)s, 0, 0), every eigenvalue below -c
+            measured = {(j, 1): (np.all(inertia[j, 0] == ((n - 1) * s, 0, 0)),
+                                 Bound(-p_eigs[j][2]))
+                        for j in sampled if bs[j] and isinstance(p_eigs[j][0], Bound)}
+            items = [(j, v) for j, vs in sampled.items() for v in vs if (j, v) not in measured]
+            if items:
+                # one gather per submatrix, a stack of its own to be shifted,
+                # gathered again for the spectrum of the ones left
                 gather = lambda: np.stack([
-                    principal_block_submatrix(self.pencil(bs[j]).p, _deleted(n, v)).array
-                    for j, v in zip(sample, sampled)])
+                    principal_block_submatrix(self.pencil(bs[j]).p, _deleted(n, [v])[0]).array
+                    for j, v in items])
                 subs = gather()
                 subs *= -1.0
-                c, bound = np.full(subs.shape[:2], np.inf), np.zeros(subs.shape[:2])
-                for i, j in enumerate(sample):
+                c, bound = np.full(len(items), np.inf), np.zeros(len(items))
+                for i, (j, v) in enumerate(items):
                     # -P(alpha') above P's shift c where ((n-1)s, 0, 0) is
                     # derived; at beta = 0, where ((n-2)s, s, 0) is, its
                     # deflated kernel certificate
                     if bs[j] and np.all(inertia[j] == ((n - 1) * s, 0, 0)):
                         c[i], bound[i] = p_eigs[j][2], -p_eigs[j][2]
                     elif not bs[j] and np.all(inertia[j] == ((n - 2) * s, s, 0)):
-                        f = self.pencil(0.0).f.array.reshape(n, s, n, s)
-                        q = np.linalg.qr(np.stack([f[np.arange(n) != v - 1, :, v - 1, :]
-                                                   .reshape(-1, s) for v in sampled[i]]))[0]
+                        f0 = self.pencil(0.0).f.array.reshape(n, s, n, s)
+                        q = np.linalg.qr(f0[ii != v - 1, :, v - 1, :].reshape(-1, s))[0]
                         c[i], bound[i] = kernel_certificate(subs[i], q)
                 ok, w = certify([(subs, c)] if np.isfinite(c).any() else [], gather)
                 agree = ok.copy()
                 if w is not None:
+                    jv = np.array(items)[~ok]
                     agree[~ok] = np.all(np.stack(inertia_of_spectrum(w), axis=-1)
-                                        == inertia[sample[:, None], sampled - 1][~ok], axis=-1)
+                                        == inertia[jv[:, 0], jv[:, 1] - 1], axis=-1)
                 tops = _bounded(ok, bound, () if w is None else w[:, -1])
-                out = {j: DeletedBlocks(inertia[j], "derived", v.tolist(), tops[2 * i:2 * i + 2],
-                                        nu[j])
-                       for i, (j, v) in enumerate(zip(sample, sampled)) if agree[i].all()}
+                measured.update(zip(items, zip(agree.tolist(), tops)))
+            out = {j: DeletedBlocks(inertia[j], "derived", vs, [measured[j, v][1] for v in vs],
+                                    nu[j])
+                   for j, vs in sampled.items() if all(measured[j, v][0] for v in vs)}
             for j in range(len(bs)):
                 if j not in out:
                     p = self.pencil(bs[j]).p
                     spectra = np.array([sym_eigvals(principal_block_submatrix(p, rest).array)
                                         for rest in _deleted(n, range(1, n + 1))])
                     out[j] = DeletedBlocks(np.transpose(inertia_of_spectrum(spectra)),
-                                           "contradicted" if j in sample else "direct",
+                                           "contradicted" if j in sampled else "direct",
                                            list(range(1, n + 1)), spectra[:, -1].tolist(), nu[j])
             return [out[j] for j in range(len(bs))]
 
@@ -523,11 +558,20 @@ class InstanceMatrices:
 
     def block_pd(self, beta: float) -> np.ndarray:
         """(n, n) bools, row-major in (i, j): whether the quadratic form of
-        each block F_ij of F(beta) is positive definite (THM.vi)."""
+        each block F_ij of F(beta) is positive definite (THM.vi). Where the
+        stack F is bitwise symmetric, F_ji = F_ij' has the symmetric part of
+        F_ij bit for bit, so only the n(n+1)/2 blocks with i <= j are tested
+        and their verdicts mirrored; elsewhere every block is."""
         def make(bs):
             n, s = self.n, self.s
-            f = self._f(bs).array.reshape(len(bs), n, s, n, s)
-            return is_pd_quadratic_form(f.swapaxes(2, 3))
+            f = self._f(bs).array
+            blocks = f.reshape(len(bs), n, s, n, s).swapaxes(2, 3)    # (k, n, n, s, s)
+            if not np.array_equal(f, f.swapaxes(-1, -2)):
+                return is_pd_quadratic_form(blocks)
+            i, j = np.triu_indices(n)
+            pd = np.empty((len(bs), n, n), dtype=bool)
+            pd[:, i, j] = pd[:, j, i] = is_pd_quadratic_form(blocks[:, i, j])
+            return pd
 
         return self._stacked("block_pd", beta, make, positive=True)
 
@@ -727,8 +771,9 @@ def verify_fiedler_markham(mats: InstanceMatrices, beta: float) -> CheckResult:
     instance where the complementary nullity is forced to s.
 
     The complementary nullities come from `InstanceMatrices.deleted_blocks`.
-    On its derived route they are n_0(F_ii) by construction, so only the two
-    sampled vertices are measured and the other n - 2 are inferred; the route
+    On its derived route they are n_0(F_ii) by construction, so only the
+    sampled vertices (vertex 1, and at beta > 0 a second one where a zero
+    count has no margin) are measured and the others inferred; the route
     is kept only while the sample agrees, otherwise every vertex is measured
     directly. `dinv_nullities` is the beta = 0 row. The evidence names the
     measured vertices and the number inferred, for the beta and the dinv row.

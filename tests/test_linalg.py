@@ -24,6 +24,8 @@ from mwspec.linalg import (
     rank_of,
     sym_eigvals,
 )
+from mwspec.model import WeightProfile, random_instance
+from mwspec.verifier import DEFAULT_BETAS, _split, build_matrices
 
 
 def test_sym_eigen_identity():
@@ -387,6 +389,28 @@ def test_certificate_never_passes_what_the_spectrum_fails(m, k, seed, ratio, bad
     assert ok.tolist() == [bool(certify([(member.copy(), c)], member)[0])
                            for member, c in zip(a, shift)]
     assert rest.tolist() == spectra[~ok].tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12), s=st.integers(1, 4),
+       wide=st.booleans(), beta=st.sampled_from([*DEFAULT_BETAS, 0.37, 1e4]))
+def test_deleted_block_split_never_certifies_another_inertia(seed, n, s, wide, beta):
+    """The split of P = D^{-1} - beta L with its deleted block, -P[s:, s:] - cI
+    and U'PU - ncI: wherever both factor, P's spectrum has inertia
+    (ns - s, 0, s) with every |lambda| above c, and every eigenvalue of
+    P(alpha'_1) = P[s:, s:] lies below -c, on random instances of the default
+    and the [1e-8, 1e8] weight profiles."""
+    profile = WeightProfile(1e-8, 1e8) if wide else WeightProfile()
+    inst = random_instance(n, s, seed, seed % ((n - 1) * (n - 2) // 2 + 1), profile)
+    mats = build_matrices(inst)
+    p = mats.d_inv.array - beta * mats.l.array
+    c, split = _split(p[None], n, s, deleted=True)
+    if not certify(split, p[None])[0][0]:
+        return
+    w = np.linalg.eigvalsh(p)
+    assert inertia_of_spectrum(w) == (n * s - s, 0, s)
+    assert np.abs(w).min() > c[0]
+    assert np.linalg.eigvalsh(p[s:, s:])[-1] < -c[0]
 
 
 def test_quadratic_form_between_the_threshold_and_its_shift_reads_the_spectrum(monkeypatch):

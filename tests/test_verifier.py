@@ -182,7 +182,7 @@ def test_sample_takes_the_block_nearest_its_zero_threshold():
     fm = verify_fiedler_markham(mats, 1.0)
     assert not fm.passed
     assert fm.evidence["mismatches"] == [{"i": k, "nullity_sub": 0, "nullity_block": 1}]
-    assert fm.evidence["inferred"] == {"beta": 0, "dinv": n - 2}
+    assert fm.evidence["inferred"] == {"beta": 0, "dinv": n - 1}
 
 
 def test_fiedler_markham_reads_d_inverse_at_beta_zero(monkeypatch):
@@ -737,22 +737,19 @@ def test_shared_spectra_match_direct_route(n, s, seed, beta):
     assert blocks.route == "derived"
     assert blocks.inertia.tolist() == [list(inertia_of_spectrum(w)) for w in direct]
 
-    # THM.iii: vertex 1 and, of the others, the F_ii with an eigenvalue
-    # nearest its zero threshold in ratio (at beta = 0 every F_ii = D_ii is
-    # zero, so the first of the others)
-    def nearness(i):
-        w = np.abs(np.linalg.eigvalsh(block(pencil.f, i, i)))
-        t = EIG_ZERO * max(1.0, w.max())
-        return max(min(x, t) / max(x, t) for x in w)
-    sampled = [1, max(range(2, n + 1), key=nearness) if beta else 2]
-    # a Cholesky certificate bounds the sampled eigenvalues (at beta = 0 by
-    # the residual of their known kernel): the bound lies above every one the
-    # direct route measures
+    # THM.iii: vertex 1 alone, since every F_ii is positive definite with
+    # margin at beta > 0 and exactly zero at beta = 0. A Cholesky certificate
+    # bounds its eigenvalues (at beta > 0 the split of P, whose negative half
+    # is -P(alpha'_1) - cI; at beta = 0 the residual of its known kernel): the
+    # bound lies above every one the direct route measures of vertex 1, and
+    # at beta > 0 of every vertex, whose derived inertia is ((n-1)s, 0, 0)
     thm_iii = by_id(checks, "THM.iii")[0]
     evidence = dict(thm_iii.evidence)
-    worst = max(direct[i - 1][-1] for i in sampled)
-    assert evidence.pop("max_eig_sampled_bound") > worst
-    assert evidence == {"sampled": sampled, "inferred": n - 2, "route": "derived"}
+    bound = evidence.pop("max_eig_sampled_bound")
+    assert bound > direct[0][-1]
+    if beta:
+        assert bound == -mats.p_eigs(beta)[2] > max(w[-1] for w in direct)
+    assert evidence == {"sampled": [1], "inferred": n - 1, "route": "derived"}
 
     # FM-nullity: the derived zero counts against the SVD route
     nullity_of = lambda q: min(q.shape) - inertia_of_spectrum(
@@ -764,8 +761,8 @@ def test_shared_spectra_match_direct_route(n, s, seed, beta):
                   if nullity_of(q) != nullity_of(block(pencil.f, i, i))]
     assert fm.evidence["mismatches"] == mismatches
     assert fm.evidence["dinv_nullities"] == [nullity_of(q) for q in sub_d]
-    assert fm.evidence["sampled"] == {"beta": sampled, "dinv": [1, 2]}
-    assert fm.evidence["inferred"] == {"beta": n - 2, "dinv": n - 2}
+    assert fm.evidence["sampled"] == {"beta": [1], "dinv": [1]}
+    assert fm.evidence["inferred"] == {"beta": n - 1, "dinv": n - 1}
 
     # THM.iv: the Haynsworth left-hand side is the bordered inertia
     assert by_id(checks, "THM.iv")[0].evidence["inertia"] == list(
@@ -963,21 +960,31 @@ def test_congruence_bounds_bfb_wherever_it_certifies(seed, n, s, beta):
 
 def test_lapack_calls_of_a_verify_large_instance(monkeypatch):
     """verify_instance's LAPACK calls on the n = 60 verify-large instance at
-    beta 0 and 1. The 17 Choleskys are the certificates: the splits of D
+    beta 0 and 1. The 16 Choleskys are the certificates: the splits of D
     and, per beta, of P (two each), THM.iv's congruence per beta (two; it
     also bounds THM.v), the deflated L_T of P1 and L of P4, THM.iii's
-    samples per beta, THM.vi's blocks and the split of THM.vi.gx's
-    compressions (two). No spectrum of P, G, B'FB, L or a sample is taken,
-    and no eigenvector is computed: P1 inverts the deflated L_T. The one
-    solve is the pencil's at beta 1; THM.iv.haynsworth solves nothing."""
-    inst = random_instance(60, 3, 1060, 60)
-    calls = Counter()
+    beta = 0 sample, THM.vi's blocks and the split of THM.vi.gx's
+    compressions (two). Four matrices of order (n-1)s = 177 are factored:
+    the split of D's B'DB, of P(0)'s B'PB, of P(1)'s deleted block
+    P(alpha'_1), which is THM.iii's beta = 1 sample as well, and the
+    deflated D^{-1}(alpha'_1) of THM.iii's beta = 0 sample; no F_ii lacks
+    margin, so no second sample is taken. No spectrum of P, G, B'FB, L or a
+    sample is taken, and no eigenvector is computed: P1 inverts the
+    deflated L_T. The one solve is the pencil's at beta 1;
+    THM.iv.haynsworth solves nothing."""
+    n = 60
+    inst = random_instance(n, 3, 1060, n)
+    calls, orders = Counter(), Counter()
     for name in ("cholesky", "eigvalsh", "eigh", "solve", "qr", "inv"):
         fn = getattr(np.linalg, name)
         counted = lambda *a, _fn=fn, _name=name, **k: calls.update([_name]) or _fn(*a, **k)
         monkeypatch.setattr(np.linalg, name, counted)
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: orders.update(
+        {a.shape[-1]: math.prod(a.shape[:-2])}) or cholesky(a))
     assert verify_instance(inst, [0.0, 1.0]).ok
-    assert calls == Counter({"cholesky": 17, "eigvalsh": 6, "solve": 1, "qr": 1, "inv": 5})
+    assert calls == Counter({"cholesky": 16, "eigvalsh": 6, "solve": 1, "qr": 1, "inv": 5})
+    assert orders[(n - 1) * 3] == 4
 
 
 @pytest.mark.parametrize("inst", [golden_instance(), random_instance(12, 4, 11211, 30),
@@ -992,6 +999,28 @@ def test_a_certified_congruence_builds_no_bordered_matrix(monkeypatch, inst):
     monkeypatch.setattr(verifier, "bordered", refuse)
     report = verify_instance(inst, [0.0, 1.0])
     assert report.ok and all(c.passed for c in report.checks if c.check_id.startswith("THM.iv"))
+
+
+@pytest.mark.parametrize("inst", [golden_instance(), random_instance(12, 4, 11211, 30),
+                                  random_instance(60, 3, 1060, 60)],
+                         ids=["golden", "random-12x4", "verify-large-60"])
+def test_the_split_of_p_is_the_sample_of_thm_iii_at_positive_beta(monkeypatch, inst):
+    """At beta > 0 the split certificate of P, whose negative half is the
+    deleted block -P(alpha'_1) - cI, measures THM.iii's vertex 1, and no F_ii
+    lacks margin: no submatrix of a pencil at beta > 0 is gathered. At
+    beta = 0 vertex 1's kernel certificate gathers D^{-1}(alpha'_1)."""
+    d_inv = build_matrices(inst).d_inv.array
+    gather = verifier.principal_block_submatrix
+
+    def only_d_inv(a, idx):
+        if not np.array_equal(a.array, d_inv):
+            raise AssertionError("a deleted block of a pencil at beta > 0 gathered")
+        return gather(a, idx)
+
+    monkeypatch.setattr(verifier, "principal_block_submatrix", only_d_inv)
+    report = verify_instance(inst, [0.0, 1.0])
+    assert report.ok
+    assert [c.evidence["sampled"] for c in by_id(report.checks, "THM.iii")] == [[1], [1]]
 
 
 def test_no_report_solves_a_pencil_at_beta_zero(monkeypatch):
@@ -1142,10 +1171,10 @@ def test_bordered_certificate_never_passes_another_inertia(seed, ratio, exponent
 
 @pytest.mark.parametrize("n, s, seed", [(3, 2, 1), (5, 1, 2), (7, 3, 3), (12, 4, 4)])
 def test_beta_zero_samples_are_certified_by_their_kernel(monkeypatch, n, s, seed):
-    """At beta = 0 both samples of a random instance are certified: no
-    spectrum of order (n-1)s is taken, and each reports a Bound 2r within
-    half the zero threshold of its P(alpha'), whose spectrum has the derived
-    inertia ((n-2)s, s, 0)."""
+    """At beta = 0 the one sample of a random instance, vertex 1, is
+    certified: no spectrum of order (n-1)s is taken, and it reports a Bound
+    2r within half the zero threshold of its P(alpha'), whose spectrum has
+    the derived inertia ((n-2)s, s, 0)."""
     orders = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: orders.append(a.shape[-1]) or eigvalsh(a))
@@ -1153,7 +1182,7 @@ def test_beta_zero_samples_are_certified_by_their_kernel(monkeypatch, n, s, seed
     blocks = mats.deleted_blocks(0.0)
     assert orders and (n - 1) * s not in orders
     monkeypatch.undo()
-    assert blocks.route == "derived" and blocks.sampled == [1, 2]
+    assert blocks.route == "derived" and blocks.sampled == [1]
     for v, bound in zip(blocks.sampled, blocks.sampled_max):
         assert isinstance(bound, Bound)
         w = np.linalg.eigvalsh(principal_block_submatrix(
@@ -1163,14 +1192,17 @@ def test_beta_zero_samples_are_certified_by_their_kernel(monkeypatch, n, s, seed
 
 
 def test_a_sample_whose_kernel_residual_is_too_large_reads_its_spectrum():
-    """The golden instance with D[1, 3] x 1.1: that entry lies in vertex 2's
-    kernel F[alpha'_2, 2] = D[alpha'_2, 2], which P(alpha'_2) = D^{-1}[alpha'_2]
-    no longer annihilates. Vertex 2's sample is decomposed, and reports the
-    value it reports without certificates; vertex 1's is still certified."""
-    mats = build_matrices(golden_instance(), corrupt=(1, 3, 1.1))
+    """The golden instance with D[3, 1] x 1.1: that entry lies in vertex 1's
+    kernel F[alpha'_1, 1] = D[alpha'_1, 1], which P(alpha'_1) = D^{-1}[alpha'_1]
+    no longer annihilates. Vertex 1's sample is decomposed, and reports the
+    value it reports without certificates. D[1, 3] x 1.1 lies outside that
+    kernel, and vertex 1 is still certified."""
+    mats = build_matrices(golden_instance(), corrupt=(3, 1, 1.1))
     blocks = mats.deleted_blocks(0.0)
-    assert blocks.route == "derived" and blocks.sampled == [1, 2]
-    first, second = blocks.sampled_max
-    assert isinstance(first, Bound) and not isinstance(second, Bound)
-    sub = principal_block_submatrix(mats.d_inv, [1, 3, 4]).array
-    assert second == float(np.linalg.eigvalsh(sub)[-1])
+    assert blocks.route == "derived" and blocks.sampled == [1]
+    [top] = blocks.sampled_max
+    assert not isinstance(top, Bound)
+    sub = principal_block_submatrix(mats.d_inv, [2, 3, 4]).array
+    assert top == float(np.linalg.eigvalsh(sub)[-1])
+    blocks = build_matrices(golden_instance(), corrupt=(1, 3, 1.1)).deleted_blocks(0.0)
+    assert blocks.sampled == [1] and isinstance(blocks.sampled_max[0], Bound)
