@@ -88,8 +88,13 @@ def cmd_verify(args) -> int:
         _atomic_write(args.out, json.dumps(report.to_json(), indent=2))
     summary = report.summary
     if report.ok:
-        print(f"passed: all ({summary['passed']} checks, "
-              f"{summary['skipped']} skipped, {summary['warnings']} warnings)")
+        counts = f"{summary['passed']} checks, {summary['skipped']} skipped"
+        downgraded = sorted({c.check_id for c in report.checks if c.warning and not c.passed})
+        if downgraded:
+            print(f"passed: {counts}; {summary['warnings']} downgraded to warnings: "
+                  f"{', '.join(downgraded)}")
+        else:
+            print(f"passed: all ({counts}, 0 warnings)")
         return EXIT_OK
     failing = sorted({c.check_id for c in report.checks
                       if not c.passed and not c.skipped and not c.warning})

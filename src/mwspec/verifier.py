@@ -32,7 +32,6 @@ from .linalg import (
     rank_of,
     sym_eigvals,
     sym_part,
-    zero_threshold,
 )
 from .model import Instance, WeightProfile, instance_hash, random_instance
 from .operators import (
@@ -247,11 +246,6 @@ def _members(inert: Inertia) -> list[Inertia]:
     return [Inertia(*map(int, c)) for c in zip(*inert)]
 
 
-def _deleted(n: int, vertices) -> list[list[int]]:
-    """alpha' = all blocks but i, for each 1-based vertex i in vertices."""
-    return [[k for k in range(1, n + 1) if k != i] for i in vertices]
-
-
 @dataclass(frozen=True)
 class DeletedBlocks:
     """In(P(alpha'_i)) of every vertex i, alpha' = all blocks but i, the
@@ -260,18 +254,16 @@ class DeletedBlocks:
     FM-nullity compares with n_0(P(alpha'_i)).
 
     route is "derived" (In(P) minus In(F_ii), confirmed by the sample),
-    "direct" (In(P) has a zero or a derived count is negative) or
-    "contradicted" (a sampled inertia differs from the derived one); on the
-    last two every vertex is decomposed directly. On the derived route the
-    sample is vertex 1, and at beta > 0 a second vertex where some F_ii has
-    no margin (InstanceMatrices.deleted_blocks); the inertias of the other
-    vertices are inferred, not measured. A Cholesky certificate may measure
-    a sampled submatrix instead: at beta > 0 vertex 1 by the split that
-    certified In(P) (_split), and a second sample when every derived
-    inertia is ((n-1)s, 0, 0); at beta = 0 when every one is ((n-2)s, s, 0)
-    and the sample's kernel residual is small (linalg.kernel_certificate).
-    Its entry of sampled_max is then a Bound that its largest eigenvalue
-    lies below.
+    "direct" (In(P) has a zero, a derived count is negative, or at beta > 0
+    some F_ii has no margin) or "contradicted" (the sampled inertia differs
+    from the derived one); on the last two every vertex is decomposed
+    directly. On the derived route the sample is vertex 1, and the inertias
+    of the other vertices are inferred, not measured. A Cholesky certificate
+    may measure the sample instead: at beta > 0 the split that certified
+    In(P) (_split), or else -P(alpha'_1) - cI when every derived inertia is
+    ((n-1)s, 0, 0); at beta = 0 when every one is ((n-2)s, s, 0) and the
+    sample's kernel residual is small (linalg.kernel_certificate). Its entry
+    of sampled_max is then a Bound that its largest eigenvalue lies below.
     """
 
     inertia: np.ndarray          # (n, 3): n_minus, n_zero, n_plus per vertex
@@ -284,15 +276,6 @@ class DeletedBlocks:
     def inferred(self) -> int:
         """How many vertices' inertias were derived rather than measured."""
         return len(self.inertia) - len(self.sampled)
-
-
-def _nearest_zero_threshold(w: np.ndarray) -> np.ndarray:
-    """For a stack (k, n, s) of spectra, the row of each member with the value
-    nearest, in ratio, to its row's zero threshold: the block whose zero count
-    is likeliest to differ from what a decomposition at another scale would
-    count."""
-    a, t = np.abs(w), zero_threshold(w)[..., None]
-    return np.argmax((np.minimum(a, t) / np.maximum(a, t)).max(axis=-1), axis=-1)
 
 
 @dataclass
@@ -355,10 +338,10 @@ class InstanceMatrices:
             if beta not in todo:
                 todo = [beta]
             n, s = self.n, self.s
-            # the largest input per beta: the bordered matrix, THM.iii's
-            # sampled deleted blocks (two where a zero count has no margin)
-            # or THM.vi.gx's s + 10 compressions
-            member = 8 * max((n * s + s) ** 2, 2 * ((n - 1) * s) ** 2, (s + 10) * n * n)
+            # the largest input per beta: the bordered matrix, which exceeds
+            # THM.iii's one sampled deleted block, or THM.vi.gx's s + 10
+            # compressions
+            member = 8 * max((n * s + s) ** 2, (s + 10) * n * n)
             size = max(1, STACK_BYTES // member)
             for i in range(0, len(todo), size):
                 bs = todo[i:i + size]
@@ -417,7 +400,7 @@ class InstanceMatrices:
         In(P) = (ns - s, 0, s), the Bound c and that inertia. Then the shift
         c of P's certificates. At beta > 0 the split's negative half is the
         deleted block -P(alpha'_1) - cI, so a certified P also certifies
-        THM.iii's vertex 1 (deleted_blocks); at beta = 0, where
+        THM.iii's one sample, vertex 1 (deleted_blocks); at beta = 0, where
         D^{-1}(alpha'_1) has nullity s, it is -B'PB - ncI."""
         def make(bs):
             n, s = self.n, self.s
@@ -442,16 +425,14 @@ class InstanceMatrices:
         n_+ = n_+(P) - n_+(F_ii) - nu. Vertex 1 is measured, as an
         independent sample of the derived counts: at beta > 0 by the split
         certificate of p_eigs, whose negative half is -P(alpha'_1) - cI, and
-        at beta = 0 (or where that split fails) on its own submatrix. At
-        beta > 0, where some F_ii's least eigenvalue is not above
-        certificate_shift(max(1, rho(F_ii))), a zero count has no margin, and
-        the vertex of the others whose F_ii has an eigenvalue nearest its
-        zero threshold (where the two counts split first) is measured too;
-        at beta = 0 F_ii = 0 exactly and it never is. The other counts are
-        inferred. The samples are chosen per member, and the submatrices of
-        a stack share one certify call, which may certify them
-        (DeletedBlocks). The direct route decomposes one (n-1)s submatrix at
-        a time, so it needs one submatrix's memory at a time.
+        at beta = 0 (or where that split fails) on its own submatrix; the
+        other counts are inferred. At beta > 0, where some F_ii's least
+        eigenvalue is not above certificate_shift(max(1, rho(F_ii))), a zero
+        count has no margin and every vertex is decomposed directly; at
+        beta = 0 F_ii = 0 exactly and it never is. The samples of a stack
+        share one certify call, which may certify them (DeletedBlocks). The
+        direct route decomposes one (n-1)s submatrix at a time, so it needs
+        one submatrix's memory at a time.
         """
         def make(bs):
             n, s = self.n, self.s
@@ -463,58 +444,53 @@ class InstanceMatrices:
             nu = f_in[:, 1]
             inertia = np.stack([p_in[0] - f_in[:, 0] - nu, nu,
                                 p_in[2] - f_in[:, 2] - nu], axis=-1)         # (k, n, 3)
-            sample = np.flatnonzero((p_in[1, :, 0] == 0) & (inertia.min(axis=(1, 2)) >= 0))
-            # vertex 1; at beta > 0 also, where some F_ii's least eigenvalue
-            # lies within the certificate shift of zero at its own scale, the
-            # other vertex nearest its zero threshold
-            thin = np.any(f_eigs[..., 0] <= certificate_shift(
+            # at beta > 0, where some F_ii's least eigenvalue lies within the
+            # certificate shift of zero at its own scale, a zero count has no
+            # margin, and every vertex is decomposed directly
+            thin = (np.array(bs) > 0) & np.any(f_eigs[..., 0] <= certificate_shift(
                 np.maximum(1.0, np.abs(f_eigs).max(axis=-1))), axis=-1)
-            second = 2 + _nearest_zero_threshold(f_eigs[:, 1:])
-            sampled = {j: [1, int(second[j])] if bs[j] and thin[j] else [1]
-                       for j in sample.tolist()}
+            sample = np.flatnonzero((p_in[1, :, 0] == 0) & (inertia.min(axis=(1, 2)) >= 0)
+                                    & ~thin).tolist()
             # the split that certified In(P) at beta > 0 certified vertex 1
             # too: inertia ((n-1)s, 0, 0), every eigenvalue below -c
-            measured = {(j, 1): (np.all(inertia[j, 0] == ((n - 1) * s, 0, 0)),
-                                 Bound(-p_eigs[j][2]))
-                        for j in sampled if bs[j] and isinstance(p_eigs[j][0], Bound)}
-            items = [(j, v) for j, vs in sampled.items() for v in vs if (j, v) not in measured]
+            measured = {j: (np.all(inertia[j, 0] == ((n - 1) * s, 0, 0)), Bound(-p_eigs[j][2]))
+                        for j in sample if bs[j] and isinstance(p_eigs[j][0], Bound)}
+            items = [j for j in sample if j not in measured]
             if items:
                 # one gather per submatrix, a stack of its own to be shifted,
                 # gathered again for the spectrum of the ones left
                 gather = lambda: np.stack([
-                    principal_block_submatrix(self.pencil(bs[j]).p, _deleted(n, [v])[0]).array
-                    for j, v in items])
+                    principal_block_submatrix(self.pencil(bs[j]).p, range(2, n + 1)).array
+                    for j in items])
                 subs = gather()
                 subs *= -1.0
                 c, bound = np.full(len(items), np.inf), np.zeros(len(items))
-                for i, (j, v) in enumerate(items):
-                    # -P(alpha') above P's shift c where ((n-1)s, 0, 0) is
+                for i, j in enumerate(items):
+                    # -P(alpha'_1) above P's shift c where ((n-1)s, 0, 0) is
                     # derived; at beta = 0, where ((n-2)s, s, 0) is, its
                     # deflated kernel certificate
                     if bs[j] and np.all(inertia[j] == ((n - 1) * s, 0, 0)):
                         c[i], bound[i] = p_eigs[j][2], -p_eigs[j][2]
                     elif not bs[j] and np.all(inertia[j] == ((n - 2) * s, s, 0)):
                         f0 = self.pencil(0.0).f.array.reshape(n, s, n, s)
-                        q = np.linalg.qr(f0[ii != v - 1, :, v - 1, :].reshape(-1, s))[0]
+                        q = np.linalg.qr(f0[1:, :, 0, :].reshape(-1, s))[0]
                         c[i], bound[i] = kernel_certificate(subs[i], q)
                 ok, w = certify([(subs, c)] if np.isfinite(c).any() else [], gather)
                 agree = ok.copy()
                 if w is not None:
-                    jv = np.array(items)[~ok]
                     agree[~ok] = np.all(np.stack(inertia_of_spectrum(w), axis=-1)
-                                        == inertia[jv[:, 0], jv[:, 1] - 1], axis=-1)
+                                        == inertia[np.array(items)[~ok], 0], axis=-1)
                 tops = _bounded(ok, bound, () if w is None else w[:, -1])
                 measured.update(zip(items, zip(agree.tolist(), tops)))
-            out = {j: DeletedBlocks(inertia[j], "derived", vs, [measured[j, v][1] for v in vs],
-                                    nu[j])
-                   for j, vs in sampled.items() if all(measured[j, v][0] for v in vs)}
+            out = {j: DeletedBlocks(inertia[j], "derived", [1], [measured[j][1]], nu[j])
+                   for j in sample if measured[j][0]}
             for j in range(len(bs)):
                 if j not in out:
                     p = self.pencil(bs[j]).p
-                    spectra = np.array([sym_eigvals(principal_block_submatrix(p, rest).array)
-                                        for rest in _deleted(n, range(1, n + 1))])
+                    spectra = np.array([sym_eigvals(principal_block_submatrix(
+                        p, np.delete(np.arange(1, n + 1), i)).array) for i in range(n)])
                     out[j] = DeletedBlocks(np.transpose(inertia_of_spectrum(spectra)),
-                                           "contradicted" if j in sampled else "direct",
+                                           "contradicted" if j in sample else "direct",
                                            list(range(1, n + 1)), spectra[:, -1].tolist(), nu[j])
             return [out[j] for j in range(len(bs))]
 
@@ -772,11 +748,11 @@ def verify_fiedler_markham(mats: InstanceMatrices, beta: float) -> CheckResult:
 
     The complementary nullities come from `InstanceMatrices.deleted_blocks`.
     On its derived route they are n_0(F_ii) by construction, so only the
-    sampled vertices (vertex 1, and at beta > 0 a second one where a zero
-    count has no margin) are measured and the others inferred; the route
-    is kept only while the sample agrees, otherwise every vertex is measured
-    directly. `dinv_nullities` is the beta = 0 row. The evidence names the
-    measured vertices and the number inferred, for the beta and the dinv row.
+    sampled vertex 1 is measured and the others inferred; the route is kept
+    only while the sample agrees and, at beta > 0, every F_ii has margin,
+    otherwise every vertex is measured directly. `dinv_nullities` is the
+    beta = 0 row. The evidence names the measured vertices and the number
+    inferred, for the beta and the dinv row.
     """
 
     def body():

@@ -100,7 +100,12 @@ def test_criterion_4_theorem_campaign(campaign):
         ok &= all(c.passed for c in active)
         ok &= all(c.beta == 0.0 for c in skipped) and bool(active)
     ok &= all(not c.warning for r in reports for c in r.checks)
-    report("4 theorem checks 100% (THM.i-v all beta; THM.vi beta>0)", ok)
+    # every THM.iii row measures vertex 1 alone and derives the others: a
+    # row on the direct route would decompose all n deleted blocks
+    ok &= all(c.evidence["route"] == "derived" and c.evidence["sampled"] == [1]
+              for c in collect(reports, "THM.iii"))
+    report("4 theorem checks 100% (THM.i-v all beta; THM.vi beta>0; "
+           "THM.iii derived from vertex 1)", ok)
 
 
 def test_criterion_5_haynsworth(campaign):

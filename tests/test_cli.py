@@ -260,6 +260,17 @@ def test_verify_non_finite_weight_exits_two(tmp_path, capsys, literal):
     assert "Traceback" not in err and "FAILED" not in stdout
 
 
+def test_verify_names_the_checks_downgraded_to_warnings(tmp_path, capsys):
+    # weights of 1/10^300: the weight classifier downgrades 18 fails to
+    # warnings, so the line must not say `passed: all`; the exit code stays 0
+    inst_path = tmp_path / "tiny.json"
+    inst_path.write_text(_three_vertex_path([["1/1" + "0" * 300]], "rational"))
+    code, stdout, _ = run(["verify", "--in", str(inst_path)], capsys)
+    assert code == 0
+    assert stdout == ("passed: 26 checks, 2 skipped; 18 downgraded to warnings: "
+                      "FM-nullity, P3, THM.iv, THM.iv.haynsworth, THM.vi, THM.vi.gx\n")
+
+
 def test_golden_exits_zero(capsys):
     code, stdout, _ = run(["golden"], capsys)
     assert code == 0

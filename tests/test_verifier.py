@@ -133,15 +133,19 @@ def test_theorem_lists_non_pd_blocks_row_major():
 
 
 def test_theorem_fails_when_the_sample_contradicts_the_derived_inertia():
-    # negate F_22: the derived In(P(alpha')) of vertex 2 becomes (4, 0, 2),
-    # while the sampled direct spectrum of the untouched P(alpha') is (6, 0, 0)
+    # rotate P's spectrum by a random orthogonal Q and leave F as it is: In(P)
+    # stays (6, 0, 2) and every derived In(P(alpha')) (6, 0, 0), while the
+    # sampled P(alpha'_1) of the rotated P has inertia (5, 0, 1)
     inst = golden_instance()
+    n, s = inst.n, inst.s
     mats = build_matrices(inst)
     pencil = perturbed_pencil(mats.d_inv, mats.l, 1.0)
-    f, s = pencil.f.array.copy(), inst.s
-    f[s:2 * s, s:2 * s] *= -1.0
-    tampered = PerturbedPencil(pencil.p, BlockMatrix(inst.n, s, f))
-    mats.memo(("pencil", 1.0), lambda: tampered)
+    q = np.linalg.qr(np.random.default_rng(0).standard_normal((n * s, n * s)))[0]
+    p = (q * np.linalg.eigvalsh(pencil.p.array)) @ q.T
+    rotated = BlockMatrix(n, s, p)
+    assert inertia_of(p) == (6, 0, 2)
+    assert inertia_of(principal_block_submatrix(rotated, [2, 3, 4]).array) == (5, 0, 1)
+    mats.memo(("pencil", 1.0), lambda: PerturbedPencil(rotated, pencil.f))
     thm_iii = by_id(verify_theorem(mats, 1.0), "THM.iii")[0]
     assert not thm_iii.passed
     # a contradicted sample sends every vertex to the direct route
@@ -149,18 +153,41 @@ def test_theorem_fails_when_the_sample_contradicts_the_derived_inertia():
     assert thm_iii.evidence["sampled"] == [1, 2, 3, 4]
     assert thm_iii.evidence["inferred"] == 0
     direct = [np.linalg.eigvalsh(principal_block_submatrix(
+        rotated, [k for k in range(1, n + 1) if k != i]).array) for i in range(1, n + 1)]
+    # the rotated P is symmetric only to round-off, and is read by its symmetric part
+    assert thm_iii.evidence["max_eig_sampled"] == pytest.approx(max(w[-1] for w in direct))
+
+
+def test_a_negated_block_of_f_sends_every_vertex_to_the_direct_route():
+    # negate F_22: it has no margin, so every vertex is decomposed on the
+    # untouched P, where THM.iii holds; THM.vi catches the tamper
+    inst = golden_instance()
+    mats = build_matrices(inst)
+    pencil = perturbed_pencil(mats.d_inv, mats.l, 1.0)
+    f, s = pencil.f.array.copy(), inst.s
+    f[s:2 * s, s:2 * s] *= -1.0
+    tampered = PerturbedPencil(pencil.p, BlockMatrix(inst.n, s, f))
+    mats.memo(("pencil", 1.0), lambda: tampered)
+    thm = verify_theorem(mats, 1.0)
+    thm_iii = by_id(thm, "THM.iii")[0]
+    assert thm_iii.passed
+    assert thm_iii.evidence["route"] == "direct"
+    assert thm_iii.evidence["sampled"] == [1, 2, 3, 4]
+    assert thm_iii.evidence["inferred"] == 0
+    direct = [np.linalg.eigvalsh(principal_block_submatrix(
         pencil.p, [k for k in range(1, 5) if k != i]).array) for i in range(1, 5)]
     assert thm_iii.evidence["max_eig_sampled"] == max(w[-1] for w in direct)
+    assert by_id(thm, "THM.vi")[0].evidence["non_pd_blocks"] == [[2, 2]]
     # the measured counts are the direct ones, so FM sees no mismatch
     assert verify_fiedler_markham(mats, 1.0).passed
 
 
-def test_sample_takes_the_block_nearest_its_zero_threshold():
+def test_a_zero_of_f_kk_at_its_own_scale_sends_every_vertex_to_the_direct_route():
     # rebuild F_kk of one vertex k as Q diag(a, 1e10 a) Q' with a above every
     # other block's least eigenvalue: a is then a zero of F_kk at its own
     # scale, so the derived n_0 of vertex k is 1 while the direct count on
-    # the untouched P is 0. The least eigenvalue does not point at k; the
-    # nearness of a to F_kk's zero threshold does.
+    # the untouched P is 0. Every vertex is decomposed, and FM-nullity and
+    # THM.vi catch the tamper at vertex k.
     inst = golden_instance()
     n, s = inst.n, inst.s
     mats = build_matrices(inst)
@@ -172,12 +199,13 @@ def test_sample_takes_the_block_nearest_its_zero_threshold():
     f[(k - 1) * s:k * s, (k - 1) * s:k * s] = (q * [a, 1e10 * a]) @ q.T
     tampered = PerturbedPencil(pencil.p, BlockMatrix(n, s, f))
     assert inertia_of_spectrum(np.linalg.eigvalsh(block(tampered.f, k, k))).n_zero == 1
-    new_least = [np.linalg.eigvalsh(block(tampered.f, i, i))[0] for i in range(2, n + 1)]
-    assert 2 + int(np.argmin(new_least)) != k
     mats.memo(("pencil", 1.0), lambda: tampered)
-    thm_iii = by_id(verify_theorem(mats, 1.0), "THM.iii")[0]
-    assert not thm_iii.passed
-    assert thm_iii.evidence["route"] == "contradicted"
+    thm = verify_theorem(mats, 1.0)
+    thm_iii = by_id(thm, "THM.iii")[0]
+    assert thm_iii.passed
+    assert thm_iii.evidence["route"] == "direct"
+    assert thm_iii.evidence["sampled"] == [1, 2, 3, 4]
+    assert by_id(thm, "THM.vi")[0].evidence["non_pd_blocks"] == [[k, k]]
     # every vertex measured: FM sees vertex k's block nullity 1 against 0
     fm = verify_fiedler_markham(mats, 1.0)
     assert not fm.passed
