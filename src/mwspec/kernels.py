@@ -2,8 +2,10 @@
 
 `walk` is the one traversal in the package: the distance fill below (float
 and exact Fraction weights alike) and the connectivity check in `model` use
-it. The fill makes two passes of contiguous block-row slice updates per tree
-edge, with the additions of a walk from every root, so D keeps its bits.
+it. The fill makes two passes of block-row slice updates per tree edge, with
+the additions of a walk from every root, so D keeps its bits. Its columns
+are laid out component-major, so each update's inner loop runs over a
+subtree's positions, not over the s components of one block.
 """
 
 from __future__ import annotations
@@ -53,12 +55,12 @@ def distance_fill(adj: list[list[tuple[int, int]]], weights: np.ndarray,
     """ns x ns tree distance matrix D of the (m, s, s) edge weights, in
     their dtype. Block (x, y) sums the weights on the x-y path from x. With
     each subtree of the tree rooted at 0 on a contiguous range of positions,
-    the fill writes D's transpose (block row y, block column pos[x]): per edge
-    p-v, a leaves-first pass sets row p on v's subtree from row v, a
-    root-first pass row v on the rest from row p. A last pass, ROW_BLOCK rows
-    at a time, puts the lower triangle in label order and copies it up, in
-    place: D is bitwise symmetric, with the upper triangle of a walk from
-    every root.
+    the fill writes D's transpose, component-major: entry (l, m) of block
+    (x, y) at row y*s + m, column l*n + pos[x]. Per edge p-v, a leaves-first
+    pass sets block row p on v's subtree from row v, a root-first pass row v
+    on the rest from row p. A last pass, ROW_BLOCK rows at a time, puts the
+    lower triangle in label order and copies it up, in place: D is bitwise
+    symmetric, with the upper triangle of a walk from every root.
     """
     n = len(adj)
     out = np.zeros((n * s, n * s), dtype=weights.dtype)
@@ -70,16 +72,16 @@ def distance_fill(adj: list[list[tuple[int, int]]], weights: np.ndarray,
     for p, v, _ in steps:
         pos[v], cursor[v] = cursor[p], cursor[p] + 1
         cursor[p] += size[v]
-    e = out.reshape(n, s, n, s)         # e[y, :, pos[x]]: block (x, y) transposed
-    wt = weights.transpose(0, 2, 1)[:, :, None]
+    e = out.reshape(n, s, s, n)         # e[y, m, l, pos[x]]: entry (l, m) of block (x, y)
+    wt = weights.transpose(0, 2, 1)[..., None]
     for p, v, k in reversed(steps):
         a, b = pos[v], pos[v] + size[v]
-        e[p, :, a:b] = e[v, :, a:b] + wt[k]
+        e[p, ..., a:b] = e[v, ..., a:b] + wt[k]
     for p, v, k in steps:
         a, b = pos[v], pos[v] + size[v]
-        e[v, :, :a] = e[p, :, :a] + wt[k]
-        e[v, :, b:] = e[p, :, b:] + wt[k]
-    cols = (np.multiply(pos, s)[:, None] + np.arange(s)).ravel()  # D's column c is at cols[c]
+        e[v, ..., :a] = e[p, ..., :a] + wt[k]
+        e[v, ..., b:] = e[p, ..., b:] + wt[k]
+    cols = np.add.outer(pos, n * np.arange(s)).ravel()  # D's column c is at cols[c]
     lower = np.tri(ROW_BLOCK, dtype=bool)
     for a in range(0, n * s, ROW_BLOCK):
         # rows a:b are not yet written: gather their lower part in label

@@ -14,9 +14,11 @@ Each operator has one assembly body that both kernels run: float arrays, or
 numpy object arrays of Fractions. L's nonzero blocks come from one stacked
 inverse of the (m, s, s) edge weights (`np.linalg.inv`, or
 `exact.rational_invert` weight by weight), each diagonal block summed over
-its incident edges in edge order, so L has the bits of a per-edge loop; the
-closed form subtracts L(T) block by block and symmetrizes tile by tile. D
-comes whole from `kernels.distance_fill`, bitwise symmetric.
+its incident edges in edge order, so L has the bits of a per-edge loop. The
+closed form writes its blocks off L(T)'s from a table over the distinct
+tau_i (O(sqrt n) of them), symmetrized once, and recomputes L(T)'s blocks from
+each one and its transpose's. D comes whole from `kernels.distance_fill`,
+bitwise symmetric.
 """
 
 from __future__ import annotations
@@ -52,25 +54,25 @@ def _require_edges(g: MatrixWeightedGraph):
 
 
 def _laplacian_blocks(g: MatrixWeightedGraph, weights: np.ndarray, inv):
-    """L's nonzero blocks: -W^{-1} at (rows, cols), each edge both ways, and
-    the (n, s, s) diagonal blocks. inv inverts the (m, s, s) weight stack:
-    g.weights, or g.exact."""
+    """L's nonzero blocks, (k, s, s), and their block rows and columns: -W^{-1}
+    for each edge both ways, entry k's reverse at k ^ 1, then the n diagonal
+    blocks. inv inverts the (m, s, s) weight stack: g.weights, or g.exact."""
     _require_edges(g)
-    uv = g.endpoints
+    uv, ii = g.endpoints, np.arange(g.n)
     vinv = inv(weights)
     vinv = np.repeat((vinv + vinv.transpose(0, 2, 1)) / 2, 2, axis=0)
     diag = np.zeros((g.n, g.s, g.s), dtype=vinv.dtype)
     # unbuffered and in index order: each diagonal block adds its incident
     # inverses to 0 in edge order, the additions of a per-edge loop
     np.add.at(diag, uv.ravel(), vinv)
-    return uv.ravel(), uv[:, ::-1].ravel(), -vinv, diag
+    return (np.concatenate([uv.ravel(), ii]), np.concatenate([uv[:, ::-1].ravel(), ii]),
+            np.concatenate([-vinv, diag]))
 
 
 def _laplacian(g: MatrixWeightedGraph, weights: np.ndarray, inv) -> np.ndarray:
-    rows, cols, off, diag = _laplacian_blocks(g, weights, inv)
-    a = np.zeros((g.n * g.s, g.n * g.s), dtype=off.dtype)
-    blocks, ii = a.reshape(g.n, g.s, g.n, g.s), np.arange(g.n)
-    blocks[rows, :, cols], blocks[ii, :, ii] = off, diag
+    rows, cols, blocks = _laplacian_blocks(g, weights, inv)
+    a = np.zeros((g.n * g.s, g.n * g.s), dtype=blocks.dtype)
+    a.reshape(g.n, g.s, g.n, g.s)[rows, :, cols] = blocks
     return a
 
 
@@ -97,34 +99,30 @@ def structural_vectors(t: MatrixWeightedTree) -> np.ndarray:
 
 
 def _closed_form(t: MatrixWeightedTree, weights, inv) -> np.ndarray:
-    # no float constant: one would turn Fractions into floats. Delta is an
-    # integer matrix and halving is exact in binary floating point, so the
-    # float D^{-1} has the bits of -(1/2) L(T) + (1/2) Delta R^{-1} Delta'
-    rows, cols, off, diag = _laplacian_blocks(t, weights, inv)
+    # no float constant: one would turn Fractions into floats. Each entry of
+    # D^{-1} takes the operations of the whole-array (a/2 + a'/2)/2,
+    # a = Delta R^{-1} Delta' - L(T), so the float one has its bits; the
+    # Fraction a is exactly symmetric, and gives a/2
+    rows, cols, lt = _laplacian_blocks(t, weights, inv)
+    n, s = t.n, t.s
+    # off L(T)'s blocks, block (i, j) of a is tau_i tau_j R^{-1}: one table
+    # over the distinct tau, x[p, :, q] for the p-th and q-th of them
     tau = structural_vectors(t)
-    r_inv = inv(sum(weights)[None])[0]
-    exact = weights.dtype == object
-    if exact:
-        # block (i, j) of Delta R^{-1} Delta' is tau_i tau_j R^{-1}, exactly
-        a = np.kron(np.outer(tau, tau), r_inv)
-    else:
-        delta = np.kron(tau.reshape(-1, 1), np.eye(t.s, dtype=int))
-        a = delta @ r_inv @ delta.T
-    # a - L(T) on L(T)'s nonzero blocks only: x - 0 is x, sign of zero included
-    blocks, ii = a.reshape(t.n, t.s, t.n, t.s), np.arange(t.n)
-    blocks[rows, :, cols] -= off
-    blocks[ii, :, ii] -= diag
-    if exact:
-        # R^{-1} and L(T)'s blocks are exactly symmetric, and so is a
-        return a / 2
-    # (a/2 + a'/2)/2 in place, a pair of tiles at a time: the bits of the
-    # whole-array expression, with no strided pass over all of a'
-    for i in range(0, len(a), 128):
-        for j in range(i, len(a), 128):
-            x, y = slice(i, i + 128), slice(j, j + 128)
-            u = (a[x, y] / 2 + a[y, x].T / 2) / 2
-            a[x, y], a[y, x] = u, u.T
-    return a
+    values = sorted(set(tau.tolist()))
+    kind = np.searchsorted(values, tau)                           # tau_i = values[kind[i]]
+    dv = np.multiply.outer(values, np.eye(s, dtype=int)).reshape(-1, s)  # Delta's distinct rows
+    x = (dv @ inv(sum(weights)[None])[0] @ dv.T).reshape(len(values), s, len(values), s)
+    sym = lambda y, yt: (y / 2 + yt / 2) / 2
+    out = np.empty((n, s, n, s), dtype=x.dtype)
+    # mode="clip" writes out directly; the default buffers a copy of it
+    np.take(np.take(sym(x, x.transpose(2, 3, 0, 1)), kind, axis=0), kind, axis=2,
+            out=out, mode="clip")
+    # on L(T)'s blocks, entry k's transpose is entry k ^ 1's, or its own
+    a = x[kind[rows], :, kind[cols]] - lt
+    k = np.arange(len(a))
+    k[:-n] ^= 1
+    out[rows, :, cols] = sym(a, a[k].transpose(0, 2, 1))
+    return out.reshape(n * s, n * s)
 
 
 def distance_inverse_closed_form(t: MatrixWeightedTree) -> BlockMatrix:

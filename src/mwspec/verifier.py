@@ -153,7 +153,10 @@ def _null_compress(x: np.ndarray, n: int, s: int) -> np.ndarray:
     lead = x.shape[:-2]
     xb = x.reshape(*lead, n, s, n, s)
     btx = xb[..., :-1, :, :, :] - xb[..., -1:, :, :, :]
-    return (btx[..., :-1, :] - btx[..., -1:, :]).reshape(*lead, (n - 1) * s, (n - 1) * s)
+    out = np.empty((*lead, n - 1, s, n - 1, s), dtype=btx.dtype)
+    for j in range(s):     # per column component: inner loops over n - 1 blocks, not s
+        np.subtract(btx[..., :-1, j], btx[..., -1:, j], out=out[..., j])
+    return out.reshape(*lead, (n - 1) * s, (n - 1) * s)
 
 
 def _split(x: np.ndarray, n: int, s: int, deleted=False):
@@ -185,8 +188,10 @@ def _split(x: np.ndarray, n: int, s: int, deleted=False):
             low = -x[..., s:, s:]
             if compressed.any():
                 low[compressed] = -_null_compress(x[compressed], n, s)
-        return c, [(low, np.where(compressed, n * c, c)),
-                   (x.reshape(*x.shape[:-2], n, s, n, s).sum(axis=(-4, -2)), n * c)]
+        # U'XU: the block rows summed whole, then the block columns of that
+        lead = x.shape[:-2]
+        utxu = x.reshape(*lead, n, s * n * s).sum(axis=-2).reshape(*lead, s, n, s).sum(axis=-2)
+        return c, [(low, np.where(compressed, n * c, c)), (utxu, n * c)]
 
 
 def _bordered_split(f: np.ndarray, u: np.ndarray, weights: np.ndarray, n: int, s: int) -> list:
@@ -214,7 +219,8 @@ def _bordered_split(f: np.ndarray, u: np.ndarray, weights: np.ndarray, n: int, s
         low = np.empty((*lead, n, s, n, s))
         np.negative(_null_compress(f, n, s).reshape(*lead, n - 1, s, n - 1, s),
                     out=low[..., :-1, :, :-1, :])
-        low[..., :-1, :, :-1, :] -= c[..., None, None, None, None] * np.eye(s)[:, None, :]
+        for j in range(s):      # c (J (x) I_s): x - 0 is x off the component diagonal
+            low[..., :-1, j, :-1, j] -= c[..., None, None]
         low[..., :-1, :, -1, :] = -btfu
         low[..., -1, :, :-1, :] = -np.moveaxis(btfu, -1, -3)
         low[..., -1, :, -1, :] = corner - utfu
@@ -234,11 +240,6 @@ def _bounded(ok: np.ndarray, bounds: np.ndarray, measured: np.ndarray) -> list:
 # call outweighs LAPACK's work; where it does not, each beta is a stack of its
 # own and needs only one beta's transient memory.
 STACK_BYTES = 1 << 18
-
-
-def _stack(arrays) -> np.ndarray:
-    """(k, ...) array of k equal-shape arrays; a lone one is viewed, not copied."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 def _members(inert: Inertia) -> list[Inertia]:
@@ -286,8 +287,9 @@ class InstanceMatrices:
     Objects that several checks read are built on first use and kept in
     `_memo` under a name, or a name and beta, together with the error that
     building one raised: the instance hash, U'D^{-1}U and D^{-1}U, the exact
-    operators and F(beta), THM.vi.gx's vectors, and per beta the pencil and
-    the spectra, scales, inertias and certificates the theorem checks share.
+    operators and F(beta), THM.vi.gx's vectors, per beta the pencil and
+    the spectra, scales, inertias and certificates the theorem checks share,
+    and per tuple of betas the stacks of P and F that they read.
 
     `verify_instance` records its distinct betas under "betas". A per-beta
     object is then built for every recorded beta at once, on first use: one
@@ -370,6 +372,7 @@ class InstanceMatrices:
         def make(bs):
             n, s = self.n, self.s
             pencil = perturbed_pencil(self.d_inv, self.l, bs)
+            self._memo[("p", tuple(bs))], self._memo[("f", tuple(bs))] = pencil.p, pencil.f
             return [PerturbedPencil(BlockMatrix(n, s, p), BlockMatrix(n, s, f))
                     for p, f in zip(pencil.p.array, pencil.f.array)]
 
@@ -379,18 +382,23 @@ class InstanceMatrices:
             raise NonFiniteError("D has non-finite entries")
         return PerturbedPencil(self.d_inv, self.d)
 
-    def _f(self, bs) -> BlockMatrix:
-        """The stack of F(beta) over the betas bs."""
-        return BlockMatrix(self.n, self.s, _stack([self.pencil(b).f.array for b in bs]))
+    def _stack(self, which: str, bs) -> BlockMatrix:
+        """The (k, ns, ns) stack of P(beta) (which "p") or F(beta) ("f") over
+        the betas bs, kept per tuple of betas: the pencil's own stack where
+        one solve made them, a view where bs is one beta."""
+        def make():
+            arrays = [getattr(self.pencil(b), which).array for b in bs]
+            return BlockMatrix(self.n, self.s,
+                               arrays[0][None] if len(bs) == 1 else np.stack(arrays))
+
+        return self.memo((which, tuple(bs)), make)
 
     def scales(self, beta: float) -> tuple[float, float]:
         """max(1, max|P|) and max(1, max|F|) at beta: the theorem checks'
         threshold scales."""
         def make(bs):
-            top = lambda a: np.maximum(1.0, np.abs(_stack(a)).max(axis=(1, 2))).tolist()
-            pencils = [self.pencil(b) for b in bs]
-            return list(zip(top([c.p.array for c in pencils]),
-                            top([c.f.array for c in pencils])))
+            top = lambda a: np.maximum(1.0, np.abs(self._stack(a, bs).array).max(axis=(1, 2)))
+            return list(zip(top("p").tolist(), top("f").tolist()))
 
         return self._stacked("scales", beta, make)
 
@@ -404,7 +412,7 @@ class InstanceMatrices:
         D^{-1}(alpha'_1) has nullity s, it is -B'PB - ncI."""
         def make(bs):
             n, s = self.n, self.s
-            p = _stack([self.pencil(b).p.array for b in bs])
+            p = self._stack("p", bs).array
             c, split = _split(p, n, s, deleted=np.array(bs) > 0)
             ok, w = certify(split, p)
             inert = iter(_members(inertia_of_spectrum(w)))
@@ -438,7 +446,7 @@ class InstanceMatrices:
             n, s = self.n, self.s
             p_eigs = [self.p_eigs(b) for b in bs]
             p_in = np.transpose([e[1] for e in p_eigs])[..., None]           # (3, k, 1)
-            f, ii = self._f(bs).array.reshape(len(bs), n, s, n, s), np.arange(n)
+            f, ii = self._stack("f", bs).array.reshape(len(bs), n, s, n, s), np.arange(n)
             f_eigs = sym_eigvals(f[:, ii, :, ii, :].swapaxes(0, 1))           # (k, n, s)
             f_in = np.stack(inertia_of_spectrum(f_eigs), axis=1)              # (k, 3, n)
             nu = f_in[:, 1]
@@ -504,7 +512,7 @@ class InstanceMatrices:
         of B'FB below -c (THM.v); else None."""
         def make(bs):
             n, s = self.n, self.s
-            f = self._f(bs)
+            f = self._stack("f", bs)
             split = _bordered_split(f.array, self.u, self.inst.tree.weights, n, s)
             ok, w = certify(split, lambda: bordered(f))
             left = iter(() if w is None else _members(inertia_of_spectrum(w)))
@@ -526,7 +534,7 @@ class InstanceMatrices:
             lhs = Inertia(*np.transpose([self.bordered_inertia(b)[0] for b in bs]))
             lhs, rhs, agree = haynsworth_check(-self.udu(), lhs, pivot)
             x = self.memo("dinv_u", lambda: self.d_inv.array @ self.u)
-            res = np.abs(self._f(bs).array @ x - self.u).max(axis=(1, 2))
+            res = np.abs(self._stack("f", bs).array @ x - self.u).max(axis=(1, 2))
             res /= [self.scales(b)[1] for b in bs]
             return list(zip(_members(lhs), _members(rhs), agree.tolist(), res.tolist()))
 
@@ -540,7 +548,7 @@ class InstanceMatrices:
         and their verdicts mirrored; elsewhere every block is."""
         def make(bs):
             n, s = self.n, self.s
-            f = self._f(bs).array
+            f = self._stack("f", bs).array
             blocks = f.reshape(len(bs), n, s, n, s).swapaxes(2, 3)    # (k, n, n, s, s)
             if not np.array_equal(f, f.swapaxes(-1, -2)):
                 return is_pd_quadratic_form(blocks)
@@ -560,7 +568,7 @@ class InstanceMatrices:
             n = self.n
             xs = self.memo("gx_vectors",
                            lambda: _gx_vectors(self.s, int(self.instance_hash()[:8], 16)))
-            gx = gx_matrix(self._f(bs), xs)                  # (k, s + 10, n, n)
+            gx = gx_matrix(self._stack("f", bs), xs)             # (k, s + 10, n, n)
             split, w = certify(_split(gx, n, 1)[1], gx)     # In(G_x) = (n - 1, 0, 1)
             split[~split] = np.all(np.stack(inertia_of_spectrum(w), axis=-1) == (n - 1, 0, 1),
                                    axis=-1)

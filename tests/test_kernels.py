@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mwspec import kernels
-from mwspec.model import random_tree
+from mwspec.model import WeightProfile, random_pd_weights, random_tree
 from mwspec.operators import build_distance_matrix
 
 
@@ -70,11 +70,17 @@ def _tree_edges(shape, n, rng):
         spine = (n + 1) // 2
         edges = [(i, i + 1) for i in range(spine - 1)]
         edges += [(int(rng.integers(spine)), i) for i in range(spine, n)]
+    elif shape == "hubs":
+        # adjacent hubs of degree 5 and 7 (tau -3 and -5: tau_i tau_j R^{-1}
+        # rounds twice, in another order from each side), a vertex of degree
+        # 2 (tau 0), the rest leaves
+        assert n == 13
+        edges = [(0, v) for v in range(1, 6)] + [(5, v) for v in range(6, 12)] + [(1, 12)]
     else:
         edges = [(int(rng.integers(i)), i) for i in range(1, n)]
     # relabel the vertices and shuffle edge order and orientation, so that
     # vertex 0 is not always the first vertex of a path or the star's center
-    label = rng.permutation(n) if shape == "random" else np.arange(n)
+    label = rng.permutation(n) if shape in ("random", "hubs") else np.arange(n)
     edges = [(int(label[v]), int(label[u])) if rng.integers(2) else (int(label[u]), int(label[v]))
              for u, v in edges]
     return [edges[k] for k in rng.permutation(len(edges))]
@@ -103,6 +109,43 @@ def test_distance_fill_matches_the_per_root_walk(shape, n, s, exact):
     weights = np.stack([_weight(s, rng, exact) for _ in range(n - 1)])
     got = kernels.distance_fill(adj, weights, s)
     _assert_identical(got, _mirror_down(_per_root_fill(adj, weights, s)), exact)
+
+
+# weights with eigenvalues in [1e-8, 1e8], or near 1e300 or 1e-300
+SCALES = ("wide", "1e300", "1e-300")
+EXTREME_SHAPES = SHAPES + ("hubs",)
+
+
+def _extreme_weights(scale, m, s, rng):
+    """(m, s, s) PD weights of the given SCALES kind. Near 1e300 and 1e-300
+    the couplings span 1e-26 to 1e-1 of the diagonal: near 1e300 the
+    inverses then have subnormal entries, near 1e-300 the weights do."""
+    if scale == "wide":
+        return random_pd_weights(m, s, rng, WeightProfile(1e-8, 1e8))
+    c = rng.standard_normal((m, s, s)) * 10.0 ** rng.uniform(-26, -1, (m, s, s))
+    w = rng.uniform(1, 2, (m, s))[..., None] * np.eye(s) + (c + c.transpose(0, 2, 1)) / (2 * s)
+    return float(scale) * w
+
+
+def _extreme_case(shape, s, scale):
+    """The edges and weights of a 13-vertex hubs tree or a 40-vertex tree of
+    another shape, with weights of the given SCALES kind."""
+    n = 13 if shape == "hubs" else 40
+    rng = np.random.default_rng([s, EXTREME_SHAPES.index(shape), SCALES.index(scale)])
+    return n, _tree_edges(shape, n, rng), _extreme_weights(scale, n - 1, s, rng)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("s", [2, 4])
+@pytest.mark.parametrize("shape", EXTREME_SHAPES)
+def test_distance_fill_keeps_the_bits_of_the_per_root_walk_at_extreme_scales(shape, s, scale):
+    n, edges, weights = _extreme_case(shape, s, scale)
+    adj = kernels.adjacency(n, edges)
+    got = kernels.distance_fill(adj, weights, s)
+    want = _mirror_down(_per_root_fill(adj, weights, s))
+    _assert_identical(got, want, False)
+    if scale == "1e-300":     # the weights' subnormal couplings reach D
+        assert np.any((got != 0) & (np.abs(got) < np.finfo(float).tiny))
 
 
 def _tree_input(t):

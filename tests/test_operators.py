@@ -33,7 +33,16 @@ from mwspec.operators import (
 from mwspec.perturbation import perturbed_pencil
 from mwspec.verifier import DEFAULT_BETAS, build_matrices
 from test_exact import gauss_jordan_oracle, inverse
-from test_kernels import SHAPES, _assert_identical, _per_root_fill, _tree_edges, _weight
+from test_kernels import (
+    EXTREME_SHAPES,
+    SCALES,
+    SHAPES,
+    _assert_identical,
+    _extreme_case,
+    _per_root_fill,
+    _tree_edges,
+    _weight,
+)
 
 
 @pytest.fixture(scope="module")
@@ -438,16 +447,51 @@ def test_laplacian_matches_the_per_edge_loop(shape, n, s, exact):
         _assert_identical(build(g), want, exact)
 
 
+def _closed_form_oracle(n, s, edges, weights, inv):
+    """The whole-array expression, on the per-edge loop's L(T)."""
+    tau = 2 - np.bincount(np.ravel(edges), minlength=n)
+    delta = np.kron(tau.reshape(-1, 1), np.eye(s, dtype=int))
+    a = (delta @ inv(sum(weights)) @ delta.T - _per_edge_laplacian(n, s, edges, weights, inv)) / 2
+    return (a + a.T) / 2
+
+
 @ASSEMBLY_CASES
 def test_closed_form_matches_the_per_edge_loop(shape, n, s, exact):
     edges, weights, tree, _ = _assembly_case(shape, n, s, exact)
     inv = gauss_jordan_oracle if exact else np.linalg.inv
-    tau = 2 - np.bincount(np.ravel(edges), minlength=n)
-    delta = np.kron(tau.reshape(-1, 1), np.eye(s, dtype=int))
-    a = (delta @ inv(sum(weights)) @ delta.T - _per_edge_laplacian(n, s, edges, weights, inv)) / 2
     got = (distance_inverse_closed_form_exact(tree) if exact
            else distance_inverse_closed_form(tree).array)
-    _assert_identical(got, (a + a.T) / 2, exact)
+    _assert_identical(got, _closed_form_oracle(n, s, edges, weights, inv), exact)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("s", [2, 4])
+@pytest.mark.parametrize("shape", EXTREME_SHAPES)
+def test_closed_form_keeps_the_bits_of_the_whole_array_expression_at_extreme_scales(
+        shape, s, scale):
+    """The tau table and the recomputed L(T) blocks round as the whole-array
+    expression does: tau_i tau_j products that round twice (the hubs tree's
+    tau -3 and -5), zero blocks where tau = 0, and subnormal halving near
+    1e300."""
+    n, edges, weights = _extreme_case(shape, s, scale)
+    tree = MatrixWeightedTree(n, s, edges, weights)
+    want = _closed_form_oracle(n, s, edges, list(weights), np.linalg.inv)
+    _assert_identical(distance_inverse_closed_form(tree).array, want, False)
+    if shape == "hubs":
+        assert np.any(want == 0)
+    if scale == "1e300":
+        assert np.any((want != 0) & (np.abs(want) < np.finfo(float).tiny))
+
+
+def test_closed_form_keeps_its_negative_zeros():
+    # the middle vertex of the path has tau = 0, so its edge blocks are
+    # -L(T)'s, and each weight's inverse has the off-diagonal -5e-324, which
+    # halving takes to -0.0
+    w = 1e300 * np.array([[1.0, 5e-24], [5e-24, 1.0]])
+    tree = MatrixWeightedTree(3, 2, [(0, 1), (1, 2)], np.stack([w, w]))
+    want = _closed_form_oracle(3, 2, [(0, 1), (1, 2)], [w, w], np.linalg.inv)
+    _assert_identical(distance_inverse_closed_form(tree).array, want, False)
+    assert np.any((want == 0) & np.signbit(want)) and np.any((want == 0) & ~np.signbit(want))
 
 
 @ASSEMBLY_CASES
