@@ -111,7 +111,10 @@ def _closed_form(t: MatrixWeightedTree, weights, inv) -> np.ndarray:
     values = sorted(set(tau.tolist()))
     kind = np.searchsorted(values, tau)                           # tau_i = values[kind[i]]
     dv = np.multiply.outer(values, np.eye(s, dtype=int)).reshape(-1, s)  # Delta's distinct rows
-    x = (dv @ inv(sum(weights)[None])[0] @ dv.T).reshape(len(values), s, len(values), s)
+    # R in the order of Python's sum, from the int 0, in one numpy call: a
+    # zero entry whose terms are all -0.0 sums to +0.0
+    r = np.cumsum(weights, axis=0)[-1] + 0
+    x = (dv @ inv(r[None])[0] @ dv.T).reshape(len(values), s, len(values), s)
     sym = lambda y, yt: (y / 2 + yt / 2) / 2
     out = np.empty((n, s, n, s), dtype=x.dtype)
     # mode="clip" writes out directly; the default buffers a copy of it

@@ -172,7 +172,7 @@ def _split(x: np.ndarray, n: int, s: int, deleted=False):
     X(alpha'_1) nonsingular, so D^{-1} (beta = 0, nullity s) reads B'XB.
     c is certificate_shift at max(1, ||X||_inf), which bounds X's spectral
     radius, so c exceeds every threshold scaled by max(1, max|X|); it is
-    infinite where a row sum overflows. An X within the asymmetry bound is
+    infinite where a row sum overflows. An X inside the asymmetry bound is
     certified by its symmetric part, whose spectrum is taken; a stack with
     one beyond it gets no certificate."""
     with np.errstate(all="ignore"):
@@ -227,14 +227,6 @@ def _bordered_split(f: np.ndarray, u: np.ndarray, weights: np.ndarray, n: int, s
         return [(low.reshape(*lead, n * s, n * s), c), (corner + utfu, c)]
 
 
-def _bounded(ok: np.ndarray, bounds: np.ndarray, measured: np.ndarray) -> list:
-    """Per member of a stack, in member order: its bound as a Bound where
-    certified, else the next measured value."""
-    measured = iter(np.ravel(measured).tolist())
-    return [Bound(b) if k else next(measured)
-            for k, b in zip(ok.ravel().tolist(), np.ravel(bounds).tolist())]
-
-
 # A stacked call takes as many betas as fit in this many bytes of its input,
 # and at least one. Stacks pay off at the small orders where numpy's cost per
 # call outweighs LAPACK's work; where it does not, each beta is a stack of its
@@ -250,21 +242,22 @@ def _members(inert: Inertia) -> list[Inertia]:
 @dataclass(frozen=True)
 class DeletedBlocks:
     """In(P(alpha'_i)) of every vertex i, alpha' = all blocks but i, the
-    largest eigenvalue of each submatrix decomposed directly, and the
-    nullity n_0(F_ii) of every diagonal block of F = P^{-1}, which
-    FM-nullity compares with n_0(P(alpha'_i)).
+    largest eigenvalue of each submatrix measured, and the nullity
+    n_0(F_ii) of every diagonal block of F = P^{-1}, which FM-nullity
+    compares with n_0(P(alpha'_i)).
 
-    route is "derived" (In(P) minus In(F_ii), confirmed by the sample),
-    "direct" (In(P) has a zero, a derived count is negative, or at beta > 0
-    some F_ii has no margin) or "contradicted" (the sampled inertia differs
-    from the derived one); on the last two every vertex is decomposed
-    directly. On the derived route the sample is vertex 1, and the inertias
-    of the other vertices are inferred, not measured. A Cholesky certificate
-    may measure the sample instead: at beta > 0 the split that certified
-    In(P) (_split), or else -P(alpha'_1) - cI when every derived inertia is
-    ((n-1)s, 0, 0); at beta = 0 when every one is ((n-2)s, s, 0) and the
-    sample's kernel residual is small (linalg.kernel_certificate). Its entry
-    of sampled_max is then a Bound that its largest eigenvalue lies below.
+    route is "derived" (In(P) minus the known In(F_ii), confirmed by the
+    sample), "direct" (In(P) has a zero, a derived count is negative, or at
+    beta > 0 THM.vi does not find every F_ii positive definite) or
+    "contradicted" (the sample's inertia differs from the derived one); on
+    the last two every vertex is decomposed directly, and n_0(F_ii) is read
+    off the spectra of the F_ii. On the derived route the sample is vertex
+    1, and the inertias of the other vertices are inferred, not measured. A
+    Cholesky certificate may measure the sample instead of its spectrum: at
+    beta > 0 the split that certified In(P) (_split); at beta = 0 when every
+    derived inertia is ((n-2)s, s, 0) and the sample's kernel residual is
+    small (linalg.kernel_certificate). Its entry of sampled_max is then a
+    Bound that its largest eigenvalue lies below.
     """
 
     inertia: np.ndarray          # (n, 3): n_minus, n_zero, n_plus per vertex
@@ -281,7 +274,7 @@ class DeletedBlocks:
 
 @dataclass
 class InstanceMatrices:
-    """Everything downstream checks need, built once per instance: the
+    """All that downstream checks need, built once per instance: the
     instance itself and its float operators.
 
     Objects that several checks read are built on first use and kept in
@@ -289,7 +282,8 @@ class InstanceMatrices:
     building one raised: the instance hash, U'D^{-1}U and D^{-1}U, the exact
     operators and F(beta), THM.vi.gx's vectors, per beta the pencil and
     the spectra, scales, inertias and certificates the theorem checks share,
-    and per tuple of betas the stacks of P and F that they read.
+    and per tuple of betas the stacks of P and F that they read. The
+    deleted blocks of a beta are built from those alone, beta by beta.
 
     `verify_instance` records its distinct betas under "betas". A per-beta
     object is then built for every recorded beta at once, on first use: one
@@ -340,9 +334,8 @@ class InstanceMatrices:
             if beta not in todo:
                 todo = [beta]
             n, s = self.n, self.s
-            # the largest input per beta: the bordered matrix, which exceeds
-            # THM.iii's one sampled deleted block, or THM.vi.gx's s + 10
-            # compressions
+            # the largest input per beta: the bordered matrix, or THM.vi.gx's
+            # s + 10 compressions
             member = 8 * max((n * s + s) ** 2, (s + 10) * n * n)
             size = max(1, STACK_BYTES // member)
             for i in range(0, len(todo), size):
@@ -408,101 +401,90 @@ class InstanceMatrices:
         In(P) = (ns - s, 0, s), the Bound c and that inertia. Then the shift
         c of P's certificates. At beta > 0 the split's negative half is the
         deleted block -P(alpha'_1) - cI, so a certified P also certifies
-        THM.iii's one sample, vertex 1 (deleted_blocks); at beta = 0, where
-        D^{-1}(alpha'_1) has nullity s, it is -B'PB - ncI."""
+        THM.iii's one sample, vertex 1 (deleted_blocks), which is decomposed
+        where the split fails; at beta = 0, where D^{-1}(alpha'_1) has
+        nullity s, it is -B'PB - ncI."""
         def make(bs):
             n, s = self.n, self.s
             p = self._stack("p", bs).array
             c, split = _split(p, n, s, deleted=np.array(bs) > 0)
             ok, w = certify(split, p)
             inert = iter(_members(inertia_of_spectrum(w)))
-            return [(v, Inertia(n * s - s, 0, s) if isinstance(v, Bound) else next(inert), ck)
-                    for v, ck in zip(_bounded(ok, c, np.abs(w).min(axis=-1)), c.tolist())]
+            least = iter(np.abs(w).min(axis=-1).tolist())
+            return [(Bound(ck), Inertia(n * s - s, 0, s), ck) if k
+                    else (next(least), next(inert), ck) for k, ck in zip(ok.tolist(), c.tolist())]
 
         return self._stacked("p_eigs", beta, make)
 
     def deleted_blocks(self, beta: float) -> DeletedBlocks:
         """In(P(alpha'_i)) for every vertex i, P = P(beta), from In(P) and the
-        spectra of the blocks F_ii of F = P^{-1}. The blocks of F(0) = D are
-        exactly zero: the distance fill never writes them, and build_matrices
-        refuses a corruption that leaves an entry unchanged.
+        blocks F_ii of F = P^{-1}, whose inertia is known: the blocks of
+        F(0) = D are exactly zero (the distance fill never writes them, and
+        build_matrices refuses a corruption that leaves an entry unchanged),
+        and at beta > 0 THM.vi's block_pd certifies each F_ii positive
+        definite or finds that it is not.
 
         Haynsworth inertia additivity with the Fiedler-Markham nullity
         theorem gives, for a nonsingular P and nu = n_0(F_ii),
         n_-(P(alpha')) = n_-(P) - n_-(F_ii) - nu, n_0 = nu and
-        n_+ = n_+(P) - n_+(F_ii) - nu. Vertex 1 is measured, as an
-        independent sample of the derived counts: at beta > 0 by the split
-        certificate of p_eigs, whose negative half is -P(alpha'_1) - cI, and
-        at beta = 0 (or where that split fails) on its own submatrix; the
-        other counts are inferred. At beta > 0, where some F_ii's least
-        eigenvalue is not above certificate_shift(max(1, rho(F_ii))), a zero
-        count has no margin and every vertex is decomposed directly; at
-        beta = 0 F_ii = 0 exactly and it never is. The samples of a stack
-        share one certify call, which may certify them (DeletedBlocks). The
-        direct route decomposes one (n-1)s submatrix at a time, so it needs
-        one submatrix's memory at a time.
+        n_+ = n_+(P) - n_+(F_ii) - nu: (n_-(P) - s, s, n_+(P) - s) at
+        beta = 0 and (n_-(P), 0, n_+(P) - s) at beta > 0. That derived
+        route is taken where In(P) has no zero, no derived count is
+        negative, and at beta > 0 every F_ii is positive definite; vertex 1
+        is then measured (_vertex_one) as an independent sample of the
+        derived counts, and the other counts are inferred. Elsewhere every
+        vertex is decomposed directly, one (n-1)s submatrix at a time, and
+        the spectra of the F_ii give their nullities.
         """
-        def make(bs):
+        def make():
             n, s = self.n, self.s
-            p_eigs = [self.p_eigs(b) for b in bs]
-            p_in = np.transpose([e[1] for e in p_eigs])[..., None]           # (3, k, 1)
-            f, ii = self._stack("f", bs).array.reshape(len(bs), n, s, n, s), np.arange(n)
-            f_eigs = sym_eigvals(f[:, ii, :, ii, :].swapaxes(0, 1))           # (k, n, s)
-            f_in = np.stack(inertia_of_spectrum(f_eigs), axis=1)              # (k, 3, n)
-            nu = f_in[:, 1]
-            inertia = np.stack([p_in[0] - f_in[:, 0] - nu, nu,
-                                p_in[2] - f_in[:, 2] - nu], axis=-1)         # (k, n, 3)
-            # at beta > 0, where some F_ii's least eigenvalue lies within the
-            # certificate shift of zero at its own scale, a zero count has no
-            # margin, and every vertex is decomposed directly
-            thin = (np.array(bs) > 0) & np.any(f_eigs[..., 0] <= certificate_shift(
-                np.maximum(1.0, np.abs(f_eigs).max(axis=-1))), axis=-1)
-            sample = np.flatnonzero((p_in[1, :, 0] == 0) & (inertia.min(axis=(1, 2)) >= 0)
-                                    & ~thin).tolist()
-            # the split that certified In(P) at beta > 0 certified vertex 1
-            # too: inertia ((n-1)s, 0, 0), every eigenvalue below -c
-            measured = {j: (np.all(inertia[j, 0] == ((n - 1) * s, 0, 0)), Bound(-p_eigs[j][2]))
-                        for j in sample if bs[j] and isinstance(p_eigs[j][0], Bound)}
-            items = [j for j in sample if j not in measured]
-            if items:
-                # one gather per submatrix, a stack of its own to be shifted,
-                # gathered again for the spectrum of the ones left
-                gather = lambda: np.stack([
-                    principal_block_submatrix(self.pencil(bs[j]).p, range(2, n + 1)).array
-                    for j in items])
-                subs = gather()
-                subs *= -1.0
-                c, bound = np.full(len(items), np.inf), np.zeros(len(items))
-                for i, j in enumerate(items):
-                    # -P(alpha'_1) above P's shift c where ((n-1)s, 0, 0) is
-                    # derived; at beta = 0, where ((n-2)s, s, 0) is, its
-                    # deflated kernel certificate
-                    if bs[j] and np.all(inertia[j] == ((n - 1) * s, 0, 0)):
-                        c[i], bound[i] = p_eigs[j][2], -p_eigs[j][2]
-                    elif not bs[j] and np.all(inertia[j] == ((n - 2) * s, s, 0)):
-                        f0 = self.pencil(0.0).f.array.reshape(n, s, n, s)
-                        q = np.linalg.qr(f0[1:, :, 0, :].reshape(-1, s))[0]
-                        c[i], bound[i] = kernel_certificate(subs[i], q)
-                ok, w = certify([(subs, c)] if np.isfinite(c).any() else [], gather)
-                agree = ok.copy()
-                if w is not None:
-                    agree[~ok] = np.all(np.stack(inertia_of_spectrum(w), axis=-1)
-                                        == inertia[np.array(items)[~ok], 0], axis=-1)
-                tops = _bounded(ok, bound, () if w is None else w[:, -1])
-                measured.update(zip(items, zip(agree.tolist(), tops)))
-            out = {j: DeletedBlocks(inertia[j], "derived", [1], [measured[j][1]], nu[j])
-                   for j in sample if measured[j][0]}
-            for j in range(len(bs)):
-                if j not in out:
-                    p = self.pencil(bs[j]).p
-                    spectra = np.array([sym_eigvals(principal_block_submatrix(
-                        p, np.delete(np.arange(1, n + 1), i)).array) for i in range(n)])
-                    out[j] = DeletedBlocks(np.transpose(inertia_of_spectrum(spectra)),
-                                           "contradicted" if j in sample else "direct",
-                                           list(range(1, n + 1)), spectra[:, -1].tolist(), nu[j])
-            return [out[j] for j in range(len(bs))]
+            p_in = self.p_eigs(beta)[1]
+            nu = 0 if beta else s
+            derived = np.array([p_in[0] - nu, nu, p_in[2] - s])
+            route = "direct"
+            if (p_in[1] == 0 and derived.min() >= 0
+                    and (not beta or np.diagonal(self.block_pd(beta)).all())):
+                agree, top = self._vertex_one(beta, derived)
+                if agree:
+                    return DeletedBlocks(np.tile(derived, (n, 1)), "derived", [1], [top],
+                                         np.full(n, nu))
+                route = "contradicted"
+            p, ii = self.pencil(beta), np.arange(n)
+            spectra = np.array([sym_eigvals(principal_block_submatrix(
+                p.p, np.delete(ii + 1, i)).array) for i in ii])
+            f = p.f.array.reshape(n, s, n, s)[ii, :, ii, :]
+            return DeletedBlocks(np.transpose(inertia_of_spectrum(spectra)), route,
+                                 list(range(1, n + 1)), spectra[:, -1].tolist(),
+                                 inertia_of_spectrum(sym_eigvals(f)).n_zero)
 
-        return self._stacked("deleted", beta, make)
+        return self.memo(("deleted", beta), make)
+
+    def _vertex_one(self, beta: float, derived: np.ndarray) -> tuple[bool, float]:
+        """Whether P(alpha'_1) has the derived inertia, and its largest
+        eigenvalue, or a Bound that it lies below. At beta > 0, where the
+        split of p_eigs certified In(P) = (ns - s, 0, s) with shift c, its
+        negative half -P(alpha'_1) - cI > 0 is this sample, and the derived
+        inertia is ((n-1)s, 0, 0): no submatrix is gathered or factored. At
+        beta = 0, where ((n-2)s, s, 0) is derived, the known kernel
+        F[alpha'_1, 1] of D^{-1}(alpha'_1) certifies it
+        (linalg.kernel_certificate). Else, or where that certificate fails,
+        its spectrum is taken."""
+        n, s = self.n, self.s
+        least, _, c = self.p_eigs(beta)
+        if beta and isinstance(least, Bound):
+            return True, Bound(-c)
+        gather = lambda: principal_block_submatrix(
+            self.pencil(beta).p, range(2, n + 1)).array[None]
+        certificates = []
+        if not beta and np.all(derived == ((n - 2) * s, s, 0)):
+            low = -gather()
+            q = np.linalg.qr(self.d.array.reshape(n, s, n, s)[1:, :, 0, :].reshape(-1, s))[0]
+            shift, bound = kernel_certificate(low, q)
+            certificates = [(low, shift)]
+        ok, w = certify(certificates, gather)
+        if ok[0]:
+            return True, Bound(bound[0])
+        return bool(np.all(inertia_of_spectrum(w[0]) == derived)), float(w[0, -1])
 
     def bordered_inertia(self, beta: float) -> tuple[Inertia, float | None]:
         """In(G), G = [[F, U], [U', 0]], F = F(beta): (ns, 0, s) where the
@@ -755,12 +737,15 @@ def verify_fiedler_markham(mats: InstanceMatrices, beta: float) -> CheckResult:
     instance where the complementary nullity is forced to s.
 
     The complementary nullities come from `InstanceMatrices.deleted_blocks`.
-    On its derived route they are n_0(F_ii) by construction, so only the
-    sampled vertex 1 is measured and the others inferred; the route is kept
-    only while the sample agrees and, at beta > 0, every F_ii has margin,
-    otherwise every vertex is measured directly. `dinv_nullities` is the
-    beta = 0 row. The evidence names the measured vertices and the number
-    inferred, for the beta and the dinv row.
+    On its derived route n_0(F_ii) is known, s at beta = 0 (F_ii = D_ii = 0)
+    and 0 at beta > 0 (THM.vi's positive definite blocks), and the
+    complementary nullities equal it by construction, so only the sampled
+    vertex 1 is measured and the others inferred. The route is kept only
+    while the sample agrees and, at beta > 0, THM.vi finds every F_ii
+    positive definite; otherwise every vertex and every F_ii is measured
+    directly. `dinv_nullities` is the beta = 0 row. The evidence names the
+    measured vertices and the number inferred, for the beta and the dinv
+    row.
     """
 
     def body():
@@ -780,7 +765,7 @@ def verify_fiedler_markham(mats: InstanceMatrices, beta: float) -> CheckResult:
 
 
 def verify_exact_consistency(mats: InstanceMatrices, beta: float) -> CheckResult:
-    """Float-kernel F against the exact rational kernel, within REL_RESIDUAL
+    """Float-kernel F against the exact rational kernel, held to REL_RESIDUAL
     relative to the largest entry."""
 
     def body():

@@ -8,6 +8,7 @@ header.
 """
 
 import importlib.util
+import json
 from collections import Counter, defaultdict
 from pathlib import Path
 
@@ -78,3 +79,36 @@ def test_every_row_that_noise_flips_is_marked_near():
         assert not unmarked, f"report line {k}: flipped rows not marked near {unmarked}"
         flipped += sum(1 for _, count in line if count)
     assert flipped     # the draws do reach the verdicts
+
+
+def test_report_diff_prints_each_changed_row(tmp_path, capsys):
+    """tools/report_diff.py on two tiny report sets: one line per changed
+    row with its changed evidence keys, exit 1; identical inputs exit 0."""
+    row = lambda cid, ok, evidence, **beta: {"id": cid, "pass": ok, "evidence": evidence, **beta}
+    same = {"n": 2, "checks": [row("P1", True, {"residual": 0.0})]}
+    old = {"n": 3, "summary": {"failed": 0}, "checks": [
+        row("P1", True, {"residual": 0.0}),
+        row("THM.iii", True, {"max_eig_sampled_bound": -1.5, "route": "derived"}, beta=0.5),
+        row("THM.vi", True, {}, beta=0.5)]}
+    new = {"n": 3, "summary": {"failed": 1}, "checks": [
+        row("P1", True, {"residual": 0.0}),
+        row("THM.iii", True, {"max_eig_sampled": -2.0, "route": "derived"}, beta=0.5),
+        row("THM.vi", False, {}, beta=0.5),
+        row("THM.v", True, {"max_eig": -1.0}, beta=0.5)]}
+    paths = []
+    for name, reports in (("parent", [same, old]), ("change", [same, new, same])):
+        paths.append(tmp_path / f"{name}.jsonl")
+        paths[-1].write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in reports))
+    report_diff = tool("report_diff")
+    assert report_diff.main([str(paths[0]), str(paths[0])]) == 0
+    assert capsys.readouterr().out == ""
+    assert report_diff.main([str(p) for p in paths]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "2 THM.iii 0.5 pass true -> true: max_eig_sampled_bound -1.5 -> absent, "
+        "max_eig_sampled absent -> -2.0",
+        "2 THM.vi 0.5 pass true -> false",
+        "2 THM.v 0.5 pass absent -> true: max_eig absent -> -1.0",
+        '2 report: summary {"failed": 0} -> {"failed": 1}',
+        "3 P1 pass absent -> true: residual absent -> 0.0",
+        "3 report: n absent -> 2",
+    ]

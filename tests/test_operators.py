@@ -20,6 +20,7 @@ from mwspec.model import (
     random_tree,
 )
 from mwspec.operators import (
+    _closed_form,
     build_distance_matrix,
     build_distance_matrix_exact,
     build_laplacian,
@@ -492,6 +493,17 @@ def test_closed_form_keeps_its_negative_zeros():
     want = _closed_form_oracle(3, 2, [(0, 1), (1, 2)], [w, w], np.linalg.inv)
     _assert_identical(distance_inverse_closed_form(tree).array, want, False)
     assert np.any((want == 0) & np.signbit(want)) and np.any((want == 0) & ~np.signbit(want))
+    # every off-diagonal -0.0: R = 0 + W_1 + W_2 has +0.0 there, as Python's
+    # sum makes it, and D^{-1} keeps the oracle's bits
+    w = np.array([[1.0, -0.0], [-0.0, 2.0]])
+    tree = MatrixWeightedTree(3, 2, [(0, 1), (1, 2)], np.stack([w, 3 * w]))
+    seen = []
+    got = _closed_form(tree, tree.weights, lambda a: seen.append(a) or np.linalg.inv(a))
+    want = _closed_form_oracle(3, 2, [(0, 1), (1, 2)], [w, 3 * w], np.linalg.inv)
+    _assert_identical(got.reshape(6, 6), want, False)
+    [r] = [a[0] for a in seen if len(a) == 1]
+    _assert_identical(r, sum([w, 3 * w]), False)
+    assert not np.signbit(r).any()
 
 
 @ASSEMBLY_CASES

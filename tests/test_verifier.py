@@ -159,8 +159,8 @@ def test_theorem_fails_when_the_sample_contradicts_the_derived_inertia():
 
 
 def test_a_negated_block_of_f_sends_every_vertex_to_the_direct_route():
-    # negate F_22: it has no margin, so every vertex is decomposed on the
-    # untouched P, where THM.iii holds; THM.vi catches the tamper
+    # negate F_22: THM.vi does not find it positive definite, so every vertex
+    # is decomposed on the untouched P, where THM.iii holds
     inst = golden_instance()
     mats = build_matrices(inst)
     pencil = perturbed_pencil(mats.d_inv, mats.l, 1.0)
@@ -280,6 +280,37 @@ def test_singular_pencil_takes_the_direct_route(monkeypatch):
     assert thm_iii.evidence["route"] == "direct"
     assert thm_iii.passed == (max(d[-1] for d in direct)
                               < -EIG_ZERO * max(1.0, np.abs(p).max()))
+
+
+def test_an_f_ii_that_thm_vi_does_not_certify_takes_the_direct_route():
+    # the derived route reads In(F_ii) = (0, 0, s) off THM.vi's verdicts: one
+    # block F_22 that block_pd does not find positive definite, with P and F
+    # as they are, sends beta 1 to the direct route, whose spectra decide
+    mats = build_matrices(golden_instance())
+    pd = np.ones((4, 4), dtype=bool)
+    pd[1, 1] = False
+    mats.memo(("block_pd", 1.0), lambda: pd)
+    blocks = mats.deleted_blocks(1.0)
+    assert blocks.route == "direct"
+    assert blocks.sampled == [1, 2, 3, 4]
+    assert blocks.block_nullity.tolist() == [0, 0, 0, 0]
+    thm_iii = by_id(verify_theorem(mats, 1.0), "THM.iii")[0]
+    assert thm_iii.passed and thm_iii.evidence["route"] == "direct"
+    fm = verify_fiedler_markham(mats, 1.0)
+    assert fm.passed and fm.evidence["sampled"] == {"beta": [1, 2, 3, 4], "dinv": [1]}
+
+
+def test_a_split_that_fails_leaves_vertex_one_to_its_spectrum():
+    # at beta = 3e6 the split of P does not certify In(P) (report line 69):
+    # the sample P(alpha'_1) is decomposed, not factored again at P's shift
+    inst = random_instance(6, 2, 3, 2)
+    mats = build_matrices(inst)
+    assert not isinstance(mats.p_eigs(3e6)[0], Bound)
+    thm_iii = by_id(verify_theorem(mats, 3e6), "THM.iii")[0]
+    sub = principal_block_submatrix(mats.pencil(3e6).p, range(2, inst.n + 1)).array
+    assert thm_iii.passed
+    assert thm_iii.evidence == {"max_eig_sampled": np.linalg.eigvalsh(sub)[-1], "sampled": [1],
+                                "inferred": inst.n - 1, "route": "derived"}
 
 
 def test_direct_route_keeps_each_eigvalsh_input_within_the_stack_budget(monkeypatch):
@@ -765,8 +796,8 @@ def test_shared_spectra_match_direct_route(n, s, seed, beta):
     assert blocks.route == "derived"
     assert blocks.inertia.tolist() == [list(inertia_of_spectrum(w)) for w in direct]
 
-    # THM.iii: vertex 1 alone, since every F_ii is positive definite with
-    # margin at beta > 0 and exactly zero at beta = 0. A Cholesky certificate
+    # THM.iii: vertex 1 alone, since THM.vi finds every F_ii positive definite
+    # at beta > 0, and it is exactly zero at beta = 0. A Cholesky certificate
     # bounds its eigenvalues (at beta > 0 the split of P, whose negative half
     # is -P(alpha'_1) - cI; at beta = 0 the residual of its known kernel): the
     # bound lies above every one the direct route measures of vertex 1, and
@@ -893,7 +924,10 @@ def test_every_bound_of_the_report_set_lies_beyond_its_spectrum(monkeypatch):
     certificate. THM.iii's beta = 0 bound carries the spectrum's rounding,
     so this holds where its value is round-off, as on the [1e-8, 1e8]
     campaign's lines 42, 47 and 55. Line 66's beta = 0 sample, whose kernel
-    residual is formed at its 1e300 scale, is one of them."""
+    residual is formed at its 1e300 scale, is one of them. THM.iii at
+    beta > 0 reports a bound only where the split of P certified the
+    sample, so line 62's rows at beta 1/2, 1 and 10 and line 69's at 3e6,
+    where that split fails, report the value the spectrum measures."""
     report_set = tool("report_set")
     certified = [c for r in report_set.reports() for c in r.checks]
     certify = linalg.certify
@@ -903,7 +937,7 @@ def test_every_bound_of_the_report_set_lies_beyond_its_spectrum(monkeypatch):
     bounds = [(key, value, o.evidence[_BOUND_KEYS[key][0]])
               for c, o in zip(certified, spectrum) for key, value in c.evidence.items()
               if key in _BOUND_KEYS]
-    assert len(bounds) == 899
+    assert len(bounds) == 895
     for key, bound, measured in bounds:
         assert bound < measured if _BOUND_KEYS[key][1] == "min" else bound > measured
 
@@ -995,11 +1029,12 @@ def test_lapack_calls_of_a_verify_large_instance(monkeypatch):
     compressions (two). Four matrices of order (n-1)s = 177 are factored:
     the split of D's B'DB, of P(0)'s B'PB, of P(1)'s deleted block
     P(alpha'_1), which is THM.iii's beta = 1 sample as well, and the
-    deflated D^{-1}(alpha'_1) of THM.iii's beta = 0 sample; no F_ii lacks
-    margin, so no second sample is taken. No spectrum of P, G, B'FB, L or a
-    sample is taken, and no eigenvector is computed: P1 inverts the
-    deflated L_T. The one solve is the pencil's at beta 1;
-    THM.iv.haynsworth solves nothing."""
+    deflated D^{-1}(alpha'_1) of THM.iii's beta = 0 sample. The four
+    spectra are of order s: COR2.8's U'D^{-1}U, THM.iv.haynsworth's Schur
+    complement at each beta, and the stack of tree weights. No spectrum of
+    P, G, B'FB, L, an F_ii or a sample is taken, and no eigenvector is
+    computed: P1 inverts the deflated L_T. The one solve is the pencil's at
+    beta 1; THM.iv.haynsworth solves nothing."""
     n = 60
     inst = random_instance(n, 3, 1060, n)
     calls, orders = Counter(), Counter()
@@ -1011,7 +1046,7 @@ def test_lapack_calls_of_a_verify_large_instance(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", lambda a: orders.update(
         {a.shape[-1]: math.prod(a.shape[:-2])}) or cholesky(a))
     assert verify_instance(inst, [0.0, 1.0]).ok
-    assert calls == Counter({"cholesky": 16, "eigvalsh": 6, "solve": 1, "qr": 1, "inv": 5})
+    assert calls == Counter({"cholesky": 16, "eigvalsh": 4, "solve": 1, "qr": 1, "inv": 5})
     assert orders[(n - 1) * 3] == 4
 
 
@@ -1034,9 +1069,10 @@ def test_a_certified_congruence_builds_no_bordered_matrix(monkeypatch, inst):
                          ids=["golden", "random-12x4", "verify-large-60"])
 def test_the_split_of_p_is_the_sample_of_thm_iii_at_positive_beta(monkeypatch, inst):
     """At beta > 0 the split certificate of P, whose negative half is the
-    deleted block -P(alpha'_1) - cI, measures THM.iii's vertex 1, and no F_ii
-    lacks margin: no submatrix of a pencil at beta > 0 is gathered. At
-    beta = 0 vertex 1's kernel certificate gathers D^{-1}(alpha'_1)."""
+    deleted block -P(alpha'_1) - cI, measures THM.iii's vertex 1, and THM.vi
+    finds every F_ii positive definite: no submatrix of a pencil at beta > 0
+    is gathered. At beta = 0 vertex 1's kernel certificate gathers
+    D^{-1}(alpha'_1)."""
     d_inv = build_matrices(inst).d_inv.array
     gather = verifier.principal_block_submatrix
 
@@ -1200,15 +1236,18 @@ def test_bordered_certificate_never_passes_another_inertia(seed, ratio, exponent
 @pytest.mark.parametrize("n, s, seed", [(3, 2, 1), (5, 1, 2), (7, 3, 3), (12, 4, 4)])
 def test_beta_zero_samples_are_certified_by_their_kernel(monkeypatch, n, s, seed):
     """At beta = 0 the one sample of a random instance, vertex 1, is
-    certified: no spectrum of order (n-1)s is taken, and it reports a Bound
-    2r within half the zero threshold of its P(alpha'), whose spectrum has
-    the derived inertia ((n-2)s, s, 0)."""
+    certified: no spectrum of any order is taken (the blocks F_ii = D_ii
+    are known to be zero), and it reports a Bound 2r within half the zero
+    threshold of its P(alpha'), whose spectrum has the derived inertia
+    ((n-2)s, s, 0)."""
     orders = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: orders.append(a.shape[-1]) or eigvalsh(a))
     mats = build_matrices(random_instance(n, s, seed, n - 2))
     blocks = mats.deleted_blocks(0.0)
-    assert orders and (n - 1) * s not in orders
+    assert orders == []
+    np.linalg.eigvalsh(np.eye(s))      # the patch is active
+    assert orders == [s]
     monkeypatch.undo()
     assert blocks.route == "derived" and blocks.sampled == [1]
     for v, bound in zip(blocks.sampled, blocks.sampled_max):
