@@ -155,7 +155,8 @@ def certify(certificates, x):
     member is left, or first of all when there is no certificate. Returns
     the bool verdicts and the ascending spectra (j, m) of the j members of x
     left: (0, m) for a stack when none is left, None for a function not
-    called."""
+    called. A stack x of empty (..., 0, 0) matrices asks for the verdicts
+    alone."""
     if not certificates and callable(x):
         x = x()
     ok = np.full((certificates[0][0] if certificates else x).shape[:-2], bool(certificates))
@@ -178,7 +179,7 @@ def certify(certificates, x):
         return ok, None if callable(x) else np.empty((0, x.shape[-1]))
     x = x() if callable(x) else x
     # the members left; all of them, as a view, when none is certified
-    return ok, sym_eigvals(x[~ok] if ok.any() else x.reshape(-1, *x.shape[-2:]))
+    return ok, sym_eigvals(x[~ok] if ok.any() else x.reshape(ok.size, *x.shape[-2:]))
 
 
 def is_pd_quadratic_form(a: np.ndarray) -> bool | np.ndarray:

@@ -486,21 +486,34 @@ class InstanceMatrices:
             return True, Bound(bound[0])
         return bool(np.all(inertia_of_spectrum(w[0]) == derived)), float(w[0, -1])
 
-    def bordered_inertia(self, beta: float) -> tuple[Inertia, float | None]:
+    def bordered_shift(self, beta: float) -> float | None:
+        """The shift c of _bordered_split's certificates at beta where both
+        hold, else None. Their leading block -B'FB - cB'B > 0, with
+        B'B >= I, puts every eigenvalue of B'FB below -c (THM.v), and so
+        n - 1 eigenvalues of each G_x (gx_spectra). Only the certificates
+        are factored: no spectrum is taken, so an error in
+        bordered_inertia's spectrum reaches neither reader."""
+        def make(bs):
+            f = self._stack("f", bs).array
+            split = _bordered_split(f, self.u, self.inst.tree.weights, self.n, self.s)
+            if not split and len(bs) > 1:     # _stacked redoes each beta alone
+                raise NotSymmetricError("an F of the stack lies beyond the asymmetry bound")
+            ok, _ = certify(split, np.empty((len(bs), 0, 0)))     # the verdicts alone
+            shifts = split[0][1].tolist() if split else [None] * len(bs)
+            return [c if k else None for k, c in zip(ok.tolist(), shifts)]
+
+        return self._stacked("bordered_shift", beta, make)
+
+    def bordered_inertia(self, beta: float) -> Inertia:
         """In(G), G = [[F, U], [U', 0]], F = F(beta): (ns, 0, s) where the
-        certificates of _bordered_split hold, else read off G's spectrum.
-        Then, where they hold, their shift c: the leading block
-        -B'FB - cB'B > 0 of the first, with B'B >= I, puts every eigenvalue
-        of B'FB below -c (THM.v); else None."""
+        certificates of _bordered_split hold (bordered_shift), else read
+        off G's spectrum."""
         def make(bs):
             n, s = self.n, self.s
-            f = self._stack("f", bs)
-            split = _bordered_split(f.array, self.u, self.inst.tree.weights, n, s)
-            ok, w = certify(split, lambda: bordered(f))
-            left = iter(() if w is None else _members(inertia_of_spectrum(w)))
-            shifts = split[0][1].tolist() if split else [None] * len(bs)
-            return [(Inertia(n * s, 0, s), c) if k else (next(left), None)
-                    for k, c in zip(ok.tolist(), shifts)]
+            left = np.array([self.bordered_shift(b) is None for b in bs])
+            inert = iter(_members(inertia_of_spectrum(sym_eigvals(
+                bordered(self._stack("f", bs))[left]))) if left.any() else ())
+            return [next(inert) if k else Inertia(n * s, 0, s) for k in left.tolist()]
 
         return self._stacked("bordered", beta, make)
 
@@ -513,7 +526,7 @@ class InstanceMatrices:
         identity's residual max|F X - U| / max(1, max|F|)."""
         def make(bs):
             pivot = Inertia(*np.transpose([self.p_eigs(b)[1] for b in bs]))
-            lhs = Inertia(*np.transpose([self.bordered_inertia(b)[0] for b in bs]))
+            lhs = Inertia(*np.transpose([self.bordered_inertia(b) for b in bs]))
             lhs, rhs, agree = haynsworth_check(-self.udu(), lhs, pivot)
             x = self.memo("dinv_u", lambda: self.d_inv.array @ self.u)
             res = np.abs(self._stack("f", bs).array @ x - self.u).max(axis=(1, 2))
@@ -544,17 +557,16 @@ class InstanceMatrices:
     def gx_spectra(self, beta: float) -> tuple[bool, float]:
         """THM.vi.gx's compressions G_x of F(beta), for the s unit vectors and
         10 random unit vectors seeded by the instance hash: whether each has
-        inertia (n - 1, 0, 1) and a positive diagonal, and the least magnitude
-        of an off-diagonal entry of any of them."""
+        inertia (n - 1, 0, 1) (_gx_inertia, which reads THM.iv's congruence
+        where it holds) and a positive diagonal, and the least magnitude of
+        an off-diagonal entry of any of them."""
         def make(bs):
             n = self.n
             xs = self.memo("gx_vectors",
                            lambda: _gx_vectors(self.s, int(self.instance_hash()[:8], 16)))
             gx = gx_matrix(self._stack("f", bs), xs)             # (k, s + 10, n, n)
-            split, w = certify(_split(gx, n, 1)[1], gx)     # In(G_x) = (n - 1, 0, 1)
-            split[~split] = np.all(np.stack(inertia_of_spectrum(w), axis=-1) == (n - 1, 0, 1),
-                                   axis=-1)
-            shaped = (split.all(axis=1)
+            congruent = np.array([self.bordered_shift(b) is not None for b in bs])
+            shaped = (_gx_inertia(gx, congruent).all(axis=1)
                       & ~np.any(np.diagonal(gx, axis1=-2, axis2=-1) <= 0, axis=(1, 2)))
             off = np.abs(gx[..., ~np.eye(n, dtype=bool)])
             return list(zip(shaped.tolist(), off.min(axis=(1, 2), initial=np.inf).tolist()))
@@ -650,6 +662,33 @@ def verify_preliminaries(mats: InstanceMatrices) -> list[CheckResult]:
     return checks
 
 
+def _gx_inertia(gx: np.ndarray, congruent: np.ndarray) -> np.ndarray:
+    """Whether In(G_x) = (n - 1, 0, 1), for each G_x of the stack gx
+    (k, v, n, n) of k betas' compressions by unit vectors x; congruent (k,)
+    says where THM.iv's congruence holds (bordered_shift).
+
+    There its leading block -B'FB - cB'B > 0, compressed by I_{n-1} (x) x,
+    is -B_n'G_xB_n - c|x|^2 B_n'B_n > 0, as (B_n (x) I_s)(I_{n-1} (x) x) =
+    (I_n (x) x)B_n, B_n = [e_i - e_n] (i < n). B_n'B_n = I + J >= I, so by
+    Courant-Fischer n - 1 eigenvalues of G_x lie below -c, and c exceeds
+    EIG_ZERO * max(1, rho(G_x)), since rho(G_x) <= rho(F) <= ||F||_inf.
+    1'G_x1 > n c_x, c_x = certificate_shift(max(1, ||G_x||_inf)), puts the
+    last one above c_x: no G_x is factored. A member with no congruence,
+    or whose 1'G_x1 falls short, reads the split of G_x (_split), else its
+    spectrum."""
+    n = gx.shape[-1]
+    with np.errstate(all="ignore"):
+        c_x = certificate_shift(np.maximum(1.0, np.abs(gx).sum(axis=-1).max(axis=-1)))
+        shaped = congruent[:, None] & (gx.sum(axis=(-2, -1)) > n * c_x)
+    if not shaped.all():
+        rest = gx[~shaped]
+        split, w = certify(_split(rest, n, 1)[1], rest)
+        split[~split] = np.all(np.stack(inertia_of_spectrum(w), axis=-1) == (n - 1, 0, 1),
+                               axis=-1)
+        shaped[~shaped] = split
+    return shaped
+
+
 def _gx_vectors(s: int, seed: int) -> np.ndarray:
     """(s + 10, s): the s unit vectors, then 10 random unit vectors."""
     rng = np.random.default_rng(seed)
@@ -703,7 +742,7 @@ def verify_theorem(mats: InstanceMatrices, beta: float) -> list[CheckResult]:
     def thm_v():
         # THM.iv's congruence bounds B'FB where it holds; else B'FB's
         # spectrum, of F held to the asymmetry bound
-        c = mats.bordered_inertia(beta)[1]
+        c = mats.bordered_shift(beta)
         max_eig = Bound(-c) if c is not None else float(sym_eigvals(
             _null_compress(sym_part(mats.pencil(beta).f.array), n, s))[-1])
         return max_eig <= EIG_ZERO * f_scale(), {"max_eig": max_eig}

@@ -747,6 +747,40 @@ def test_a_corrupted_laplacian_is_never_certified_and_fails_p4(n, s, seed, corru
         assert (row.evidence["schur_residual"] > REL_RESIDUAL) == (beta > 0)
 
 
+def _corrupt_d_inv(mats):
+    """The bundle with the D^{-1} block pair of its first tree edge scaled by
+    1.0001."""
+    d_inv, s = mats.d_inv.array.copy(), mats.s
+    u, v = (int(x) * s for x in mats.inst.tree.endpoints[0])
+    d_inv[u:u + s, v:v + s] *= 1.0001
+    d_inv[v:v + s, u:u + s] *= 1.0001
+    return dataclasses.replace(mats, d_inv=BlockMatrix(mats.n, s, d_inv))
+
+
+_CORRUPTIONS = {"d-inv-pair": _corrupt_d_inv,
+                "l-off-diagonal-pair": lambda mats: _corrupt_l(mats, "off-diagonal pair"),
+                "l-diagonal": lambda mats: _corrupt_l(mats, "diagonal")}
+
+
+@pytest.mark.parametrize("corruption", list(_CORRUPTIONS))
+@pytest.mark.parametrize("n, s, seed", [(8, 2, 5), (12, 3, 7), (60, 3, 1060)])
+def test_a_corruption_gives_thm_vi_gx_its_spectrum_verdict(n, s, seed, corruption):
+    """A corrupted D^{-1} or L: THM.vi.gx's row is the one the spectra of its
+    G_x give, and each In(G_x) read off THM.iv's congruence is its
+    spectrum's. The congruence still certifies every case but n = 60's
+    L[0, 0] at beta 1/2; at beta 1 that corruption leaves the first G_x
+    with inertia (60, 0, 0), whose 1'G_x1 certifies nothing. The L
+    corruptions at n = 12 and 60 also give a G_x a diagonal entry <= 0."""
+    inst = random_instance(n, s, seed, 4)
+    mats = _CORRUPTIONS[corruption](build_matrices(inst))
+    for beta in (0.5, 1.0):
+        ok, worst = _gx_oracle(inst, perturbed_pencil(mats.d_inv, mats.l, beta).f)
+        row = by_id(verify_theorem(mats, beta), "THM.vi.gx")[0]
+        assert (row.passed, row.evidence["min_offdiag"]) == (ok, worst)
+        certified = _gx_below_the_shift(mats, beta)
+        assert certified == ((n, beta, corruption) != (60, 0.5, "l-diagonal"))
+
+
 def test_p4_takes_one_spectrum_on_the_overflowing_path(monkeypatch):
     # the 2-vertex [[1e308]] path: L's entries are 1e-308, and P4 fails on
     # its rank, read off the one spectrum of L
@@ -852,17 +886,25 @@ def test_shared_spectra_match_direct_route(n, s, seed, beta):
     assert by_id(checks, "THM.vi")[0].evidence["non_pd_blocks"] == bad
 
     # THM.vi.gx: one G_x and one inertia per vector, seeded by the instance hash
+    ok, worst = _gx_oracle(inst, f)
+    gx_check = by_id(checks, "THM.vi.gx")[0]
+    assert gx_check.evidence["min_offdiag"] == worst
+    assert gx_check.passed == ok
+
+
+def _gx_oracle(inst, f: BlockMatrix) -> tuple[bool, float]:
+    """THM.vi.gx's verdict and min_offdiag on F, one G_x and one spectrum
+    per vector."""
+    n = inst.n
     floor = NONZERO_FLOOR * max(1.0, float(np.abs(f.array).max()))
     ok, worst = True, np.inf
-    for x in _gx_vectors(s, int(instance_hash(inst)[:8], 16)):
+    for x in _gx_vectors(inst.s, int(instance_hash(inst)[:8], 16)):
         gx = gx_matrix(f, x)
         off = np.abs(gx[~np.eye(n, dtype=bool)])
         worst = min(worst, float(off.min(initial=np.inf)))
         ok = ok and (inertia_of(gx) == (n - 1, 0, 1) and np.all(np.diag(gx) > 0)
                      and not (off.size and off.min() <= floor))
-    gx_check = by_id(checks, "THM.vi.gx")[0]
-    assert gx_check.evidence["min_offdiag"] == worst
-    assert gx_check.passed == ok
+    return ok, worst
 
 
 # --- Cholesky certificates ---------------------------------------------------
@@ -1001,11 +1043,11 @@ def test_bordered_inertia_certifies_no_f_outside_the_asymmetry_bound():
 def _bfb_below_the_shift(mats, beta) -> bool:
     """Whether the congruence certifies beta; where it does, the oracle: the
     largest eigenvalue of B'FB lies below -c, and THM.v reports -c."""
-    inert, c = mats.bordered_inertia(beta)
+    c = mats.bordered_shift(beta)
     if c is None:
         return False
     f = mats.pencil(beta).f.array
-    assert inert == (mats.n * mats.s, 0, mats.s)
+    assert mats.bordered_inertia(beta) == (mats.n * mats.s, 0, mats.s)
     assert np.linalg.eigvalsh(_null_compress(f, mats.n, mats.s))[-1] < -c
     assert by_id(verify_theorem(mats, beta), "THM.v")[0].evidence == {"max_eig_bound": -c}
     return True
@@ -1020,13 +1062,64 @@ def test_congruence_bounds_bfb_wherever_it_certifies(seed, n, s, beta):
     _bfb_below_the_shift(build_matrices(inst), beta)
 
 
+def _gx_below_the_shift(mats, beta) -> bool:
+    """Whether the congruence certifies beta; where it does, the oracle:
+    every G_x of THM.vi.gx has its n - 1 lowest eigenvalues below -c, and
+    the verdict read off the congruence is In(G_x) = (n - 1, 0, 1) on its
+    spectrum."""
+    c = mats.bordered_shift(beta)
+    if c is None:
+        return False
+    n = mats.n
+    gx = gx_matrix(mats.pencil(beta).f, _gx_vectors(mats.s, int(mats.instance_hash()[:8], 16)))
+    assert np.all(np.linalg.eigvalsh(gx)[:, :n - 1] < -c)
+    got = verifier._gx_inertia(gx[None], np.array([True]))[0]
+    assert got.tolist() == [inertia_of(g) == (n - 1, 0, 1) for g in gx]
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7), s=st.integers(1, 3),
+       beta=st.sampled_from([0.37, 1.0, 10.0, 1e4]))
+def test_congruence_bounds_every_g_x_wherever_it_certifies(seed, n, s, beta):
+    """THM.iv's congruence compressed by I (x) x against each G_x's spectrum
+    on random small instances."""
+    inst = random_instance(n, s, seed, seed % ((n - 1) * (n - 2) // 2 + 1))
+    _gx_below_the_shift(build_matrices(inst), beta)
+
+
+_ROUTE_INSTANCES = pytest.mark.parametrize(
+    "inst", [golden_instance(), random_instance(12, 4, 11211, 30),
+             random_instance(60, 3, 1060, 60)],
+    ids=["golden", "random-12x4", "verify-large-60"])
+
+
+@_ROUTE_INSTANCES
+def test_an_uncertified_congruence_leaves_g_x_to_its_split(monkeypatch, inst):
+    """With no congruence certificate, THM.vi.gx takes the split of all its
+    s + 10 compressions, else their spectra, and keeps its verdict and
+    evidence."""
+    rows = lambda report: [json.dumps(c.to_json()) for c in by_id(report.checks, "THM.vi.gx")]
+    certified = rows(verify_instance(inst, [0.0, 1.0]))
+    split, members = verifier._split, []
+    monkeypatch.setattr(verifier, "_bordered_split", lambda *a: [])
+    monkeypatch.setattr(verifier, "_split", lambda x, n, s, deleted=False: (
+        s == 1 and members.append(len(x))) or split(x, n, s, deleted))
+    mats = build_matrices(inst)
+    assert mats.bordered_shift(1.0) is None
+    assert rows(verify_instance(inst, [0.0, 1.0])) == certified
+    assert members == [inst.s + 10]
+
+
 def test_lapack_calls_of_a_verify_large_instance(monkeypatch):
     """verify_instance's LAPACK calls on the n = 60 verify-large instance at
-    beta 0 and 1. The 16 Choleskys are the certificates: the splits of D
+    beta 0 and 1. The 14 Choleskys are the certificates: the splits of D
     and, per beta, of P (two each), THM.iv's congruence per beta (two; it
     also bounds THM.v), the deflated L_T of P1 and L of P4, THM.iii's
-    beta = 0 sample, THM.vi's blocks and the split of THM.vi.gx's
-    compressions (two). Four matrices of order (n-1)s = 177 are factored:
+    beta = 0 sample and THM.vi's blocks. THM.vi.gx factors nothing: the
+    congruence at beta 1, compressed by I (x) x, puts n - 1 eigenvalues of
+    each G_x below -c, and 1'G_x1 the last one above zero, so the split of
+    its compressions (two) is gone. Four matrices of order (n-1)s = 177 are factored:
     the split of D's B'DB, of P(0)'s B'PB, of P(1)'s deleted block
     P(alpha'_1), which is THM.iii's beta = 1 sample as well, and the
     deflated D^{-1}(alpha'_1) of THM.iii's beta = 0 sample. The four
@@ -1046,27 +1139,31 @@ def test_lapack_calls_of_a_verify_large_instance(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", lambda a: orders.update(
         {a.shape[-1]: math.prod(a.shape[:-2])}) or cholesky(a))
     assert verify_instance(inst, [0.0, 1.0]).ok
-    assert calls == Counter({"cholesky": 16, "eigvalsh": 4, "solve": 1, "qr": 1, "inv": 5})
+    assert calls == Counter({"cholesky": 14, "eigvalsh": 4, "solve": 1, "qr": 1, "inv": 5})
     assert orders[(n - 1) * 3] == 4
 
 
-@pytest.mark.parametrize("inst", [golden_instance(), random_instance(12, 4, 11211, 30),
-                                  random_instance(60, 3, 1060, 60)],
-                         ids=["golden", "random-12x4", "verify-large-60"])
+@_ROUTE_INSTANCES
 def test_a_certified_congruence_builds_no_bordered_matrix(monkeypatch, inst):
     """Where THM.iv's congruence certifies In(G), no check builds G: the
-    Haynsworth split reads its Schur complement off D^{-1}U."""
+    Haynsworth split reads its Schur complement off D^{-1}U. Nor is a G_x
+    factored: THM.vi.gx reads In(G_x) off the congruence and 1'G_x1, so no
+    Cholesky and no spectrum of order n - 1 or n is taken (no other matrix
+    of these instances has either order)."""
     def refuse(f):
         raise AssertionError("bordered matrix built")
 
+    n, orders = inst.n, []
     monkeypatch.setattr(verifier, "bordered", refuse)
+    for name in ("cholesky", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, lambda a, _fn=getattr(np.linalg, name):
+                            orders.append(a.shape[-1]) or _fn(a))
     report = verify_instance(inst, [0.0, 1.0])
     assert report.ok and all(c.passed for c in report.checks if c.check_id.startswith("THM.iv"))
+    assert orders and not {n - 1, n} & set(orders)
 
 
-@pytest.mark.parametrize("inst", [golden_instance(), random_instance(12, 4, 11211, 30),
-                                  random_instance(60, 3, 1060, 60)],
-                         ids=["golden", "random-12x4", "verify-large-60"])
+@_ROUTE_INSTANCES
 def test_the_split_of_p_is_the_sample_of_thm_iii_at_positive_beta(monkeypatch, inst):
     """At beta > 0 the split certificate of P, whose negative half is the
     deleted block -P(alpha'_1) - cI, measures THM.iii's vertex 1, and THM.vi
