@@ -25,7 +25,7 @@ from .errors import ConfigError, MwspecError
 from .golden import run_golden
 from .model import (
     WeightProfile,
-    instance_hash,
+    _text_hash,
     parse_instance,
     random_instance,
     serialize_instance,
@@ -62,7 +62,7 @@ def cmd_gen(args) -> int:
     text = serialize_instance(inst)
     parse_instance(text)    # write nothing that verify would reject
     _atomic_write(args.out, text)
-    print(instance_hash(inst))
+    print(_text_hash(text))     # instance_hash(inst), without serializing again
     return EXIT_OK
 
 

@@ -7,7 +7,9 @@ bitwise symmetric is held to the asymmetry bound and averaged with its
 transpose before it is factored or decomposed, so round-off asymmetry never
 leaks into eigenvalue classification; a bitwise symmetric one is passed on
 as it is. No routine computes eigenvectors: a known kernel is deflated
-(`kernel_certificate`), and a Cholesky factorization decides the rest.
+(`kernel_certificate`), and a Cholesky factorization decides the rest. The
+one dense inverse, pinv_psd's, is formed from a Cholesky factor, as
+LAPACK's xPOTRI does (`_spd_inverse`), not from an LU factorization.
 
 Every float verdict of the package is decided against the three thresholds
 below, most of them scaled by max(1, the largest magnitude of the matrix or
@@ -226,14 +228,47 @@ def kernel_certificate(a: np.ndarray, kernel: np.ndarray):
         return np.where(2 * bound <= EIG_ZERO * top, certificate_shift(t), np.inf), bound
 
 
+# the largest triangle that _invert_lower hands to np.linalg.inv whole
+_TRIANGLE_BLOCK = 48
+
+
+def _invert_lower(c: np.ndarray) -> np.ndarray:
+    """Overwrite the nonsingular lower-triangular c (m, m), whose upper
+    triangle is zero, by its inverse X and return it. By halves:
+    X = [[X11, 0], [-X22 C21 X11, X22]], each half inverted the same way
+    down to order _TRIANGLE_BLOCK, where np.linalg.inv takes the block and
+    np.tril drops the round-off that its row pivoting leaves above the
+    diagonal. The upper triangle is never written, so it stays exactly
+    zero; each temporary is a quarter of c's size."""
+    m = len(c)
+    if m <= _TRIANGLE_BLOCK:
+        c[...] = np.tril(np.linalg.inv(c))
+        return c
+    h = m // 2
+    x11, x22 = _invert_lower(c[:h, :h]), _invert_lower(c[h:, h:])
+    c[h:, :h] = -(x22 @ c[h:, :h]) @ x11
+    return c
+
+
+def _spd_inverse(s: np.ndarray) -> np.ndarray:
+    """S^{-1} = X'X for a symmetric positive definite S = CC', X = C^{-1}
+    (LAPACK's xPOTRI; Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 14): one Cholesky factorization, inverted in
+    place, and one product that numpy forms by syrk from one triangle, so
+    the result is exactly symmetric. The residual ||SX - I|| is of the
+    order of m u kappa(S), u the unit round-off."""
+    x = _invert_lower(np.linalg.cholesky(s))
+    return x.T @ x
+
+
 def pinv_psd(a: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Moore-Penrose inverse of a symmetric positive semidefinite A whose
     kernel has the orthonormal basis Q: A+ = (A + tQQ')^{-1} - QQ'/t. It is
-    taken where kernel_certificate's certificate holds, by one Cholesky
-    factorization; elsewhere A has an eigenvalue off Q that is negative or
-    counts as zero, and NotPSDError is raised. t = ||A||_inf, with no floor
-    of 1 (1 for A = 0 only): A + tQQ' is then no worse conditioned than A
-    is off Q, at any scale of A."""
+    taken where kernel_certificate's certificate holds, the inverse from a
+    Cholesky factor of A + tQQ' (_spd_inverse); elsewhere A has an
+    eigenvalue off Q that is negative or counts as zero, and NotPSDError is
+    raised. t = ||A||_inf, with no floor of 1 (1 for A = 0 only): A + tQQ'
+    is then no worse conditioned than A is off Q, at any scale of A."""
     a = sym_part(_as_square(a))
     b = a.copy()
     shift, _ = kernel_certificate(b, kernel)
@@ -246,7 +281,7 @@ def pinv_psd(a: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     np.matmul(kernel, kernel.T, out=b)
     b *= t
     b += a
-    out = np.linalg.inv(b)
+    out = _spd_inverse(b)
     np.matmul(kernel, kernel.T, out=b)
     b /= t
     out -= b

@@ -445,5 +445,10 @@ def serialize_instance(inst: Instance) -> str:
                                    _edges_to_json(inst.graph, kind))
 
 
+def _text_hash(text: str) -> str:
+    """The hex SHA-256 of an instance file's text."""
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def instance_hash(inst: Instance) -> str:
-    return hashlib.sha256(serialize_instance(inst).encode()).hexdigest()
+    return _text_hash(serialize_instance(inst))

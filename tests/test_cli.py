@@ -11,7 +11,7 @@ import pytest
 from mwspec import cli
 from mwspec.cli import build_parser, main
 from mwspec.golden import golden_instance
-from mwspec.model import parse_instance, serialize_instance, validate
+from mwspec.model import instance_hash, parse_instance, serialize_instance, validate
 
 
 def run(argv, capsys):
@@ -31,6 +31,17 @@ def test_gen_writes_valid_deterministic_instance(tmp_path, capsys):
     code, stdout, _ = run(["gen", "--n", "4", "--s", "2", "--seed", "1",
                            "--extra-edges", "1", "--out", str(out)], capsys)
     assert stdout.strip() == hash_one
+
+
+@pytest.mark.parametrize("kind", ["float", "rational"])
+def test_gen_prints_the_hash_of_the_instance_it_writes(tmp_path, capsys, kind):
+    out = tmp_path / "a.json"
+    code, stdout, _ = run(["gen", "--n", "5", "--s", "2", "--seed", "7", "--extra-edges", "2",
+                           "--scalar-kind", kind, "--out", str(out)], capsys)
+    assert code == 0
+    inst = parse_instance(out.read_text())
+    assert inst.is_exact == (kind == "rational")
+    assert stdout.strip() == instance_hash(inst)
 
 
 def test_gen_rejects_small_n(tmp_path, capsys):

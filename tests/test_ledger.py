@@ -9,6 +9,9 @@ header.
 
 import importlib.util
 import json
+import signal
+import subprocess
+import sys
 from collections import Counter, defaultdict
 from pathlib import Path
 
@@ -112,3 +115,35 @@ def test_report_diff_prints_each_changed_row(tmp_path, capsys):
         "3 P1 pass absent -> true: residual absent -> 0.0",
         "3 report: n absent -> 2",
     ]
+
+
+def _first_line_then_close(argv):
+    """Run python argv, read one line of its stdout, close the pipe; return
+    that line, the exit code and stderr."""
+    proc = subprocess.Popen([sys.executable, *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    line = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return line, proc.wait(timeout=120), err
+
+
+def test_tools_stop_quietly_when_the_reader_closes_the_pipe(tmp_path):
+    """`report_diff.py ... | head -1` and `report_set.py | head -1`: ended
+    by SIGPIPE, with no traceback, once the output outgrows the pipe;
+    report_diff read in full keeps its 0/1 meaning."""
+    old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+    for path, value in ((old, 0.0), (new, 1.0)):
+        report = json.dumps({"checks": [{"id": "P1", "pass": True, "evidence": {"residual": value}}]})
+        path.write_text((report + "\n") * 5000)    # 5000 rows of output, far above a pipe's
+    diff = [str(TOOLS / "report_diff.py"), str(old), str(new)]
+    closed = -signal.SIGPIPE
+    assert _first_line_then_close(diff) == ("1 P1 pass true -> true: residual 0.0 -> 1.0\n", closed, "")
+    full = subprocess.run([sys.executable, *diff], capture_output=True, text=True, timeout=120)
+    assert (full.returncode, len(full.stdout.splitlines()), full.stderr) == (1, 5000, "")
+    same = subprocess.run([sys.executable, diff[0], str(old), str(old)],
+                          capture_output=True, text=True, timeout=120)
+    assert (same.returncode, same.stdout, same.stderr) == (0, "", "")
+    line, code, err = _first_line_then_close([str(TOOLS / "report_set.py")])
+    assert json.loads(line)["n"] == 2 and (code, err) == (closed, "")

@@ -1,8 +1,9 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mwspec.errors import (
@@ -13,8 +14,11 @@ from mwspec.errors import (
     NotSymmetricError,
 )
 from mwspec.linalg import (
+    _TRIANGLE_BLOCK,
     EIG_ZERO,
     Bound,
+    _invert_lower,
+    _spd_inverse,
     certificate_shift,
     certify,
     inertia_of,
@@ -25,6 +29,7 @@ from mwspec.linalg import (
     sym_eigvals,
 )
 from mwspec.model import WeightProfile, random_instance
+from mwspec.operators import build_laplacian, build_U
 from mwspec.verifier import DEFAULT_BETAS, _split, build_matrices
 
 
@@ -122,6 +127,7 @@ def _psd_with_kernel(dim, k, seed):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=8),
        st.integers(min_value=0, max_value=2**32 - 1))
+@example(_TRIANGLE_BLOCK + 13, 3, 61)     # inverted by halves
 def test_pinv_moore_penrose_identities(dim, k, seed):
     a, q = _psd_with_kernel(dim, min(k, dim), seed)
     ap = pinv_psd(a, q)
@@ -130,6 +136,47 @@ def test_pinv_moore_penrose_identities(dim, k, seed):
     assert np.abs(ap @ a @ ap - ap).max() <= 1e-8 * max(1.0, np.abs(ap).max())
     assert np.abs((a @ ap) - (a @ ap).T).max() <= 1e-8 * scale
     assert np.abs((ap @ a) - (ap @ a).T).max() <= 1e-8 * scale
+
+
+def test_pinv_of_a_tree_laplacian_keeps_at_most_three_arrays_of_its_size():
+    # L_T of a tree with ns = 600: the copy that is certified and then
+    # shifted, the Cholesky factor inverted in place, and the result; the
+    # 1 % is the (ns, s) products and Python's own objects
+    n, s = 300, 2
+    a = build_laplacian(random_instance(n, s, 300, 0).tree).array
+    kernel = build_U(n, s) / np.sqrt(n)
+    tracemalloc.start()
+    try:
+        pinv_psd(a, kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.01 * a.nbytes
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=130), st.floats(min_value=0.0, max_value=20.0),
+       st.integers(min_value=-900, max_value=900), st.integers(min_value=0, max_value=2**32 - 1))
+@example(1, 0.0, 0, 0)
+@example(_TRIANGLE_BLOCK, 10.0, -900, 1)
+@example(_TRIANGLE_BLOCK + 1, 20.0, 900, 2)
+def test_spd_inverse_from_the_cholesky_factor(m, log_cond, e, seed):
+    """A = 2^e Q diag(w) Q', w in [1, 2^log_cond], inverted on both sides of
+    the recursion's cutoff at scales where A, its factor and A^{-1} stay normal floats:
+    ||AX - I||_2 <= 4 m u kappa(A), u the unit round-off, X = X_C'X_C from
+    the factor's inverse X_C, and X is exactly symmetric; X_C keeps its
+    upper triangle exactly zero at every order."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    w = np.exp2(rng.uniform(0.0, log_cond, m))
+    a = np.ldexp((q * w) @ q.T, e)
+    a = (a + a.T) / 2
+    bound = 4 * m * np.finfo(float).eps / 2 * np.linalg.cond(a)
+    x = _spd_inverse(a)
+    assert np.linalg.norm(a @ x - np.eye(m), 2) <= bound
+    lower = _invert_lower(np.linalg.cholesky(a))
+    assert not np.triu(lower, 1).any()
+    assert np.array_equal(x, x.T) and np.array_equal(lower.T @ lower, x)
 
 
 def test_quadratic_form_pd():

@@ -1113,10 +1113,16 @@ def test_an_uncertified_congruence_leaves_g_x_to_its_split(monkeypatch, inst):
 
 def test_lapack_calls_of_a_verify_large_instance(monkeypatch):
     """verify_instance's LAPACK calls on the n = 60 verify-large instance at
-    beta 0 and 1. The 14 Choleskys are the certificates: the splits of D
-    and, per beta, of P (two each), THM.iv's congruence per beta (two; it
-    also bounds THM.v), the deflated L_T of P1 and L of P4, THM.iii's
-    beta = 0 sample and THM.vi's blocks. THM.vi.gx factors nothing: the
+    beta 0 and 1. Of the 15 Choleskys, 14 are the certificates: the splits
+    of D and, per beta, of P (two each), THM.iv's congruence per beta (two;
+    it also bounds THM.v), the deflated L_T of P1 and L of P4, THM.iii's
+    beta = 0 sample and THM.vi's blocks. The 15th is P1's factor of
+    L_T + tUU'/n, which it inverts (the certificate factors that matrix
+    less a shift): its halves of halves, four triangles of order 45, are
+    four of the eight inv calls, none above linalg's cutoff. The other four
+    invert stacks of s x s weights for the two Laplacians and the closed
+    form of D^{-1}. No inv and no solve but the pencil's is of order ns,
+    so P1 takes no LU. THM.vi.gx factors nothing: the
     congruence at beta 1, compressed by I (x) x, puts n - 1 eigenvalues of
     each G_x below -c, and 1'G_x1 the last one above zero, so the split of
     its compressions (two) is gone. Four matrices of order (n-1)s = 177 are factored:
@@ -1130,17 +1136,19 @@ def test_lapack_calls_of_a_verify_large_instance(monkeypatch):
     beta 1; THM.iv.haynsworth solves nothing."""
     n = 60
     inst = random_instance(n, 3, 1060, n)
-    calls, orders = Counter(), Counter()
+    calls, orders = Counter(), Counter()     # orders: matrices per (name, order)
     for name in ("cholesky", "eigvalsh", "eigh", "solve", "qr", "inv"):
-        fn = getattr(np.linalg, name)
-        counted = lambda *a, _fn=fn, _name=name, **k: calls.update([_name]) or _fn(*a, **k)
+        def counted(a, *rest, _fn=getattr(np.linalg, name), _name=name, **k):
+            calls.update([_name])
+            orders.update({(_name, a.shape[-1]): math.prod(a.shape[:-2])})
+            return _fn(a, *rest, **k)
         monkeypatch.setattr(np.linalg, name, counted)
-    cholesky = np.linalg.cholesky
-    monkeypatch.setattr(np.linalg, "cholesky", lambda a: orders.update(
-        {a.shape[-1]: math.prod(a.shape[:-2])}) or cholesky(a))
     assert verify_instance(inst, [0.0, 1.0]).ok
-    assert calls == Counter({"cholesky": 14, "eigvalsh": 4, "solve": 1, "qr": 1, "inv": 5})
-    assert orders[(n - 1) * 3] == 4
+    assert calls == Counter({"cholesky": 15, "eigvalsh": 4, "solve": 1, "qr": 1, "inv": 8})
+    assert orders[("cholesky", (n - 1) * 3)] == 4
+    assert orders[("inv", 45)] == 4
+    assert max(k for name, k in orders if name == "inv") <= linalg._TRIANGLE_BLOCK
+    assert orders[("solve", n * 3)] == 1
 
 
 @_ROUTE_INSTANCES

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib.util
+import signal
 import sys
 from pathlib import Path
 
@@ -83,4 +84,5 @@ def main(argv):
 
 
 if __name__ == "__main__":
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)     # `| head` ends it quietly
     main(sys.argv[1:])

@@ -21,6 +21,7 @@ the two inputs are identical, 1 otherwise.
 from __future__ import annotations
 
 import json
+import signal
 import sys
 from itertools import zip_longest
 
@@ -86,4 +87,5 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)     # `| head` ends it quietly
     sys.exit(main(sys.argv[1:]))

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -114,4 +115,5 @@ def main():
 
 
 if __name__ == "__main__":
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)     # `| head` ends it quietly
     main()
